@@ -17,7 +17,7 @@ from .game import (Allocation, GameConfig, MixedProfile, PureInstance,
                    frustration_decomposition, instantaneous_frustration,
                    load_strategy_matrix, mixed_correlated_payoff, payoff_linear,
                    payoff_nonlinear, resolve_bets, save_strategy_matrix,
-                   signal_mean_bets, strategy_payoffs)
+                   strategy_payoffs)
 from .geometry import (PropernessReport, Simplex, StrengthDistribution,
                        build_simplex, gram_defect, isometry_defect, properness,
                        weighted_moments)

@@ -3,7 +3,9 @@
 Players process a broadcast signal m in {1..M} with S preprogrammed
 strategies; each strategy maps every signal to one of B weighted nodes.
 Payoffs are congestion payoffs, which the simplex encoding turns into dot
-products with the aggregate bet b = sum of chosen vertices.
+products with the aggregate bet b = sum of chosen vertices.  As q_r . q_l = -1 +
+delta_rl / y_r, the mixed-profile payoffs and frustrations are computed in count
+space, q_r . b = N_r / y_r - N; only the bet-valued helpers read the vertices.
 """
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ class GameConfig:
 
 @dataclass(frozen=True)
 class StrategyMatrix:
-    """Dense N x S x M table of node indices in {0..B-1}."""
+    """Dense N x S x M table of node indices in {0..B-1}, stored signal-major (M, N, S)."""
 
     entries: np.ndarray
 
@@ -80,7 +82,11 @@ class StrategyMatrix:
         e = np.asarray(self.entries)
         if e.ndim != 3:
             raise ValidationError(f"strategy matrix must be 3-d, got shape {e.shape}")
-        object.__setattr__(self, "entries", _readonly(e.astype(np.uint8, copy=False)))
+        if e.dtype != np.uint8 and (e.dtype.kind not in "biuf" or np.any(
+                (e < 0) | (e > 255) | (e % 1 != 0))):  # NaN fails the last test
+            raise ValidationError("strategy matrix entries must be integers in [0, 255]")
+        by_signal = _readonly(np.ascontiguousarray(e.transpose(2, 0, 1), dtype=np.uint8))
+        object.__setattr__(self, "entries", by_signal.transpose(1, 2, 0))
 
     @property
     def shape(self) -> tuple:
@@ -213,33 +219,33 @@ def correlated_payoff(c: StrategyMatrix, profile, i: int, config: GameConfig) ->
     return total / m
 
 
-def _strategy_vertices(c: StrategyMatrix, s: Simplex) -> np.ndarray:
-    """(N, S, M, B-1) lookup of each table entry's vertex."""
-    return s.vertices[c.entries]
+def _signal_occupancy(c: StrategyMatrix, rows: np.ndarray, nodes: int):
+    """(M, N, S) keys m*B + c_ism and the mean occupancy sum_is p_is [c_ism = r] at m*B + r."""
+    table = c.entries.transpose(2, 0, 1)
+    keys = table + (np.arange(table.shape[0]) * nodes)[:, None, None]
+    weights = np.broadcast_to(rows, table.shape).reshape(-1)
+    return keys, np.bincount(keys.reshape(-1), weights, minlength=table.shape[0] * nodes)
 
 
-def signal_mean_bets(c: StrategyMatrix, p: MixedProfile, s: Simplex) -> np.ndarray:
-    """(M, B-1) mean aggregate bet per signal under the mixed profile."""
-    qc = _strategy_vertices(c, s)
-    return np.einsum("is,ismd->md", p.rows, qc)
-
-
-def strategy_payoffs(c: StrategyMatrix, p: MixedProfile, s: Simplex,
+def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray, s: Simplex,
                      config: GameConfig) -> np.ndarray:
     """(N, S) matrix of signal-averaged payoffs u_i(rest mixed; strategy s).
 
     Entry (i, s) is the payoff player i expects when committing to its s-th
     strategy while everyone else keeps playing the mixed profile.  Dotting
-    row i with p's row i recovers player i's fully mixed payoff.
+    row i with p's row i recovers player i's fully mixed payoff (p may be raw
+    rows).  Count space: u_is = (N - mean_m[(O_ism + 1) / y(c_ism)]) / N with
+    O_ism the others' mean occupancy of node c_ism under signal m.
     """
-    n = config.players
-    qc = _strategy_vertices(c, s)                         # (N,S,M,D)
-    mean_player = np.einsum("is,ismd->imd", p.rows, qc)   # <c_i^m>
-    total = mean_player.sum(axis=0)                       # (M,D)
-    others = total[None, :, :] - mean_player              # sum_{j!=i} <c_j^m>
-    cross = np.einsum("ismd,imd->ism", qc, others)
-    own_sq = np.einsum("ismd,ismd->ism", qc, qc)
-    return -(cross + own_sq).mean(axis=2) / n
+    rows = p.rows if isinstance(p, MixedProfile) else np.asarray(p, dtype=float)
+    keys, occupancy = _signal_occupancy(c, rows, s.node_count)
+    w = np.take(np.tile(1.0 / s.strengths.weights, keys.shape[0]), keys)   # 1 / y(c_ism)
+    total = ((np.take(occupancy, keys) + 1.0) * w).mean(axis=0)
+    for j in range(keys.shape[2]):      # drop player i's own sum_k p_ik [c_ikm = c_ijm]
+        for k in range(keys.shape[2]):
+            agree = (keys[:, :, j] == keys[:, :, k]) * w[:, :, j]
+            total[:, j] -= rows[:, k] * agree.mean(axis=0)
+    return (config.players - total) / config.players
 
 
 def mixed_correlated_payoff(c: StrategyMatrix, p: MixedProfile, i: int, s: Simplex,
@@ -258,13 +264,12 @@ def instantaneous_frustration(alloc: Allocation, s: Simplex, config: GameConfig)
 def frustration(c: StrategyMatrix, p: MixedProfile, s: Simplex, config: GameConfig) -> float:
     """Signal-averaged squared mean bet, normalized by N (B-1).
 
-    Uses the per-signal mean bet sum_i sum_s p_is q(c_is^m) and averages its
-    squared norm exactly over all M signals (no sampling).
+    Averages the squared norm of the per-signal mean bet exactly over all M
+    signals, as sum_r O_mr^2 / y_r - (sum_r O_mr)^2 on mean occupancies O_mr.
     """
-    bets = signal_mean_bets(c, p, s)
-    return float(np.einsum("md,md->", bets, bets)) / (
-        bets.shape[0] * config.players * (config.nodes - 1)
-    )
+    occupancy = _signal_occupancy(c, p.rows, s.node_count)[1].reshape(-1, s.node_count)
+    squared = occupancy**2 @ (1.0 / s.strengths.weights) - occupancy.sum(axis=1) ** 2
+    return float(squared.sum()) / (occupancy.shape[0] * config.players * (config.nodes - 1))
 
 
 def expected_frustration(c: StrategyMatrix, p: MixedProfile, s: Simplex,

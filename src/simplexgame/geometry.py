@@ -20,6 +20,7 @@ from .errors import DegenerateStrengthsError, ValidationError
 WEIGHT_SUM_TOL = 1e-12
 ZERO_MODE_RTOL = 1e-9
 DEFAULT_PROPERNESS_THRESHOLD = 10.0
+MAX_PROPER_DRAWS = 10_000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -67,11 +68,12 @@ class StrengthDistribution:
     @classmethod
     def random_proper(cls, node_count, rng, threshold=DEFAULT_PROPERNESS_THRESHOLD,
                       alpha=1.0) -> "StrengthDistribution":
-        """Draw Dirichlet(alpha) strengths, rejecting degenerate ones."""
-        while True:
+        """Draw Dirichlet(alpha) strengths; reject degenerate ones, up to MAX_PROPER_DRAWS."""
+        for _ in range(MAX_PROPER_DRAWS):
             y = cls(rng.dirichlet(np.full(node_count, float(alpha))))
             if properness(y, threshold).is_proper:
                 return y
+        raise DegenerateStrengthsError(f"no proper strengths in {MAX_PROPER_DRAWS} draws")
 
 
 @dataclass(frozen=True)

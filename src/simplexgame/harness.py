@@ -61,6 +61,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.realizations < 1:
             raise ValidationError("realizations must be >= 1")
+        ConvergenceSettings(window=self.window, check_every=self.check_every)  # validates
+        LearningConfig(gamma=self.gamma)  # validates
         if self.t_max < self.window:
             raise ValidationError("t_max must be >= window")
         if self.measurement not in MEASUREMENT_MODES:

@@ -2,9 +2,10 @@
 
 Each round a uniform signal is broadcast, players sample a strategy from
 their softmax probabilities, bets resolve, and every player scores all of
-its strategies with the payoff each one would have earned (computable from
-the realized aggregate bet plus the player's own counterfactual swap, so a
-node-occupancy broadcast suffices).  Scores feed back into the softmax.
+its strategies with the payoff each one would have earned, computed in count
+space as (1 - N'_r / (y_r N)) / M with N'_r the occupancy of the strategy's
+node r after the player's own swap.  Only `reward_vector` still reads the
+simplex vertices.  Scores feed back into the softmax.
 """
 from __future__ import annotations
 
@@ -33,6 +34,11 @@ class LearningConfig:
     iterations: int = 2000
     snapshot_stride: int = 0
 
+    def __post_init__(self):
+        rates = np.asarray(self.gamma, dtype=float)
+        if not np.all((0.0 <= rates) & (rates < np.inf)):
+            raise ValidationError("learning rates must be finite and >= 0")
+
 
 class LearnerState:
     """Mutable per-player scores and softmax probabilities.
@@ -42,7 +48,8 @@ class LearnerState:
     """
 
     def __init__(self, scores, learning_rates, iteration=0):
-        self.scores = np.asarray(scores, dtype=float)
+        # strategy-major layout: reductions over S run as length-N vector operations
+        self.scores = np.asarray(scores, dtype=float, order="F")
         self.learning_rates = np.asarray(learning_rates, dtype=float)
         self.iteration = int(iteration)
         self.probabilities = _softmax_rows(self.scores, self.learning_rates)
@@ -50,8 +57,8 @@ class LearnerState:
     @classmethod
     def initial(cls, config: GameConfig, gamma=DEFAULT_LEARNING_RATE) -> "LearnerState":
         rates = np.broadcast_to(np.asarray(gamma, dtype=float), (config.players,)).copy()
-        if np.any(rates < 0.0):
-            raise ValidationError("learning rates must be >= 0")
+        if not np.all((0.0 <= rates) & (rates < np.inf)):
+            raise ValidationError("learning rates must be finite and >= 0")
         return cls(np.zeros((config.players, config.strategies_per_player)), rates)
 
     @property
@@ -124,6 +131,10 @@ class ConvergenceSettings:
     # trace false-triggers under repeated checks, so sweeps restrict to purity
     stop_reasons: tuple = ("purity", "plateau")
 
+    def __post_init__(self):
+        if self.window < 1 or self.check_every < 1:
+            raise ValidationError("window and check_every must be >= 1")
+
 
 @dataclass
 class RunResult:
@@ -138,12 +149,9 @@ class RunResult:
 def softmax_probabilities(scores, gamma: float) -> np.ndarray:
     """exp(gamma * U_s) / sum, computed max-shifted so large scores never overflow."""
     scores = np.asarray(scores, dtype=float)
-    if gamma < 0.0 or not np.all(np.isfinite(scores)):
-        raise ValidationError("gamma must be >= 0 and scores finite")
-    z = gamma * scores
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    if not 0.0 <= gamma < np.inf or not np.all(np.isfinite(scores)):
+        raise ValidationError("gamma must be finite and >= 0, scores finite")
+    return _softmax_rows(scores[None, :], np.array([gamma], dtype=float))[0]
 
 
 def _softmax_rows(scores: np.ndarray, gammas: np.ndarray) -> np.ndarray:
@@ -168,47 +176,37 @@ def reward_vector(c: StrategyMatrix, inst: PureInstance, realized_b: np.ndarray,
     return -np.einsum("sd,sd->s", qm, shifted) / (config.signals * config.players)
 
 
-class _RunCache:
-    """Vertex lookups for one (matrix, simplex) pair, shared across iterations."""
-
-    def __init__(self, c: StrategyMatrix, s: Simplex):
-        self.vertices = s.vertices
-        self.qc = s.vertices[c.entries.astype(np.int64)]  # (N, S, M, D)
-
-
 def iterate(state: LearnerState, c: StrategyMatrix, simplex: Simplex,
-            config: GameConfig, rng: np.random.Generator,
-            cache: _RunCache | None = None) -> IterationRecord:
+            config: GameConfig, rng: np.random.Generator) -> IterationRecord:
     """Play one round and update the state in place.
 
     Consumes the rng in a fixed order (one signal draw, then one uniform per
     player), so a seeded generator makes whole trajectories reproducible.
     """
-    if cache is None:
-        cache = _RunCache(c, simplex)
     n, strategies = state.scores.shape
     m = int(rng.integers(config.signals))
 
-    cdf = np.cumsum(state.probabilities, axis=1)
-    cdf[:, -1] = 1.0
+    # inverse-cdf sampling; the last cumulative probability counts as 1
     draws = rng.random(n)
-    choices = np.minimum((draws[:, None] > cdf).sum(axis=1), strategies - 1)
+    cdf = state.probabilities[:, 0].copy()
+    choices = np.zeros(n, dtype=np.intp)
+    for k in range(1, strategies):
+        choices += draws > cdf
+        cdf += state.probabilities[:, k]
 
-    qc_m = cache.qc[:, :, m, :]                      # (N, S, D)
-    realized = qc_m[np.arange(n), choices]           # (N, D)
-    b = realized.sum(axis=0)
-    picked_nodes = c.entries[np.arange(n), choices, m].astype(np.int64)
-    counts = np.bincount(picked_nodes, minlength=config.nodes)
+    table = c.entries[:, :, m]                       # (N, S), contiguous
+    played = table[np.arange(n), choices]
+    counts = np.bincount(played, minlength=config.nodes)
 
-    rewards = -np.einsum(
-        "isd,isd->is", qc_m, b[None, None, :] + qc_m - realized[:, None, :]
-    ) / (config.signals * config.players)
+    inv_y = 1.0 / simplex.strengths.weights
+    occupancy = counts[table] + (table != played[:, None])
+    rewards = (1.0 - occupancy * inv_y[table] / config.players) / config.signals
 
     state.scores += rewards
     state.probabilities = _softmax_rows(state.scores, state.learning_rates)
     state.iteration += 1
 
-    r_t = float(b @ b) / (config.players * (config.nodes - 1))
+    r_t = float(counts @ (counts * inv_y) - n * n) / (config.players * (config.nodes - 1))
     return IterationRecord(state.iteration, m, r_t, state.purity, counts)
 
 
@@ -227,14 +225,16 @@ def run(config: GameConfig, learn: LearningConfig, seed,
         simplex = build_simplex(config.strengths)
     if matrix is None:
         matrix = draw_strategy_matrix(config, rng)
+    elif matrix.shape != (config.players, config.strategies_per_player, config.signals) \
+            or matrix.entries.max(initial=0) >= config.nodes:
+        raise ValidationError(f"strategy matrix {matrix.shape} does not fit {config}")
     state = LearnerState.initial(config, learn.gamma)
-    cache = _RunCache(matrix, simplex)
     traj = Trajectory(learn.iterations, learn.snapshot_stride)
 
     converged = False
     report = None
     for t in range(learn.iterations):
-        rec = iterate(state, matrix, simplex, config, rng, cache)
+        rec = iterate(state, matrix, simplex, config, rng)
         traj.append(rec.signal, rec.frustration, rec.purity)
         if learn.snapshot_stride and t % learn.snapshot_stride == 0:
             traj.snapshots.append((rec.iteration, rec.counts, state.probabilities.copy()))
@@ -249,13 +249,6 @@ def run(config: GameConfig, learn: LearningConfig, seed,
     return RunResult(state, traj, matrix, simplex, converged, report)
 
 
-class _RawProfile:
-    """Duck-typed profile wrapper that skips validation (integrator stages only)."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-
 def replicator_flow(c: StrategyMatrix, p: MixedProfile, simplex: Simplex,
                     config: GameConfig, gammas) -> np.ndarray:
     """dp_is/dtau = gamma_i p_is (u_i(rest; s) - u_i(mixed)).
@@ -265,7 +258,7 @@ def replicator_flow(c: StrategyMatrix, p: MixedProfile, simplex: Simplex,
     """
     rows = p.rows if hasattr(p, "rows") else np.asarray(p, dtype=float)
     gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (config.players,))
-    per_strategy = strategy_payoffs(c, _RawProfile(rows), simplex, config)
+    per_strategy = strategy_payoffs(c, rows, simplex, config)
     mixed = np.einsum("is,is->i", rows, per_strategy)
     return gammas[:, None] * rows * (per_strategy - mixed[:, None])
 
@@ -286,7 +279,7 @@ def integrate_replicator(c: StrategyMatrix, p0: MixedProfile, simplex: Simplex,
     out = [MixedProfile(rows.copy())]
 
     def flow(r):
-        d = replicator_flow(c, _RawProfile(r), simplex, config, gamma)
+        d = replicator_flow(c, r, simplex, config, gamma)
         if not np.all(np.isfinite(d)):
             raise FloatingPointError(
                 f"non-finite replicator derivative at tau={len(out) * step:.6g}")
@@ -313,13 +306,11 @@ def random_baseline(config: GameConfig, seed, iterations: int) -> Trajectory:
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
     rng = np.random.default_rng(seed)
-    simplex = build_simplex(config.strengths)
     n, b_nodes = config.players, config.nodes
     picks = rng.choice(b_nodes, size=(iterations, n), p=config.strengths.weights)
     counts = np.zeros((iterations, b_nodes))
     np.add.at(counts, (np.arange(iterations)[:, None], picks), 1.0)
-    bets = counts @ simplex.vertices
-    r_t = np.einsum("td,td->t", bets, bets) / (n * (b_nodes - 1))
+    r_t = (counts**2 @ (1.0 / config.strengths.weights) - n * n) / (n * (b_nodes - 1))
     traj = Trajectory(iterations)
     for t in range(iterations):
         traj.append(-1, float(r_t[t]), np.nan)

@@ -3,8 +3,8 @@
 Enumerates every pure strategy profile, checks the no-profitable-deviation
 condition on signal-averaged payoffs, and reports the minimum frustration
 over the equilibrium set (the game's optimistic price of anarchy).  Payoffs
-here are evaluated through the vertex dot-product route, independently of
-the count-based evaluator in `game`, so the two can cross-check each other.
+here are dot products with the (N, S, M, B-1) strategy vertices, independent of
+the count-space evaluators in `game` (which only `potential_defect` calls).
 """
 from __future__ import annotations
 

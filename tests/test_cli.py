@@ -133,6 +133,13 @@ def test_validation_error_exits_one(tmp_path, capsys):
     assert "whoops" in capsys.readouterr().err
 
 
+def test_zero_check_interval_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SWEEP_CFG.replace("check_every = 50", "check_every = 0"))
+    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "check_every" in capsys.readouterr().err
+
+
 def test_io_error_exits_two(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RUN_CFG)

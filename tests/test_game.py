@@ -368,6 +368,25 @@ def test_matrix_io_roundtrip(tmp_path, rng):
         assert back.entries.tobytes() == c.entries.tobytes()
 
 
+def test_matrix_rejects_out_of_range_and_fractional_entries():
+    for bad in ([[[256]]], [[[-1]]], [[[1.5]]], [[[np.nan]]], [[["a"]]]):
+        with pytest.raises(ValidationError):
+            StrategyMatrix(np.array(bad))
+    assert StrategyMatrix(np.array([[[255.0, 0.0]]])).entries.tolist() == [[[255, 0]]]
+
+
+def test_matrix_is_stored_signal_major(tmp_path, rng):
+    entries = rng.integers(0, 4, size=(5, 3, 7))
+    c = StrategyMatrix(entries)
+    assert np.array_equal(c.entries, entries)
+    for m in range(7):
+        assert c.entries[:, :, m].flags.c_contiguous
+    # the file format stays row-major in (player, strategy, signal) order
+    path = tmp_path / "m.bin"
+    save_strategy_matrix(c, path, "binary")
+    assert path.read_bytes() == entries.astype(np.uint8).tobytes()
+
+
 def test_matrix_io_size_mismatch(tmp_path, rng):
     cfg, _, c = small_instance(rng, players=4, nodes=3, signals=3, strategies=2)
     path = tmp_path / "m.json"

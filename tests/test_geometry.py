@@ -115,6 +115,27 @@ def test_strength_validation():
         StrengthDistribution(np.array([0.5, 0.5 + 1e-9]))
 
 
+def test_random_proper_gives_up_after_max_draws():
+    # only the exactly uniform distribution has index 0, so no draw passes
+    with pytest.raises(DegenerateStrengthsError):
+        StrengthDistribution.random_proper(3, np.random.default_rng(0), threshold=1e-300)
+
+
+def test_random_proper_accepts_the_same_draw_as_unbounded_rejection():
+    # a strict threshold rejects many draws first; the accepted one and the
+    # generator state afterwards match a plain rejection loop
+    for seed in range(5):
+        expect_rng = np.random.default_rng(seed)
+        while True:
+            y = StrengthDistribution(expect_rng.dirichlet(np.ones(4)))
+            if properness(y, 2.0).is_proper:
+                break
+        rng = np.random.default_rng(seed)
+        got = StrengthDistribution.random_proper(4, rng, threshold=2.0)
+        assert got.weights.tobytes() == y.weights.tobytes()
+        assert rng.random() == expect_rng.random()
+
+
 def test_build_rejects_numerically_degenerate():
     # one near-zero weight drives the eigenvalue spread past the zero-mode cut
     delta = 1e-10

@@ -336,3 +336,7 @@ def test_experiment_validation():
         tiny_sweep_config(lambda_grid=(0.0, 1.0))
     with pytest.raises(ValidationError):
         tiny_sweep_config(measurement="median")
+    for bad in (dict(check_every=0), dict(window=0), dict(gamma=float("nan")),
+                dict(gamma=float("inf")), dict(gamma=-1.0)):
+        with pytest.raises(ValidationError):
+            tiny_sweep_config(**bad)

@@ -138,6 +138,36 @@ def test_run_deterministic_trajectories():
     assert a.matrix.entries.tobytes() == b.matrix.entries.tobytes()
 
 
+def test_learning_settings_validation():
+    cfg = fig1_config(uniform=True)
+    for bad in (dict(check_every=0), dict(window=0), dict(check_every=-5)):
+        with pytest.raises(ValidationError):
+            ConvergenceSettings(**bad)
+    per_player = np.full(cfg.players, 20.0)
+    per_player[3] = np.nan
+    for gamma in (np.nan, np.inf, -1.0, per_player):
+        with pytest.raises(ValidationError):
+            LearningConfig(gamma=gamma)
+        with pytest.raises(ValidationError):
+            LearnerState.initial(cfg, gamma)
+    with pytest.raises(ValidationError):
+        softmax_probabilities(np.array([1.0, 0.0]), np.nan)
+
+
+def test_run_rejects_mismatched_matrix():
+    cfg = fig1_config(uniform=True)
+    learn = LearningConfig(iterations=5)
+    wrong_shape = StrategyMatrix(np.zeros((cfg.players, 2, cfg.signals + 1), dtype=np.uint8))
+    with pytest.raises(ValidationError):
+        run(cfg, learn, seed=1, matrix=wrong_shape)
+    entries = np.zeros((cfg.players, 2, cfg.signals), dtype=np.uint8)
+    entries[3, 1, 0] = cfg.nodes  # one past the last node
+    with pytest.raises(ValidationError):
+        run(cfg, learn, seed=1, matrix=StrategyMatrix(entries))
+    entries[3, 1, 0] = cfg.nodes - 1
+    assert len(run(cfg, learn, seed=1, matrix=StrategyMatrix(entries)).trajectory) == 5
+
+
 def test_run_zero_iterations():
     cfg = fig1_config(uniform=True)
     result = run(cfg, LearningConfig(iterations=0), seed=1)
