@@ -19,6 +19,7 @@ from .geometry import Simplex, StrengthDistribution, _readonly
 
 PAYOFF_MODES = ("linear", "nonlinear")
 ROW_SUM_TOL = 1e-12
+DRAW_BLOCK = 1 << 17  # uniforms per block of a strategy-matrix draw (1 MB)
 
 
 @dataclass(frozen=True)
@@ -151,10 +152,23 @@ class Allocation:
 
 
 def draw_strategy_matrix(config: GameConfig, rng: np.random.Generator) -> StrategyMatrix:
-    """Draw every entry independently: node r with probability y_r."""
+    """Draw every entry independently: node r with probability y_r.
+
+    Same entries and generator state as rng.choice(B, size=(N, S, M), p=y):
+    uniforms in (player, strategy, signal) order through the normalized cdf.
+    Drawing blocks of player rows straight into the uint8 table keeps the
+    transient to one block instead of (N, S, M) int64 picks and float uniforms.
+    """
     n, s, m = config.players, config.strategies_per_player, config.signals
-    entries = rng.choice(config.nodes, size=(n, s, m), p=config.strengths.weights)
-    return StrategyMatrix(entries.astype(np.uint8))
+    cdf = np.cumsum(config.strengths.weights)
+    cdf /= cdf[-1]
+    by_signal = np.empty((m, n, s), dtype=np.uint8)
+    rows = max(1, DRAW_BLOCK // (s * m))
+    for start in range(0, n, rows):
+        uniforms = rng.random((min(rows, n - start), s, m))
+        picks = cdf.searchsorted(uniforms, side="right")
+        by_signal[:, start:start + rows] = picks.transpose(2, 0, 1)
+    return StrategyMatrix(by_signal.transpose(1, 2, 0))
 
 
 def resolve_bets(c: StrategyMatrix, inst: PureInstance,

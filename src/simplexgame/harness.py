@@ -5,6 +5,11 @@ realizations per point (fresh strategy matrix each, fresh strengths too when
 configured), measures the steady-state frustration of each run, and attaches
 the analytic curve.  Every realization derives its own seed from the master
 seed and its grid coordinates, so whole sweeps are reproducible byte for byte.
+
+The (grid point, realization) tasks are dealt round-robin into one batch per
+worker process; each batch sets up its realizations, plays them in lockstep
+(`learning.run_lockstep`) and measures each.  A realization's row depends
+only on its own seed, not on its batch or the worker count.
 """
 from __future__ import annotations
 
@@ -159,70 +164,78 @@ class SweepResult:
         return [r for r in self.rows if r.lambda_index == lambda_index]
 
 
-@dataclass(frozen=True)
-class _Task:
-    master_seed: int
-    lambda_index: int
-    realization: int
-    signals: int
-    players: int
-    nodes: int
-    strategies: int
-    strengths: object    # "random" or tuple of weights
-    payoff_mode: str
-    gamma: float
-    t_max: int
-    window: int
-    check_every: int
-    measurement: str
+def _run_batch(job: tuple) -> list:
+    """Set up, play in lockstep and measure one batch of realizations.
 
-
-def _run_task(task: _Task) -> RealizationRow:
-    seed = child_seed(task.master_seed, task.lambda_index, task.realization)
-    rng = np.random.default_rng(seed)
-    y = _resolve_strengths(task.strengths, task.nodes, rng)
-    config = GameConfig(players=task.players, nodes=task.nodes, signals=task.signals,
-                        strategies_per_player=task.strategies, strengths=y,
-                        payoff_mode=task.payoff_mode)
-    simplex = build_simplex(y)
-    matrix = draw_strategy_matrix(config, rng)
-    result = learning.run(
-        config,
-        LearningConfig(gamma=task.gamma, iterations=task.t_max),
-        rng, matrix=matrix, simplex=simplex,
-        convergence=ConvergenceSettings(window=task.window, check_every=task.check_every,
-                                        stop_reasons=("purity",)),
-    )
-    steady = measure_steady_state(result.state, matrix, simplex, config,
-                                  task.measurement, result.trajectory, task.window)
-    converged = result.converged
-    if not converged and result.trajectory.length >= task.window:
-        converged = learning.detect_convergence(
-            result.state, result.trajectory, task.window).converged
-    return RealizationRow(
-        lambda_index=task.lambda_index,
-        realized_lambda=task.signals / task.players,
-        realization=task.realization,
-        seed=seed,
-        steady_r=steady,
-        converged=converged,
-        iterations=result.state.iteration,
-    )
+    `job` is (experiment, ((grid index, realization, signal count), ...)).
+    Each realization seeds its own generator from its coordinates and draws
+    its strengths and strategy matrix from it before play, as it would alone.
+    """
+    exp, coords = job
+    spec = _strengths_spec(exp.strengths, exp.nodes)
+    seeds, games = [], []
+    for lambda_index, realization, signals in coords:
+        seed = child_seed(exp.master_seed, lambda_index, realization)
+        rng = np.random.default_rng(seed)
+        y = _resolve_strengths(spec, exp.nodes, rng)
+        config = GameConfig(players=exp.players, nodes=exp.nodes, signals=signals,
+                            strategies_per_player=exp.strategies, strengths=y,
+                            payoff_mode=exp.payoff_mode)
+        simplex = build_simplex(y)
+        seeds.append(seed)
+        games.append((config, draw_strategy_matrix(config, rng), simplex, rng))
+    results = learning.run_lockstep(
+        games, LearningConfig(gamma=exp.gamma, iterations=exp.t_max),
+        ConvergenceSettings(window=exp.window, check_every=exp.check_every,
+                            stop_reasons=("purity",)))
+    rows = []
+    for (lambda_index, realization, signals), seed, (config, *_), result in zip(
+            coords, seeds, games, results):
+        steady = measure_steady_state(result.state, result.matrix, result.simplex, config,
+                                      exp.measurement, result.trajectory, exp.window)
+        converged = result.converged
+        if not converged and result.trajectory.length >= exp.window:
+            converged = learning.detect_convergence(
+                result.state, result.trajectory, exp.window).converged
+        rows.append(RealizationRow(
+            lambda_index=lambda_index,
+            realized_lambda=signals / exp.players,
+            realization=realization,
+            seed=seed,
+            steady_r=steady,
+            converged=converged,
+            iterations=result.state.iteration,
+        ))
+    return rows
 
 
 def _worker_count(n_tasks: int) -> int:
     raw = os.environ.get(WORKERS_ENV)
-    workers = int(raw) if raw else (os.cpu_count() or 1)
-    return max(1, min(workers, n_tasks))
+    if not raw:
+        return min(os.cpu_count() or 1, n_tasks)
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValidationError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return min(workers, n_tasks)
 
 
-def _execute(tasks: list) -> list:
-    workers = _worker_count(len(tasks))
+def _execute(exp: ExperimentConfig, points: list) -> list:
+    """Rows of every realization at (grid index, signal count) points, in grid order.
+
+    Tasks are dealt round-robin, not by grid point: long realizations then
+    spread over the batches, and a single point still uses every worker.
+    """
+    coords = [(li, k, m) for li, m in points for k in range(exp.realizations)]
+    workers = _worker_count(len(coords))
+    jobs = [(exp, tuple(coords[j::workers])) for j in range(workers)]
     if workers == 1:
-        rows = [_run_task(t) for t in tasks]
+        rows = _run_batch(jobs[0])
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_task, tasks, chunksize=1))
+            rows = [row for batch in pool.map(_run_batch, jobs) for row in batch]
     return sorted(rows, key=lambda r: (r.lambda_index, r.realization))
 
 
@@ -267,20 +280,10 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _sweep_points(exp: ExperimentConfig, points: list, strengths_spec) -> SweepResult:
+def _sweep_points(exp: ExperimentConfig, points: list) -> SweepResult:
     """Run realizations for explicit (grid index, signal count) points."""
     start = time.perf_counter()
-    tasks = [
-        _Task(master_seed=exp.master_seed, lambda_index=li, realization=k,
-              signals=m, players=exp.players, nodes=exp.nodes,
-              strategies=exp.strategies, strengths=strengths_spec,
-              payoff_mode=exp.payoff_mode, gamma=exp.gamma, t_max=exp.t_max,
-              window=exp.window, check_every=exp.check_every,
-              measurement=exp.measurement)
-        for li, m in points
-        for k in range(exp.realizations)
-    ]
-    rows = _execute(tasks)
+    rows = _execute(exp, points)
     summary = _summarize(rows, exp.strategies, exp.nodes)
     cfg = semantic_config(exp)
     return SweepResult(rows=rows, summary=summary, config=cfg,
@@ -293,7 +296,7 @@ def sweep(exp: ExperimentConfig) -> SweepResult:
     if not exp.lambda_grid:
         raise ValidationError("sweep needs a lambda_grid")
     points = [(li, signals_for(lam, exp.players)) for li, lam in enumerate(exp.lambda_grid)]
-    return _sweep_points(exp, points, _strengths_spec(exp.strengths, exp.nodes))
+    return _sweep_points(exp, points)
 
 
 @dataclass
@@ -352,13 +355,12 @@ def verify_reduction(exp: ExperimentConfig) -> ComparisonResult:
     if not exp.lambda_grid:
         raise ValidationError("verify_reduction needs a lambda_grid")
     points = [(li, signals_for(lam, exp.players)) for li, lam in enumerate(exp.lambda_grid)]
-    result_a = _sweep_points(exp, points, _strengths_spec(exp.strengths, exp.nodes))
+    result_a = _sweep_points(exp, points)
 
     reduced_points = [(li, m * (exp.nodes - 1)) for li, m in points]
     exp_b = replace(exp, nodes=2, strengths="uniform", strengths_b=None,
                     efficiencies=None)
-    result_b = _sweep_points(exp_b, reduced_points,
-                             _strengths_spec("uniform", 2))
+    result_b = _sweep_points(exp_b, reduced_points)
     return ComparisonResult(result_a, result_b, _pair(result_a, result_b, exp.realizations))
 
 
@@ -519,15 +521,18 @@ def _parse_value(key: str, raw: str):
 
 def parse_lambda_grid(raw: str) -> tuple:
     """Either a comma list "0.1,0.5,1" or "start:end:count" for a linear grid."""
-    if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"grid spec must be start:end:count, got {raw!r}")
+    parts = raw.split(":")
+    if len(parts) not in (1, 3):
+        raise ValidationError(f"grid spec must be start:end:count, got {raw!r}")
+    try:
+        if len(parts) == 1:
+            return tuple(float(v) for v in raw.split(","))
         start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValidationError("grid count must be >= 1")
-        return tuple(float(v) for v in np.linspace(start, end, count))
-    return tuple(float(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"bad lambda grid {raw!r}: {exc}") from exc
+    if count < 1:
+        raise ValidationError("grid count must be >= 1")
+    return tuple(float(v) for v in np.linspace(start, end, count))
 
 
 def parse_config_file(path: str) -> dict:
@@ -545,7 +550,10 @@ def parse_config_file(path: str) -> dict:
                 raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in values:
                 raise ValidationError(f"{path}:{lineno}: duplicate config key {key!r}")
-            values[key] = _parse_value(key, raw)
+            try:
+                values[key] = _parse_value(key, raw)
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {key} = {raw!r}: {exc}") from exc
     return values
 
 

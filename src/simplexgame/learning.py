@@ -6,6 +6,14 @@ its strategies with the payoff each one would have earned, computed in count
 space as (1 - N'_r / (y_r N)) / M with N'_r the occupancy of the strategy's
 node r after the player's own swap.  Only `reward_vector` still reads the
 simplex vertices.  Scores feed back into the softmax.
+
+One kernel, `lockstep_round`, plays a round of K independent realizations at
+once on stacked (K, S, N) scores and probabilities.  Realizations of a batch
+share N, S and B but may differ in M and strengths, and each draws from its
+own generator in the order a lone run would, so its trajectory does not
+depend on what else shares the batch.  `run_lockstep` plays a batch until
+every realization has stopped, dropping each from the working arrays when it
+does; `run` is a batch of one, and `iterate` one round of a batch of one.
 """
 from __future__ import annotations
 
@@ -24,6 +32,7 @@ log = logging.getLogger(__name__)
 DEFAULT_LEARNING_RATE = 20.0
 PURITY_THRESHOLD = 0.999
 PLATEAU_REL_TOL = 1e-3
+_OWN_SWAP = np.array([0, 1])  # a node's occupancy after a swap: N_r if it is played, else N_r + 1
 
 
 @dataclass
@@ -52,7 +61,7 @@ class LearnerState:
         self.scores = np.asarray(scores, dtype=float, order="F")
         self.learning_rates = np.asarray(learning_rates, dtype=float)
         self.iteration = int(iteration)
-        self.probabilities = _softmax_rows(self.scores, self.learning_rates)
+        self.probabilities = _softmax(self.scores.T[None], self.learning_rates)[0].T
 
     @classmethod
     def initial(cls, config: GameConfig, gamma=DEFAULT_LEARNING_RATE) -> "LearnerState":
@@ -87,6 +96,14 @@ class Trajectory:
         self._frustrations[i] = frustration
         self._purities[i] = purity
         self.length = i + 1
+
+    def extend(self, signals, frustrations, purities) -> None:
+        """Append a block of consecutive iterations."""
+        i, j = self.length, self.length + len(signals)
+        self._signals[i:j] = signals
+        self._frustrations[i:j] = frustrations
+        self._purities[i:j] = purities
+        self.length = j
 
     def __len__(self) -> int:
         return self.length
@@ -151,14 +168,27 @@ def softmax_probabilities(scores, gamma: float) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
     if not 0.0 <= gamma < np.inf or not np.all(np.isfinite(scores)):
         raise ValidationError("gamma must be finite and >= 0, scores finite")
-    return _softmax_rows(scores[None, :], np.array([gamma], dtype=float))[0]
+    return _softmax(scores[None, :, None], gamma)[0, :, 0]
 
 
-def _softmax_rows(scores: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    z = gammas[:, None] * scores
-    z -= z.max(axis=1, keepdims=True)
+def _fold(op, a: np.ndarray) -> np.ndarray:
+    """op folded over the strategy axis of a (K, S, N) array, s = 0, 1, ... in turn.
+
+    A fixed order keeps sums independent of K and N, and for small S the
+    loop of whole-row operations is cheaper than an axis reduction.
+    """
+    out = a[:, 0]
+    for s in range(1, a.shape[1]):
+        out = op(out, a[:, s])
+    return out
+
+
+def _softmax(scores: np.ndarray, rates) -> np.ndarray:
+    """Softmax of rates * scores over the strategy axis of (K, S, N) scores."""
+    z = rates * scores
+    z -= _fold(np.maximum, z)[:, None]
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / _fold(np.add, e)[:, None]
 
 
 def reward_vector(c: StrategyMatrix, inst: PureInstance, realized_b: np.ndarray,
@@ -176,6 +206,98 @@ def reward_vector(c: StrategyMatrix, inst: PureInstance, realized_b: np.ndarray,
     return -np.einsum("sd,sd->s", qm, shifted) / (config.signals * config.players)
 
 
+class Lockstep:
+    """Working arrays of K realizations that share N, S and B, played in lockstep.
+
+    Scores and probabilities are (K, S, N).  Realization k's signal-major
+    table is rows offsets[k] .. offsets[k] + M_k of `tables`, one (sum M, N, S)
+    uint8 array, and it plays from its own generator rngs[k].  `games` are
+    (config, matrix, simplex, rng) tuples matching `states`.
+    """
+
+    def __init__(self, states: list, games: list):
+        self.scores = np.stack([state.scores.T for state in states])
+        self.probabilities = np.stack([state.probabilities.T for state in states])
+        self.rates = np.stack([state.learning_rates for state in states])[:, None, :]
+        bases = [matrix.entries.transpose(2, 0, 1) for _, matrix, _, _ in games]
+        self.tables = bases[0] if len(bases) == 1 else np.concatenate(bases)
+        self.signal_counts = [config.signals for config, _, _, _ in games]
+        self.offsets = np.cumsum([0] + self.signal_counts[:-1])
+        self.signals = np.array(self.signal_counts, dtype=float)[:, None, None]
+        self.inv_y = np.stack([1.0 / simplex.strengths.weights
+                               for _, _, simplex, _ in games])[:, :, None]
+        self.rngs = [rng for _, _, _, rng in games]
+        self.nodes = self.inv_y.shape[1]
+        self._index()
+
+    def _index(self) -> None:
+        k, strategies, n = self.scores.shape
+        # flat index of player i's first entry in a (K, N, S) table slice
+        self.cells = strategies * np.arange(k * n).reshape(k, n)
+        # realization k's nodes are slots k*B .. k*B + B-1 of the (K, B) counts
+        self.slot_base = self.nodes * np.arange(k)[:, None, None]
+
+    def keep(self, rows) -> None:
+        """Drop every working row not in `rows` (indices in the current order)."""
+        self.scores = self.scores[rows]
+        self.probabilities = self.probabilities[rows]
+        self.rates = self.rates[rows]
+        self.offsets = self.offsets[rows]
+        self.signals = self.signals[rows]
+        self.inv_y = self.inv_y[rows]
+        self.signal_counts = [self.signal_counts[j] for j in rows]
+        self.rngs = [self.rngs[j] for j in rows]
+        self._index()
+
+
+def lockstep_round(batch: Lockstep):
+    """Play one round of every realization in the batch and update it in place.
+
+    Realization k draws its signal with rngs[k].integers(M_k) and then N
+    uniforms, the order a lone run keeps, so seeded runs are reproducible
+    whatever else shares the batch.  A strategy's reward depends only on its
+    node r and on whether r is the played node (occupancy N_r) or not
+    (N_r + 1), so rewards are computed per (k, r, swap) and gathered.
+    Returns per row the signal (K,), node counts (K, B), sum_r N_r^2 / y_r (K,),
+    which `_frustration` turns into R_t, and purity (K,).
+    """
+    k, strategies, n = batch.scores.shape
+    signals = np.empty(k, dtype=np.intp)
+    draws = np.empty((k, n))
+    for j, rng in enumerate(batch.rngs):
+        signals[j] = rng.integers(batch.signal_counts[j])
+        rng.random(out=draws[j])
+
+    # inverse-cdf sampling; the last cumulative probability counts as 1
+    p = batch.probabilities
+    cdf = p[:, 0]
+    pick = batch.cells
+    for s in range(1, strategies):
+        if s > 1:
+            cdf = cdf + p[:, s - 1]
+        pick = pick + (draws > cdf)
+
+    slots = batch.tables.take(batch.offsets + signals, axis=0) + batch.slot_base  # (K, N, S)
+    played = slots.take(pick)                                         # (K, N)
+    counts = np.bincount(played.ravel(), minlength=k * batch.nodes).reshape(k, -1)
+
+    by_node = counts[:, :, None]
+    occupancy = by_node + _OWN_SWAP                                   # (K, B, 2)
+    node_reward = (1.0 - occupancy * batch.inv_y / n) / batch.signals
+    swapped = slots != played[:, :, None]
+    batch.scores += node_reward.take(2 * slots + swapped).transpose(0, 2, 1)
+    batch.probabilities = p = _softmax(batch.scores, batch.rates)
+
+    # one dot product per row, the same reduction a lone counts @ (counts / y) makes
+    squares = np.matmul(counts[:, None, :], by_node * batch.inv_y)[:, 0, 0]
+    return signals, counts, squares, _fold(np.maximum, p).min(axis=1)
+
+
+def _frustration(squares, players: int, nodes: int):
+    """R_t = |b|^2 / (N (B-1)) from sum_r N_r^2 / y_r, as |b|^2 = sum_r N_r^2 / y_r - N^2."""
+    return (squares - players * players) / (players * (nodes - 1))
+
+
 def iterate(state: LearnerState, c: StrategyMatrix, simplex: Simplex,
             config: GameConfig, rng: np.random.Generator) -> IterationRecord:
     """Play one round and update the state in place.
@@ -183,31 +305,13 @@ def iterate(state: LearnerState, c: StrategyMatrix, simplex: Simplex,
     Consumes the rng in a fixed order (one signal draw, then one uniform per
     player), so a seeded generator makes whole trajectories reproducible.
     """
-    n, strategies = state.scores.shape
-    m = int(rng.integers(config.signals))
-
-    # inverse-cdf sampling; the last cumulative probability counts as 1
-    draws = rng.random(n)
-    cdf = state.probabilities[:, 0].copy()
-    choices = np.zeros(n, dtype=np.intp)
-    for k in range(1, strategies):
-        choices += draws > cdf
-        cdf += state.probabilities[:, k]
-
-    table = c.entries[:, :, m]                       # (N, S), contiguous
-    played = table[np.arange(n), choices]
-    counts = np.bincount(played, minlength=config.nodes)
-
-    inv_y = 1.0 / simplex.strengths.weights
-    occupancy = counts[table] + (table != played[:, None])
-    rewards = (1.0 - occupancy * inv_y[table] / config.players) / config.signals
-
-    state.scores += rewards
-    state.probabilities = _softmax_rows(state.scores, state.learning_rates)
+    batch = Lockstep([state], [(config, c, simplex, rng)])
+    signals, counts, squares, purity = lockstep_round(batch)
+    state.scores[...] = batch.scores[0].T
+    state.probabilities = batch.probabilities[0].T
     state.iteration += 1
-
-    r_t = float(counts @ (counts * inv_y) - n * n) / (config.players * (config.nodes - 1))
-    return IterationRecord(state.iteration, m, r_t, state.purity, counts)
+    r_t = float(_frustration(squares[0], config.players, config.nodes))
+    return IterationRecord(state.iteration, int(signals[0]), r_t, float(purity[0]), counts[0])
 
 
 def run(config: GameConfig, learn: LearningConfig, seed,
@@ -218,8 +322,6 @@ def run(config: GameConfig, learn: LearningConfig, seed,
     The seed feeds a single generator that first draws the strategy matrix
     (unless one is supplied) and then drives the play stream.
     """
-    if learn.iterations < 0:
-        raise ValidationError("iterations must be >= 0")
     rng = np.random.default_rng(seed)
     if simplex is None:
         simplex = build_simplex(config.strengths)
@@ -228,25 +330,77 @@ def run(config: GameConfig, learn: LearningConfig, seed,
     elif matrix.shape != (config.players, config.strategies_per_player, config.signals) \
             or matrix.entries.max(initial=0) >= config.nodes:
         raise ValidationError(f"strategy matrix {matrix.shape} does not fit {config}")
-    state = LearnerState.initial(config, learn.gamma)
-    traj = Trajectory(learn.iterations, learn.snapshot_stride)
+    return run_lockstep([(config, matrix, simplex, rng)], learn, convergence)[0]
 
-    converged = False
-    report = None
-    for t in range(learn.iterations):
-        rec = iterate(state, matrix, simplex, config, rng)
-        traj.append(rec.signal, rec.frustration, rec.purity)
-        if learn.snapshot_stride and t % learn.snapshot_stride == 0:
-            traj.snapshots.append((rec.iteration, rec.counts, state.probabilities.copy()))
-        if convergence is not None and (t + 1) % convergence.check_every == 0 \
-                and traj.length >= 2 * convergence.window:
-            report = detect_convergence(state, traj, convergence.window,
-                                        convergence.purity_threshold,
-                                        convergence.plateau_rel_tol)
-            if report.converged and report.reason in convergence.stop_reasons:
-                converged = True
+
+def run_lockstep(games: list, learn: LearningConfig,
+                 convergence: ConvergenceSettings | None = None) -> list:
+    """Play (config, matrix, simplex, rng) games in lockstep; one RunResult each.
+
+    Every game starts from the uniform state and plays up to learn.iterations
+    rounds.  Each stops on its own when a check (every check_every rounds
+    once 2 * window rounds are recorded) finds one of the convergence stop
+    reasons; its final state is copied out and it leaves the working arrays.
+    The games must share N, S and B; matrices must fit their configs.
+    """
+    if learn.iterations < 0:
+        raise ValidationError("iterations must be >= 0")
+    shapes = {(c.players, c.strategies_per_player, c.nodes) for c, _, _, _ in games}
+    if len(shapes) != 1:
+        raise ValidationError(f"lockstep games must share N, S and B, got {sorted(shapes)}")
+    (n, _, nodes), = shapes
+    total, iterations, stride = len(games), learn.iterations, learn.snapshot_stride
+    states = [LearnerState.initial(config, learn.gamma) for config, _, _, _ in games]
+    trajectories = [Trajectory(iterations, stride) for _ in games]
+    converged, reports = [False] * total, [None] * total
+    batch = Lockstep(states, games)
+    active = np.arange(total)   # game index of each working row
+
+    def settle(j: int, rounds: int) -> None:
+        k = active[j]
+        states[k].scores = batch.scores[j].copy().T
+        states[k].probabilities = batch.probabilities[j].copy().T
+        states[k].iteration = rounds
+
+    # rounds between checks are recorded round-major, then appended per game
+    every = convergence.check_every if convergence is not None else max(iterations, 1)
+    for start in range(0, iterations, every):
+        end = min(start + every, iterations)
+        signals, squares, purities = (np.empty((end - start, active.size), dtype=dtype)
+                                      for dtype in (np.int64, float, float))
+        for t in range(start, end):
+            signals[t - start], counts, squares[t - start], purities[t - start] = \
+                lockstep_round(batch)
+            if stride and t % stride == 0:
+                for j, k in enumerate(active):
+                    trajectories[k].snapshots.append(
+                        (t + 1, counts[j].copy(), batch.probabilities[j].T.copy()))
+        frustrations = _frustration(squares, n, nodes)
+        for j, k in enumerate(active):
+            trajectories[k].extend(signals[:, j], frustrations[:, j], purities[:, j])
+        if convergence is None or end % every or end < 2 * convergence.window:
+            continue
+        stopped = []
+        for j, k in enumerate(active):
+            states[k].probabilities = batch.probabilities[j].T
+            reports[k] = detect_convergence(states[k], trajectories[k], convergence.window,
+                                            convergence.purity_threshold,
+                                            convergence.plateau_rel_tol)
+            if reports[k].converged and reports[k].reason in convergence.stop_reasons:
+                converged[k] = True
+                settle(j, end)
+                stopped.append(j)
+        if stopped:
+            kept = np.setdiff1d(np.arange(active.size), stopped)
+            active = active[kept]
+            if not active.size:
                 break
-    return RunResult(state, traj, matrix, simplex, converged, report)
+            batch.keep(kept)
+    for j in range(active.size):
+        settle(j, iterations)
+    return [RunResult(state, traj, matrix, simplex, done, report)
+            for state, traj, (_, matrix, simplex, _), done, report
+            in zip(states, trajectories, games, converged, reports)]
 
 
 def replicator_flow(c: StrategyMatrix, p: MixedProfile, simplex: Simplex,

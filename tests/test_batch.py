@@ -1,0 +1,198 @@
+"""Lockstep batches against one realization at a time.
+
+The references below are the per-realization code that batching replaced:
+one count-space round of one realization (`reference_iterate`), a run built
+from it, and the sweep task body that played each realization with its own
+`learning.run`.  Batched play must reproduce them bit for bit, whatever the
+batch composition or worker count.
+"""
+import json
+
+import numpy as np
+import pytest
+
+from simplexgame import (ConvergenceSettings, ExperimentConfig, GameConfig,
+                         LearnerState, LearningConfig, StrengthDistribution,
+                         ValidationError, build_simplex, draw_strategy_matrix,
+                         harness, iterate, learning, run, sweep, verify_reduction)
+from simplexgame.harness import (RealizationRow, child_seed, measure_steady_state,
+                                 sweep_data_csv, sweep_json, sweep_summary_csv)
+
+
+def _reference_softmax_rows(scores, gammas):
+    z = gammas[:, None] * scores
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_iterate(state, c, simplex, config, rng):
+    """One round of one realization; returns (iteration, signal, R_t, purity, counts)."""
+    n, strategies = state.scores.shape
+    m = int(rng.integers(config.signals))
+    draws = rng.random(n)
+    cdf = state.probabilities[:, 0].copy()
+    choices = np.zeros(n, dtype=np.intp)
+    for k in range(1, strategies):
+        choices += draws > cdf
+        cdf += state.probabilities[:, k]
+    table = c.entries[:, :, m]
+    played = table[np.arange(n), choices]
+    counts = np.bincount(played, minlength=config.nodes)
+    inv_y = 1.0 / simplex.strengths.weights
+    occupancy = counts[table] + (table != played[:, None])
+    state.scores += (1.0 - occupancy * inv_y[table] / config.players) / config.signals
+    state.probabilities = _reference_softmax_rows(state.scores, state.learning_rates)
+    state.iteration += 1
+    r_t = float(counts @ (counts * inv_y) - n * n) / (config.players * (config.nodes - 1))
+    return (state.iteration, m, r_t, float(state.probabilities.max(axis=1).min()), counts)
+
+
+def reference_execute(exp, points):
+    """The per-realization sweep task: set up, one `learning.run`, measure."""
+    spec = harness._strengths_spec(exp.strengths, exp.nodes)
+    rows = []
+    for li, m in points:
+        for k in range(exp.realizations):
+            seed = child_seed(exp.master_seed, li, k)
+            rng = np.random.default_rng(seed)
+            y = harness._resolve_strengths(spec, exp.nodes, rng)
+            config = GameConfig(players=exp.players, nodes=exp.nodes, signals=m,
+                                strategies_per_player=exp.strategies, strengths=y,
+                                payoff_mode=exp.payoff_mode)
+            simplex = build_simplex(y)
+            matrix = draw_strategy_matrix(config, rng)
+            result = learning.run(
+                config, LearningConfig(gamma=exp.gamma, iterations=exp.t_max),
+                rng, matrix=matrix, simplex=simplex,
+                convergence=ConvergenceSettings(window=exp.window,
+                                                check_every=exp.check_every,
+                                                stop_reasons=("purity",)))
+            steady = measure_steady_state(result.state, matrix, simplex, config,
+                                          exp.measurement, result.trajectory, exp.window)
+            converged = result.converged
+            if not converged and result.trajectory.length >= exp.window:
+                converged = learning.detect_convergence(
+                    result.state, result.trajectory, exp.window).converged
+            rows.append(RealizationRow(lambda_index=li, realized_lambda=m / exp.players,
+                                       realization=k, seed=seed, steady_r=steady,
+                                       converged=converged,
+                                       iterations=result.state.iteration))
+    return rows
+
+
+def _game(players, nodes, signals, strategies, seed):
+    rng = np.random.default_rng(seed)
+    y = StrengthDistribution.random_proper(nodes, rng)
+    config = GameConfig(players=players, nodes=nodes, signals=signals,
+                        strategies_per_player=strategies, strengths=y)
+    return config, build_simplex(y), draw_strategy_matrix(config, rng)
+
+
+@pytest.mark.parametrize("players,nodes,signals,strategies", [
+    (5, 2, 3, 2), (50, 5, 15, 2), (30, 4, 60, 3), (7, 3, 2, 1), (1, 2, 4, 2),
+])
+def test_iterate_matches_reference_round(players, nodes, signals, strategies):
+    config, simplex, c = _game(players, nodes, signals, strategies, 3)
+    state = LearnerState.initial(config, gamma=np.linspace(5.0, 25.0, players))
+    ref = LearnerState.initial(config, gamma=np.linspace(5.0, 25.0, players))
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    scores = state.scores
+    for _ in range(300):
+        rec = iterate(state, c, simplex, config, rng)
+        want = reference_iterate(ref, c, simplex, config, ref_rng)
+        assert (rec.iteration, rec.signal, rec.frustration, rec.purity) == want[:4]
+        assert np.array_equal(rec.counts, want[4])
+    assert state.scores is scores     # updated in place
+    assert state.scores.tobytes(order="A") == ref.scores.tobytes(order="A")
+    assert state.probabilities.tobytes(order="A") == ref.probabilities.tobytes(order="A")
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_run_trajectory_and_snapshots_match_reference():
+    config, simplex, c = _game(20, 3, 10, 2, 5)
+    result = run(config, LearningConfig(iterations=120, snapshot_stride=25), 9,
+                 matrix=c, simplex=simplex)
+    ref = LearnerState.initial(config)
+    rng = np.random.default_rng(9)
+    records, snapshots = [], []
+    for t in range(120):
+        records.append(reference_iterate(ref, c, simplex, config, rng))
+        if t % 25 == 0:
+            snapshots.append((records[-1][0], records[-1][4], ref.probabilities.copy()))
+    traj = result.trajectory
+    assert traj.signals.tolist() == [r[1] for r in records]
+    assert traj.frustrations.tolist() == [r[2] for r in records]
+    assert traj.purities.tolist() == [r[3] for r in records]
+    assert len(traj.snapshots) == len(snapshots) == 5
+    for (t, counts, rows), (t_ref, counts_ref, rows_ref) in zip(traj.snapshots, snapshots):
+        assert t == t_ref and np.array_equal(counts, counts_ref)
+        assert rows.tobytes() == rows_ref.tobytes()
+    assert result.state.iteration == 120
+    assert result.state.scores.tobytes(order="A") == ref.scores.tobytes(order="A")
+
+
+def test_lockstep_games_must_share_shape():
+    a = _game(10, 3, 4, 2, 1)
+    b = _game(10, 4, 4, 2, 2)
+    games = [(cfg, c, s, np.random.default_rng(0)) for cfg, s, c in (a, b)]
+    with pytest.raises(ValidationError):
+        learning.run_lockstep(games, LearningConfig(iterations=5))
+
+
+def _outputs(result):
+    payload = json.loads(sweep_json(result))
+    payload.pop("metadata")
+    return sweep_data_csv(result) + sweep_summary_csv(result), payload
+
+
+def _three_ways(monkeypatch, experiment):
+    """Outputs of the per-realization reference, one batch, and two worker batches."""
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_execute", reference_execute)
+        reference = experiment()
+    outputs = [reference]
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SIMPLEXGAME_WORKERS", workers)
+        outputs.append(experiment())
+    return outputs
+
+
+def _assert_identical(outputs):
+    first = [_outputs(r) for r in outputs[0]]
+    for other in outputs[1:]:
+        assert [_outputs(r) for r in other] == first
+
+
+def test_sweep_rows_identical_with_ragged_signals_and_random_strengths(monkeypatch):
+    exp = ExperimentConfig(players=20, nodes=3, strategies=2, strengths="random",
+                           lambda_grid=(0.1, 0.5, 1.5), realizations=3, t_max=1500,
+                           window=100, check_every=50, master_seed=11)
+    outputs = _three_ways(monkeypatch, lambda: [sweep(exp)])
+    _assert_identical(outputs)
+    stops = [r.iterations for r in outputs[0][0].rows]
+    # realizations of different M stop at different checks, and some run to t_max
+    assert len(set(stops)) >= 4 and stops.count(exp.t_max) >= 1
+    assert len({r.realized_lambda for r in outputs[0][0].rows}) == 3
+
+
+def test_sweep_rows_identical_under_windowed_trace(monkeypatch):
+    exp = ExperimentConfig(players=12, nodes=4, strategies=3, strengths="random",
+                           lambda_grid=(0.5, 2.0), realizations=3, t_max=800,
+                           window=100, check_every=100, measurement="windowed-trace",
+                           master_seed=4)
+    outputs = _three_ways(monkeypatch, lambda: [sweep(exp)])
+    _assert_identical(outputs)
+    assert len({r.iterations for r in outputs[0][0].rows}) >= 3
+
+
+def test_verify_reduction_rows_identical(monkeypatch):
+    exp = ExperimentConfig(players=12, nodes=4, strategies=2, lambda_grid=(0.25, 1.0),
+                           realizations=3, t_max=800, window=100, check_every=50,
+                           master_seed=8)
+
+    def arms():
+        cmp = verify_reduction(exp)
+        return [cmp.result_a, cmp.result_b]
+
+    _assert_identical(_three_ways(monkeypatch, arms))

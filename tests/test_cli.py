@@ -140,6 +140,34 @@ def test_zero_check_interval_exits_one(tmp_path, capsys):
     assert "check_every" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,lineno", [("players = abc", 1),
+                                          ("lambda_grid = a:b:3", 4),
+                                          ("lambda_grid = 0.5,x", 4),
+                                          ("strengths = 0.5,abc", 4)])
+def test_bad_config_value_exits_one_with_location(tmp_path, capsys, line, lineno):
+    bad = tmp_path / "bad.cfg"
+    key = line.split(" = ")[0]
+    rest = [text for text in SWEEP_CFG.splitlines() if not text.startswith(key + " ")]
+    rest.insert(lineno - 1, line)
+    bad.write_text("\n".join(rest) + "\n")
+    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    assert f"{bad}:{lineno}:" in capsys.readouterr().err
+
+
+def test_bad_lambda_grid_flag_exits_one(capsys):
+    assert main(["predict", "--S", "2", "--B", "2", "--lambda-grid", "a:b:3"]) == 1
+    assert "a:b:3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-2"])
+def test_bad_worker_count_exits_one(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("SIMPLEXGAME_WORKERS", workers)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "SIMPLEXGAME_WORKERS" in capsys.readouterr().err
+
+
 def test_io_error_exits_two(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RUN_CFG)

@@ -5,10 +5,10 @@ from simplexgame import (Allocation, GameConfig, MixedProfile, PureInstance,
                          StrategyMatrix, StrengthDistribution, ValidationError,
                          aggregate_bet, build_simplex, correlated_payoff,
                          draw_strategy_matrix, expected_frustration, frustration,
-                         frustration_decomposition, instantaneous_frustration,
-                         load_strategy_matrix, mixed_correlated_payoff,
-                         payoff_linear, payoff_nonlinear, resolve_bets,
-                         save_strategy_matrix, strategy_payoffs)
+                         frustration_decomposition, game,
+                         instantaneous_frustration, load_strategy_matrix,
+                         mixed_correlated_payoff, payoff_linear, payoff_nonlinear,
+                         resolve_bets, save_strategy_matrix, strategy_payoffs)
 
 from conftest import random_profile, random_proper_strengths, small_instance
 
@@ -50,6 +50,22 @@ def test_draw_determinism():
     a = draw_strategy_matrix(cfg, np.random.default_rng(99)).entries
     b = draw_strategy_matrix(cfg, np.random.default_rng(99)).entries
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("block", [game.DRAW_BLOCK, 7])
+@pytest.mark.parametrize("players,strategies,signals,nodes", [
+    (10, 3, 4, 2), (6, 2, 1, 2), (1, 1, 1, 5), (40, 2, 25, 5), (13, 4, 3, 10),
+])
+def test_draw_matches_rng_choice(monkeypatch, block, players, strategies, signals, nodes):
+    # same entries and generator state as one rng.choice over (N, S, M), for any block size
+    monkeypatch.setattr(game, "DRAW_BLOCK", block)
+    y = StrengthDistribution.random_proper(nodes, np.random.default_rng(nodes))
+    cfg = GameConfig(players=players, nodes=nodes, signals=signals,
+                     strategies_per_player=strategies, strengths=y)
+    ref_rng, rng = np.random.default_rng(17), np.random.default_rng(17)
+    ref = ref_rng.choice(nodes, size=(players, strategies, signals), p=y.weights)
+    assert np.array_equal(draw_strategy_matrix(cfg, rng).entries, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("weights,expect", [([0.5, 0.5], 0.5), ([0.9, 0.1], 0.1)])
