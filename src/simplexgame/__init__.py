@@ -14,10 +14,9 @@ from .errors import BudgetError, DegenerateStrengthsError, ValidationError
 from .game import (Allocation, GameConfig, MixedProfile, PureInstance,
                    StrategyMatrix, aggregate_bet, correlated_payoff,
                    draw_strategy_matrix, expected_frustration, frustration,
-                   frustration_decomposition, instantaneous_frustration,
-                   load_strategy_matrix, mixed_correlated_payoff, payoff_linear,
-                   payoff_nonlinear, resolve_bets, save_strategy_matrix,
-                   strategy_payoffs)
+                   instantaneous_frustration, load_strategy_matrix,
+                   mixed_correlated_payoff, payoff_linear, payoff_nonlinear,
+                   resolve_bets, save_strategy_matrix, strategy_payoffs)
 from .geometry import (PropernessReport, Simplex, StrengthDistribution,
                        build_simplex, gram_defect, isometry_defect, properness,
                        weighted_moments)

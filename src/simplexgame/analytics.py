@@ -130,5 +130,4 @@ def binary_reduction(config: GameConfig) -> GameConfig:
         signals=config.signals * (config.nodes - 1),
         strategies_per_player=config.strategies_per_player,
         strengths=StrengthDistribution.uniform(2),
-        payoff_mode=config.payoff_mode,
     )

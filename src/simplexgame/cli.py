@@ -57,17 +57,14 @@ def _build_parser() -> _Parser:
     orc.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     orc.add_argument("--out", default=None)
 
-    cmp_ = sub.add_parser("compare-strengths",
-                          help="paired sweeps under two strength distributions")
-    cmp_.add_argument("--config", required=True)
-    cmp_.add_argument("--seed", type=int, default=None)
-    cmp_.add_argument("--out", required=True)
-
-    red = sub.add_parser("verify-reduction",
-                         help="paired sweeps of a game and its 2-node reduction")
-    red.add_argument("--config", required=True)
-    red.add_argument("--seed", type=int, default=None)
-    red.add_argument("--out", required=True)
+    for name, text in (("compare-strengths",
+                        "paired sweeps under two strength distributions"),
+                       ("verify-reduction",
+                        "paired sweeps of a game and its 2-node reduction")):
+        paired = sub.add_parser(name, help=text)
+        paired.add_argument("--config", required=True)
+        paired.add_argument("--seed", type=int, default=None)
+        paired.add_argument("--out", required=True)
 
     zt = sub.add_parser("zeta", help="expected minimum of S standard normals")
     zt.add_argument("--S", type=int, required=True, dest="strategies")
@@ -115,10 +112,14 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.strengths == "uniform":
-        y = StrengthDistribution.uniform(args.nodes)
-    else:
-        y = StrengthDistribution(np.array([float(v) for v in args.strengths.split(",")]))
+    try:   # the config file's strengths syntax; ValueError means a non-number
+        spec = harness._parse_value("strengths", args.strengths)
+    except ValueError as exc:
+        raise ValidationError(f"--strengths {args.strengths!r}: {exc}") from exc
+    if spec == "random":
+        raise ValidationError("--strengths must be uniform or a comma list; the oracle "
+                              "solves one fixed game, not random draws")
+    y = StrengthDistribution(np.asarray(harness._strengths_spec(spec, args.nodes)))
     config = GameConfig(players=args.players, nodes=args.nodes, signals=args.signals,
                         strategies_per_player=args.strategies, strengths=y)
     rng = np.random.default_rng(args.seed)
@@ -134,27 +135,18 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _comparison_csv(result) -> str:
+def _cmd_paired(args) -> int:
+    exp = harness.experiment_from_file(args.config, seed=args.seed)
+    if args.command == "compare-strengths":
+        result = harness.compare_strengths(exp)
+    else:
+        result = harness.verify_reduction(exp)
     lines = ["lambda,mean_A,mean_B,gap,pooled_se"]
     for row in result.per_lambda:
         lines.append(",".join(harness._fmt(v) for v in
                               (row.realized_lambda, row.mean_a, row.mean_b,
                                row.gap, row.pooled_se)))
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_compare(args) -> int:
-    exp = harness.experiment_from_file(args.config, seed=args.seed)
-    result = harness.compare_strengths(exp)
-    harness._write_text(args.out, _comparison_csv(result))
-    print(f"max mean gap {result.max_gap!r}; wrote {args.out}")
-    return 0
-
-
-def _cmd_reduction(args) -> int:
-    exp = harness.experiment_from_file(args.config, seed=args.seed)
-    result = harness.verify_reduction(exp)
-    harness._write_text(args.out, _comparison_csv(result))
+    harness._write_text(args.out, "\n".join(lines) + "\n")
     print(f"max mean gap {result.max_gap!r}; wrote {args.out}")
     return 0
 
@@ -176,8 +168,8 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "predict": _cmd_predict,
     "oracle": _cmd_oracle,
-    "compare-strengths": _cmd_compare,
-    "verify-reduction": _cmd_reduction,
+    "compare-strengths": _cmd_paired,
+    "verify-reduction": _cmd_paired,
     "zeta": _cmd_zeta,
 }
 

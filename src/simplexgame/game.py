@@ -6,6 +6,9 @@ Payoffs are congestion payoffs, which the simplex encoding turns into dot
 products with the aggregate bet b = sum of chosen vertices.  As q_r . q_l = -1 +
 delta_rl / y_r, the mixed-profile payoffs and frustrations are computed in count
 space, q_r . b = N_r / y_r - N; only the bet-valued helpers read the vertices.
+A game is fixed by N, B, M, S and the strengths alone: raw per-node
+efficiencies are an input format that `GameConfig.from_efficiencies`
+normalizes into strengths, and every payoff is the linear congestion payoff.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import Simplex, StrengthDistribution, _readonly
 
-PAYOFF_MODES = ("linear", "nonlinear")
 ROW_SUM_TOL = 1e-12
 DRAW_BLOCK = 1 << 17  # uniforms per block of a strategy-matrix draw (1 MB)
 
@@ -31,8 +33,6 @@ class GameConfig:
     signals: int
     strategies_per_player: int
     strengths: StrengthDistribution
-    payoff_mode: str = "linear"
-    raw_efficiencies: tuple | None = None  # kept for reporting only
 
     def __post_init__(self):
         if self.players < 1:
@@ -47,8 +47,6 @@ class GameConfig:
             raise ValidationError(
                 f"strengths have {self.strengths.node_count} nodes, config says {self.nodes}"
             )
-        if self.payoff_mode not in PAYOFF_MODES:
-            raise ValidationError(f"payoff_mode must be one of {PAYOFF_MODES}")
         if self.nodes > 255:
             raise ValidationError("node indices are stored as bytes; nodes must be <= 255")
 
@@ -58,19 +56,12 @@ class GameConfig:
         return self.signals / self.players
 
     @classmethod
-    def from_efficiencies(cls, players, signals, strategies_per_player, efficiencies,
-                          payoff_mode="linear") -> "GameConfig":
+    def from_efficiencies(cls, players, signals, strategies_per_player,
+                          efficiencies) -> "GameConfig":
         """Build a config from raw spectral efficiencies, normalized to strengths."""
-        raw = tuple(float(c) for c in efficiencies)
-        return cls(
-            players=players,
-            nodes=len(raw),
-            signals=signals,
-            strategies_per_player=strategies_per_player,
-            strengths=StrengthDistribution.from_efficiencies(np.array(raw)),
-            payoff_mode=payoff_mode,
-            raw_efficiencies=raw,
-        )
+        strengths = StrengthDistribution.from_efficiencies(efficiencies)
+        return cls(players=players, nodes=strengths.node_count, signals=signals,
+                   strategies_per_player=strategies_per_player, strengths=strengths)
 
 
 @dataclass(frozen=True)
@@ -116,6 +107,8 @@ class MixedProfile:
         p = np.asarray(self.rows, dtype=float)
         if p.ndim != 2:
             raise ValidationError(f"profile must be 2-d, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("profile probabilities must be finite")
         if np.any(p < 0.0):
             raise ValidationError("profile probabilities must be nonnegative")
         if np.max(np.abs(p.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
@@ -297,15 +290,6 @@ def expected_frustration(c: StrategyMatrix, p: MixedProfile, s: Simplex,
     per_strategy = strategy_payoffs(c, p, s, config)
     u_star_total = float(np.einsum("is,is->", p.rows, per_strategy))
     return -u_star_total / (config.nodes - 1)
-
-
-def frustration_decomposition(c: StrategyMatrix, p: MixedProfile, s: Simplex,
-                              config: GameConfig) -> tuple[float, float, float]:
-    """(1, congestion term, self-overlap G(p)) whose combination 1 + congestion - G
-    approximates the exact frustration up to O(1/N)."""
-    congestion = frustration(c, p, s, config)
-    g = float(np.einsum("is,is->", p.rows, p.rows)) / config.players
-    return 1.0, congestion, g
 
 
 def save_strategy_matrix(c: StrategyMatrix, path, fmt: str = "json") -> None:

@@ -30,10 +30,11 @@ from .learning import ConvergenceSettings, LearningConfig, LearnerState, Traject
 
 WORKERS_ENV = "SIMPLEXGAME_WORKERS"
 MEASUREMENT_MODES = ("final-profile", "windowed-trace")
+MAX_GRID_POINTS = 10**6  # a start:end:count grid larger than this is a typo, not a sweep
 
 CONFIG_KEYS = {
     "players", "nodes", "signals", "strategies", "strengths", "strengths_b",
-    "efficiencies", "efficiencies_b", "payoff_mode", "gamma", "iterations",
+    "efficiencies", "efficiencies_b", "gamma", "iterations",
     "t_max", "window", "check_every", "lambda_grid", "realizations",
     "measurement", "snapshot_stride", "seed",
 }
@@ -51,8 +52,6 @@ class ExperimentConfig:
     lambda_grid: tuple | None = None
     strengths: object = "uniform"
     strengths_b: object = None          # second arm for strength comparisons
-    efficiencies: tuple | None = None   # raw per-node rates, reporting only
-    payoff_mode: str = "linear"
     gamma: float = 20.0
     iterations: int = 2000
     t_max: int = 5000
@@ -76,8 +75,8 @@ class ExperimentConfig:
             raise ValidationError("seed must be >= 0")
         if self.lambda_grid is not None:
             grid = tuple(float(v) for v in self.lambda_grid)
-            if any(v <= 0.0 for v in grid):
-                raise ValidationError("lambda grid values must be > 0")
+            if not all(0.0 < v < np.inf for v in grid):
+                raise ValidationError("lambda grid values must be > 0 and finite")
             self.lambda_grid = grid
 
 
@@ -179,8 +178,7 @@ def _run_batch(job: tuple) -> list:
         rng = np.random.default_rng(seed)
         y = _resolve_strengths(spec, exp.nodes, rng)
         config = GameConfig(players=exp.players, nodes=exp.nodes, signals=signals,
-                            strategies_per_player=exp.strategies, strengths=y,
-                            payoff_mode=exp.payoff_mode)
+                            strategies_per_player=exp.strategies, strengths=y)
         simplex = build_simplex(y)
         seeds.append(seed)
         games.append((config, draw_strategy_matrix(config, rng), simplex, rng))
@@ -193,17 +191,13 @@ def _run_batch(job: tuple) -> list:
             coords, seeds, games, results):
         steady = measure_steady_state(result.state, result.matrix, result.simplex, config,
                                       exp.measurement, result.trajectory, exp.window)
-        converged = result.converged
-        if not converged and result.trajectory.length >= exp.window:
-            converged = learning.detect_convergence(
-                result.state, result.trajectory, exp.window).converged
         rows.append(RealizationRow(
             lambda_index=lambda_index,
             realized_lambda=signals / exp.players,
             realization=realization,
             seed=seed,
             steady_r=steady,
-            converged=converged,
+            converged=result.converged,
             iterations=result.state.iteration,
         ))
     return rows
@@ -263,8 +257,6 @@ def semantic_config(exp: ExperimentConfig) -> dict:
         "signals": exp.signals,
         "lambda_grid": list(exp.lambda_grid) if exp.lambda_grid else None,
         "strengths": _strengths_spec(exp.strengths, exp.nodes),
-        "efficiencies": list(exp.efficiencies) if exp.efficiencies else None,
-        "payoff_mode": exp.payoff_mode,
         "gamma": exp.gamma,
         "t_max": exp.t_max,
         "window": exp.window,
@@ -339,8 +331,7 @@ def compare_strengths(exp: ExperimentConfig, strengths_b=None) -> ComparisonResu
     if spec_b is None:
         raise ValidationError("compare_strengths needs a second strength distribution")
     result_a = sweep(exp)
-    exp_b = replace(exp, strengths=_strengths_spec(spec_b, exp.nodes),
-                    strengths_b=None, efficiencies=None)
+    exp_b = replace(exp, strengths=_strengths_spec(spec_b, exp.nodes), strengths_b=None)
     result_b = sweep(exp_b)
     return ComparisonResult(result_a, result_b, _pair(result_a, result_b, exp.realizations))
 
@@ -358,8 +349,7 @@ def verify_reduction(exp: ExperimentConfig) -> ComparisonResult:
     result_a = _sweep_points(exp, points)
 
     reduced_points = [(li, m * (exp.nodes - 1)) for li, m in points]
-    exp_b = replace(exp, nodes=2, strengths="uniform", strengths_b=None,
-                    efficiencies=None)
+    exp_b = replace(exp, nodes=2, strengths="uniform", strengths_b=None)
     result_b = _sweep_points(exp_b, reduced_points)
     return ComparisonResult(result_a, result_b, _pair(result_a, result_b, exp.realizations))
 
@@ -489,9 +479,7 @@ def single_run(exp: ExperimentConfig, matrix: StrategyMatrix | None = None
     rng = np.random.default_rng(exp.master_seed)
     y = _resolve_strengths(_strengths_spec(exp.strengths, exp.nodes), exp.nodes, rng)
     config = GameConfig(players=exp.players, nodes=exp.nodes, signals=exp.signals,
-                        strategies_per_player=exp.strategies, strengths=y,
-                        payoff_mode=exp.payoff_mode,
-                        raw_efficiencies=exp.efficiencies)
+                        strategies_per_player=exp.strategies, strengths=y)
     learn = LearningConfig(gamma=exp.gamma, iterations=exp.iterations,
                            snapshot_stride=exp.snapshot_stride)
     return learning.run(config, learn, rng, matrix=matrix)
@@ -514,7 +502,7 @@ def _parse_value(key: str, raw: str):
         return tuple(float(v) for v in raw.split(","))
     if key == "lambda_grid":
         return parse_lambda_grid(raw)
-    if key in {"payoff_mode", "measurement"}:
+    if key == "measurement":
         return raw
     raise ValidationError(f"unknown config key {key!r}")
 
@@ -530,8 +518,8 @@ def parse_lambda_grid(raw: str) -> tuple:
         start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"bad lambda grid {raw!r}: {exc}") from exc
-    if count < 1:
-        raise ValidationError("grid count must be >= 1")
+    if not 1 <= count <= MAX_GRID_POINTS:
+        raise ValidationError(f"grid count must be in [1, {MAX_GRID_POINTS}]")
     return tuple(float(v) for v in np.linspace(start, end, count))
 
 
@@ -562,34 +550,21 @@ def experiment_from_file(path: str, seed: int | None = None) -> ExperimentConfig
     for required in ("players", "nodes", "strategies"):
         if required not in values:
             raise ValidationError(f"{path}: missing required key {required!r}")
-    strengths = values.get("strengths", "uniform")
-    efficiencies = values.get("efficiencies")
-    if efficiencies is not None:
-        if "strengths" in values:
-            raise ValidationError(f"{path}: give strengths or efficiencies, not both")
-        strengths = tuple(
-            float(w) for w in
-            StrengthDistribution.from_efficiencies(np.asarray(efficiencies)).weights
-        )
-    strengths_b = values.get("strengths_b")
-    if values.get("efficiencies_b") is not None:
-        if strengths_b is not None:
-            raise ValidationError(f"{path}: give strengths_b or efficiencies_b, not both")
-        strengths_b = tuple(
-            float(w) for w in
-            StrengthDistribution.from_efficiencies(
-                np.asarray(values["efficiencies_b"])).weights
-        )
+    for arm in ("", "_b"):       # raw efficiencies are normalized into strengths
+        if f"efficiencies{arm}" in values:
+            if f"strengths{arm}" in values:
+                raise ValidationError(
+                    f"{path}: give strengths{arm} or efficiencies{arm}, not both")
+            values[f"strengths{arm}"] = tuple(float(w) for w in (
+                StrengthDistribution.from_efficiencies(values[f"efficiencies{arm}"]).weights))
     return ExperimentConfig(
         players=values["players"],
         nodes=values["nodes"],
         strategies=values["strategies"],
         signals=values.get("signals"),
         lambda_grid=values.get("lambda_grid"),
-        strengths=strengths,
-        strengths_b=strengths_b,
-        efficiencies=efficiencies,
-        payoff_mode=values.get("payoff_mode", "linear"),
+        strengths=values.get("strengths", "uniform"),
+        strengths_b=values.get("strengths_b"),
         gamma=values.get("gamma", 20.0),
         iterations=values.get("iterations", 2000),
         t_max=values.get("t_max", 5000),

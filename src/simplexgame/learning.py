@@ -90,13 +90,6 @@ class Trajectory:
         self.snapshots: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.length = 0
 
-    def append(self, signal: int, frustration: float, purity: float) -> None:
-        i = self.length
-        self._signals[i] = signal
-        self._frustrations[i] = frustration
-        self._purities[i] = purity
-        self.length = i + 1
-
     def extend(self, signals, frustrations, purities) -> None:
         """Append a block of consecutive iterations."""
         i, j = self.length, self.length + len(signals)
@@ -466,8 +459,7 @@ def random_baseline(config: GameConfig, seed, iterations: int) -> Trajectory:
     np.add.at(counts, (np.arange(iterations)[:, None], picks), 1.0)
     r_t = (counts**2 @ (1.0 / config.strengths.weights) - n * n) / (n * (b_nodes - 1))
     traj = Trajectory(iterations)
-    for t in range(iterations):
-        traj.append(-1, float(r_t[t]), np.nan)
+    traj.extend(np.full(iterations, -1), r_t, np.full(iterations, np.nan))
     return traj
 
 

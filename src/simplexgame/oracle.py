@@ -1,10 +1,13 @@
 """Brute-force ground truth for tiny games.
 
-Enumerates every pure strategy profile, checks the no-profitable-deviation
+Enumerates every pure strategy profile once, checks the no-profitable-deviation
 condition on signal-averaged payoffs, and reports the minimum frustration
-over the equilibrium set (the game's optimistic price of anarchy).  Payoffs
-here are dot products with the (N, S, M, B-1) strategy vertices, independent of
-the count-space evaluators in `game` (which only `potential_defect` calls).
+over the equilibrium set (the game's optimistic price of anarchy) together
+with the maximizers of the aggregate payoff; `enumerate_equilibria`,
+`maximizer_equilibrium_report` and `oracle_report` are views of that one pass.
+Payoffs here are dot products with the (N, S, M, B-1) strategy vertices,
+independent of the count-space evaluators in `game` (which only
+`potential_defect` calls).
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ from .game import GameConfig, MixedProfile, StrategyMatrix, strategy_payoffs
 from .geometry import Simplex
 
 DEFAULT_BUDGET = 10**6
-EQUILIBRIUM_SLACK = 1e-12
+EQUILIBRIUM_SLACK = 1e-12  # deviation gain still counted as no gain
+TIE_TOL = 1e-12            # aggregate shortfall still counted as a maximizer
 
 
 @dataclass(frozen=True)
@@ -67,28 +71,50 @@ class _ProfileEvaluator:
         return u.mean(axis=1), u_dev.mean(axis=2), r
 
 
-def _check_budget(config: GameConfig, budget: int) -> None:
-    total = config.strategies_per_player ** config.players
-    if total > budget:
+def _scan(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
+          budget: int) -> tuple[EquilibriumSet, MaximizerReport]:
+    """One pass over all S^N pure profiles: the equilibria and the maximizers.
+
+    A profile is an equilibrium when no unilateral deviation gains more than
+    EQUILIBRIUM_SLACK.  Maximizer candidates are the profiles within TIE_TOL of
+    the running best aggregate; the final best then filters them.
+    """
+    count = config.strategies_per_player ** config.players
+    if count > budget:
         raise BudgetError(
-            f"{total} pure profiles exceed the enumeration budget of {budget}")
-
-
-def enumerate_equilibria(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
-                         budget: int = DEFAULT_BUDGET,
-                         slack: float = EQUILIBRIUM_SLACK) -> EquilibriumSet:
-    """Exhaustively test all S^N pure profiles against every unilateral deviation."""
-    _check_budget(config, budget)
+            f"{count} pure profiles exceed the enumeration budget of {budget}")
     ev = _ProfileEvaluator(c, simplex, config)
     profiles, frustrations = [], []
+    best, candidates = -np.inf, []
     for profile in itertools.product(range(config.strategies_per_player),
                                      repeat=config.players):
         u, u_dev, r = ev.evaluate(profile)
-        if np.all(u_dev - u[:, None] <= slack):
+        violation = float(np.max(u_dev - u[:, None]))
+        stable = violation <= EQUILIBRIUM_SLACK
+        if stable:
             profiles.append(profile)
             frustrations.append(r)
+        total = float(u.sum())
+        best = max(best, total)
+        if total >= best - TIE_TOL:
+            candidates.append((profile, total, violation, stable))
+
+    maximizers, flags, worst = [], [], 0.0
+    for profile, total, violation, stable in candidates:
+        if total >= best - TIE_TOL:
+            maximizers.append(profile)
+            flags.append(stable)
+            worst = max(worst, violation)
     min_r = min(frustrations) if frustrations else None
-    return EquilibriumSet(profiles=profiles, frustrations=frustrations, min_r=min_r)
+    return (EquilibriumSet(profiles=profiles, frustrations=frustrations, min_r=min_r),
+            MaximizerReport(maximizers=maximizers, in_equilibrium_set=flags,
+                            worst_violation=worst, max_aggregate=best))
+
+
+def enumerate_equilibria(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
+                         budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
+    """Exhaustively test all S^N pure profiles against every unilateral deviation."""
+    return _scan(c, simplex, config, budget)[0]
 
 
 def exact_price_of_anarchy(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
@@ -126,39 +152,17 @@ def potential_defect(c: StrategyMatrix, p: MixedProfile, i: int, s1: int, s2: in
 
 
 def maximizer_equilibrium_report(c: StrategyMatrix, simplex: Simplex,
-                                 config: GameConfig, budget: int = DEFAULT_BUDGET,
-                                 tie_tol: float = 1e-12) -> MaximizerReport:
+                                 config: GameConfig,
+                                 budget: int = DEFAULT_BUDGET) -> MaximizerReport:
     """Locate pure maximizers of the aggregate averaged payoff and check each
     against the equilibrium condition, reporting the worst deviation gain."""
-    _check_budget(config, budget)
-    ev = _ProfileEvaluator(c, simplex, config)
-    equilibria = set(enumerate_equilibria(c, simplex, config, budget).profiles)
-
-    best = -np.inf
-    evaluated = []
-    for profile in itertools.product(range(config.strategies_per_player),
-                                     repeat=config.players):
-        u, u_dev, _ = ev.evaluate(profile)
-        total = float(u.sum())
-        violation = float(np.max(u_dev - u[:, None]))
-        evaluated.append((profile, total, violation))
-        best = max(best, total)
-
-    maximizers, flags, worst = [], [], 0.0
-    for profile, total, violation in evaluated:
-        if total >= best - tie_tol:
-            maximizers.append(profile)
-            flags.append(profile in equilibria)
-            worst = max(worst, violation)
-    return MaximizerReport(maximizers=maximizers, in_equilibrium_set=flags,
-                           worst_violation=worst, max_aggregate=best)
+    return _scan(c, simplex, config, budget)[1]
 
 
 def oracle_report(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
                   budget: int = DEFAULT_BUDGET) -> dict:
     """JSON-ready summary: equilibrium count, min frustration, maximizer check."""
-    eq = enumerate_equilibria(c, simplex, config, budget)
-    mx = maximizer_equilibrium_report(c, simplex, config, budget)
+    eq, mx = _scan(c, simplex, config, budget)
     return {
         "players": config.players,
         "nodes": config.nodes,

@@ -58,8 +58,7 @@ def reference_execute(exp, points):
             rng = np.random.default_rng(seed)
             y = harness._resolve_strengths(spec, exp.nodes, rng)
             config = GameConfig(players=exp.players, nodes=exp.nodes, signals=m,
-                                strategies_per_player=exp.strategies, strengths=y,
-                                payoff_mode=exp.payoff_mode)
+                                strategies_per_player=exp.strategies, strengths=y)
             simplex = build_simplex(y)
             matrix = draw_strategy_matrix(config, rng)
             result = learning.run(
@@ -70,13 +69,9 @@ def reference_execute(exp, points):
                                                 stop_reasons=("purity",)))
             steady = measure_steady_state(result.state, matrix, simplex, config,
                                           exp.measurement, result.trajectory, exp.window)
-            converged = result.converged
-            if not converged and result.trajectory.length >= exp.window:
-                converged = learning.detect_convergence(
-                    result.state, result.trajectory, exp.window).converged
             rows.append(RealizationRow(lambda_index=li, realized_lambda=m / exp.players,
                                        realization=k, seed=seed, steady_r=steady,
-                                       converged=converged,
+                                       converged=result.converged,
                                        iterations=result.state.iteration))
     return rows
 

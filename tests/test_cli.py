@@ -154,6 +154,35 @@ def test_bad_config_value_exits_one_with_location(tmp_path, capsys, line, lineno
     assert f"{bad}:{lineno}:" in capsys.readouterr().err
 
 
+def test_removed_payoff_mode_key_exits_one_with_location(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SWEEP_CFG + "payoff_mode = linear\n")
+    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:9:" in err and "unknown config key 'payoff_mode'" in err
+
+
+@pytest.mark.parametrize("strengths", ["0.5,abc", "random", "abc", "0.5,0.6"])
+def test_bad_oracle_strengths_exit_one(capsys, strengths):
+    code = main(["oracle", "--N", "3", "--S", "2", "--M", "2", "--B", "2",
+                 "--strengths", strengths])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_oracle_strengths_list_matches_library(tmp_path):
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--N", "3", "--S", "2", "--M", "2", "--B", "3", "--seed", "4",
+                 "--strengths", "0.5,0.3,0.2", "--out", str(out)]) == 0
+    y = StrengthDistribution(np.array([0.5, 0.3, 0.2]))
+    config = GameConfig(players=3, nodes=3, signals=2, strategies_per_player=2,
+                        strengths=y)
+    matrix = draw_strategy_matrix(config, np.random.default_rng(4))
+    expect = oracle_report(matrix, build_simplex(y), config)
+    assert json.loads(out.read_text()) == dict(expect, seed=4)
+
+
 def test_bad_lambda_grid_flag_exits_one(capsys):
     assert main(["predict", "--S", "2", "--B", "2", "--lambda-grid", "a:b:3"]) == 1
     assert "a:b:3" in capsys.readouterr().err

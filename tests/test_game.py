@@ -5,8 +5,7 @@ from simplexgame import (Allocation, GameConfig, MixedProfile, PureInstance,
                          StrategyMatrix, StrengthDistribution, ValidationError,
                          aggregate_bet, build_simplex, correlated_payoff,
                          draw_strategy_matrix, expected_frustration, frustration,
-                         frustration_decomposition, game,
-                         instantaneous_frustration, load_strategy_matrix,
+                         game, instantaneous_frustration, load_strategy_matrix,
                          mixed_correlated_payoff, payoff_linear, payoff_nonlinear,
                          resolve_bets, save_strategy_matrix, strategy_payoffs)
 
@@ -26,8 +25,8 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         GameConfig(players=2, nodes=2, signals=1, strategies_per_player=1, strengths=y)
     with pytest.raises(ValidationError):
-        GameConfig(players=2, nodes=3, signals=1, strategies_per_player=1,
-                   strengths=y, payoff_mode="quadratic")
+        GameConfig(players=2, nodes=256, signals=1, strategies_per_player=1,
+                   strengths=StrengthDistribution.uniform(256))
 
 
 def test_training_parameter_is_derived():
@@ -41,7 +40,6 @@ def test_config_from_efficiencies():
                                        efficiencies=(1.06, 3.91, 11.0, 14.1))
     assert cfg.nodes == 4
     assert cfg.strengths.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert cfg.raw_efficiencies == (1.06, 3.91, 11.0, 14.1)
     assert cfg.strengths.weights[3] == pytest.approx(14.1 / 30.07)
 
 
@@ -347,31 +345,23 @@ def test_frustration_agrees_with_exact_at_pure(rng):
         expected_frustration(c, p, s, cfg), abs=1e-12)
 
 
-def test_decomposition_examples(rng):
-    cfg, s, c = small_instance(rng, strategies=3)
-    pure = MixedProfile.pure(rng.integers(0, 3, cfg.players), 3)
-    _, _, g = frustration_decomposition(c, pure, s, cfg)
-    assert g == pytest.approx(1.0)
-    uniform = MixedProfile.uniform(cfg.players, 3)
-    _, _, g = frustration_decomposition(c, uniform, s, cfg)
-    assert g == pytest.approx(1.0 / 3.0)
-
-
 def test_decomposition_reassembles_within_5_over_n(rng):
+    # 1 + congestion term - self-overlap G(p) = sum_is p_is^2 / N approximates
+    # the exact frustration up to O(1/N)
     for _ in range(40):
         cfg, s, c = small_instance(rng)
         p = random_profile(rng, cfg.players, cfg.strategies_per_player)
-        base, congestion, g = frustration_decomposition(c, p, s, cfg)
-        reassembled = base + congestion - g
+        g = float(np.einsum("is,is->", p.rows, p.rows)) / cfg.players
+        reassembled = 1.0 + frustration(c, p, s, cfg) - g
         exact = expected_frustration(c, p, s, cfg)
         assert abs(reassembled - exact) <= 5.0 / cfg.players
 
 
 def test_profile_validation():
-    with pytest.raises(ValidationError):
-        MixedProfile(np.array([[0.5, 0.4]]))
-    with pytest.raises(ValidationError):
-        MixedProfile(np.array([[1.2, -0.2]]))
+    for rows in ([[0.5, 0.4]], [[1.2, -0.2]], np.full((2, 2), np.nan), [[np.inf, 0.5]],
+                 [[0.5, 0.5], [np.nan, 1.0]]):
+        with pytest.raises(ValidationError):
+            MixedProfile(np.array(rows))
 
 
 def test_matrix_io_roundtrip(tmp_path, rng):

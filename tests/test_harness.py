@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simplexgame import (ExperimentConfig, GameConfig, LearningConfig,
                          MixedProfile, StrengthDistribution, ValidationError,
@@ -10,9 +12,9 @@ from simplexgame import (ExperimentConfig, GameConfig, LearningConfig,
                          experiment_from_file, export_sweep, export_trajectory,
                          measure_steady_state, run, single_run, sweep,
                          verify_reduction)
-from simplexgame.harness import (config_hash, load_sweep_json, parse_config_file,
-                                 parse_lambda_grid, semantic_config, signals_for,
-                                 sweep_data_csv, sweep_summary_csv)
+from simplexgame.harness import (CONFIG_KEYS, config_hash, load_sweep_json,
+                                 parse_config_file, parse_lambda_grid, semantic_config,
+                                 signals_for, sweep_data_csv, sweep_summary_csv)
 
 
 def tiny_sweep_config(**overrides):
@@ -135,6 +137,18 @@ def test_sweep_deterministic_and_worker_independent(monkeypatch):
     b = sweep(tiny_sweep_config())
     assert [r.steady_r for r in a.rows] == [r.steady_r for r in b.rows]
     assert a.config_hash == b.config_hash
+
+
+def test_converged_means_a_purity_stop():
+    # with M = 1, a player whose two strategies pick the same node never turns
+    # pure, so those runs play to t_max; a flat trace there is not convergence
+    exp = tiny_sweep_config(lambda_grid=(0.1, 1.0), t_max=1000, realizations=4)
+    rows = sweep(exp).rows
+    for r in rows:
+        if r.lambda_index == 0:
+            assert r.iterations == exp.t_max and not r.converged
+        elif r.iterations < exp.t_max:
+            assert r.converged
 
 
 def test_sweep_random_strengths_redrawn_per_realization():
@@ -304,8 +318,8 @@ def test_config_efficiencies_normalized(tmp_path):
     path.write_text("players = 10\nnodes = 4\nstrategies = 2\nsignals = 2\n"
                     "efficiencies = 1.06,3.91,11,14.1\n")
     exp = experiment_from_file(str(path))
-    assert np.isclose(sum(exp.strengths), 1.0)
-    assert exp.efficiencies == (1.06, 3.91, 11.0, 14.1)
+    assert exp.strengths == pytest.approx(
+        (1.06 / 30.07, 3.91 / 30.07, 11.0 / 30.07, 14.1 / 30.07), abs=1e-15)
 
 
 def test_parse_lambda_grid_forms():
@@ -334,9 +348,42 @@ def test_experiment_validation():
         tiny_sweep_config(t_max=50, window=100)
     with pytest.raises(ValidationError):
         tiny_sweep_config(lambda_grid=(0.0, 1.0))
+    for grid in ((float("nan"),), (0.5, float("inf"))):
+        with pytest.raises(ValidationError):
+            tiny_sweep_config(lambda_grid=grid)
     with pytest.raises(ValidationError):
         tiny_sweep_config(measurement="median")
     for bad in (dict(check_every=0), dict(window=0), dict(gamma=float("nan")),
                 dict(gamma=float("inf")), dict(gamma=-1.0)):
         with pytest.raises(ValidationError):
             tiny_sweep_config(**bad)
+
+
+_NUMBER = st.one_of(st.integers().map(str),
+                    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_VALUE = st.one_of(
+    st.text(max_size=20), _NUMBER,
+    st.lists(_NUMBER, min_size=1, max_size=4).map(",".join),
+    st.lists(_NUMBER, min_size=3, max_size=3).map(":".join),
+    st.sampled_from(["uniform", "random", "final-profile", "windowed-trace", "linear"]),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(CONFIG_KEYS)), _VALUE), max_size=10),
+       st.booleans())
+@example([("lambda_grid", "nan")], True)
+@example([("lambda_grid", "0.5,inf")], True)
+@example([("lambda_grid", "0.1:inf:3")], True)
+@example([("lambda_grid", "0:1:1000000000000")], True)
+@settings(max_examples=300, deadline=None)
+def test_config_text_gives_experiment_or_validation_error(tmp_path_factory, entries,
+                                                         with_required):
+    lines = [f"{key} = {value}" for key, value in entries]
+    if with_required:
+        lines = ["players = 10", "nodes = 3", "strategies = 2"] + lines
+    path = tmp_path_factory.mktemp("cfg") / "random.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        experiment_from_file(str(path))
+    except ValidationError:
+        pass

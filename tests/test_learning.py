@@ -185,16 +185,6 @@ def test_run_converges_to_low_frustration():
     assert r[-200:].mean() <= 0.3
 
 
-def test_payoff_mode_does_not_change_dynamics():
-    # rewards always use the linear form; the throughput mode is reporting-only
-    y = StrengthDistribution.uniform(5)
-    lin = GameConfig(payoff_mode="linear", strengths=y, **FIG1_STYLE)
-    non = GameConfig(payoff_mode="nonlinear", strengths=y, **FIG1_STYLE)
-    a = run(lin, LearningConfig(iterations=500), seed=3)
-    b = run(non, LearningConfig(iterations=500), seed=3)
-    assert a.trajectory.frustrations.tobytes() == b.trajectory.frustrations.tobytes()
-
-
 def test_snapshot_stride_records_profiles():
     cfg = fig1_config(uniform=True)
     result = run(cfg, LearningConfig(iterations=100, snapshot_stride=25), seed=9)

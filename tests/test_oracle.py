@@ -10,7 +10,51 @@ from simplexgame import (BudgetError, GameConfig, LearningConfig, MixedProfile,
                          maximizer_equilibrium_report, oracle_report,
                          potential_defect, run)
 
+from simplexgame.oracle import _ProfileEvaluator
+
 from conftest import random_profile, random_proper_strengths, small_instance
+
+
+def reference_equilibria(c, s, cfg):
+    """Pass one: every profile against every unilateral deviation."""
+    ev = _ProfileEvaluator(c, s, cfg)
+    profiles, frustrations = [], []
+    for profile in itertools.product(range(cfg.strategies_per_player), repeat=cfg.players):
+        u, u_dev, r = ev.evaluate(profile)
+        if np.all(u_dev - u[:, None] <= 1e-12):
+            profiles.append(profile)
+            frustrations.append(r)
+    return profiles, frustrations
+
+
+def reference_report(c, s, cfg):
+    """The three-pass oracle: equilibria, then equilibria again plus a maximizer pass."""
+    profiles, frustrations = reference_equilibria(c, s, cfg)
+    equilibria = set(reference_equilibria(c, s, cfg)[0])
+    ev = _ProfileEvaluator(c, s, cfg)
+    best, evaluated = -np.inf, []
+    for profile in itertools.product(range(cfg.strategies_per_player), repeat=cfg.players):
+        u, u_dev, _ = ev.evaluate(profile)
+        total = float(u.sum())
+        evaluated.append((profile, total, float(np.max(u_dev - u[:, None]))))
+        best = max(best, total)
+    maximizers, flags, worst = [], [], 0.0
+    for profile, total, violation in evaluated:
+        if total >= best - 1e-12:
+            maximizers.append(profile)
+            flags.append(profile in equilibria)
+            worst = max(worst, violation)
+    return {
+        "players": cfg.players, "nodes": cfg.nodes, "signals": cfg.signals,
+        "strategies_per_player": cfg.strategies_per_player,
+        "equilibrium_count": len(profiles),
+        "min_r": min(frustrations) if frustrations else None,
+        "no_pure_equilibrium": not profiles,
+        "maximizer_count": len(maximizers),
+        "maximizers_all_equilibria": all(flags) if maximizers else None,
+        "maximizer_worst_violation": worst,
+        "max_aggregate_payoff": best,
+    }, profiles, frustrations, maximizers, flags
 
 
 def anti_coordination_game():
@@ -184,3 +228,44 @@ def test_oracle_report_fields(rng):
     assert report["equilibrium_count"] >= 0
     assert report["players"] == 3
     assert ("min_r" in report) and ("maximizer_worst_violation" in report)
+
+
+def _oracle_games():
+    yield anti_coordination_game()          # ties: two equilibria, two maximizers
+    for seed, (players, nodes, signals, strategies, uniform) in enumerate([
+            (6, 3, 3, 2, True), (6, 3, 3, 2, False), (5, 2, 2, 3, True),
+            (4, 4, 2, 3, False), (7, 2, 1, 2, True), (3, 3, 4, 1, False)]):
+        gen = np.random.default_rng(500 + seed)
+        y = (StrengthDistribution.uniform(nodes) if uniform
+             else random_proper_strengths(gen, nodes))
+        cfg = GameConfig(players=players, nodes=nodes, signals=signals,
+                         strategies_per_player=strategies, strengths=y)
+        yield cfg, build_simplex(y), draw_strategy_matrix(cfg, gen)
+    # skewed strengths: some of the four tied maximizers are not equilibria
+    gen = np.random.default_rng(0)
+    y = StrengthDistribution.random_proper(3, gen)
+    cfg = GameConfig(players=5, nodes=3, signals=2, strategies_per_player=2, strengths=y)
+    yield cfg, build_simplex(y), draw_strategy_matrix(cfg, gen)
+
+
+@pytest.mark.parametrize("game", list(_oracle_games()))
+def test_one_pass_oracle_equals_three_pass_reference(game):
+    cfg, s, c = game
+    want, profiles, frustrations, maximizers, flags = reference_report(c, s, cfg)
+    assert oracle_report(c, s, cfg) == want
+    eq = enumerate_equilibria(c, s, cfg)
+    assert (eq.profiles, eq.frustrations) == (profiles, frustrations)
+    mx = maximizer_equilibrium_report(c, s, cfg)
+    assert (mx.maximizers, mx.in_equilibrium_set) == (maximizers, flags)
+
+
+def test_oracle_report_evaluates_each_profile_once(monkeypatch):
+    calls = []
+    evaluate = _ProfileEvaluator.evaluate
+    monkeypatch.setattr(_ProfileEvaluator, "evaluate",
+                        lambda self, profile: calls.append(profile) or evaluate(self, profile))
+    for cfg, s, c in list(_oracle_games())[:3]:
+        calls.clear()
+        oracle_report(c, s, cfg)
+        assert len(calls) == cfg.strategies_per_player ** cfg.players
+        assert len(set(calls)) == len(calls)
