@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .geometry import Simplex, StrengthDistribution, _readonly
 
 ROW_SUM_TOL = 1e-12
-DRAW_BLOCK = 1 << 17  # uniforms per block of a strategy-matrix draw (1 MB)
+TABLE_BLOCK = 1 << 17  # strategy-table entries per block when drawing or reading the table
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def draw_strategy_matrix(config: GameConfig, rng: np.random.Generator) -> Strate
     cdf = np.cumsum(config.strengths.weights)
     cdf /= cdf[-1]
     by_signal = np.empty((m, n, s), dtype=np.uint8)
-    rows = max(1, DRAW_BLOCK // (s * m))
+    rows = max(1, TABLE_BLOCK // (s * m))
     for start in range(0, n, rows):
         uniforms = rng.random((min(rows, n - start), s, m))
         picks = cdf.searchsorted(uniforms, side="right")
@@ -226,12 +226,27 @@ def correlated_payoff(c: StrategyMatrix, profile, i: int, config: GameConfig) ->
     return total / m
 
 
-def _signal_occupancy(c: StrategyMatrix, rows: np.ndarray, nodes: int):
-    """(M, N, S) keys m*B + c_ism and the mean occupancy sum_is p_is [c_ism = r] at m*B + r."""
+def _signal_keys(c: StrategyMatrix, nodes: int):
+    """(first signal, (Mb, N, S) keys m*B + c_ism) per block of at most TABLE_BLOCK entries."""
     table = c.entries.transpose(2, 0, 1)
-    keys = table + (np.arange(table.shape[0]) * nodes)[:, None, None]
-    weights = np.broadcast_to(rows, table.shape).reshape(-1)
-    return keys, np.bincount(keys.reshape(-1), weights, minlength=table.shape[0] * nodes)
+    step = max(1, TABLE_BLOCK // (table.shape[1] * table.shape[2]))
+    for start in range(0, table.shape[0], step):
+        block = table[start:start + step]
+        yield start, block + (np.arange(start, start + block.shape[0]) * nodes)[:, None, None]
+
+
+def _signal_occupancy(c: StrategyMatrix, rows: np.ndarray, nodes: int) -> np.ndarray:
+    """Mean occupancy sum_is p_is [c_ism = r] at m*B + r.
+
+    Signals own disjoint key ranges, so one bincount per block of signals
+    adds every bin's weights in the same order as one bincount of the table.
+    """
+    parts = []
+    for start, keys in _signal_keys(c, nodes):
+        weights = np.broadcast_to(rows, keys.shape).reshape(-1)
+        parts.append(np.bincount(keys.reshape(-1) - start * nodes, weights,
+                                 minlength=keys.shape[0] * nodes))
+    return np.concatenate(parts)
 
 
 def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray, s: Simplex,
@@ -242,16 +257,33 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray, s: Simplex
     strategy while everyone else keeps playing the mixed profile.  Dotting
     row i with p's row i recovers player i's fully mixed payoff (p may be raw
     rows).  Count space: u_is = (N - mean_m[(O_ism + 1) / y(c_ism)]) / N with
-    O_ism the others' mean occupancy of node c_ism under signal m.
+    O_ism the others' mean occupancy of node c_ism under signal m.  The table
+    is read in blocks of signals, and each sum over m adds the later blocks
+    row by row, so it runs in m order like one sum over the whole table.
     """
     rows = p.rows if isinstance(p, MixedProfile) else np.asarray(p, dtype=float)
-    keys, occupancy = _signal_occupancy(c, rows, s.node_count)
-    w = np.take(np.tile(1.0 / s.strengths.weights, keys.shape[0]), keys)   # 1 / y(c_ism)
-    total = ((np.take(occupancy, keys) + 1.0) * w).mean(axis=0)
-    for j in range(keys.shape[2]):      # drop player i's own sum_k p_ik [c_ikm = c_ijm]
-        for k in range(keys.shape[2]):
-            agree = (keys[:, :, j] == keys[:, :, k]) * w[:, :, j]
-            total[:, j] -= rows[:, k] * agree.mean(axis=0)
+    occupancy = _signal_occupancy(c, rows, s.node_count)
+    inv_y = np.tile(1.0 / s.strengths.weights, c.shape[2])
+    strategies = c.shape[1]
+    sums = {}
+
+    def add(key, term):   # the first block as numpy sums a whole table, then row by row
+        if key not in sums:
+            sums[key] = term.sum(axis=0)
+        else:
+            for row in term:
+                sums[key] += row
+
+    for _, keys in _signal_keys(c, s.node_count):
+        w = np.take(inv_y, keys)                                       # 1 / y(c_ism)
+        add("all", (np.take(occupancy, keys) + 1.0) * w)
+        for j in range(strategies):  # player i's own sum_k p_ik [c_ikm = c_ijm]
+            for k in range(strategies):
+                add((j, k), (keys[:, :, j] == keys[:, :, k]) * w[:, :, j])
+    total = sums["all"] / c.shape[2]
+    for j in range(strategies):
+        for k in range(strategies):
+            total[:, j] -= rows[:, k] * (sums[j, k] / c.shape[2])
     return (config.players - total) / config.players
 
 
@@ -274,7 +306,7 @@ def frustration(c: StrategyMatrix, p: MixedProfile, s: Simplex, config: GameConf
     Averages the squared norm of the per-signal mean bet exactly over all M
     signals, as sum_r O_mr^2 / y_r - (sum_r O_mr)^2 on mean occupancies O_mr.
     """
-    occupancy = _signal_occupancy(c, p.rows, s.node_count)[1].reshape(-1, s.node_count)
+    occupancy = _signal_occupancy(c, p.rows, s.node_count).reshape(-1, s.node_count)
     squared = occupancy**2 @ (1.0 / s.strengths.weights) - occupancy.sum(axis=1) ** 2
     return float(squared.sum()) / (occupancy.shape[0] * config.players * (config.nodes - 1))
 

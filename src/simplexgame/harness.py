@@ -14,6 +14,7 @@ only on its own seed, not on its batch or the worker count.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import time
@@ -520,28 +521,37 @@ def parse_lambda_grid(raw: str) -> tuple:
         raise ValidationError(f"bad lambda grid {raw!r}: {exc}") from exc
     if not 1 <= count <= MAX_GRID_POINTS:
         raise ValidationError(f"grid count must be in [1, {MAX_GRID_POINTS}]")
+    if not (np.isfinite(start) and np.isfinite(end)):
+        raise ValidationError("grid start and end must be finite")
     return tuple(float(v) for v in np.linspace(start, end, count))
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value file with '#' comments; unknown or repeated keys are errors."""
+    """Flat UTF-8 key=value file with '#' comments; unknown or repeated keys are errors."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        content = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}:{lineno}: not UTF-8 text "
+                              f"(byte 0x{data[exc.start]:02x})") from exc
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValidationError(f"{path}:{lineno}: expected key = value")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in values:
-                raise ValidationError(f"{path}:{lineno}: duplicate config key {key!r}")
-            try:
-                values[key] = _parse_value(key, raw)
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {key} = {raw!r}: {exc}") from exc
+    for lineno, line in enumerate(io.StringIO(content, newline=None), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ValidationError(f"{path}:{lineno}: expected key = value")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValidationError(f"{path}:{lineno}: duplicate config key {key!r}")
+        try:
+            values[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {key} = {raw!r}: {exc}") from exc
     return values
 
 

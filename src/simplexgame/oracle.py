@@ -7,11 +7,14 @@ with the maximizers of the aggregate payoff; `enumerate_equilibria`,
 `maximizer_equilibrium_report` and `oracle_report` are views of that one pass.
 Payoffs here are dot products with the (N, S, M, B-1) strategy vertices,
 independent of the count-space evaluators in `game` (which only
-`potential_defect` calls).
+`potential_defect` calls).  The pass evaluates blocks of consecutive profiles
+(in `itertools.product` order) per NumPy call; a block's largest array, the
+(P, N, S, M, B-1) deviation bets, holds at most ORACLE_BLOCK floats unless one
+profile alone needs more, and the scan keeps only the equilibria and the
+maximizer candidates, so memory does not grow with S^N.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ from .geometry import Simplex
 DEFAULT_BUDGET = 10**6
 EQUILIBRIUM_SLACK = 1e-12  # deviation gain still counted as no gain
 TIE_TOL = 1e-12            # aggregate shortfall still counted as a maximizer
+ORACLE_BLOCK = 1 << 15     # floats in one block's deviation bets (256 KB)
 
 
 @dataclass(frozen=True)
@@ -58,17 +62,25 @@ class _ProfileEvaluator:
         self.qc = simplex.vertices[c.entries.astype(np.int64)]  # (N,S,M,D)
         self.n = config.players
 
-    def evaluate(self, profile) -> tuple[np.ndarray, np.ndarray, float]:
-        """(averaged payoffs (N,), averaged deviation payoffs (N,S), frustration)."""
-        idx = np.asarray(profile, dtype=np.int64)
-        chosen = self.qc[np.arange(self.n), idx]          # (N,M,D)
-        b = chosen.sum(axis=0)                            # (M,D)
-        u = -np.einsum("imd,md->im", chosen, b) / self.n
+    def evaluate(self, profiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For a (P, N) block of pure profiles: averaged payoffs (P, N), averaged
+        deviation payoffs (P, N, S) and frustrations (P,)."""
+        idx = np.asarray(profiles, dtype=np.int64)
+        chosen = self.qc[np.arange(self.n), idx]          # (P,N,M,D)
+        b = chosen.sum(axis=1)                            # (P,M,D)
+        u = -np.einsum("pimd,pmd->pim", chosen, b) / self.n
         # deviation of player i to strategy s: shift b by the player's own swap
-        b_dev = b[None, None] - chosen[:, None] + self.qc  # (N,S,M,D)
-        u_dev = -np.einsum("ismd,ismd->ism", self.qc, b_dev) / self.n
-        r = float(np.einsum("md,md->", b, b)) / (b.shape[0] * self.n * (self.config.nodes - 1))
-        return u.mean(axis=1), u_dev.mean(axis=2), r
+        b_dev = b[:, None, None] - chosen[:, :, None] + self.qc  # (P,N,S,M,D)
+        u_dev = -np.einsum("ismd,pismd->pism", self.qc, b_dev) / self.n
+        r = np.einsum("pmd,pmd->p", b, b) / (b.shape[1] * self.n * (self.config.nodes - 1))
+        return u.mean(axis=2), u_dev.mean(axis=3), r
+
+
+def _block_rows(config: GameConfig) -> int:
+    """Profiles per evaluation block: P * N * S * M * (B-1) <= ORACLE_BLOCK, P >= 1."""
+    per_profile = (config.players * config.strategies_per_player * config.signals
+                   * (config.nodes - 1))
+    return max(1, ORACLE_BLOCK // per_profile)
 
 
 def _scan(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
@@ -79,25 +91,30 @@ def _scan(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
     EQUILIBRIUM_SLACK.  Maximizer candidates are the profiles within TIE_TOL of
     the running best aggregate; the final best then filters them.
     """
-    count = config.strategies_per_player ** config.players
+    strategies = config.strategies_per_player
+    count = strategies ** config.players
     if count > budget:
         raise BudgetError(
             f"{count} pure profiles exceed the enumeration budget of {budget}")
     ev = _ProfileEvaluator(c, simplex, config)
+    rows = _block_rows(config)
+    # block rows are the base-S digits of start..stop-1, player 0 most
+    # significant: the rows of itertools.product(range(S), repeat=N)
+    place = strategies ** np.arange(config.players - 1, -1, -1)
     profiles, frustrations = [], []
     best, candidates = -np.inf, []
-    for profile in itertools.product(range(config.strategies_per_player),
-                                     repeat=config.players):
-        u, u_dev, r = ev.evaluate(profile)
-        violation = float(np.max(u_dev - u[:, None]))
+    for start in range(0, count, rows):
+        block = np.arange(start, min(start + rows, count))[:, None] // place % strategies
+        u, u_dev, r = ev.evaluate(block)
+        violation = (u_dev - u[:, :, None]).max(axis=(1, 2))
         stable = violation <= EQUILIBRIUM_SLACK
-        if stable:
-            profiles.append(profile)
-            frustrations.append(r)
-        total = float(u.sum())
-        best = max(best, total)
-        if total >= best - TIE_TOL:
-            candidates.append((profile, total, violation, stable))
+        profiles.extend(map(tuple, block[stable].tolist()))
+        frustrations.extend(r[stable].tolist())
+        total = u.sum(axis=1)
+        best = max(best, float(total.max()))
+        near = total >= best - TIE_TOL
+        candidates.extend(zip(map(tuple, block[near].tolist()), total[near].tolist(),
+                              violation[near].tolist(), stable[near].tolist()))
 
     maximizers, flags, worst = [], [], 0.0
     for profile, total, violation, stable in candidates:

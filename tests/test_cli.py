@@ -154,6 +154,14 @@ def test_bad_config_value_exits_one_with_location(tmp_path, capsys, line, lineno
     assert f"{bad}:{lineno}:" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_one_with_location(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"players = 5\nnodes = 2\nstrategies = \xff2\n")
+    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:3:" in err and "UTF-8" in err and "Traceback" not in err
+
+
 def test_removed_payoff_mode_key_exits_one_with_location(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(SWEEP_CFG + "payoff_mode = linear\n")

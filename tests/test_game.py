@@ -50,13 +50,13 @@ def test_draw_determinism():
     assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("block", [game.DRAW_BLOCK, 7])
+@pytest.mark.parametrize("block", [game.TABLE_BLOCK, 7])
 @pytest.mark.parametrize("players,strategies,signals,nodes", [
     (10, 3, 4, 2), (6, 2, 1, 2), (1, 1, 1, 5), (40, 2, 25, 5), (13, 4, 3, 10),
 ])
 def test_draw_matches_rng_choice(monkeypatch, block, players, strategies, signals, nodes):
     # same entries and generator state as one rng.choice over (N, S, M), for any block size
-    monkeypatch.setattr(game, "DRAW_BLOCK", block)
+    monkeypatch.setattr(game, "TABLE_BLOCK", block)
     y = StrengthDistribution.random_proper(nodes, np.random.default_rng(nodes))
     cfg = GameConfig(players=players, nodes=nodes, signals=signals,
                      strategies_per_player=strategies, strengths=y)

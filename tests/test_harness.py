@@ -332,6 +332,14 @@ def test_parse_lambda_grid_forms():
         parse_lambda_grid("0.1:2")
 
 
+@pytest.mark.parametrize("raw", ["0.1:inf:3", "-inf:1:3", "nan:1:3", "0.1:nan:1"])
+@pytest.mark.filterwarnings("error")
+def test_parse_lambda_grid_rejects_non_finite_bounds_without_warning(raw):
+    # rejected before np.linspace could warn about an invalid value
+    with pytest.raises(ValidationError, match="finite"):
+        parse_lambda_grid(raw)
+
+
 def test_single_run_uses_seeded_strengths(tmp_path):
     path = tmp_path / "fig.cfg"
     path.write_text(CONFIG_TEXT)

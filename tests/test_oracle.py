@@ -10,9 +10,50 @@ from simplexgame import (BudgetError, GameConfig, LearningConfig, MixedProfile,
                          maximizer_equilibrium_report, oracle_report,
                          potential_defect, run)
 
-from simplexgame.oracle import _ProfileEvaluator
+from simplexgame import oracle
+from simplexgame.oracle import EquilibriumSet, MaximizerReport, _ProfileEvaluator
 
 from conftest import random_profile, random_proper_strengths, small_instance
+
+
+def reference_evaluate(ev, profile):
+    """One profile on the vertex route: (payoffs (N,), deviation payoffs (N,S), frustration)."""
+    idx = np.asarray(profile, dtype=np.int64)
+    chosen = ev.qc[np.arange(ev.n), idx]          # (N,M,D)
+    b = chosen.sum(axis=0)                        # (M,D)
+    u = -np.einsum("imd,md->im", chosen, b) / ev.n
+    b_dev = b[None, None] - chosen[:, None] + ev.qc  # (N,S,M,D)
+    u_dev = -np.einsum("ismd,ismd->ism", ev.qc, b_dev) / ev.n
+    r = float(np.einsum("md,md->", b, b)) / (b.shape[0] * ev.n * (ev.config.nodes - 1))
+    return u.mean(axis=1), u_dev.mean(axis=2), r
+
+
+def reference_scan(c, s, cfg):
+    """The one-pass scan one profile at a time, in itertools.product order."""
+    ev = _ProfileEvaluator(c, s, cfg)
+    profiles, frustrations = [], []
+    best, candidates = -np.inf, []
+    for profile in itertools.product(range(cfg.strategies_per_player), repeat=cfg.players):
+        u, u_dev, r = reference_evaluate(ev, profile)
+        violation = float(np.max(u_dev - u[:, None]))
+        stable = violation <= 1e-12
+        if stable:
+            profiles.append(profile)
+            frustrations.append(r)
+        total = float(u.sum())
+        best = max(best, total)
+        if total >= best - 1e-12:
+            candidates.append((profile, total, violation, stable))
+    maximizers, flags, worst = [], [], 0.0
+    for profile, total, violation, stable in candidates:
+        if total >= best - 1e-12:
+            maximizers.append(profile)
+            flags.append(stable)
+            worst = max(worst, violation)
+    min_r = min(frustrations) if frustrations else None
+    return (EquilibriumSet(profiles=profiles, frustrations=frustrations, min_r=min_r),
+            MaximizerReport(maximizers=maximizers, in_equilibrium_set=flags,
+                            worst_violation=worst, max_aggregate=best))
 
 
 def reference_equilibria(c, s, cfg):
@@ -20,7 +61,7 @@ def reference_equilibria(c, s, cfg):
     ev = _ProfileEvaluator(c, s, cfg)
     profiles, frustrations = [], []
     for profile in itertools.product(range(cfg.strategies_per_player), repeat=cfg.players):
-        u, u_dev, r = ev.evaluate(profile)
+        u, u_dev, r = reference_evaluate(ev, profile)
         if np.all(u_dev - u[:, None] <= 1e-12):
             profiles.append(profile)
             frustrations.append(r)
@@ -34,7 +75,7 @@ def reference_report(c, s, cfg):
     ev = _ProfileEvaluator(c, s, cfg)
     best, evaluated = -np.inf, []
     for profile in itertools.product(range(cfg.strategies_per_player), repeat=cfg.players):
-        u, u_dev, _ = ev.evaluate(profile)
+        u, u_dev, _ = reference_evaluate(ev, profile)
         total = float(u.sum())
         evaluated.append((profile, total, float(np.max(u_dev - u[:, None]))))
         best = max(best, total)
@@ -102,13 +143,13 @@ def test_seeded_tiny_game_equilibria_verified_independently():
 
 def test_two_evaluators_agree_everywhere(rng):
     # dot-product route vs direct count resolution, all profiles of small games
-    from simplexgame.oracle import _ProfileEvaluator
     for _ in range(10):
         cfg, s, c = small_instance(rng, players=3)
-        ev = _ProfileEvaluator(c, s, cfg)
-        for profile in itertools.product(range(cfg.strategies_per_player),
-                                         repeat=cfg.players):
-            u, _, r = ev.evaluate(profile)
+        profiles = list(itertools.product(range(cfg.strategies_per_player),
+                                          repeat=cfg.players))
+        block_u, _, block_r = _ProfileEvaluator(c, s, cfg).evaluate(profiles)
+        assert block_u.shape == (len(profiles), cfg.players)
+        for profile, u, r in zip(profiles, block_u, block_r):
             for i in range(cfg.players):
                 assert u[i] == pytest.approx(
                     correlated_payoff(c, profile, i, cfg), abs=1e-12)
@@ -122,9 +163,8 @@ def test_anti_coordination_equilibria():
     assert set(eq.profiles) == {(0, 1), (1, 0)}
     assert eq.min_r == pytest.approx(0.0, abs=1e-14)
     # coordinated profiles land both players on one node: R = 2
-    from simplexgame.oracle import _ProfileEvaluator
-    _, _, r = _ProfileEvaluator(c, s, cfg).evaluate((0, 0))
-    assert r == pytest.approx(2.0)
+    _, _, r = _ProfileEvaluator(c, s, cfg).evaluate([(0, 0)])
+    assert r[0] == pytest.approx(2.0)
 
 
 def test_exact_price_of_anarchy_zero_when_balanced_profile_exists():
@@ -136,7 +176,6 @@ def test_no_pure_equilibrium_is_reported_not_raised():
     # a game can have an empty pure equilibrium set only through slack breaking
     # ties; with one strategy the set is never empty, so check the empty branch
     # directly on a doctored set
-    from simplexgame.oracle import EquilibriumSet
     empty = EquilibriumSet(profiles=[], frustrations=[], min_r=None)
     assert empty.count == 0 and empty.min_r is None
 
@@ -259,13 +298,89 @@ def test_one_pass_oracle_equals_three_pass_reference(game):
     assert (mx.maximizers, mx.in_equilibrium_set) == (maximizers, flags)
 
 
+def _per_profile(cfg):
+    return cfg.players * cfg.strategies_per_player * cfg.signals * (cfg.nodes - 1)
+
+
+def _set_block_rows(monkeypatch, cfg, rows):
+    """Make `_scan` evaluate `rows` profiles per block through ORACLE_BLOCK."""
+    monkeypatch.setattr(oracle, "ORACLE_BLOCK", rows * _per_profile(cfg))
+    assert oracle._block_rows(cfg) == rows
+
+
+def _random_games(count, seed):
+    gen = np.random.default_rng(seed)
+    for _ in range(count):
+        players, nodes = int(gen.integers(2, 9)), int(gen.integers(2, 6))
+        signals, strategies = int(gen.integers(1, 7)), int(gen.integers(1, 4))
+        while strategies ** players > 729:
+            players -= 1
+        y = (StrengthDistribution.uniform(nodes) if gen.random() < 0.5
+             else random_proper_strengths(gen, nodes))
+        cfg = GameConfig(players=players, nodes=nodes, signals=signals,
+                         strategies_per_player=strategies, strengths=y)
+        yield cfg, build_simplex(y), draw_strategy_matrix(cfg, gen)
+
+
+def test_blocked_scan_equals_per_profile_scan(monkeypatch):
+    # same lists in the same order and the same floats, whatever the block size:
+    # one profile per block, and blocks of 2 and 3 (ragged last blocks, of one
+    # profile when S^N is odd or 2^N = 1 mod 3)
+    games = [anti_coordination_game(), *_random_games(60, 900)]
+    for cfg, s, c in games:
+        want = reference_scan(c, s, cfg)
+        monkeypatch.undo()
+        assert oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET) == want
+        for rows in (1, 2, 3):
+            _set_block_rows(monkeypatch, cfg, rows)
+            assert oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET) == want
+
+
+def test_blocked_scan_equals_per_profile_scan_on_benchmark_game(monkeypatch):
+    # the benchmark's oracle input (N=15, S=2, M=3, B=3, uniform, seed 7); blocks
+    # of 7 leave one profile for the last block, since 2^15 = 1 mod 7
+    y = StrengthDistribution.uniform(3)
+    cfg = GameConfig(players=15, nodes=3, signals=3, strategies_per_player=2, strengths=y)
+    c = draw_strategy_matrix(cfg, np.random.default_rng(7))
+    s = build_simplex(y)
+    want = reference_scan(c, s, cfg)
+    assert 1 < oracle._block_rows(cfg) < 2**15
+    assert oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET) == want
+    _set_block_rows(monkeypatch, cfg, 7)
+    assert oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET) == want
+
+
+def test_block_rows_bounded():
+    # at least one profile per block; the deviation bets of a block stay within
+    # ORACLE_BLOCK floats unless one profile alone needs more
+    y = StrengthDistribution.uniform(5)
+    for players, signals, strategies in [(15, 3, 2), (2, 1, 1), (4, 5000, 3), (20, 5000, 2)]:
+        cfg = GameConfig(players=players, nodes=5, signals=signals,
+                         strategies_per_player=strategies, strengths=y)
+        rows = oracle._block_rows(cfg)
+        assert rows >= 1
+        assert rows * _per_profile(cfg) <= max(oracle.ORACLE_BLOCK, _per_profile(cfg))
+    # such a game still scans, one profile per block
+    cfg = GameConfig(players=4, nodes=5, signals=5000, strategies_per_player=2, strengths=y)
+    c = draw_strategy_matrix(cfg, np.random.default_rng(1))
+    assert oracle._block_rows(cfg) == 1
+    assert oracle._scan(c, build_simplex(y), cfg, 16) == reference_scan(c, build_simplex(y), cfg)
+
+
 def test_oracle_report_evaluates_each_profile_once(monkeypatch):
-    calls = []
+    # every profile in exactly one block row, with default and with ragged blocks of 3
+    blocks = []
     evaluate = _ProfileEvaluator.evaluate
     monkeypatch.setattr(_ProfileEvaluator, "evaluate",
-                        lambda self, profile: calls.append(profile) or evaluate(self, profile))
-    for cfg, s, c in list(_oracle_games())[:3]:
-        calls.clear()
-        oracle_report(c, s, cfg)
-        assert len(calls) == cfg.strategies_per_player ** cfg.players
-        assert len(set(calls)) == len(calls)
+                        lambda self, profiles: blocks.append(np.array(profiles))
+                        or evaluate(self, profiles))
+    for rows in (None, 3):
+        for cfg, s, c in list(_oracle_games())[:3]:
+            if rows is not None:
+                _set_block_rows(monkeypatch, cfg, rows)
+            blocks.clear()
+            oracle_report(c, s, cfg)
+            evaluated = [tuple(p) for block in blocks for p in block.tolist()]
+            assert sorted(evaluated) == list(itertools.product(
+                range(cfg.strategies_per_player), repeat=cfg.players))
+            assert all(1 <= len(block) <= oracle._block_rows(cfg) for block in blocks)
