@@ -8,28 +8,23 @@ dynamics, enumerates tiny-game ground truth, and evaluates the analytic
 frustration curve for comparison.
 """
 
-from .analytics import (AnarchyPrediction, binary_reduction, critical_lambda,
-                        predicted_anarchy, prediction_for, zeta, zeta_monte_carlo)
+from .analytics import (AnarchyPrediction, critical_lambda, predicted_anarchy,
+                        prediction_for, zeta, zeta_monte_carlo)
 from .errors import BudgetError, DegenerateStrengthsError, ValidationError
 from .game import (Allocation, GameConfig, MixedProfile, PureInstance,
-                   StrategyMatrix, aggregate_bet, correlated_payoff,
-                   draw_strategy_matrix, expected_frustration, frustration,
-                   instantaneous_frustration, load_strategy_matrix,
-                   mixed_correlated_payoff, payoff_linear, payoff_nonlinear,
+                   StrategyMatrix, draw_strategy_matrix, expected_frustration,
+                   frustration, load_strategy_matrix, mixed_correlated_payoff,
                    resolve_bets, save_strategy_matrix, strategy_payoffs)
 from .geometry import (PropernessReport, Simplex, StrengthDistribution,
-                       build_simplex, gram_defect, isometry_defect, properness,
-                       weighted_moments)
+                       build_simplex, gram_defect, properness, weighted_moments)
 from .harness import (ComparisonResult, ExperimentConfig, SweepResult, child_seed,
                       compare_strengths, experiment_from_file, export_sweep,
                       export_trajectory, measure_steady_state, single_run, sweep,
                       verify_reduction)
-from .learning import (ConvergenceReport, ConvergenceSettings, LearnerState,
-                       LearningConfig, RunResult, Trajectory, detect_convergence,
-                       integrate_replicator, iterate, random_baseline,
+from .learning import (ConvergenceSettings, LearnerState, LearningConfig, RunResult,
+                       Trajectory, integrate_replicator, random_baseline,
                        replicator_flow, reward_vector, run, softmax_probabilities)
 from .oracle import (EquilibriumSet, MaximizerReport, enumerate_equilibria,
-                     exact_price_of_anarchy, maximizer_equilibrium_report,
-                     oracle_report, potential_defect)
+                     maximizer_equilibrium_report, oracle_report, potential_defect)
 
 __version__ = "0.1.0"

@@ -15,9 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from .errors import ValidationError
-from .game import GameConfig
-from .geometry import StrengthDistribution
+from .errors import ValidationError, check_allocation
 
 QUAD_LIMIT = 8.0  # integrand carries exp(-z^2); tail beyond |z|=8 is < 1e-27
 
@@ -79,6 +77,8 @@ def zeta_monte_carlo(strategies: int, samples: int = 10**6, seed=None,
         raise ValidationError("strategies must be >= 1")
     if samples < 2:
         raise ValidationError("need at least 2 samples")
+    check_allocation(min(samples, chunk) * strategies * 8,
+                     f"a chunk of {min(samples, chunk)} x {strategies} normal draws")
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
@@ -113,21 +113,5 @@ def predicted_anarchy(lam: float, strategies: int, nodes: int) -> float:
 
 
 def prediction_for(strategies: int, nodes: int) -> AnarchyPrediction:
-    z = zeta(strategies)
-    return AnarchyPrediction(strategies=strategies, nodes=nodes, zeta=z,
-                             lambda_c=z * z / (nodes - 1))
-
-
-def binary_reduction(config: GameConfig) -> GameConfig:
-    """The equivalent 2-node game: equal strengths, signals scaled by B - 1.
-
-    The predicted frustration curve of the original game and its reduction
-    coincide because lambda_c scales by exactly 1/(B - 1).
-    """
-    return GameConfig(
-        players=config.players,
-        nodes=2,
-        signals=config.signals * (config.nodes - 1),
-        strategies_per_player=config.strategies_per_player,
-        strengths=StrengthDistribution.uniform(2),
-    )
+    return AnarchyPrediction(strategies=strategies, nodes=nodes, zeta=zeta(strategies),
+                             lambda_c=critical_lambda(strategies, nodes))

@@ -24,6 +24,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _seed(raw: str) -> int:
+    """The type of every --seed flag: a non-negative integer, as numpy seeds are."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {raw!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="simplexgame",
                      description="Simulate node-choice games and measure anarchy.")
@@ -31,13 +42,13 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="single learning trajectory, written as CSV")
     run.add_argument("--config", required=True, help="key=value config file")
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=_seed, default=None)
     run.add_argument("--out", required=True, help="trajectory CSV path")
     run.add_argument("--dump-simplex", default=None, help="optional simplex JSON path")
 
     sw = sub.add_parser("sweep", help="lambda sweep with realization averaging")
     sw.add_argument("--config", required=True)
-    sw.add_argument("--seed", type=int, default=None)
+    sw.add_argument("--seed", type=_seed, default=None)
     sw.add_argument("--out", required=True)
     sw.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -52,7 +63,7 @@ def _build_parser() -> _Parser:
     orc.add_argument("--S", type=int, required=True, dest="strategies")
     orc.add_argument("--M", type=int, required=True, dest="signals")
     orc.add_argument("--B", type=int, required=True, dest="nodes")
-    orc.add_argument("--seed", type=int, default=0)
+    orc.add_argument("--seed", type=_seed, default=0)
     orc.add_argument("--strengths", default="uniform")
     orc.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     orc.add_argument("--out", default=None)
@@ -63,7 +74,7 @@ def _build_parser() -> _Parser:
                         "paired sweeps of a game and its 2-node reduction")):
         paired = sub.add_parser(name, help=text)
         paired.add_argument("--config", required=True)
-        paired.add_argument("--seed", type=int, default=None)
+        paired.add_argument("--seed", type=_seed, default=None)
         paired.add_argument("--out", required=True)
 
     zt = sub.add_parser("zeta", help="expected minimum of S standard normals")
@@ -71,7 +82,7 @@ def _build_parser() -> _Parser:
     zt.add_argument("--method", choices=("quadrature", "monte-carlo"),
                     default="quadrature")
     zt.add_argument("--samples", type=int, default=10**6)
-    zt.add_argument("--seed", type=int, default=0)
+    zt.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
@@ -122,6 +133,7 @@ def _cmd_oracle(args) -> int:
     y = StrengthDistribution(np.asarray(harness._strengths_spec(spec, args.nodes)))
     config = GameConfig(players=args.players, nodes=args.nodes, signals=args.signals,
                         strategies_per_player=args.strategies, strengths=y)
+    oracle.check_budget(config, args.budget)   # before the table is drawn
     rng = np.random.default_rng(args.seed)
     simplex = build_simplex(y)
     matrix = draw_strategy_matrix(config, rng)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the allocation budget."""
+
+MAX_ALLOCATION_BYTES = 1 << 32  # 4 GiB; arrays in use stay below 20 MB, so more is a typo
 
 
 class ValidationError(ValueError):
@@ -11,3 +13,10 @@ class DegenerateStrengthsError(ValidationError):
 
 class BudgetError(ValidationError):
     """An exhaustive computation would exceed its configured size budget."""
+
+
+def check_allocation(nbytes: int, what: str) -> None:
+    """Raise BudgetError before allocating more than MAX_ALLOCATION_BYTES for `what`."""
+    if nbytes > MAX_ALLOCATION_BYTES:
+        raise BudgetError(f"{what} would need {nbytes / 2**30:.3g} GiB, above the "
+                          f"{MAX_ALLOCATION_BYTES / 2**30:.3g} GiB allocation budget")

@@ -5,7 +5,7 @@ strategies; each strategy maps every signal to one of B weighted nodes.
 Payoffs are congestion payoffs, which the simplex encoding turns into dot
 products with the aggregate bet b = sum of chosen vertices.  As q_r . q_l = -1 +
 delta_rl / y_r, the mixed-profile payoffs and frustrations are computed in count
-space, q_r . b = N_r / y_r - N; only the bet-valued helpers read the vertices.
+space, q_r . b = N_r / y_r - N, and nothing here reads the vertices.
 A game is fixed by N, B, M, S and the strengths alone: raw per-node
 efficiencies are an input format that `GameConfig.from_efficiencies`
 normalizes into strengths, and every payoff is the linear congestion payoff.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_allocation
 from .geometry import Simplex, StrengthDistribution, _readonly
 
 ROW_SUM_TOL = 1e-12
@@ -153,6 +153,7 @@ def draw_strategy_matrix(config: GameConfig, rng: np.random.Generator) -> Strate
     transient to one block instead of (N, S, M) int64 picks and float uniforms.
     """
     n, s, m = config.players, config.strategies_per_player, config.signals
+    check_allocation(n * s * m, f"a {n} x {s} x {m} strategy table")
     cdf = np.cumsum(config.strengths.weights)
     cdf /= cdf[-1]
     by_signal = np.empty((m, n, s), dtype=np.uint8)
@@ -176,54 +177,6 @@ def resolve_bets(c: StrategyMatrix, inst: PureInstance,
     minlength = nodes if nodes is not None else int(c.entries.max()) + 1
     counts = np.bincount(picked, minlength=minlength)
     return picked, Allocation(counts)
-
-
-def aggregate_bet(alloc: Allocation, s: Simplex) -> np.ndarray:
-    """b = sum_r N_r q_r; the zero vector exactly at the Nash allocation."""
-    counts = alloc.counts
-    if counts.size < s.node_count:
-        counts = np.concatenate([counts, np.zeros(s.node_count - counts.size, dtype=np.int64)])
-    return counts.astype(float) @ s.vertices
-
-
-def payoff_linear(alloc: Allocation, config: GameConfig) -> np.ndarray:
-    """Per-node linear utility 1 - N_r/(y_r N); empty nodes evaluate to 1."""
-    counts = np.zeros(config.nodes, dtype=np.int64)
-    counts[: alloc.counts.size] = alloc.counts
-    return 1.0 - counts / (config.strengths.weights * config.players)
-
-
-def payoff_nonlinear(alloc: Allocation, config: GameConfig) -> np.ndarray:
-    """Per-node normalized throughput y_r N / N_r; NaN marks unoccupied nodes."""
-    counts = np.zeros(config.nodes, dtype=np.int64)
-    counts[: alloc.counts.size] = alloc.counts
-    out = np.full(config.nodes, np.nan)
-    occupied = counts > 0
-    out[occupied] = config.strengths.weights[occupied] * config.players / counts[occupied]
-    return out
-
-
-def _profile_nodes(c: StrategyMatrix, choices: np.ndarray) -> np.ndarray:
-    """(N, M) node picks when each player i plays pure strategy choices[i]."""
-    n = c.shape[0]
-    return c.entries[np.arange(n), np.asarray(choices, dtype=np.int64), :].astype(np.int64)
-
-
-def correlated_payoff(c: StrategyMatrix, profile, i: int, config: GameConfig) -> float:
-    """Signal-averaged linear payoff of player i at a pure strategy profile.
-
-    Evaluated by direct resolution: per signal, count node occupancies and
-    read off 1 - N_r/(y_r N) at player i's node.
-    """
-    nodes = _profile_nodes(c, profile)  # (N, M)
-    n, m = nodes.shape
-    y = config.strengths.weights
-    total = 0.0
-    for sig in range(m):
-        counts = np.bincount(nodes[:, sig], minlength=config.nodes)
-        r = nodes[i, sig]
-        total += 1.0 - counts[r] / (y[r] * n)
-    return total / m
 
 
 def _signal_keys(c: StrategyMatrix, nodes: int):
@@ -294,12 +247,6 @@ def mixed_correlated_payoff(c: StrategyMatrix, p: MixedProfile, i: int, s: Simpl
     return float(p.rows[i] @ per_strategy[i])
 
 
-def instantaneous_frustration(alloc: Allocation, s: Simplex, config: GameConfig) -> float:
-    """|b|^2 / (N (B-1)) for one realized allocation; 0 iff b = 0."""
-    b = aggregate_bet(alloc, s)
-    return float(b @ b) / (config.players * (config.nodes - 1))
-
-
 def frustration(c: StrategyMatrix, p: MixedProfile, s: Simplex, config: GameConfig) -> float:
     """Signal-averaged squared mean bet, normalized by N (B-1).
 
@@ -340,6 +287,8 @@ def save_strategy_matrix(c: StrategyMatrix, path, fmt: str = "json") -> None:
 def load_strategy_matrix(path, players: int, strategies: int, signals: int,
                          fmt: str = "json") -> StrategyMatrix:
     shape = (players, strategies, signals)
+    check_allocation(players * strategies * signals,
+                     f"a {players} x {strategies} x {signals} strategy table")
     if fmt == "json":
         with open(path) as fh:
             flat = np.asarray(json.load(fh), dtype=np.uint8)

@@ -163,16 +163,6 @@ def weighted_moments(s: Simplex) -> tuple[float, float]:
     return float(np.linalg.norm(centroid)), norm_sum
 
 
-def isometry_defect(s: Simplex, x: np.ndarray) -> float:
-    """|sum_r y_r (q_r . x)^2 - |x|^2|, zero for an exact simplex."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    dim = s.node_count - 1
-    if x.size != dim:
-        raise ValidationError(f"x must have dimension {dim}, got {x.size}")
-    proj = s.vertices @ x
-    return float(abs(s.strengths.weights @ (proj * proj) - x @ x))
-
-
 def properness(y: StrengthDistribution,
                threshold: float = DEFAULT_PROPERNESS_THRESHOLD) -> PropernessReport:
     """Degeneracy index (1/(B-1)) sum_r (1/y_r - B); zero iff y is uniform."""

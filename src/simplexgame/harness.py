@@ -37,7 +37,7 @@ CONFIG_KEYS = {
     "players", "nodes", "signals", "strategies", "strengths", "strengths_b",
     "efficiencies", "efficiencies_b", "gamma", "iterations",
     "t_max", "window", "check_every", "lambda_grid", "realizations",
-    "measurement", "snapshot_stride", "seed",
+    "measurement", "seed",
 }
 
 
@@ -60,7 +60,6 @@ class ExperimentConfig:
     check_every: int = 100
     realizations: int = 25
     measurement: str = "final-profile"
-    snapshot_stride: int = 0
     master_seed: int = 0
 
     def __post_init__(self):
@@ -185,8 +184,7 @@ def _run_batch(job: tuple) -> list:
         games.append((config, draw_strategy_matrix(config, rng), simplex, rng))
     results = learning.run_lockstep(
         games, LearningConfig(gamma=exp.gamma, iterations=exp.t_max),
-        ConvergenceSettings(window=exp.window, check_every=exp.check_every,
-                            stop_reasons=("purity",)))
+        ConvergenceSettings(window=exp.window, check_every=exp.check_every))
     rows = []
     for (lambda_index, realization, signals), seed, (config, *_), result in zip(
             coords, seeds, games, results):
@@ -449,11 +447,6 @@ def export_sweep(result: SweepResult, path: str, fmt: str = "csv") -> list:
     return written
 
 
-def load_sweep_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def trajectory_csv(trajectory: Trajectory) -> str:
     lines = ["t,m,R_t,purity"]
     for t in range(trajectory.length):
@@ -481,8 +474,7 @@ def single_run(exp: ExperimentConfig, matrix: StrategyMatrix | None = None
     y = _resolve_strengths(_strengths_spec(exp.strengths, exp.nodes), exp.nodes, rng)
     config = GameConfig(players=exp.players, nodes=exp.nodes, signals=exp.signals,
                         strategies_per_player=exp.strategies, strengths=y)
-    learn = LearningConfig(gamma=exp.gamma, iterations=exp.iterations,
-                           snapshot_stride=exp.snapshot_stride)
+    learn = LearningConfig(gamma=exp.gamma, iterations=exp.iterations)
     return learning.run(config, learn, rng, matrix=matrix)
 
 
@@ -491,7 +483,7 @@ def single_run(exp: ExperimentConfig, matrix: StrategyMatrix | None = None
 
 def _parse_value(key: str, raw: str):
     if key in {"players", "nodes", "signals", "strategies", "iterations", "t_max",
-               "window", "check_every", "realizations", "snapshot_stride", "seed"}:
+               "window", "check_every", "realizations", "seed"}:
         return int(raw)
     if key == "gamma":
         return float(raw)
@@ -582,6 +574,5 @@ def experiment_from_file(path: str, seed: int | None = None) -> ExperimentConfig
         check_every=values.get("check_every", 100),
         realizations=values.get("realizations", 25),
         measurement=values.get("measurement", "final-profile"),
-        snapshot_stride=values.get("snapshot_stride", 0),
         master_seed=seed if seed is not None else values.get("seed", 0),
     )

@@ -13,7 +13,12 @@ share N, S and B but may differ in M and strengths, and each draws from its
 own generator in the order a lone run would, so its trajectory does not
 depend on what else shares the batch.  `run_lockstep` plays a batch until
 every realization has stopped, dropping each from the working arrays when it
-does; `run` is a batch of one, and `iterate` one round of a batch of one.
+does; `run` is a batch of one.
+
+A realization stops at a check, every check_every rounds once 2 * window
+rounds are recorded, when the kernel's purity after that round (min over
+players of the largest strategy probability) reaches PURITY_THRESHOLD.  That
+is the only stopping rule: a run that never reaches it plays all its rounds.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_allocation
 from .game import (GameConfig, MixedProfile, PureInstance, StrategyMatrix,
                    draw_strategy_matrix, strategy_payoffs)
 from .geometry import Simplex, build_simplex
@@ -31,7 +36,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_LEARNING_RATE = 20.0
 PURITY_THRESHOLD = 0.999
-PLATEAU_REL_TOL = 1e-3
 _OWN_SWAP = np.array([0, 1])  # a node's occupancy after a swap: N_r if it is played, else N_r + 1
 
 
@@ -41,7 +45,6 @@ class LearningConfig:
 
     gamma: float | np.ndarray = DEFAULT_LEARNING_RATE
     iterations: int = 2000
-    snapshot_stride: int = 0
 
     def __post_init__(self):
         rates = np.asarray(self.gamma, dtype=float)
@@ -50,11 +53,7 @@ class LearningConfig:
 
 
 class LearnerState:
-    """Mutable per-player scores and softmax probabilities.
-
-    Single-writer: `iterate` updates a state in place and must not be called
-    concurrently on the same instance.  Distinct states are independent.
-    """
+    """Per-player scores and softmax probabilities: a run's start and final state."""
 
     def __init__(self, scores, learning_rates, iteration=0):
         # strategy-major layout: reductions over S run as length-N vector operations
@@ -70,11 +69,6 @@ class LearnerState:
             raise ValidationError("learning rates must be finite and >= 0")
         return cls(np.zeros((config.players, config.strategies_per_player)), rates)
 
-    @property
-    def purity(self) -> float:
-        """min over players of the largest strategy probability."""
-        return float(self.probabilities.max(axis=1).min())
-
     def profile(self) -> MixedProfile:
         return MixedProfile(self.probabilities.copy())
 
@@ -82,12 +76,12 @@ class LearnerState:
 class Trajectory:
     """Per-iteration record of (signal, instantaneous frustration, purity)."""
 
-    def __init__(self, capacity: int, snapshot_stride: int = 0):
+    ROW_BYTES = 24  # one int64 signal and two float64 values per iteration
+
+    def __init__(self, capacity: int):
         self._signals = np.empty(capacity, dtype=np.int64)
         self._frustrations = np.empty(capacity, dtype=float)
         self._purities = np.empty(capacity, dtype=float)
-        self.snapshot_stride = snapshot_stride
-        self.snapshots: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.length = 0
 
     def extend(self, signals, frustrations, purities) -> None:
@@ -114,32 +108,12 @@ class Trajectory:
         return self._purities[: self.length]
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    iteration: int
-    signal: int
-    frustration: float
-    purity: float
-    counts: np.ndarray  # realized per-node occupancy
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    converged: bool
-    purity: float
-    plateau_r: float
-    reason: str | None = None  # "purity" | "plateau" | None
-
-
 @dataclass
 class ConvergenceSettings:
+    """Purity checks every check_every rounds, from 2 * window rounds on."""
+
     window: int = 200
     check_every: int = 100
-    purity_threshold: float = PURITY_THRESHOLD
-    plateau_rel_tol: float = PLATEAU_REL_TOL
-    # which detections may stop a run early; plateau detection on a noisy
-    # trace false-triggers under repeated checks, so sweeps restrict to purity
-    stop_reasons: tuple = ("purity", "plateau")
 
     def __post_init__(self):
         if self.window < 1 or self.check_every < 1:
@@ -152,8 +126,7 @@ class RunResult:
     trajectory: Trajectory
     matrix: StrategyMatrix
     simplex: Simplex
-    converged: bool
-    report: ConvergenceReport | None
+    converged: bool  # stopped at a purity check
 
 
 def softmax_probabilities(scores, gamma: float) -> np.ndarray:
@@ -291,22 +264,6 @@ def _frustration(squares, players: int, nodes: int):
     return (squares - players * players) / (players * (nodes - 1))
 
 
-def iterate(state: LearnerState, c: StrategyMatrix, simplex: Simplex,
-            config: GameConfig, rng: np.random.Generator) -> IterationRecord:
-    """Play one round and update the state in place.
-
-    Consumes the rng in a fixed order (one signal draw, then one uniform per
-    player), so a seeded generator makes whole trajectories reproducible.
-    """
-    batch = Lockstep([state], [(config, c, simplex, rng)])
-    signals, counts, squares, purity = lockstep_round(batch)
-    state.scores[...] = batch.scores[0].T
-    state.probabilities = batch.probabilities[0].T
-    state.iteration += 1
-    r_t = float(_frustration(squares[0], config.players, config.nodes))
-    return IterationRecord(state.iteration, int(signals[0]), r_t, float(purity[0]), counts[0])
-
-
 def run(config: GameConfig, learn: LearningConfig, seed,
         matrix: StrategyMatrix | None = None, simplex: Simplex | None = None,
         convergence: ConvergenceSettings | None = None) -> RunResult:
@@ -332,9 +289,9 @@ def run_lockstep(games: list, learn: LearningConfig,
 
     Every game starts from the uniform state and plays up to learn.iterations
     rounds.  Each stops on its own when a check (every check_every rounds
-    once 2 * window rounds are recorded) finds one of the convergence stop
-    reasons; its final state is copied out and it leaves the working arrays.
-    The games must share N, S and B; matrices must fit their configs.
+    once 2 * window rounds are recorded) finds its purity at or above
+    PURITY_THRESHOLD; its final state is copied out and it leaves the working
+    arrays.  The games must share N, S and B; matrices must fit their configs.
     """
     if learn.iterations < 0:
         raise ValidationError("iterations must be >= 0")
@@ -342,10 +299,12 @@ def run_lockstep(games: list, learn: LearningConfig,
     if len(shapes) != 1:
         raise ValidationError(f"lockstep games must share N, S and B, got {sorted(shapes)}")
     (n, _, nodes), = shapes
-    total, iterations, stride = len(games), learn.iterations, learn.snapshot_stride
+    total, iterations = len(games), learn.iterations
+    check_allocation(total * iterations * Trajectory.ROW_BYTES,
+                     f"{total} trajectories of {iterations} iterations")
     states = [LearnerState.initial(config, learn.gamma) for config, _, _, _ in games]
-    trajectories = [Trajectory(iterations, stride) for _ in games]
-    converged, reports = [False] * total, [None] * total
+    trajectories = [Trajectory(iterations) for _ in games]
+    converged = [False] * total
     batch = Lockstep(states, games)
     active = np.arange(total)   # game index of each working row
 
@@ -361,39 +320,29 @@ def run_lockstep(games: list, learn: LearningConfig,
         end = min(start + every, iterations)
         signals, squares, purities = (np.empty((end - start, active.size), dtype=dtype)
                                       for dtype in (np.int64, float, float))
-        for t in range(start, end):
-            signals[t - start], counts, squares[t - start], purities[t - start] = \
-                lockstep_round(batch)
-            if stride and t % stride == 0:
-                for j, k in enumerate(active):
-                    trajectories[k].snapshots.append(
-                        (t + 1, counts[j].copy(), batch.probabilities[j].T.copy()))
+        for t in range(end - start):
+            signals[t], _, squares[t], purities[t] = lockstep_round(batch)
         frustrations = _frustration(squares, n, nodes)
         for j, k in enumerate(active):
             trajectories[k].extend(signals[:, j], frustrations[:, j], purities[:, j])
+        # the 2 * window gate stays: with the cadence it fixes each row's iterations
         if convergence is None or end % every or end < 2 * convergence.window:
             continue
-        stopped = []
-        for j, k in enumerate(active):
-            states[k].probabilities = batch.probabilities[j].T
-            reports[k] = detect_convergence(states[k], trajectories[k], convergence.window,
-                                            convergence.purity_threshold,
-                                            convergence.plateau_rel_tol)
-            if reports[k].converged and reports[k].reason in convergence.stop_reasons:
-                converged[k] = True
-                settle(j, end)
-                stopped.append(j)
-        if stopped:
-            kept = np.setdiff1d(np.arange(active.size), stopped)
+        pure = purities[-1] >= PURITY_THRESHOLD
+        for j in np.flatnonzero(pure):
+            converged[active[j]] = True
+            settle(j, end)
+        if pure.any():
+            kept = np.flatnonzero(~pure)
             active = active[kept]
             if not active.size:
                 break
             batch.keep(kept)
     for j in range(active.size):
         settle(j, iterations)
-    return [RunResult(state, traj, matrix, simplex, done, report)
-            for state, traj, (_, matrix, simplex, _), done, report
-            in zip(states, trajectories, games, converged, reports)]
+    return [RunResult(state, traj, matrix, simplex, done)
+            for state, traj, (_, matrix, simplex, _), done
+            in zip(states, trajectories, games, converged)]
 
 
 def replicator_flow(c: StrategyMatrix, p: MixedProfile, simplex: Simplex,
@@ -461,29 +410,3 @@ def random_baseline(config: GameConfig, seed, iterations: int) -> Trajectory:
     traj = Trajectory(iterations)
     traj.extend(np.full(iterations, -1), r_t, np.full(iterations, np.nan))
     return traj
-
-
-def detect_convergence(state: LearnerState, trajectory: Trajectory, window: int,
-                       purity_threshold: float = PURITY_THRESHOLD,
-                       plateau_rel_tol: float = PLATEAU_REL_TOL) -> ConvergenceReport:
-    """Stopping rule: near-pure probabilities, or a flat frustration trace.
-
-    Converged when min-over-players top probability reaches the threshold, or
-    when the windowed mean of R_t moved by less than the relative tolerance
-    between the last two windows.  plateau_r is the mean over the final window.
-    """
-    if trajectory.length < window:
-        raise ValidationError(
-            f"trajectory has {trajectory.length} iterations, need >= {window}")
-    r = trajectory.frustrations
-    plateau_r = float(r[-window:].mean())
-    purity = state.purity
-    reason = None
-    if purity >= purity_threshold:
-        reason = "purity"
-    elif trajectory.length >= 2 * window:
-        prev = float(r[-2 * window: -window].mean())
-        if abs(plateau_r - prev) <= plateau_rel_tol * max(plateau_r, prev, 1e-9):
-            reason = "plateau"
-    return ConvergenceReport(converged=reason is not None, purity=purity,
-                             plateau_r=plateau_r, reason=reason)

@@ -83,6 +83,15 @@ def _block_rows(config: GameConfig) -> int:
     return max(1, ORACLE_BLOCK // per_profile)
 
 
+def check_budget(config: GameConfig, budget: int = DEFAULT_BUDGET) -> int:
+    """S^N, the number of pure profiles; BudgetError when it exceeds the budget."""
+    s, n = config.strategies_per_player, config.players
+    # S^N >= 2^N: once 2^min(N, 64) passes the budget, S^N (N may be huge) is never built
+    if (s > 1 and 2 ** min(n, 64) > budget) or s ** n > budget:
+        raise BudgetError(f"{s}^{n} pure profiles exceed the enumeration budget of {budget}")
+    return s ** n
+
+
 def _scan(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
           budget: int) -> tuple[EquilibriumSet, MaximizerReport]:
     """One pass over all S^N pure profiles: the equilibria and the maximizers.
@@ -92,10 +101,7 @@ def _scan(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
     the running best aggregate; the final best then filters them.
     """
     strategies = config.strategies_per_player
-    count = strategies ** config.players
-    if count > budget:
-        raise BudgetError(
-            f"{count} pure profiles exceed the enumeration budget of {budget}")
+    count = check_budget(config, budget)
     ev = _ProfileEvaluator(c, simplex, config)
     rows = _block_rows(config)
     # block rows are the base-S digits of start..stop-1, player 0 most
@@ -132,12 +138,6 @@ def enumerate_equilibria(c: StrategyMatrix, simplex: Simplex, config: GameConfig
                          budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     """Exhaustively test all S^N pure profiles against every unilateral deviation."""
     return _scan(c, simplex, config, budget)[0]
-
-
-def exact_price_of_anarchy(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
-                           budget: int = DEFAULT_BUDGET) -> float | None:
-    """Minimum frustration over the pure equilibrium set; None if the set is empty."""
-    return enumerate_equilibria(c, simplex, config, budget).min_r
 
 
 def potential_defect(c: StrategyMatrix, p: MixedProfile, i: int, s1: int, s2: int,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from simplexgame import GameConfig, StrengthDistribution, build_simplex, draw_strategy_matrix
+from simplexgame.learning import _frustration, lockstep_round
 
 
 def random_proper_strengths(rng, nodes, alpha=5.0):
@@ -27,6 +28,13 @@ def random_profile(rng, players, strategies):
     rows = rng.dirichlet(np.ones(strategies), size=players)
     from simplexgame import MixedProfile
     return MixedProfile(rows)
+
+
+def play_round(batch, config):
+    """One `lockstep_round` of a one-row lockstep batch: (signal, R_t, purity, counts)."""
+    signals, counts, squares, purity = lockstep_round(batch)
+    r_t = float(_frustration(squares[0], config.players, config.nodes))
+    return int(signals[0]), r_t, float(purity[0]), counts[0]
 
 
 @pytest.fixture

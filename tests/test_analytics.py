@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from simplexgame import (GameConfig, StrengthDistribution, ValidationError,
-                         binary_reduction, critical_lambda, predicted_anarchy,
+from simplexgame import (ValidationError, critical_lambda, predicted_anarchy,
                          prediction_for, zeta, zeta_monte_carlo)
 
 
@@ -73,22 +72,6 @@ def test_prediction_for_invariants():
     curve = pred.curve(np.array([pred.lambda_c / 2, pred.lambda_c * 9]))
     assert curve[0] == 0.0
     assert curve[1] == pytest.approx((1 - 1 / 3) ** 2, abs=1e-12)
-
-
-def test_binary_reduction_examples():
-    y = StrengthDistribution.uniform(5)
-    cfg = GameConfig(players=50, nodes=5, signals=2, strategies_per_player=2,
-                     strengths=y)
-    red = binary_reduction(cfg)
-    assert red.nodes == 2
-    assert red.signals == 8
-    assert red.players == cfg.players
-    assert red.strategies_per_player == cfg.strategies_per_player
-    assert np.allclose(red.strengths.weights, 0.5)
-
-    two = GameConfig(players=10, nodes=2, signals=3, strategies_per_player=2,
-                     strengths=StrengthDistribution.uniform(2))
-    assert binary_reduction(two).signals == two.signals
 
 
 def test_reduction_leaves_predicted_curve_invariant():

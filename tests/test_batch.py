@@ -14,9 +14,12 @@ import pytest
 from simplexgame import (ConvergenceSettings, ExperimentConfig, GameConfig,
                          LearnerState, LearningConfig, StrengthDistribution,
                          ValidationError, build_simplex, draw_strategy_matrix,
-                         harness, iterate, learning, run, sweep, verify_reduction)
+                         harness, learning, run, sweep, verify_reduction)
 from simplexgame.harness import (RealizationRow, child_seed, measure_steady_state,
                                  sweep_data_csv, sweep_json, sweep_summary_csv)
+from simplexgame.learning import Lockstep
+
+from conftest import play_round
 
 
 def _reference_softmax_rows(scores, gammas):
@@ -65,8 +68,7 @@ def reference_execute(exp, points):
                 config, LearningConfig(gamma=exp.gamma, iterations=exp.t_max),
                 rng, matrix=matrix, simplex=simplex,
                 convergence=ConvergenceSettings(window=exp.window,
-                                                check_every=exp.check_every,
-                                                stop_reasons=("purity",)))
+                                                check_every=exp.check_every))
             steady = measure_steady_state(result.state, matrix, simplex, config,
                                           exp.measurement, result.trajectory, exp.window)
             rows.append(RealizationRow(lambda_index=li, realized_lambda=m / exp.players,
@@ -92,37 +94,31 @@ def test_iterate_matches_reference_round(players, nodes, signals, strategies):
     state = LearnerState.initial(config, gamma=np.linspace(5.0, 25.0, players))
     ref = LearnerState.initial(config, gamma=np.linspace(5.0, 25.0, players))
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    scores = state.scores
-    for _ in range(300):
-        rec = iterate(state, c, simplex, config, rng)
+    batch = Lockstep([state], [(config, c, simplex, rng)])
+    for t in range(300):
+        signal, r_t, purity, counts = play_round(batch, config)
         want = reference_iterate(ref, c, simplex, config, ref_rng)
-        assert (rec.iteration, rec.signal, rec.frustration, rec.purity) == want[:4]
-        assert np.array_equal(rec.counts, want[4])
-    assert state.scores is scores     # updated in place
-    assert state.scores.tobytes(order="A") == ref.scores.tobytes(order="A")
-    assert state.probabilities.tobytes(order="A") == ref.probabilities.tobytes(order="A")
+        assert (t + 1, signal, r_t, purity) == want[:4]
+        assert np.array_equal(counts, want[4])
+    assert _bytes(batch.scores[0].T) == _bytes(ref.scores)
+    assert _bytes(batch.probabilities[0].T) == _bytes(ref.probabilities)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_run_trajectory_and_snapshots_match_reference():
+def _bytes(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_run_trajectory_matches_reference():
     config, simplex, c = _game(20, 3, 10, 2, 5)
-    result = run(config, LearningConfig(iterations=120, snapshot_stride=25), 9,
-                 matrix=c, simplex=simplex)
+    result = run(config, LearningConfig(iterations=120), 9, matrix=c, simplex=simplex)
     ref = LearnerState.initial(config)
     rng = np.random.default_rng(9)
-    records, snapshots = [], []
-    for t in range(120):
-        records.append(reference_iterate(ref, c, simplex, config, rng))
-        if t % 25 == 0:
-            snapshots.append((records[-1][0], records[-1][4], ref.probabilities.copy()))
+    records = [reference_iterate(ref, c, simplex, config, rng) for _ in range(120)]
     traj = result.trajectory
     assert traj.signals.tolist() == [r[1] for r in records]
     assert traj.frustrations.tolist() == [r[2] for r in records]
     assert traj.purities.tolist() == [r[3] for r in records]
-    assert len(traj.snapshots) == len(snapshots) == 5
-    for (t, counts, rows), (t_ref, counts_ref, rows_ref) in zip(traj.snapshots, snapshots):
-        assert t == t_ref and np.array_equal(counts, counts_ref)
-        assert rows.tobytes() == rows_ref.tobytes()
     assert result.state.iteration == 120
     assert result.state.scores.tobytes(order="A") == ref.scores.tobytes(order="A")
 

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simplexgame import (GameConfig, StrengthDistribution, build_simplex,
-                         draw_strategy_matrix)
+                         draw_strategy_matrix, harness)
+from simplexgame import cli
 from simplexgame.cli import main
 from simplexgame.oracle import oracle_report
 
@@ -219,3 +226,131 @@ def test_determinism_across_invocations(tmp_path):
     main(["sweep", "--config", str(cfg), "--seed", "9", "--out", str(out1)])
     main(["sweep", "--config", str(cfg), "--seed", "9", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_removed_snapshot_stride_key_exits_one_with_location(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(RUN_CFG + "snapshot_stride = 25\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:7:" in err and "unknown config key 'snapshot_stride'" in err
+
+
+def test_readme_config_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` ", section, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(harness.CONFIG_KEYS)
+
+
+# -- arguments rejected before any work ----------------------------------------
+
+HUGE = str(10**12)
+SWEEP_ONE = "players = 2\nnodes = 2\nstrategies = 2\nlambda_grid = 1\nrealizations = 1\n"
+REJECTED = {
+    # seeds numpy cannot take
+    "oracle-negative-seed":
+        (["oracle", "--N", "3", "--S", "2", "--M", "2", "--B", "2", "--seed", "-1"], None),
+    "zeta-negative-seed":
+        (["zeta", "--S", "2", "--method", "monte-carlo", "--seed", "-1"], None),
+    "sweep-negative-seed":
+        (["sweep", "--config", "{cfg}", "--seed", "-1", "--out", "{out}"], SWEEP_ONE),
+    "run-negative-seed":
+        (["run", "--config", "{cfg}", "--seed", "-5", "--out", "{out}"], RUN_CFG),
+    "verify-reduction-negative-seed":
+        (["verify-reduction", "--config", "{cfg}", "--seed", "-1", "--out", "{out}"],
+         SWEEP_ONE),
+    "oracle-non-integer-seed":
+        (["oracle", "--N", "3", "--S", "2", "--M", "2", "--B", "2", "--seed", "x"], None),
+    # fewer than two nodes, no strategies
+    "predict-one-node": (["predict", "--S", "2", "--B", "1", "--lambda-grid", "0.5"], None),
+    "predict-no-nodes": (["predict", "--S", "2", "--B", "0", "--lambda-grid", "0.5"], None),
+    "predict-no-strategies":
+        (["predict", "--S", "0", "--B", "2", "--lambda-grid", "0.5"], None),
+    "oracle-no-strategies":
+        (["oracle", "--N", "3", "--S", "0", "--M", "2", "--B", "2"], None),
+    "zeta-no-strategies": (["zeta", "--S", "0"], None),
+    # 10^12 sizes: refused by a budget, not by a failed allocation
+    "sweep-huge-t_max":
+        (["sweep", "--config", "{cfg}", "--out", "{out}"], SWEEP_ONE + f"t_max = {HUGE}\n"),
+    "run-huge-iterations":
+        (["run", "--config", "{cfg}", "--out", "{out}"],
+         RUN_CFG.replace("iterations = 300", f"iterations = {HUGE}")),
+    "oracle-huge-table-and-profiles":
+        (["oracle", "--N", "30", "--S", "2", "--M", HUGE, "--B", "3"], None),
+    "oracle-huge-players": (["oracle", "--N", HUGE, "--S", "2", "--M", "1", "--B", "2"], None),
+    "oracle-huge-table": (["oracle", "--N", "2", "--S", "2", "--M", HUGE, "--B", "3"], None),
+    "zeta-huge-chunk":
+        (["zeta", "--S", str(2 * 10**12), "--method", "monte-carlo", "--samples", "2"], None),
+}
+
+
+def _invoke(tmp, call):
+    """main() on argv whose {cfg} and {out} point into the directory tmp."""
+    argv, text = call
+    cfg, out = tmp / "call.cfg", tmp / "out.csv"
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("SIMPLEXGAME_WORKERS", "1")
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main([a.format(cfg=cfg, out=out) for a in argv])
+
+
+@pytest.mark.parametrize("call", list(REJECTED.values()), ids=list(REJECTED))
+def test_rejected_before_any_work(tmp_path, capsys, call):
+    assert _invoke(tmp_path, call) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+_TINY = st.integers(1, 4)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, config text or None) for any subcommand, with values from tiny ranges."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    seed = str(draw(st.integers(0, 2**64 - 1)))
+    if command == "predict":
+        grid = draw(st.lists(st.sampled_from(["0.05", "0.5", "1", "3"]), min_size=1,
+                             max_size=3))
+        return [command, "--S", str(draw(_TINY)), "--B", str(draw(st.integers(2, 3))),
+                "--lambda-grid", ",".join(grid)], None
+    if command == "zeta":
+        argv = [command, "--S", str(draw(_TINY))]
+        if draw(st.booleans()):
+            argv += ["--method", "monte-carlo", "--samples",
+                     str(draw(st.integers(2, 100))), "--seed", seed]
+        return argv, None
+    if command == "oracle":
+        return [command, "--N", str(draw(_TINY)), "--S", str(draw(_TINY)),
+                "--M", str(draw(_TINY)), "--B", str(draw(st.integers(2, 3))),
+                "--seed", seed, "--out", "{out}"], None
+    window = draw(st.integers(1, 25))
+    lines = [f"players = {draw(_TINY)}", f"nodes = {draw(st.integers(2, 3))}",
+             f"strategies = {draw(_TINY)}", f"gamma = {draw(st.sampled_from([0, 1, 20]))}",
+             f"strengths = {draw(st.sampled_from(['uniform', 'random']))}",
+             f"window = {window}", f"check_every = {draw(st.integers(1, 25))}"]
+    if command == "run":
+        lines += [f"signals = {draw(_TINY)}", f"iterations = {draw(st.integers(0, 50))}"]
+    else:
+        grid = draw(st.lists(st.sampled_from(["0.25", "0.5", "1"]), min_size=1, max_size=2))
+        lines += [f"lambda_grid = {','.join(grid)}",
+                  f"t_max = {draw(st.integers(window, 50))}",
+                  f"realizations = {draw(st.integers(1, 2))}",
+                  f"measurement = {draw(st.sampled_from(harness.MEASUREMENT_MODES))}"]
+        if command == "compare-strengths":
+            lines.append(f"strengths_b = {draw(st.sampled_from(['uniform', 'random']))}")
+    return [command, "--config", "{cfg}", "--seed", seed, "--out", "{out}"], "\n".join(lines)
+
+
+@given(cli_calls())
+@settings(max_examples=150, deadline=None)
+def test_main_returns_an_exit_code_and_never_raises(tmp_path_factory, call):
+    assert _invoke(tmp_path_factory.mktemp("cli"), call) in (0, 1, 2)
+
+
+for _call in REJECTED.values():   # each rejected call is also an explicit example
+    test_main_returns_an_exit_code_and_never_raises = example(_call)(
+        test_main_returns_an_exit_code_and_never_raises)

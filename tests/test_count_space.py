@@ -11,9 +11,10 @@ import pytest
 from simplexgame import (GameConfig, LearnerState, MixedProfile,
                          StrengthDistribution, build_simplex,
                          draw_strategy_matrix, expected_frustration, frustration,
-                         iterate, strategy_payoffs)
+                         strategy_payoffs)
+from simplexgame.learning import Lockstep
 
-from conftest import random_profile, random_proper_strengths, small_instance
+from conftest import play_round, random_profile, random_proper_strengths, small_instance
 
 ROUNDS = 500
 TOL = 1e-12
@@ -98,18 +99,18 @@ SHAPES = [
 def test_iterate_matches_vertex_route(players, nodes, signals, strategies,
                                       random_strengths):
     config, simplex, c = _game(players, nodes, signals, strategies, random_strengths, 5)
-    state = LearnerState.initial(config)
     ref = LearnerState.initial(config)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    batch = Lockstep([LearnerState.initial(config)], [(config, c, simplex, rng)])
     for _ in range(ROUNDS):
-        rec = iterate(state, c, simplex, config, rng)
+        signal, frustration_t, _, counts_t = play_round(batch, config)
         m, counts, r_t = reference_iterate(ref, c, simplex, config, ref_rng)
-        assert rec.signal == m
-        assert np.array_equal(rec.counts, counts)
-        assert abs(rec.frustration - r_t) <= TOL
+        assert signal == m
+        assert np.array_equal(counts_t, counts)
+        assert abs(frustration_t - r_t) <= TOL
         bound = TOL * np.maximum(1.0, np.abs(ref.scores))
-        assert np.all(np.abs(state.scores - ref.scores) <= bound)
-    assert np.max(np.abs(state.probabilities - ref.probabilities)) <= 1e-10
+        assert np.all(np.abs(batch.scores[0].T - ref.scores) <= bound)
+    assert np.max(np.abs(batch.probabilities[0].T - ref.probabilities)) <= 1e-10
     # both generators sit at the same point of the stream
     assert rng.random() == ref_rng.random()
 

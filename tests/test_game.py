@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from simplexgame import (Allocation, GameConfig, MixedProfile, PureInstance,
+from simplexgame import (Allocation, BudgetError, GameConfig, MixedProfile, PureInstance,
                          StrategyMatrix, StrengthDistribution, ValidationError,
-                         aggregate_bet, build_simplex, correlated_payoff,
-                         draw_strategy_matrix, expected_frustration, frustration,
-                         game, instantaneous_frustration, load_strategy_matrix,
-                         mixed_correlated_payoff, payoff_linear, payoff_nonlinear,
-                         resolve_bets, save_strategy_matrix, strategy_payoffs)
+                         build_simplex, draw_strategy_matrix, expected_frustration,
+                         frustration, game, load_strategy_matrix,
+                         mixed_correlated_payoff, resolve_bets, save_strategy_matrix,
+                         strategy_payoffs)
 
 from conftest import random_profile, random_proper_strengths, small_instance
+from references import (aggregate_bet, correlated_payoff, instantaneous_frustration,
+                        payoff_linear)
 
 
 def binary_config(players, signals=1, strategies=1):
@@ -173,34 +174,6 @@ def test_squared_bet_closed_form(rng):
         bet = aggregate_bet(alloc, s)
         closed = float(np.sum(alloc.counts.astype(float) ** 2 / y.weights) - n * n)
         assert float(bet @ bet) == pytest.approx(closed, abs=1e-8)
-
-
-def test_payoff_nonlinear_examples():
-    y = StrengthDistribution(np.array([0.5, 0.25, 0.25]))
-    cfg = GameConfig(players=4, nodes=3, signals=1, strategies_per_player=1,
-                     strengths=y)
-    nash = payoff_nonlinear(Allocation(np.array([2, 1, 1])), cfg)
-    assert np.allclose(nash, 1.0)
-    crowded = payoff_nonlinear(Allocation(np.array([4, 0, 0])), cfg)
-    assert crowded[0] == pytest.approx(0.5)  # y_r per player when all pile on
-    assert np.isnan(crowded[1]) and np.isnan(crowded[2])
-
-
-def test_payoff_rankings_agree(rng):
-    # linear and nonlinear payoffs rank occupied nodes identically
-    for _ in range(30):
-        b_nodes = int(rng.integers(2, 6))
-        y = random_proper_strengths(rng, b_nodes)
-        n = int(rng.integers(b_nodes, 40))
-        cfg = GameConfig(players=n, nodes=b_nodes, signals=1,
-                         strategies_per_player=1, strengths=y)
-        counts = 1 + rng.multinomial(n - b_nodes, y.weights)  # all occupied
-        ratios = counts / y.weights
-        if len(set(np.round(ratios, 12))) < b_nodes:
-            continue  # skip exact ties
-        lin = payoff_linear(Allocation(counts), cfg)
-        non = payoff_nonlinear(Allocation(counts), cfg)
-        assert list(np.argsort(lin)) == list(np.argsort(non))
 
 
 def test_correlated_payoff_single_signal_matches_linear():
@@ -400,3 +373,12 @@ def test_matrix_io_size_mismatch(tmp_path, rng):
     with pytest.raises(ValidationError):
         load_strategy_matrix(path, cfg.players + 1, cfg.strategies_per_player,
                              cfg.signals, "json")
+
+
+def test_table_allocation_is_budgeted(tmp_path):
+    # 10^12 table bytes: refused before drawing, and before reading a file
+    cfg = binary_config(players=10**6, signals=10**6, strategies=1)
+    with pytest.raises(BudgetError, match="GiB"):
+        draw_strategy_matrix(cfg, np.random.default_rng(0))
+    with pytest.raises(BudgetError, match="GiB"):
+        load_strategy_matrix(tmp_path / "never_read.json", 10**6, 1, 10**6)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from simplexgame import (DegenerateStrengthsError, Simplex, StrengthDistribution,
-                         ValidationError, build_simplex, gram_defect,
-                         isometry_defect, properness, weighted_moments)
+                         ValidationError, build_simplex, gram_defect, properness,
+                         weighted_moments)
 from simplexgame.geometry import debug_dict, target_gram
 
 from conftest import random_proper_strengths
+from references import isometry_defect
 
 
 def test_binary_simplex_is_plus_minus_one():

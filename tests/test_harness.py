@@ -12,9 +12,9 @@ from simplexgame import (ExperimentConfig, GameConfig, LearningConfig,
                          experiment_from_file, export_sweep, export_trajectory,
                          measure_steady_state, run, single_run, sweep,
                          verify_reduction)
-from simplexgame.harness import (CONFIG_KEYS, config_hash, load_sweep_json,
-                                 parse_config_file, parse_lambda_grid, semantic_config,
-                                 signals_for, sweep_data_csv, sweep_summary_csv)
+from simplexgame.harness import (CONFIG_KEYS, config_hash, parse_config_file,
+                                 parse_lambda_grid, semantic_config, signals_for,
+                                 sweep_data_csv, sweep_summary_csv)
 
 
 def tiny_sweep_config(**overrides):
@@ -176,7 +176,7 @@ def test_export_csv_and_json_roundtrip(tmp_path):
 
     jpath = tmp_path / "out.json"
     export_sweep(result, str(jpath), "json")
-    payload = load_sweep_json(str(jpath))
+    payload = json.loads(jpath.read_text())
     back_mean = float(np.mean([r["steady_R"] for r in payload["rows"]]))
     assert back_mean == result.summary[0].mean_r  # lossless round-trip
     assert payload["config_hash"] == result.config_hash

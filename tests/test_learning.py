@@ -5,13 +5,13 @@ from scipy.stats import spearmanr
 from simplexgame import (ConvergenceSettings, GameConfig, LearnerState,
                          LearningConfig, MixedProfile, PureInstance,
                          StrategyMatrix, StrengthDistribution, ValidationError,
-                         build_simplex, detect_convergence,
-                         draw_strategy_matrix, expected_frustration,
-                         integrate_replicator, iterate, random_baseline,
+                         build_simplex, draw_strategy_matrix, expected_frustration,
+                         integrate_replicator, learning, random_baseline,
                          replicator_flow, resolve_bets, reward_vector, run,
                          softmax_probabilities, strategy_payoffs)
+from simplexgame.learning import PURITY_THRESHOLD, Lockstep
 
-from conftest import random_profile, small_instance
+from conftest import play_round, random_profile, small_instance
 
 FIG1_STYLE = dict(players=50, nodes=5, signals=2, strategies_per_player=2)
 
@@ -98,22 +98,22 @@ def test_softmax_no_overflow():
 
 def test_iterate_updates_are_consistent(rng):
     cfg, s, c = small_instance(rng, players=6, strategies=3)
-    state = LearnerState.initial(cfg, gamma=7.0)
+    batch = Lockstep([LearnerState.initial(cfg, gamma=7.0)], [(cfg, c, s, rng)])
     for _ in range(30):
-        iterate(state, c, s, cfg, rng)
+        play_round(batch, cfg)
         # probabilities always softmax-consistent with scores
         for i in range(cfg.players):
-            expect = softmax_probabilities(state.scores[i], 7.0)
-            assert np.max(np.abs(state.probabilities[i] - expect)) <= 1e-12
+            expect = softmax_probabilities(batch.scores[0, :, i], 7.0)
+            assert np.max(np.abs(batch.probabilities[0, :, i] - expect)) <= 1e-12
 
 
 def test_iterate_single_strategy_is_repeated_play(rng):
     cfg, s, c = small_instance(rng, strategies=1)
-    state = LearnerState.initial(cfg)
+    batch = Lockstep([LearnerState.initial(cfg)], [(cfg, c, s, rng)])
     for _ in range(5):
-        rec = iterate(state, c, s, cfg, rng)
-    assert np.allclose(state.probabilities, 1.0)
-    assert rec.purity == 1.0
+        _, _, purity, _ = play_round(batch, cfg)
+    assert np.allclose(batch.probabilities, 1.0)
+    assert purity == 1.0
 
 
 def test_zero_learning_rate_stays_uniform():
@@ -185,15 +185,6 @@ def test_run_converges_to_low_frustration():
     assert r[-200:].mean() <= 0.3
 
 
-def test_snapshot_stride_records_profiles():
-    cfg = fig1_config(uniform=True)
-    result = run(cfg, LearningConfig(iterations=100, snapshot_stride=25), seed=9)
-    assert len(result.trajectory.snapshots) == 4
-    t, counts, rows = result.trajectory.snapshots[0]
-    assert counts.sum() == cfg.players
-    assert rows.shape == (cfg.players, cfg.strategies_per_player)
-
-
 def test_score_drift_matches_strategy_payoffs(rng):
     # during the transient the expected score change over a signal cycle is the
     # per-strategy mixed payoff: averaging short windows over play streams, the
@@ -207,11 +198,11 @@ def test_score_drift_matches_strategy_payoffs(rng):
     drift = np.zeros_like(predicted)
     repeats = 20
     for k in range(repeats):
-        state = LearnerState.initial(cfg, gamma=20.0)
         stream = np.random.default_rng(1000 + k)
+        batch = Lockstep([LearnerState.initial(cfg, gamma=20.0)], [(cfg, c, s, stream)])
         for _ in range(window):
-            iterate(state, c, s, cfg, stream)
-        drift += state.scores
+            play_round(batch, cfg)
+        drift += batch.scores[0].T
     corr = spearmanr(drift.reshape(-1), predicted.reshape(-1)).statistic
     assert corr > 0.5
 
@@ -301,49 +292,74 @@ def test_random_baseline_mean_one_even_for_skewed_strengths():
 # -- convergence -------------------------------------------------------------
 
 def test_detect_convergence_one_hot_rows(rng):
-    cfg, s, c = small_instance(rng, players=4, strategies=2)
-    state = LearnerState.initial(cfg, gamma=20.0)
-    state.scores = np.zeros_like(state.scores)
-    state.scores[:, 0] = 100.0
-    state.probabilities = np.zeros_like(state.probabilities)
-    state.probabilities[:, 0] = 1.0
-    traj = run(cfg, LearningConfig(iterations=50), seed=1).trajectory
-    report = detect_convergence(state, traj, window=50)
-    assert report.converged and report.purity == 1.0 and report.reason == "purity"
+    # one strategy each: every row is one-hot from the first round, so the run
+    # stops at the first check, after 2 * window rounds
+    cfg, s, c = small_instance(rng, players=4, strategies=1)
+    result = run(cfg, LearningConfig(iterations=500), seed=1, matrix=c, simplex=s,
+                 convergence=ConvergenceSettings(window=50, check_every=50))
+    assert result.converged and result.state.iteration == 100
+    assert len(result.trajectory) == 100
+    assert np.all(result.trajectory.purities == 1.0)
 
 
 def test_detect_convergence_gamma_zero_plateaus():
+    # a flat trace is not convergence: at gamma = 0 purity stays 1/S, so the
+    # run plays every round although its trace plateaus near 1
     cfg = fig1_config(uniform=True)
-    result = run(cfg, LearningConfig(gamma=0.0, iterations=3000), seed=4)
-    report = detect_convergence(result.state, result.trajectory, window=500)
-    assert report.purity == pytest.approx(0.5)     # 1/S, never pure
-    assert report.plateau_r == pytest.approx(1.0, abs=0.15)
+    result = run(cfg, LearningConfig(gamma=0.0, iterations=3000), seed=4,
+                 convergence=ConvergenceSettings(window=500, check_every=100))
+    assert not result.converged and result.state.iteration == 3000
+    assert result.trajectory.purities[-1] == pytest.approx(0.5)     # 1/S, never pure
+    assert result.trajectory.frustrations[-500:].mean() == pytest.approx(1.0, abs=0.15)
 
 
 def test_detect_convergence_fig1_style():
-    # checked every 100 iterations the run reports convergence within 2000,
-    # with a low final plateau
+    # checked every 100 iterations one player stays at purity 0.5, so the run
+    # plays all 2000 rounds unconverged, with a low final plateau
     rng = np.random.default_rng(20)
     cfg = fig1_config(rng)
     result = run(cfg, LearningConfig(gamma=20.0, iterations=2000), seed=20,
                  convergence=ConvergenceSettings(window=200, check_every=100))
-    assert result.converged
-    assert result.report.plateau_r < 0.3
+    assert not result.converged and result.state.iteration == 2000
+    assert result.trajectory.frustrations[-200:].mean() < 0.3
 
 
-def test_detect_convergence_requires_window():
-    cfg = fig1_config(uniform=True)
-    result = run(cfg, LearningConfig(iterations=10), seed=1)
-    with pytest.raises(ValidationError):
-        detect_convergence(result.state, result.trajectory, window=50)
+def test_detect_convergence_requires_window(rng):
+    # no check before 2 * window rounds: pure rows play on until then
+    cfg, s, c = small_instance(rng, players=4, strategies=1)
+    result = run(cfg, LearningConfig(iterations=99), seed=1, matrix=c, simplex=s,
+                 convergence=ConvergenceSettings(window=50, check_every=10))
+    assert not result.converged and result.state.iteration == 99
 
 
 def test_early_stop_on_purity():
     rng = np.random.default_rng(31)
     cfg = fig1_config(rng)
     result = run(cfg, LearningConfig(gamma=20.0, iterations=8000), seed=31,
-                 convergence=ConvergenceSettings(window=200, check_every=100,
-                                                 stop_reasons=("purity",)))
+                 convergence=ConvergenceSettings(window=200, check_every=100))
     if result.converged:
         assert result.state.iteration < 8000
-        assert result.report.reason == "purity"
+        assert result.trajectory.purities[-1] >= PURITY_THRESHOLD
+    else:
+        assert result.state.iteration == 8000
+
+
+def test_stops_at_the_first_pure_check():
+    # the stop read off a full-length run: the first check round t (a multiple
+    # of check_every, t >= 2 * window) whose recorded purity reaches the threshold
+    window, every, t_max = 100, 50, 1500
+    games, expected = [], []
+    for seed in range(8):
+        cfg, s, c = small_instance(np.random.default_rng(seed), players=30, nodes=5,
+                                   signals=1 + 3 * (seed % 4), strategies=2)
+        purities = run(cfg, LearningConfig(iterations=t_max), seed, matrix=c,
+                       simplex=s).trajectory.purities
+        checks = [t for t in range(2 * window, t_max + 1, every)
+                  if purities[t - 1] >= PURITY_THRESHOLD]
+        expected.append(checks[0] if checks else t_max)
+        games.append((cfg, c, s, np.random.default_rng(seed)))
+    results = learning.run_lockstep(games, LearningConfig(iterations=t_max),
+                                    ConvergenceSettings(window=window, check_every=every))
+    assert [r.state.iteration for r in results] == expected
+    assert [r.converged for r in results] == [t < t_max for t in expected]
+    assert len(set(expected)) >= 3    # rows leave the batch at different checks

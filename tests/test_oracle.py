@@ -5,8 +5,7 @@ import pytest
 
 from simplexgame import (BudgetError, GameConfig, LearningConfig, MixedProfile,
                          StrategyMatrix, StrengthDistribution, build_simplex,
-                         correlated_payoff, draw_strategy_matrix,
-                         enumerate_equilibria, exact_price_of_anarchy, frustration,
+                         draw_strategy_matrix, enumerate_equilibria, frustration,
                          maximizer_equilibrium_report, oracle_report,
                          potential_defect, run)
 
@@ -14,6 +13,7 @@ from simplexgame import oracle
 from simplexgame.oracle import EquilibriumSet, MaximizerReport, _ProfileEvaluator
 
 from conftest import random_profile, random_proper_strengths, small_instance
+from references import correlated_payoff
 
 
 def reference_evaluate(ev, profile):
@@ -169,7 +169,7 @@ def test_anti_coordination_equilibria():
 
 def test_exact_price_of_anarchy_zero_when_balanced_profile_exists():
     cfg, s, c = anti_coordination_game()
-    assert exact_price_of_anarchy(c, s, cfg) == pytest.approx(0.0, abs=1e-14)
+    assert enumerate_equilibria(c, s, cfg).min_r == pytest.approx(0.0, abs=1e-14)
 
 
 def test_no_pure_equilibrium_is_reported_not_raised():
@@ -197,7 +197,7 @@ def test_learned_plateau_bounded_below_by_oracle(rng):
     s = build_simplex(y)
     for seed in range(5):
         c = draw_strategy_matrix(cfg, np.random.default_rng(seed))
-        min_r = exact_price_of_anarchy(c, s, cfg)
+        min_r = enumerate_equilibria(c, s, cfg).min_r
         result = run(cfg, LearningConfig(gamma=20.0, iterations=1500), seed=seed,
                      matrix=c, simplex=s)
         from simplexgame import expected_frustration
@@ -384,3 +384,19 @@ def test_oracle_report_evaluates_each_profile_once(monkeypatch):
             assert sorted(evaluated) == list(itertools.product(
                 range(cfg.strategies_per_player), repeat=cfg.players))
             assert all(1 <= len(block) <= oracle._block_rows(cfg) for block in blocks)
+
+
+def test_check_budget_counts_profiles_up_to_the_budget():
+    def config(players, strategies):
+        return GameConfig(players=players, nodes=2, signals=1,
+                          strategies_per_player=strategies,
+                          strengths=StrengthDistribution.uniform(2))
+
+    assert oracle.check_budget(config(3, 2), 8) == 8
+    assert oracle.check_budget(config(5, 3)) == 3**5
+    assert oracle.check_budget(config(10**12, 1), 1) == 1
+    # a 10^12-player count is refused without building S^N
+    for players, strategies, budget in [(3, 2, 7), (30, 2, 10**6), (10**12, 2, 10**6),
+                                        (5, 1, 0), (2, 10**12, 10**6)]:
+        with pytest.raises(BudgetError):
+            oracle.check_budget(config(players, strategies), budget)
