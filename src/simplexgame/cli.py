@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analytics, harness, oracle
 from .errors import ValidationError
-from .game import GameConfig, draw_strategy_matrix
+from .game import GameConfig, check_node_count, draw_strategy_matrix
 from .geometry import StrengthDistribution, build_simplex, debug_dict
 
 
@@ -123,6 +123,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    check_node_count(args.nodes)   # before the strengths are built
     try:   # the config file's strengths syntax; ValueError means a non-number
         spec = harness._parse_value("strengths", args.strengths)
     except ValueError as exc:

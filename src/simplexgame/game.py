@@ -22,6 +22,15 @@ from .geometry import Simplex, StrengthDistribution, _readonly
 
 ROW_SUM_TOL = 1e-12
 TABLE_BLOCK = 1 << 17  # strategy-table entries per block when drawing or reading the table
+MAX_NODES = int(np.iinfo(np.uint8).max)  # node indices are stored as bytes
+
+
+def check_node_count(nodes: int) -> None:
+    """2 <= B <= MAX_NODES; checked before any per-node array is built."""
+    if nodes < 2:
+        raise ValidationError("nodes must be >= 2")
+    if nodes > MAX_NODES:
+        raise ValidationError(f"node indices are stored as bytes; nodes must be <= {MAX_NODES}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +46,7 @@ class GameConfig:
     def __post_init__(self):
         if self.players < 1:
             raise ValidationError("players must be >= 1")
-        if self.nodes < 2:
-            raise ValidationError("nodes must be >= 2")
+        check_node_count(self.nodes)
         if self.signals < 1:
             raise ValidationError("signals must be >= 1")
         if self.strategies_per_player < 1:
@@ -47,8 +55,6 @@ class GameConfig:
             raise ValidationError(
                 f"strengths have {self.strengths.node_count} nodes, config says {self.nodes}"
             )
-        if self.nodes > 255:
-            raise ValidationError("node indices are stored as bytes; nodes must be <= 255")
 
     @property
     def training_parameter(self) -> float:
@@ -75,8 +81,8 @@ class StrategyMatrix:
         if e.ndim != 3:
             raise ValidationError(f"strategy matrix must be 3-d, got shape {e.shape}")
         if e.dtype != np.uint8 and (e.dtype.kind not in "biuf" or np.any(
-                (e < 0) | (e > 255) | (e % 1 != 0))):  # NaN fails the last test
-            raise ValidationError("strategy matrix entries must be integers in [0, 255]")
+                (e < 0) | (e > MAX_NODES) | (e % 1 != 0))):  # NaN fails the last test
+            raise ValidationError(f"strategy matrix entries must be integers in [0, {MAX_NODES}]")
         by_signal = _readonly(np.ascontiguousarray(e.transpose(2, 0, 1), dtype=np.uint8))
         object.__setattr__(self, "entries", by_signal.transpose(1, 2, 0))
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import analytics, learning
 from .errors import ValidationError
-from .game import GameConfig, StrategyMatrix, draw_strategy_matrix, expected_frustration
+from .game import (GameConfig, StrategyMatrix, check_node_count, draw_strategy_matrix,
+                   expected_frustration)
 from .geometry import Simplex, StrengthDistribution, build_simplex
 from .learning import ConvergenceSettings, LearningConfig, LearnerState, Trajectory
 
@@ -63,6 +64,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        check_node_count(self.nodes)
         if self.realizations < 1:
             raise ValidationError("realizations must be >= 1")
         ConvergenceSettings(window=self.window, check_every=self.check_every)  # validates

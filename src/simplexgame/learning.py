@@ -291,7 +291,8 @@ def run_lockstep(games: list, learn: LearningConfig,
     rounds.  Each stops on its own when a check (every check_every rounds
     once 2 * window rounds are recorded) finds its purity at or above
     PURITY_THRESHOLD; its final state is copied out and it leaves the working
-    arrays.  The games must share N, S and B; matrices must fit their configs.
+    arrays.  The games must share N, S and B; matrices must fit their configs, and
+    each simplex must be built from its config's strengths.
     """
     if learn.iterations < 0:
         raise ValidationError("iterations must be >= 0")
@@ -299,6 +300,9 @@ def run_lockstep(games: list, learn: LearningConfig,
     if len(shapes) != 1:
         raise ValidationError(f"lockstep games must share N, S and B, got {sorted(shapes)}")
     (n, _, nodes), = shapes
+    if not all(np.array_equal(s.strengths.weights, c.strengths.weights)
+               for c, _, s, _ in games):
+        raise ValidationError("a game's simplex strengths differ from its config's strengths")
     total, iterations = len(games), learn.iterations
     check_allocation(total * iterations * Trajectory.ROW_BYTES,
                      f"{total} trajectories of {iterations} iterations")

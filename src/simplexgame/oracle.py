@@ -10,7 +10,8 @@ independent of the count-space evaluators in `game` (which only
 `potential_defect` calls).  The pass evaluates blocks of consecutive profiles
 (in `itertools.product` order) per NumPy call; a block's largest array, the
 (P, N, S, M, B-1) deviation bets, holds at most ORACLE_BLOCK floats unless one
-profile alone needs more, and the scan keeps only the equilibria and the
+profile alone needs more; the block temporaries are written into work arrays
+allocated once per scan, and the scan keeps only the equilibria and the
 maximizer candidates, so memory does not grow with S^N.
 """
 from __future__ import annotations
@@ -60,18 +61,37 @@ class _ProfileEvaluator:
             raise ValidationError("strategy matrix shape does not match config")
         self.config = config
         self.qc = simplex.vertices[c.entries.astype(np.int64)]  # (N,S,M,D)
-        self.n = config.players
+        self.n, s = self.qc.shape[:2]
+        self.rows_of_qc = self.qc.reshape(self.n * s, *self.qc.shape[2:])
+        self.row_offset = s * np.arange(self.n)   # player i's strategy k is row i*S + k
+        self.rows = 0
+
+    def _work(self, p: int) -> tuple:
+        """Views of the first p rows of the work arrays, grown when p exceeds them."""
+        if p > self.rows:
+            n, s, m, d = self.qc.shape
+            self.rows = p
+            self.arrays = (np.empty((p, n, m, d)), np.empty((p, m, d)),
+                           np.empty((p, n, m)), np.empty((p, n, s, m, d)),
+                           np.empty((p, n, s, m)))
+        return tuple(a[:p] for a in self.arrays)
 
     def evaluate(self, profiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For a (P, N) block of pure profiles: averaged payoffs (P, N), averaged
         deviation payoffs (P, N, S) and frustrations (P,)."""
         idx = np.asarray(profiles, dtype=np.int64)
-        chosen = self.qc[np.arange(self.n), idx]          # (P,N,M,D)
-        b = chosen.sum(axis=1)                            # (P,M,D)
-        u = -np.einsum("pimd,pmd->pim", chosen, b) / self.n
+        chosen, b, u, b_dev, u_dev = self._work(idx.shape[0])
+        np.take(self.rows_of_qc, idx + self.row_offset, axis=0, out=chosen)  # (P,N,M,D)
+        np.sum(chosen, axis=1, out=b)                                    # (P,M,D)
+        np.einsum("pimd,pmd->pim", chosen, b, out=u)
+        np.negative(u, out=u)
+        u /= self.n
         # deviation of player i to strategy s: shift b by the player's own swap
-        b_dev = b[:, None, None] - chosen[:, :, None] + self.qc  # (P,N,S,M,D)
-        u_dev = -np.einsum("ismd,pismd->pism", self.qc, b_dev) / self.n
+        np.subtract(b[:, None, None], chosen[:, :, None], out=b_dev)     # (P,N,S,M,D)
+        b_dev += self.qc
+        np.einsum("ismd,pismd->pism", self.qc, b_dev, out=u_dev)
+        np.negative(u_dev, out=u_dev)
+        u_dev /= self.n
         r = np.einsum("pmd,pmd->p", b, b) / (b.shape[1] * self.n * (self.config.nodes - 1))
         return u.mean(axis=2), u_dev.mean(axis=3), r
 

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +246,17 @@ def test_readme_config_table_lists_exactly_the_config_keys():
     assert sorted(rows) == sorted(harness.CONFIG_KEYS)
 
 
+def test_fresh_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, simplexgame.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 # -- arguments rejected before any work ----------------------------------------
 
 HUGE = str(10**12)
@@ -280,6 +294,10 @@ REJECTED = {
         (["oracle", "--N", "30", "--S", "2", "--M", HUGE, "--B", "3"], None),
     "oracle-huge-players": (["oracle", "--N", HUGE, "--S", "2", "--M", "1", "--B", "2"], None),
     "oracle-huge-table": (["oracle", "--N", "2", "--S", "2", "--M", HUGE, "--B", "3"], None),
+    "oracle-huge-nodes": (["oracle", "--N", "2", "--S", "2", "--M", "2", "--B", HUGE], None),
+    "sweep-huge-nodes":
+        (["sweep", "--config", "{cfg}", "--out", "{out}"],
+         SWEEP_ONE.replace("nodes = 2", f"nodes = {HUGE}")),
     "zeta-huge-chunk":
         (["zeta", "--S", str(2 * 10**12), "--method", "monte-carlo", "--samples", "2"], None),
 }
