@@ -108,11 +108,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_predict(args) -> int:
     grid = harness.parse_lambda_grid(args.lambda_grid)
     pred = analytics.prediction_for(args.strategies, args.nodes)
-    lines = ["lambda,predicted_R"]
-    for lam in grid:
-        value = analytics.predicted_anarchy(lam, args.strategies, args.nodes)
-        lines.append(f"{float(lam)!r},{value!r}")
-    text = "\n".join(lines) + "\n"
+    text = harness.csv_text("lambda,predicted_R", (
+        (lam, analytics.predicted_anarchy(lam, args.strategies, args.nodes))
+        for lam in grid))
     if args.out:
         harness._write_text(args.out, text)
         print(f"wrote {len(grid)} points to {args.out} "
@@ -124,14 +122,15 @@ def _cmd_predict(args) -> int:
 
 def _cmd_oracle(args) -> int:
     check_node_count(args.nodes)   # before the strengths are built
-    try:   # the config file's strengths syntax; ValueError means a non-number
-        spec = harness._parse_value("strengths", args.strengths)
-    except ValueError as exc:
+    try:   # the config file's strengths syntax
+        spec = harness.parse_strengths(args.strengths)
+        if spec == "random":
+            raise ValidationError("must be uniform or a comma list; the oracle solves "
+                                  "one fixed game, not random draws")
+        y = (StrengthDistribution.uniform(args.nodes) if spec == "uniform"
+             else StrengthDistribution(np.asarray(spec)))
+    except ValueError as exc:   # ValidationError is a ValueError
         raise ValidationError(f"--strengths {args.strengths!r}: {exc}") from exc
-    if spec == "random":
-        raise ValidationError("--strengths must be uniform or a comma list; the oracle "
-                              "solves one fixed game, not random draws")
-    y = StrengthDistribution(np.asarray(harness._strengths_spec(spec, args.nodes)))
     config = GameConfig(players=args.players, nodes=args.nodes, signals=args.signals,
                         strategies_per_player=args.strategies, strengths=y)
     oracle.check_budget(config, args.budget)   # before the table is drawn
@@ -154,12 +153,10 @@ def _cmd_paired(args) -> int:
         result = harness.compare_strengths(exp)
     else:
         result = harness.verify_reduction(exp)
-    lines = ["lambda,mean_A,mean_B,gap,pooled_se"]
-    for row in result.per_lambda:
-        lines.append(",".join(harness._fmt(v) for v in
-                              (row.realized_lambda, row.mean_a, row.mean_b,
-                               row.gap, row.pooled_se)))
-    harness._write_text(args.out, "\n".join(lines) + "\n")
+    harness._write_text(args.out, harness.csv_text(
+        "lambda,mean_A,mean_B,gap,pooled_se",
+        ((row.realized_lambda, row.mean_a, row.mean_b, row.gap, row.pooled_se)
+         for row in result.per_lambda)))
     print(f"max mean gap {result.max_gap!r}; wrote {args.out}")
     return 0
 

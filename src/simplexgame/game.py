@@ -7,7 +7,7 @@ products with the aggregate bet b = sum of chosen vertices.  As q_r . q_l = -1 +
 delta_rl / y_r, the mixed-profile payoffs and frustrations are computed in count
 space, q_r . b = N_r / y_r - N, and nothing here reads the vertices.
 A game is fixed by N, B, M, S and the strengths alone: raw per-node
-efficiencies are an input format that `GameConfig.from_efficiencies`
+efficiencies are an input format that `StrengthDistribution.from_efficiencies`
 normalizes into strengths, and every payoff is the linear congestion payoff.
 """
 from __future__ import annotations
@@ -60,14 +60,6 @@ class GameConfig:
     def training_parameter(self) -> float:
         """lambda = M/N, always recomputed from the stored fields."""
         return self.signals / self.players
-
-    @classmethod
-    def from_efficiencies(cls, players, signals, strategies_per_player,
-                          efficiencies) -> "GameConfig":
-        """Build a config from raw spectral efficiencies, normalized to strengths."""
-        strengths = StrengthDistribution.from_efficiencies(efficiencies)
-        return cls(players=players, nodes=strengths.node_count, signals=signals,
-                   strategies_per_player=strategies_per_player, strengths=strengths)
 
 
 @dataclass(frozen=True)

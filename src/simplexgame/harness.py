@@ -19,7 +19,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -34,18 +34,13 @@ WORKERS_ENV = "SIMPLEXGAME_WORKERS"
 MEASUREMENT_MODES = ("final-profile", "windowed-trace")
 MAX_GRID_POINTS = 10**6  # a start:end:count grid larger than this is a typo, not a sweep
 
-CONFIG_KEYS = {
-    "players", "nodes", "signals", "strategies", "strengths", "strengths_b",
-    "efficiencies", "efficiencies_b", "gamma", "iterations",
-    "t_max", "window", "check_every", "lambda_grid", "realizations",
-    "measurement", "seed",
-}
-
 
 @dataclass
 class ExperimentConfig:
-    """Everything one experiment needs; `strengths` may be a distribution,
-    "uniform", or "random" (fresh proper strengths per realization)."""
+    """Everything one experiment needs.  `strengths` (and `strengths_b`, the
+    second arm of a comparison, if not None) may be a distribution, "uniform",
+    None, a sequence of B weights, or "random" (fresh proper strengths per
+    realization); each is normalized to "random" or a tuple of B weights."""
 
     players: int
     nodes: int
@@ -53,7 +48,7 @@ class ExperimentConfig:
     signals: int | None = None
     lambda_grid: tuple | None = None
     strengths: object = "uniform"
-    strengths_b: object = None          # second arm for strength comparisons
+    strengths_b: object = None
     gamma: float = 20.0
     iterations: int = 2000
     t_max: int = 5000
@@ -64,9 +59,13 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        check_node_count(self.nodes)
-        if self.realizations < 1:
-            raise ValidationError("realizations must be >= 1")
+        check_node_count(self.nodes)   # before any per-node strengths are built
+        self.strengths = _strengths_field("strengths", self.strengths, self.nodes)
+        if self.strengths_b is not None:
+            self.strengths_b = _strengths_field("strengths_b", self.strengths_b, self.nodes)
+        for name in ("players", "strategies", "signals", "realizations"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1")
         ConvergenceSettings(window=self.window, check_every=self.check_every)  # validates
         LearningConfig(gamma=self.gamma)  # validates
         if self.t_max < self.window:
@@ -79,24 +78,32 @@ class ExperimentConfig:
             grid = tuple(float(v) for v in self.lambda_grid)
             if not all(0.0 < v < np.inf for v in grid):
                 raise ValidationError("lambda grid values must be > 0 and finite")
-            self.lambda_grid = grid
+            self.lambda_grid = grid or None
 
 
-def _strengths_spec(strengths, nodes: int):
-    """Normalize a strengths field to "random" or a concrete tuple of weights."""
-    if isinstance(strengths, StrengthDistribution):
-        return tuple(float(w) for w in strengths.weights)
-    if strengths == "random":
-        return "random"
-    if strengths == "uniform" or strengths is None:
-        return tuple(float(w) for w in StrengthDistribution.uniform(nodes).weights)
-    return tuple(float(w) for w in StrengthDistribution(np.asarray(strengths)).weights)
+def _strengths_field(name: str, value, nodes: int):
+    """The marker "random", or the tuple of `nodes` weights a strengths field means."""
+    if isinstance(value, str) and value == "random":
+        return value
+    if value is None or isinstance(value, str) and value == "uniform":
+        value = np.full(nodes, 1.0 / nodes)
+    try:
+        y = StrengthDistribution(getattr(value, "weights", value))
+        if y.node_count != nodes:
+            raise ValidationError(f"strengths have {y.node_count} nodes, config says {nodes}")
+    except (TypeError, ValueError) as exc:   # ValidationError is a ValueError
+        raise ValidationError(f"{name}: {exc}") from exc
+    return tuple(y.weights.tolist())
 
 
-def _resolve_strengths(spec, nodes: int, rng) -> StrengthDistribution:
-    if spec == "random":
-        return StrengthDistribution.random_proper(nodes, rng)
-    return StrengthDistribution(np.asarray(spec))
+def _draw_game(exp: ExperimentConfig, signals: int, rng) -> GameConfig:
+    """One realization's game; "random" strengths are drawn from `rng` first."""
+    if exp.strengths == "random":
+        y = StrengthDistribution.random_proper(exp.nodes, rng)
+    else:
+        y = StrengthDistribution(exp.strengths)
+    return GameConfig(players=exp.players, nodes=exp.nodes, signals=signals,
+                      strategies_per_player=exp.strategies, strengths=y)
 
 
 def signals_for(lam: float, players: int) -> int:
@@ -161,9 +168,6 @@ class SweepResult:
     config_hash: str
     wall_clock_seconds: float
 
-    def rows_for(self, lambda_index: int):
-        return [r for r in self.rows if r.lambda_index == lambda_index]
-
 
 def _run_batch(job: tuple) -> list:
     """Set up, play in lockstep and measure one batch of realizations.
@@ -173,15 +177,12 @@ def _run_batch(job: tuple) -> list:
     its strengths and strategy matrix from it before play, as it would alone.
     """
     exp, coords = job
-    spec = _strengths_spec(exp.strengths, exp.nodes)
     seeds, games = [], []
     for lambda_index, realization, signals in coords:
         seed = child_seed(exp.master_seed, lambda_index, realization)
         rng = np.random.default_rng(seed)
-        y = _resolve_strengths(spec, exp.nodes, rng)
-        config = GameConfig(players=exp.players, nodes=exp.nodes, signals=signals,
-                            strategies_per_player=exp.strategies, strengths=y)
-        simplex = build_simplex(y)
+        config = _draw_game(exp, signals, rng)
+        simplex = build_simplex(config.strengths)
         seeds.append(seed)
         games.append((config, draw_strategy_matrix(config, rng), simplex, rng))
     results = learning.run_lockstep(
@@ -193,14 +194,9 @@ def _run_batch(job: tuple) -> list:
         steady = measure_steady_state(result.state, result.matrix, result.simplex, config,
                                       exp.measurement, result.trajectory, exp.window)
         rows.append(RealizationRow(
-            lambda_index=lambda_index,
-            realized_lambda=signals / exp.players,
-            realization=realization,
-            seed=seed,
-            steady_r=steady,
-            converged=result.converged,
-            iterations=result.state.iteration,
-        ))
+            lambda_index=lambda_index, realized_lambda=signals / exp.players,
+            realization=realization, seed=seed, steady_r=steady,
+            converged=result.converged, iterations=result.state.iteration))
     return rows
 
 
@@ -250,22 +246,10 @@ def _summarize(rows: list, strategies: int, nodes: int) -> list:
 
 
 def semantic_config(exp: ExperimentConfig) -> dict:
-    """The fields that define the experiment (hash input); output options excluded."""
-    return {
-        "players": exp.players,
-        "nodes": exp.nodes,
-        "strategies": exp.strategies,
-        "signals": exp.signals,
-        "lambda_grid": list(exp.lambda_grid) if exp.lambda_grid else None,
-        "strengths": _strengths_spec(exp.strengths, exp.nodes),
-        "gamma": exp.gamma,
-        "t_max": exp.t_max,
-        "window": exp.window,
-        "check_every": exp.check_every,
-        "realizations": exp.realizations,
-        "measurement": exp.measurement,
-        "master_seed": exp.master_seed,
-    }
+    """The fields that define a sweep (hash input); `iterations` sizes single runs
+    only, and a comparison sweeps its `strengths_b` arm as an experiment of its own."""
+    return {f.name: getattr(exp, f.name) for f in fields(exp)
+            if f.name not in ("iterations", "strengths_b")}
 
 
 def config_hash(config: dict) -> str:
@@ -284,12 +268,16 @@ def _sweep_points(exp: ExperimentConfig, points: list) -> SweepResult:
                        wall_clock_seconds=time.perf_counter() - start)
 
 
+def _grid_points(exp: ExperimentConfig, what: str) -> list:
+    """(grid index, signal count) of every lambda grid point."""
+    if not exp.lambda_grid:
+        raise ValidationError(f"{what} needs a lambda_grid")
+    return [(li, signals_for(lam, exp.players)) for li, lam in enumerate(exp.lambda_grid)]
+
+
 def sweep(exp: ExperimentConfig) -> SweepResult:
     """Run the full lambda grid of an experiment."""
-    if not exp.lambda_grid:
-        raise ValidationError("sweep needs a lambda_grid")
-    points = [(li, signals_for(lam, exp.players)) for li, lam in enumerate(exp.lambda_grid)]
-    return _sweep_points(exp, points)
+    return _sweep_points(exp, _grid_points(exp, "sweep"))
 
 
 @dataclass
@@ -313,17 +301,11 @@ class ComparisonResult:
 
 
 def _pair(result_a: SweepResult, result_b: SweepResult, k: int) -> list:
-    paired = []
-    for sa, sb in zip(result_a.summary, result_b.summary):
-        se_a = sa.std_r / np.sqrt(k)
-        se_b = sb.std_r / np.sqrt(k)
-        paired.append(ComparisonRow(
-            realized_lambda=sa.realized_lambda,
-            mean_a=sa.mean_r, mean_b=sb.mean_r,
-            gap=abs(sa.mean_r - sb.mean_r),
-            pooled_se=float(np.hypot(se_a, se_b)),
-        ))
-    return paired
+    return [ComparisonRow(realized_lambda=sa.realized_lambda, mean_a=sa.mean_r,
+                          mean_b=sb.mean_r, gap=abs(sa.mean_r - sb.mean_r),
+                          pooled_se=float(np.hypot(sa.std_r / np.sqrt(k),
+                                                   sb.std_r / np.sqrt(k))))
+            for sa, sb in zip(result_a.summary, result_b.summary)]
 
 
 def compare_strengths(exp: ExperimentConfig, strengths_b=None) -> ComparisonResult:
@@ -331,8 +313,8 @@ def compare_strengths(exp: ExperimentConfig, strengths_b=None) -> ComparisonResu
     spec_b = strengths_b if strengths_b is not None else exp.strengths_b
     if spec_b is None:
         raise ValidationError("compare_strengths needs a second strength distribution")
+    exp_b = replace(exp, strengths=spec_b, strengths_b=None)  # checked before any play
     result_a = sweep(exp)
-    exp_b = replace(exp, strengths=_strengths_spec(spec_b, exp.nodes), strengths_b=None)
     result_b = sweep(exp_b)
     return ComparisonResult(result_a, result_b, _pair(result_a, result_b, exp.realizations))
 
@@ -344,9 +326,7 @@ def verify_reduction(exp: ExperimentConfig) -> ComparisonResult:
     point's M becomes exactly M * (B - 1), so both arms sit on the same
     predicted curve.
     """
-    if not exp.lambda_grid:
-        raise ValidationError("verify_reduction needs a lambda_grid")
-    points = [(li, signals_for(lam, exp.players)) for li, lam in enumerate(exp.lambda_grid)]
+    points = _grid_points(exp, "verify_reduction")
     result_a = _sweep_points(exp, points)
 
     reduced_points = [(li, m * (exp.nodes - 1)) for li, m in points]
@@ -374,50 +354,41 @@ def _write_text(path, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def csv_text(header: str, rows) -> str:
+    """The header line, then one line of comma-joined cells per row."""
+    return "".join([header, "\n", *(",".join(map(_fmt, row)) + "\n" for row in rows)])
+
+
+# the columns of the data and summary files, which name the JSON fields too
+_ROW_COLUMNS = "lambda,realization,seed,steady_R,converged,iterations"
+_SUMMARY_COLUMNS = "lambda,mean_R,std_R,predicted_R"
+
+
+def _row_cells(r: RealizationRow) -> tuple:
+    return (r.realized_lambda, r.realization, r.seed, r.steady_r, bool(r.converged),
+            r.iterations)
+
+
+def _summary_cells(s: SummaryRow) -> tuple:
+    return s.realized_lambda, s.mean_r, s.std_r, s.predicted_r
+
+
 def sweep_data_csv(result: SweepResult) -> str:
-    lines = ["lambda,realization,seed,steady_R,converged,iterations"]
-    for r in result.rows:
-        lines.append(",".join([
-            _fmt(r.realized_lambda), str(r.realization), str(r.seed),
-            _fmt(r.steady_r), _fmt(r.converged), str(r.iterations),
-        ]))
-    return "\n".join(lines) + "\n"
+    return csv_text(_ROW_COLUMNS, map(_row_cells, result.rows))
 
 
 def sweep_summary_csv(result: SweepResult) -> str:
-    lines = ["lambda,mean_R,std_R,predicted_R"]
-    for s in result.summary:
-        lines.append(",".join([
-            _fmt(s.realized_lambda), _fmt(s.mean_r), _fmt(s.std_r), _fmt(s.predicted_r),
-        ]))
-    return "\n".join(lines) + "\n"
+    return csv_text(_SUMMARY_COLUMNS, map(_summary_cells, result.summary))
 
 
 def sweep_json(result: SweepResult) -> str:
     payload = {
         "config": result.config,
         "config_hash": result.config_hash,
-        "rows": [
-            {
-                "lambda_index": r.lambda_index,
-                "lambda": r.realized_lambda,
-                "realization": r.realization,
-                "seed": r.seed,
-                "steady_R": r.steady_r,
-                "converged": bool(r.converged),
-                "iterations": r.iterations,
-            }
-            for r in result.rows
-        ],
-        "summary": [
-            {
-                "lambda": s.realized_lambda,
-                "mean_R": s.mean_r,
-                "std_R": s.std_r,
-                "predicted_R": s.predicted_r,
-            }
-            for s in result.summary
-        ],
+        "rows": [dict(zip(_ROW_COLUMNS.split(","), _row_cells(r)),
+                      lambda_index=r.lambda_index) for r in result.rows],
+        "summary": [dict(zip(_SUMMARY_COLUMNS.split(","), _summary_cells(s)))
+                    for s in result.summary],
         "metadata": {"wall_clock_seconds": result.wall_clock_seconds},
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -434,30 +405,22 @@ def export_sweep(result: SweepResult, path: str, fmt: str = "csv") -> list:
     Output is byte-stable for fixed inputs except the wall-clock metadata
     field, which lives only inside the JSON metadata object.
     """
-    written = []
     if fmt == "csv":
-        _write_text(path, sweep_data_csv(result))
-        written.append(path)
-        sp = summary_path_for(path)
-        _write_text(sp, sweep_summary_csv(result))
-        written.append(sp)
+        texts = {path: sweep_data_csv(result),
+                 summary_path_for(path): sweep_summary_csv(result)}
     elif fmt == "json":
-        _write_text(path, sweep_json(result))
-        written.append(path)
+        texts = {path: sweep_json(result)}
     else:
         raise ValidationError(f"unknown export format {fmt!r}")
-    return written
+    for target, text in texts.items():
+        _write_text(target, text)
+    return list(texts)
 
 
 def trajectory_csv(trajectory: Trajectory) -> str:
-    lines = ["t,m,R_t,purity"]
-    for t in range(trajectory.length):
-        lines.append(",".join([
-            str(t), str(int(trajectory.signals[t])),
-            _fmt(float(trajectory.frustrations[t])),
-            _fmt(float(trajectory.purities[t])),
-        ]))
-    return "\n".join(lines) + "\n"
+    return csv_text("t,m,R_t,purity", zip(
+        range(trajectory.length), trajectory.signals.tolist(),
+        trajectory.frustrations.tolist(), trajectory.purities.tolist()))
 
 
 def export_trajectory(trajectory: Trajectory, path: str) -> None:
@@ -473,34 +436,12 @@ def single_run(exp: ExperimentConfig, matrix: StrategyMatrix | None = None
     if exp.signals is None:
         raise ValidationError("single runs need an explicit signal count")
     rng = np.random.default_rng(exp.master_seed)
-    y = _resolve_strengths(_strengths_spec(exp.strengths, exp.nodes), exp.nodes, rng)
-    config = GameConfig(players=exp.players, nodes=exp.nodes, signals=exp.signals,
-                        strategies_per_player=exp.strategies, strengths=y)
     learn = LearningConfig(gamma=exp.gamma, iterations=exp.iterations)
-    return learning.run(config, learn, rng, matrix=matrix)
+    return learning.run(_draw_game(exp, exp.signals, rng), learn, rng, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
 # config files
-
-def _parse_value(key: str, raw: str):
-    if key in {"players", "nodes", "signals", "strategies", "iterations", "t_max",
-               "window", "check_every", "realizations", "seed"}:
-        return int(raw)
-    if key == "gamma":
-        return float(raw)
-    if key in {"strengths", "strengths_b"}:
-        if raw in {"uniform", "random"}:
-            return raw
-        return tuple(float(v) for v in raw.split(","))
-    if key in {"efficiencies", "efficiencies_b"}:
-        return tuple(float(v) for v in raw.split(","))
-    if key == "lambda_grid":
-        return parse_lambda_grid(raw)
-    if key == "measurement":
-        return raw
-    raise ValidationError(f"unknown config key {key!r}")
-
 
 def parse_lambda_grid(raw: str) -> tuple:
     """Either a comma list "0.1,0.5,1" or "start:end:count" for a linear grid."""
@@ -520,8 +461,44 @@ def parse_lambda_grid(raw: str) -> tuple:
     return tuple(float(v) for v in np.linspace(start, end, count))
 
 
+def parse_strengths(raw: str):
+    """Strengths text: "uniform", "random", or a comma list of weights."""
+    if raw in ("uniform", "random"):
+        return raw
+    return tuple(float(v) for v in raw.split(","))
+
+
+def _parse_efficiencies(raw: str) -> StrengthDistribution:
+    return StrengthDistribution.from_efficiencies(tuple(float(v) for v in raw.split(",")))
+
+
+# config key -> (ExperimentConfig field, parser of the value text)
+CONFIG_KEYS = {
+    "players": ("players", int),
+    "nodes": ("nodes", int),
+    "signals": ("signals", int),
+    "strategies": ("strategies", int),
+    "strengths": ("strengths", parse_strengths),
+    "strengths_b": ("strengths_b", parse_strengths),
+    "efficiencies": ("strengths", _parse_efficiencies),
+    "efficiencies_b": ("strengths_b", _parse_efficiencies),
+    "gamma": ("gamma", float),
+    "iterations": ("iterations", int),
+    "t_max": ("t_max", int),
+    "window": ("window", int),
+    "check_every": ("check_every", int),
+    "lambda_grid": ("lambda_grid", parse_lambda_grid),
+    "realizations": ("realizations", int),
+    "measurement": ("measurement", str),
+    "seed": ("master_seed", int),
+}
+
+
 def parse_config_file(path: str) -> dict:
-    """Flat UTF-8 key=value file with '#' comments; unknown or repeated keys are errors."""
+    """ExperimentConfig fields from a flat UTF-8 key=value file with '#' comments.
+
+    Unknown keys, and a second key for a field already set, are errors.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -530,7 +507,7 @@ def parse_config_file(path: str) -> dict:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValidationError(f"{path}:{lineno}: not UTF-8 text "
                               f"(byte 0x{data[exc.start]:02x})") from exc
-    values = {}
+    values, set_by = {}, {}
     for lineno, line in enumerate(io.StringIO(content, newline=None), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -540,41 +517,29 @@ def parse_config_file(path: str) -> dict:
         key, raw = (part.strip() for part in text.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in values:
-            raise ValidationError(f"{path}:{lineno}: duplicate config key {key!r}")
+        field, parse = CONFIG_KEYS[key]
+        if field in set_by:
+            other = set_by[field]
+            raise ValidationError(f"{path}:{lineno}: " + (
+                f"duplicate config key {key!r}" if other == key else
+                f"{key!r} and {other!r} both set {field}; give one of them"))
+        set_by[field] = key
         try:
-            values[key] = _parse_value(key, raw)
+            values[field] = parse(raw)
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {key} = {raw!r}: {exc}") from exc
     return values
 
 
 def experiment_from_file(path: str, seed: int | None = None) -> ExperimentConfig:
+    """The experiment a config file describes; `seed` overrides its `seed` key."""
     values = parse_config_file(path)
-    for required in ("players", "nodes", "strategies"):
-        if required not in values:
-            raise ValidationError(f"{path}: missing required key {required!r}")
-    for arm in ("", "_b"):       # raw efficiencies are normalized into strengths
-        if f"efficiencies{arm}" in values:
-            if f"strengths{arm}" in values:
-                raise ValidationError(
-                    f"{path}: give strengths{arm} or efficiencies{arm}, not both")
-            values[f"strengths{arm}"] = tuple(float(w) for w in (
-                StrengthDistribution.from_efficiencies(values[f"efficiencies{arm}"]).weights))
-    return ExperimentConfig(
-        players=values["players"],
-        nodes=values["nodes"],
-        strategies=values["strategies"],
-        signals=values.get("signals"),
-        lambda_grid=values.get("lambda_grid"),
-        strengths=values.get("strengths", "uniform"),
-        strengths_b=values.get("strengths_b"),
-        gamma=values.get("gamma", 20.0),
-        iterations=values.get("iterations", 2000),
-        t_max=values.get("t_max", 5000),
-        window=values.get("window", 200),
-        check_every=values.get("check_every", 100),
-        realizations=values.get("realizations", 25),
-        measurement=values.get("measurement", "final-profile"),
-        master_seed=seed if seed is not None else values.get("seed", 0),
-    )
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in values:
+            raise ValidationError(f"{path}: missing required key {f.name!r}")
+    if seed is not None:
+        values["master_seed"] = seed
+    try:
+        return ExperimentConfig(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

@@ -39,6 +39,14 @@ PURITY_THRESHOLD = 0.999
 _OWN_SWAP = np.array([0, 1])  # a node's occupancy after a swap: N_r if it is played, else N_r + 1
 
 
+def _check_rates(gamma) -> np.ndarray:
+    """gamma as a float array, after checking every rate is finite and >= 0."""
+    rates = np.asarray(gamma, dtype=float)
+    if not np.all((0.0 <= rates) & (rates < np.inf)):
+        raise ValidationError("learning rates must be finite and >= 0")
+    return rates
+
+
 @dataclass
 class LearningConfig:
     """Knobs of an iterated run; gamma may be a scalar or one rate per player."""
@@ -47,9 +55,7 @@ class LearningConfig:
     iterations: int = 2000
 
     def __post_init__(self):
-        rates = np.asarray(self.gamma, dtype=float)
-        if not np.all((0.0 <= rates) & (rates < np.inf)):
-            raise ValidationError("learning rates must be finite and >= 0")
+        _check_rates(self.gamma)
 
 
 class LearnerState:
@@ -64,9 +70,7 @@ class LearnerState:
 
     @classmethod
     def initial(cls, config: GameConfig, gamma=DEFAULT_LEARNING_RATE) -> "LearnerState":
-        rates = np.broadcast_to(np.asarray(gamma, dtype=float), (config.players,)).copy()
-        if not np.all((0.0 <= rates) & (rates < np.inf)):
-            raise ValidationError("learning rates must be finite and >= 0")
+        rates = np.broadcast_to(_check_rates(gamma), (config.players,)).copy()
         return cls(np.zeros((config.players, config.strategies_per_player)), rates)
 
     def profile(self) -> MixedProfile:
@@ -132,8 +136,9 @@ class RunResult:
 def softmax_probabilities(scores, gamma: float) -> np.ndarray:
     """exp(gamma * U_s) / sum, computed max-shifted so large scores never overflow."""
     scores = np.asarray(scores, dtype=float)
-    if not 0.0 <= gamma < np.inf or not np.all(np.isfinite(scores)):
-        raise ValidationError("gamma must be finite and >= 0, scores finite")
+    _check_rates(gamma)
+    if not np.all(np.isfinite(scores)):
+        raise ValidationError("scores must be finite")
     return _softmax(scores[None, :, None], gamma)[0, :, 0]
 
 

@@ -53,13 +53,15 @@ def reference_iterate(state, c, simplex, config, rng):
 
 def reference_execute(exp, points):
     """The per-realization sweep task: set up, one `learning.run`, measure."""
-    spec = harness._strengths_spec(exp.strengths, exp.nodes)
     rows = []
     for li, m in points:
         for k in range(exp.realizations):
             seed = child_seed(exp.master_seed, li, k)
             rng = np.random.default_rng(seed)
-            y = harness._resolve_strengths(spec, exp.nodes, rng)
+            if exp.strengths == "random":
+                y = StrengthDistribution.random_proper(exp.nodes, rng)
+            else:
+                y = StrengthDistribution(exp.strengths)
             config = GameConfig(players=exp.players, nodes=exp.nodes, signals=m,
                                 strategies_per_player=exp.strategies, strengths=y)
             simplex = build_simplex(y)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -164,6 +165,33 @@ def test_bad_config_value_exits_one_with_location(tmp_path, capsys, line, lineno
     assert f"{bad}:{lineno}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,where", [
+    (SWEEP_CFG + "measurement = median\n", ""),
+    (SWEEP_CFG + "strengths = 0.5,0.3,0.2\n", ""),    # three weights, two nodes
+    (SWEEP_CFG.replace("t_max = 400", "t_max = 50"), ""),
+    (SWEEP_CFG + "strengths = uniform\nefficiencies = 1,2\n", ":10"),
+], ids=["measurement", "strengths-count", "t_max-below-window", "strengths-and-efficiencies"])
+def test_bad_experiment_exits_one_naming_the_file(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}{where}: ") and "Traceback" not in err
+
+
+def test_bad_second_arm_exits_one_before_any_play(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cmp.cfg"
+    cfg.write_text(SWEEP_CFG + "strengths_b = 0.2,0.2\n")
+
+    def no_play(*args):
+        raise AssertionError("a sweep was played before the second arm was checked")
+    monkeypatch.setattr(harness, "_execute", no_play)
+    assert main(["compare-strengths", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {cfg}: strengths_b: strengths must sum to 1 (got 0.4)\n"
+
+
 def test_non_utf8_config_exits_one_with_location(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(b"players = 5\nnodes = 2\nstrategies = \xff2\n")
@@ -242,8 +270,19 @@ def test_removed_snapshot_stride_key_exits_one_with_location(tmp_path, capsys):
 def test_readme_config_table_lists_exactly_the_config_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `(\w+)` ", section, flags=re.MULTILINE)
-    assert sorted(rows) == sorted(harness.CONFIG_KEYS)
+    rows = re.findall(r"^\| `(\w+)` +\|[^|]*\| (.*?) *\|$", section, flags=re.MULTILINE)
+    assert sorted(key for key, _ in rows) == sorted(harness.CONFIG_KEYS)
+    defaults = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig)}
+    for key, cell in rows:   # the default column shows the dataclass default
+        field, parse = harness.CONFIG_KEYS[key]
+        if key != field and field in harness.CONFIG_KEYS:
+            assert cell == "-", key   # another spelling of a field: no default of its own
+        elif defaults[field] is dataclasses.MISSING:
+            assert cell == "required", key
+        elif defaults[field] is None:
+            assert cell == "-", key
+        else:
+            assert parse(cell.strip("`")) == defaults[field], key
 
 
 def test_fresh_cli_import_loads_no_scipy():

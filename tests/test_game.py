@@ -37,8 +37,9 @@ def test_training_parameter_is_derived():
 
 
 def test_config_from_efficiencies():
-    cfg = GameConfig.from_efficiencies(players=50, signals=10, strategies_per_player=2,
-                                       efficiencies=(1.06, 3.91, 11.0, 14.1))
+    y = StrengthDistribution.from_efficiencies((1.06, 3.91, 11.0, 14.1))
+    cfg = GameConfig(players=50, nodes=y.node_count, signals=10, strategies_per_player=2,
+                     strengths=y)
     assert cfg.nodes == 4
     assert cfg.strengths.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert cfg.strengths.weights[3] == pytest.approx(14.1 / 30.07)

@@ -12,6 +12,7 @@ from simplexgame import (ExperimentConfig, GameConfig, LearningConfig,
                          experiment_from_file, export_sweep, export_trajectory,
                          measure_steady_state, run, single_run, sweep,
                          verify_reduction)
+from simplexgame import harness
 from simplexgame.harness import (CONFIG_KEYS, config_hash, parse_config_file,
                                  parse_lambda_grid, semantic_config, signals_for,
                                  sweep_data_csv, sweep_summary_csv)
@@ -309,8 +310,20 @@ def test_parse_config_rejects_unknown_and_duplicate_keys(tmp_path):
         parse_config_file(str(bad))
     dup = tmp_path / "dup.cfg"
     dup.write_text("players = 5\nplayers = 6\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"dup\.cfg:2: duplicate config key 'players'"):
         parse_config_file(str(dup))
+    both = tmp_path / "both.cfg"   # two keys for one field
+    both.write_text("players = 5\nefficiencies_b = 1,2\nstrengths_b = uniform\n")
+    with pytest.raises(ValidationError, match=r"both\.cfg:3: 'strengths_b' and "
+                                              r"'efficiencies_b' both set strengths_b"):
+        parse_config_file(str(both))
+
+
+def test_config_file_defaults_are_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "minimal.cfg"
+    path.write_text("players = 7\nnodes = 3\nstrategies = 2\n")
+    assert experiment_from_file(str(path)) == ExperimentConfig(players=7, nodes=3,
+                                                              strategies=2)
 
 
 def test_config_efficiencies_normalized(tmp_path):
@@ -350,8 +363,9 @@ def test_single_run_uses_seeded_strengths(tmp_path):
 
 
 def test_experiment_validation():
-    with pytest.raises(ValidationError):
-        tiny_sweep_config(realizations=0)
+    for name in ("players", "strategies", "signals", "realizations"):
+        with pytest.raises(ValidationError, match=f"^{name} must be >= 1"):
+            tiny_sweep_config(**{name: 0})
     with pytest.raises(ValidationError):
         tiny_sweep_config(t_max=50, window=100)
     with pytest.raises(ValidationError):
@@ -365,6 +379,33 @@ def test_experiment_validation():
                 dict(gamma=float("inf")), dict(gamma=-1.0)):
         with pytest.raises(ValidationError):
             tiny_sweep_config(**bad)
+    # strengths are checked when the experiment is built, and the error names the field
+    for field, value in (("strengths", (0.5, 0.6)), ("strengths", (0.2, 0.3, 0.5)),
+                         ("strengths", (float("nan"), 0.5)), ("strengths", "even"),
+                         ("strengths_b", (0.2, 0.2))):
+        with pytest.raises(ValidationError, match=f"^{field}: "):
+            tiny_sweep_config(**{field: value})
+    with pytest.raises(ValidationError) as err:
+        tiny_sweep_config(strengths_b=(0.2, 0.2))
+    assert str(err.value) == "strengths_b: strengths must sum to 1 (got 0.4)"
+
+
+def test_strengths_normalized_at_construction():
+    exp = tiny_sweep_config(nodes=4, strengths=None, strengths_b=[0.1, 0.2, 0.3, 0.4])
+    assert exp.strengths == (0.25, 0.25, 0.25, 0.25)
+    assert exp.strengths_b == (0.1, 0.2, 0.3, 0.4)
+    y = StrengthDistribution(np.array([0.5, 0.25, 0.25]))
+    assert tiny_sweep_config(nodes=3, strengths=y).strengths == (0.5, 0.25, 0.25)
+    assert tiny_sweep_config(strengths="random").strengths == "random"
+    assert tiny_sweep_config().strengths_b is None
+
+
+def test_bad_second_arm_fails_before_any_play(monkeypatch):
+    def no_play(*args):
+        raise AssertionError("a sweep was played before the second arm was checked")
+    monkeypatch.setattr(harness, "_execute", no_play)
+    with pytest.raises(ValidationError, match="sum to 1"):
+        compare_strengths(tiny_sweep_config(), strengths_b=(0.2, 0.2))
 
 
 _NUMBER = st.one_of(st.integers().map(str),
