@@ -86,20 +86,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _play(args, command):
+    """command(experiment of args.config), whose ValidationErrors name the file too."""
     exp = harness.experiment_from_file(args.config, seed=args.seed)
-    result = harness.single_run(exp)
+    try:
+        return command(exp)
+    except ValidationError as exc:
+        raise type(exc)(f"{args.config}: {exc}") from exc
+
+
+def _cmd_run(args) -> int:
+    result = _play(args, harness.single_run)
     harness.export_trajectory(result.trajectory, args.out)
     if args.dump_simplex:
         with open(args.dump_simplex, "w") as fh:
             json.dump(debug_dict(result.simplex), fh, indent=2, sort_keys=True)
-    print(f"wrote {result.trajectory.length} iterations to {args.out}")
+    print(f"wrote {len(result.trajectory)} iterations to {args.out}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    exp = harness.experiment_from_file(args.config, seed=args.seed)
-    result = harness.sweep(exp)
+    result = _play(args, harness.sweep)
     written = harness.export_sweep(result, args.out, args.format)
     print(f"wrote {', '.join(written)} (config hash {result.config_hash[:12]})")
     return 0
@@ -148,11 +155,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_paired(args) -> int:
-    exp = harness.experiment_from_file(args.config, seed=args.seed)
-    if args.command == "compare-strengths":
-        result = harness.compare_strengths(exp)
-    else:
-        result = harness.verify_reduction(exp)
+    result = _play(args, harness.compare_strengths if args.command == "compare-strengths"
+                   else harness.verify_reduction)
     harness._write_text(args.out, harness.csv_text(
         "lambda,mean_A,mean_B,gap,pooled_se",
         ((row.realized_lambda, row.mean_a, row.mean_b, row.gap, row.pooled_se)

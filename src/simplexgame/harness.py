@@ -67,7 +67,7 @@ class ExperimentConfig:
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         ConvergenceSettings(window=self.window, check_every=self.check_every)  # validates
-        LearningConfig(gamma=self.gamma)  # validates
+        LearningConfig(gamma=self.gamma, iterations=self.iterations)  # validates
         if self.t_max < self.window:
             raise ValidationError("t_max must be >= window")
         if self.measurement not in MEASUREMENT_MODES:
@@ -135,7 +135,7 @@ def measure_steady_state(state: LearnerState, c: StrategyMatrix, simplex: Simple
     if mode == "final-profile":
         return expected_frustration(c, state.profile(), simplex, config)
     if mode == "windowed-trace":
-        if trajectory is None or trajectory.length == 0:
+        if trajectory is None or len(trajectory) == 0:
             raise ValidationError("windowed-trace mode needs a non-empty trajectory")
         return float(trajectory.frustrations[-window:].mean())
     raise ValidationError(f"measurement must be one of {MEASUREMENT_MODES}")
@@ -308,12 +308,11 @@ def _pair(result_a: SweepResult, result_b: SweepResult, k: int) -> list:
             for sa, sb in zip(result_a.summary, result_b.summary)]
 
 
-def compare_strengths(exp: ExperimentConfig, strengths_b=None) -> ComparisonResult:
-    """Paired-seed sweeps of the same game under two strength distributions."""
-    spec_b = strengths_b if strengths_b is not None else exp.strengths_b
-    if spec_b is None:
+def compare_strengths(exp: ExperimentConfig) -> ComparisonResult:
+    """Paired-seed sweeps of the same game under `strengths` and `strengths_b`."""
+    if exp.strengths_b is None:
         raise ValidationError("compare_strengths needs a second strength distribution")
-    exp_b = replace(exp, strengths=spec_b, strengths_b=None)  # checked before any play
+    exp_b = replace(exp, strengths=exp.strengths_b, strengths_b=None)  # checked before any play
     result_a = sweep(exp)
     result_b = sweep(exp_b)
     return ComparisonResult(result_a, result_b, _pair(result_a, result_b, exp.realizations))
@@ -419,7 +418,7 @@ def export_sweep(result: SweepResult, path: str, fmt: str = "csv") -> list:
 
 def trajectory_csv(trajectory: Trajectory) -> str:
     return csv_text("t,m,R_t,purity", zip(
-        range(trajectory.length), trajectory.signals.tolist(),
+        range(len(trajectory)), trajectory.signals.tolist(),
         trajectory.frustrations.tolist(), trajectory.purities.tolist()))
 
 
@@ -430,14 +429,13 @@ def export_trajectory(trajectory: Trajectory, path: str) -> None:
 # ---------------------------------------------------------------------------
 # single runs (trace plots)
 
-def single_run(exp: ExperimentConfig, matrix: StrategyMatrix | None = None
-               ) -> learning.RunResult:
+def single_run(exp: ExperimentConfig) -> learning.RunResult:
     """One seeded trajectory: resolve strengths, draw the matrix, iterate."""
     if exp.signals is None:
         raise ValidationError("single runs need an explicit signal count")
     rng = np.random.default_rng(exp.master_seed)
     learn = LearningConfig(gamma=exp.gamma, iterations=exp.iterations)
-    return learning.run(_draw_game(exp, exp.signals, rng), learn, rng, matrix=matrix)
+    return learning.run(_draw_game(exp, exp.signals, rng), learn, rng)
 
 
 # ---------------------------------------------------------------------------

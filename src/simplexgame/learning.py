@@ -7,13 +7,14 @@ space as (1 - N'_r / (y_r N)) / M with N'_r the occupancy of the strategy's
 node r after the player's own swap.  Only `reward_vector` still reads the
 simplex vertices.  Scores feed back into the softmax.
 
-One kernel, `lockstep_round`, plays a round of K independent realizations at
-once on stacked (K, S, N) scores and probabilities.  Realizations of a batch
-share N, S and B but may differ in M and strengths, and each draws from its
+`Lockstep`, the only play state, holds (K, S, N) scores and probabilities of
+K realizations, all starting at zero scores; `lockstep_round` plays one round
+of all of them per call.  Realizations of a batch share N, S, B and the
+learning rates but may differ in M and strengths, and each draws from its
 own generator in the order a lone run would, so its trajectory does not
 depend on what else shares the batch.  `run_lockstep` plays a batch until
-every realization has stopped, dropping each from the working arrays when it
-does; `run` is a batch of one.
+every realization has stopped, and writes a realization's frozen
+`LearnerState` and `Trajectory` once, when it stops; `run` is a batch of one.
 
 A realization stops at a check, every check_every rounds once 2 * window
 rounds are recorded, when the kernel's purity after that round (min over
@@ -36,6 +37,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_LEARNING_RATE = 20.0
 PURITY_THRESHOLD = 0.999
+_ROW_BYTES = 24  # a recorded round: one int64 signal and two float64 values
 _OWN_SWAP = np.array([0, 1])  # a node's occupancy after a swap: N_r if it is played, else N_r + 1
 
 
@@ -56,60 +58,32 @@ class LearningConfig:
 
     def __post_init__(self):
         _check_rates(self.gamma)
+        if self.iterations < 0:
+            raise ValidationError("iterations must be >= 0")
 
 
+@dataclass(frozen=True, eq=False)
 class LearnerState:
-    """Per-player scores and softmax probabilities: a run's start and final state."""
+    """A finished run's per-player (N, S) scores and softmax probabilities."""
 
-    def __init__(self, scores, learning_rates, iteration=0):
-        # strategy-major layout: reductions over S run as length-N vector operations
-        self.scores = np.asarray(scores, dtype=float, order="F")
-        self.learning_rates = np.asarray(learning_rates, dtype=float)
-        self.iteration = int(iteration)
-        self.probabilities = _softmax(self.scores.T[None], self.learning_rates)[0].T
-
-    @classmethod
-    def initial(cls, config: GameConfig, gamma=DEFAULT_LEARNING_RATE) -> "LearnerState":
-        rates = np.broadcast_to(_check_rates(gamma), (config.players,)).copy()
-        return cls(np.zeros((config.players, config.strategies_per_player)), rates)
+    scores: np.ndarray
+    probabilities: np.ndarray
+    iteration: int
 
     def profile(self) -> MixedProfile:
         return MixedProfile(self.probabilities.copy())
 
 
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Per-iteration record of (signal, instantaneous frustration, purity)."""
 
-    ROW_BYTES = 24  # one int64 signal and two float64 values per iteration
-
-    def __init__(self, capacity: int):
-        self._signals = np.empty(capacity, dtype=np.int64)
-        self._frustrations = np.empty(capacity, dtype=float)
-        self._purities = np.empty(capacity, dtype=float)
-        self.length = 0
-
-    def extend(self, signals, frustrations, purities) -> None:
-        """Append a block of consecutive iterations."""
-        i, j = self.length, self.length + len(signals)
-        self._signals[i:j] = signals
-        self._frustrations[i:j] = frustrations
-        self._purities[i:j] = purities
-        self.length = j
+    signals: np.ndarray
+    frustrations: np.ndarray
+    purities: np.ndarray
 
     def __len__(self) -> int:
-        return self.length
-
-    @property
-    def signals(self) -> np.ndarray:
-        return self._signals[: self.length]
-
-    @property
-    def frustrations(self) -> np.ndarray:
-        return self._frustrations[: self.length]
-
-    @property
-    def purities(self) -> np.ndarray:
-        return self._purities[: self.length]
+        return len(self.signals)
 
 
 @dataclass
@@ -180,18 +154,20 @@ def reward_vector(c: StrategyMatrix, inst: PureInstance, realized_b: np.ndarray,
 class Lockstep:
     """Working arrays of K realizations that share N, S and B, played in lockstep.
 
-    Scores and probabilities are (K, S, N).  Realization k's signal-major
-    table is rows offsets[k] .. offsets[k] + M_k of `tables`, one (sum M, N, S)
-    uint8 array, and it plays from its own generator rngs[k].  `games` are
-    (config, matrix, simplex, rng) tuples matching `states`.
+    `games` are (config, matrix, simplex, rng) tuples.  Scores start at zero
+    and probabilities uniform, both (K, S, N); every row learns at the rates
+    gamma (a scalar or one per player), one (1, 1, N) array.  Realization k's
+    signal-major table is rows offsets[k] .. offsets[k] + M_k of `tables`, one
+    (sum M, N, S) uint8 array, and it plays from its own generator rngs[k].
     """
 
-    def __init__(self, states: list, games: list):
-        self.scores = np.stack([state.scores.T for state in states])
-        self.probabilities = np.stack([state.probabilities.T for state in states])
-        self.rates = np.stack([state.learning_rates for state in states])[:, None, :]
+    def __init__(self, games: list, gamma=DEFAULT_LEARNING_RATE):
         bases = [matrix.entries.transpose(2, 0, 1) for _, matrix, _, _ in games]
         self.tables = bases[0] if len(bases) == 1 else np.concatenate(bases)
+        _, n, strategies = self.tables.shape
+        self.scores = np.zeros((len(games), strategies, n))
+        self.rates = np.broadcast_to(_check_rates(gamma), (1, 1, n))
+        self.probabilities = _softmax(self.scores, self.rates)
         self.signal_counts = [config.signals for config, _, _, _ in games]
         self.offsets = np.cumsum([0] + self.signal_counts[:-1])
         self.signals = np.array(self.signal_counts, dtype=float)[:, None, None]
@@ -212,7 +188,6 @@ class Lockstep:
         """Drop every working row not in `rows` (indices in the current order)."""
         self.scores = self.scores[rows]
         self.probabilities = self.probabilities[rows]
-        self.rates = self.rates[rows]
         self.offsets = self.offsets[rows]
         self.signals = self.signals[rows]
         self.inv_y = self.inv_y[rows]
@@ -295,12 +270,10 @@ def run_lockstep(games: list, learn: LearningConfig,
     Every game starts from the uniform state and plays up to learn.iterations
     rounds.  Each stops on its own when a check (every check_every rounds
     once 2 * window rounds are recorded) finds its purity at or above
-    PURITY_THRESHOLD; its final state is copied out and it leaves the working
+    PURITY_THRESHOLD; its record is written then and it leaves the working
     arrays.  The games must share N, S and B; matrices must fit their configs, and
     each simplex must be built from its config's strengths.
     """
-    if learn.iterations < 0:
-        raise ValidationError("iterations must be >= 0")
     shapes = {(c.players, c.strategies_per_player, c.nodes) for c, _, _, _ in games}
     if len(shapes) != 1:
         raise ValidationError(f"lockstep games must share N, S and B, got {sorted(shapes)}")
@@ -309,49 +282,49 @@ def run_lockstep(games: list, learn: LearningConfig,
                for c, _, s, _ in games):
         raise ValidationError("a game's simplex strengths differ from its config's strengths")
     total, iterations = len(games), learn.iterations
-    check_allocation(total * iterations * Trajectory.ROW_BYTES,
+    check_allocation(total * iterations * _ROW_BYTES,
                      f"{total} trajectories of {iterations} iterations")
-    states = [LearnerState.initial(config, learn.gamma) for config, _, _, _ in games]
-    trajectories = [Trajectory(iterations) for _ in games]
-    converged = [False] * total
-    batch = Lockstep(states, games)
+    batch = Lockstep(games, learn.gamma)
+    # row k holds game k's recorded rounds
+    signals, frustrations, purities = (np.empty((total, iterations), dtype=dtype)
+                                       for dtype in (np.int64, float, float))
+    results = [None] * total
     active = np.arange(total)   # game index of each working row
 
-    def settle(j: int, rounds: int) -> None:
+    def settle(j: int, rounds: int, converged: bool) -> None:
         k = active[j]
-        states[k].scores = batch.scores[j].copy().T
-        states[k].probabilities = batch.probabilities[j].copy().T
-        states[k].iteration = rounds
+        _, matrix, simplex, _ = games[k]
+        results[k] = RunResult(
+            LearnerState(batch.scores[j].T.copy(), batch.probabilities[j].T.copy(), rounds),
+            Trajectory(signals[k, :rounds], frustrations[k, :rounds], purities[k, :rounds]),
+            matrix, simplex, converged)
 
-    # rounds between checks are recorded round-major, then appended per game
+    # rounds between checks are played round-major, then written per record
     every = convergence.check_every if convergence is not None else max(iterations, 1)
     for start in range(0, iterations, every):
         end = min(start + every, iterations)
-        signals, squares, purities = (np.empty((end - start, active.size), dtype=dtype)
-                                      for dtype in (np.int64, float, float))
+        m, squares, purity = (np.empty((end - start, active.size), dtype=dtype)
+                              for dtype in (np.int64, float, float))
         for t in range(end - start):
-            signals[t], _, squares[t], purities[t] = lockstep_round(batch)
-        frustrations = _frustration(squares, n, nodes)
-        for j, k in enumerate(active):
-            trajectories[k].extend(signals[:, j], frustrations[:, j], purities[:, j])
+            m[t], _, squares[t], purity[t] = lockstep_round(batch)
+        signals[active, start:end] = m.T
+        frustrations[active, start:end] = _frustration(squares, n, nodes).T
+        purities[active, start:end] = purity.T
         # the 2 * window gate stays: with the cadence it fixes each row's iterations
         if convergence is None or end % every or end < 2 * convergence.window:
             continue
-        pure = purities[-1] >= PURITY_THRESHOLD
-        for j in np.flatnonzero(pure):
-            converged[active[j]] = True
-            settle(j, end)
+        pure = purity[-1] >= PURITY_THRESHOLD
         if pure.any():
+            for j in np.flatnonzero(pure):
+                settle(j, end, True)
             kept = np.flatnonzero(~pure)
             active = active[kept]
             if not active.size:
                 break
             batch.keep(kept)
     for j in range(active.size):
-        settle(j, iterations)
-    return [RunResult(state, traj, matrix, simplex, done)
-            for state, traj, (_, matrix, simplex, _), done
-            in zip(states, trajectories, games, converged)]
+        settle(j, iterations, False)
+    return results
 
 
 def replicator_flow(c: StrategyMatrix, p: MixedProfile, simplex: Simplex,
@@ -415,7 +388,5 @@ def random_baseline(config: GameConfig, seed, iterations: int) -> Trajectory:
     picks = rng.choice(b_nodes, size=(iterations, n), p=config.strengths.weights)
     counts = np.zeros((iterations, b_nodes))
     np.add.at(counts, (np.arange(iterations)[:, None], picks), 1.0)
-    r_t = (counts**2 @ (1.0 / config.strengths.weights) - n * n) / (n * (b_nodes - 1))
-    traj = Trajectory(iterations)
-    traj.extend(np.full(iterations, -1), r_t, np.full(iterations, np.nan))
-    return traj
+    r_t = _frustration(counts**2 @ (1.0 / config.strengths.weights), n, b_nodes)
+    return Trajectory(np.full(iterations, -1), r_t, np.full(iterations, np.nan))

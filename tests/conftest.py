@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from simplexgame import GameConfig, StrengthDistribution, build_simplex, draw_strategy_matrix
-from simplexgame.learning import _frustration, lockstep_round
+from simplexgame.learning import DEFAULT_LEARNING_RATE, _frustration, lockstep_round
 
 
 def random_proper_strengths(rng, nodes, alpha=5.0):
@@ -28,6 +30,16 @@ def random_profile(rng, players, strategies):
     rows = rng.dirichlet(np.ones(strategies), size=players)
     from simplexgame import MixedProfile
     return MixedProfile(rows)
+
+
+def reference_state(config, gamma=DEFAULT_LEARNING_RATE):
+    """The uniform start a per-realization reference round updates in place:
+    (N, S) scores and probabilities, one learning rate per player, the round count."""
+    n, strategies = config.players, config.strategies_per_player
+    return SimpleNamespace(scores=np.zeros((n, strategies)),
+                           probabilities=np.full((n, strategies), 1.0 / strategies),
+                           learning_rates=np.broadcast_to(gamma, (n,)).astype(float),
+                           iteration=0)
 
 
 def play_round(batch, config):

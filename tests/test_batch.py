@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from simplexgame import (ConvergenceSettings, ExperimentConfig, GameConfig,
-                         LearnerState, LearningConfig, StrengthDistribution,
+                         LearningConfig, StrengthDistribution,
                          ValidationError, build_simplex, draw_strategy_matrix,
                          harness, learning, run, sweep, verify_reduction)
 from simplexgame.harness import (RealizationRow, child_seed, measure_steady_state,
                                  sweep_data_csv, sweep_json, sweep_summary_csv)
 from simplexgame.learning import Lockstep
 
-from conftest import play_round
+from conftest import play_round, reference_state
 
 
 def _reference_softmax_rows(scores, gammas):
@@ -93,10 +93,9 @@ def _game(players, nodes, signals, strategies, seed):
 ])
 def test_iterate_matches_reference_round(players, nodes, signals, strategies):
     config, simplex, c = _game(players, nodes, signals, strategies, 3)
-    state = LearnerState.initial(config, gamma=np.linspace(5.0, 25.0, players))
-    ref = LearnerState.initial(config, gamma=np.linspace(5.0, 25.0, players))
+    ref = reference_state(config, gamma=np.linspace(5.0, 25.0, players))
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    batch = Lockstep([state], [(config, c, simplex, rng)])
+    batch = Lockstep([(config, c, simplex, rng)], gamma=np.linspace(5.0, 25.0, players))
     for t in range(300):
         signal, r_t, purity, counts = play_round(batch, config)
         want = reference_iterate(ref, c, simplex, config, ref_rng)
@@ -114,7 +113,7 @@ def _bytes(a):
 def test_run_trajectory_matches_reference():
     config, simplex, c = _game(20, 3, 10, 2, 5)
     result = run(config, LearningConfig(iterations=120), 9, matrix=c, simplex=simplex)
-    ref = LearnerState.initial(config)
+    ref = reference_state(config)
     rng = np.random.default_rng(9)
     records = [reference_iterate(ref, c, simplex, config, rng) for _ in range(120)]
     traj = result.trajectory

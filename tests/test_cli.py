@@ -179,6 +179,25 @@ def test_bad_experiment_exits_one_naming_the_file(tmp_path, capsys, text, where)
     assert err.startswith(f"error: {bad}{where}: ") and "Traceback" not in err
 
 
+NO_GRID = SWEEP_CFG.replace("lambda_grid = 0.5,1\n", "")
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("sweep", NO_GRID, "sweep needs a lambda_grid"),
+    ("verify-reduction", NO_GRID, "verify_reduction needs a lambda_grid"),
+    ("run", RUN_CFG.replace("signals = 2\n", ""), "single runs need an explicit signal count"),
+    ("compare-strengths", SWEEP_CFG, "compare_strengths needs a second strength distribution"),
+    ("run", RUN_CFG.replace("iterations = 300", "iterations = -5"), "iterations must be >= 0"),
+], ids=["sweep-no-grid", "reduction-no-grid", "run-no-signals", "compare-no-second-arm",
+        "negative-iterations"])
+def test_error_after_reading_the_config_names_it_once(tmp_path, capsys, command, text,
+                                                      message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
 def test_bad_second_arm_exits_one_before_any_play(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cmp.cfg"
     cfg.write_text(SWEEP_CFG + "strengths_b = 0.2,0.2\n")
@@ -267,9 +286,11 @@ def test_removed_snapshot_stride_key_exits_one_with_location(tmp_path, capsys):
     assert f"{bad}:7:" in err and "unknown config key 'snapshot_stride'" in err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_config_table_lists_exactly_the_config_keys():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+    section = README.read_text().split("### Config files", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` +\|[^|]*\| (.*?) *\|$", section, flags=re.MULTILINE)
     assert sorted(key for key, _ in rows) == sorted(harness.CONFIG_KEYS)
     defaults = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig)}
@@ -283,6 +304,14 @@ def test_readme_config_table_lists_exactly_the_config_keys():
             assert cell == "-", key
         else:
             assert parse(cell.strip("`")) == defaults[field], key
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text().split("## Library example", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
+    exec(compile(code, str(README), "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2 and all(np.isfinite(float(value)) for value in printed)
 
 
 def test_fresh_cli_import_loads_no_scipy():

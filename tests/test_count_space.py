@@ -8,13 +8,14 @@ The count-space code must reproduce them on the same rng stream.
 import numpy as np
 import pytest
 
-from simplexgame import (GameConfig, LearnerState, MixedProfile,
+from simplexgame import (GameConfig, MixedProfile,
                          StrengthDistribution, build_simplex,
                          draw_strategy_matrix, expected_frustration, frustration,
                          strategy_payoffs)
 from simplexgame.learning import Lockstep
 
-from conftest import play_round, random_profile, random_proper_strengths, small_instance
+from conftest import (play_round, random_profile, random_proper_strengths, reference_state,
+                      small_instance)
 
 ROUNDS = 500
 TOL = 1e-12
@@ -99,9 +100,9 @@ SHAPES = [
 def test_iterate_matches_vertex_route(players, nodes, signals, strategies,
                                       random_strengths):
     config, simplex, c = _game(players, nodes, signals, strategies, random_strengths, 5)
-    ref = LearnerState.initial(config)
+    ref = reference_state(config)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    batch = Lockstep([LearnerState.initial(config)], [(config, c, simplex, rng)])
+    batch = Lockstep([(config, c, simplex, rng)])
     for _ in range(ROUNDS):
         signal, frustration_t, _, counts_t = play_round(batch, config)
         m, counts, r_t = reference_iterate(ref, c, simplex, config, ref_rng)

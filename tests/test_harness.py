@@ -405,7 +405,11 @@ def test_bad_second_arm_fails_before_any_play(monkeypatch):
         raise AssertionError("a sweep was played before the second arm was checked")
     monkeypatch.setattr(harness, "_execute", no_play)
     with pytest.raises(ValidationError, match="sum to 1"):
-        compare_strengths(tiny_sweep_config(), strengths_b=(0.2, 0.2))
+        compare_strengths(tiny_sweep_config(strengths_b=(0.2, 0.2)))
+    exp = tiny_sweep_config(strengths_b="uniform")
+    exp.strengths_b = (0.2, 0.2)   # set after construction: checked as arm B is built
+    with pytest.raises(ValidationError, match="sum to 1"):
+        compare_strengths(exp)
 
 
 _NUMBER = st.one_of(st.integers().map(str),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simplexgame import (ConvergenceSettings, GameConfig, LearnerState,
+from simplexgame import (ConvergenceSettings, GameConfig,
                          LearningConfig, MixedProfile, PureInstance,
                          StrategyMatrix, StrengthDistribution, ValidationError,
                          build_simplex, draw_strategy_matrix, expected_frustration,
@@ -97,7 +97,7 @@ def test_softmax_no_overflow():
 
 def test_iterate_updates_are_consistent(rng):
     cfg, s, c = small_instance(rng, players=6, strategies=3)
-    batch = Lockstep([LearnerState.initial(cfg, gamma=7.0)], [(cfg, c, s, rng)])
+    batch = Lockstep([(cfg, c, s, rng)], gamma=7.0)
     for _ in range(30):
         play_round(batch, cfg)
         # probabilities always softmax-consistent with scores
@@ -108,7 +108,7 @@ def test_iterate_updates_are_consistent(rng):
 
 def test_iterate_single_strategy_is_repeated_play(rng):
     cfg, s, c = small_instance(rng, strategies=1)
-    batch = Lockstep([LearnerState.initial(cfg)], [(cfg, c, s, rng)])
+    batch = Lockstep([(cfg, c, s, rng)])
     for _ in range(5):
         _, _, purity, _ = play_round(batch, cfg)
     assert np.allclose(batch.probabilities, 1.0)
@@ -144,11 +144,15 @@ def test_learning_settings_validation():
             ConvergenceSettings(**bad)
     per_player = np.full(cfg.players, 20.0)
     per_player[3] = np.nan
+    rng = np.random.default_rng(0)
+    game = (cfg, draw_strategy_matrix(cfg, rng), build_simplex(cfg.strengths), rng)
     for gamma in (np.nan, np.inf, -1.0, per_player):
         with pytest.raises(ValidationError):
             LearningConfig(gamma=gamma)
         with pytest.raises(ValidationError):
-            LearnerState.initial(cfg, gamma)
+            Lockstep([game], gamma)
+    with pytest.raises(ValidationError, match="iterations must be >= 0"):
+        LearningConfig(iterations=-1)
     with pytest.raises(ValidationError):
         softmax_probabilities(np.array([1.0, 0.0]), np.nan)
 
@@ -223,7 +227,7 @@ def test_score_drift_matches_strategy_payoffs(rng):
     repeats = 20
     for k in range(repeats):
         stream = np.random.default_rng(1000 + k)
-        batch = Lockstep([LearnerState.initial(cfg, gamma=20.0)], [(cfg, c, s, stream)])
+        batch = Lockstep([(cfg, c, s, stream)], gamma=20.0)
         for _ in range(window):
             play_round(batch, cfg)
         drift += batch.scores[0].T
@@ -367,14 +371,20 @@ def test_early_stop_on_purity():
     assert result.trajectory.purities[-1] >= PURITY_THRESHOLD
 
 
+def _staggered_game(seed):
+    """(config, simplex, matrix) of a 30-player game; over seeds 0-7 the purity
+    stops under window 100 and check_every 50 fall at five different checks."""
+    return small_instance(np.random.default_rng(seed), players=30, nodes=5,
+                          signals=1 + 3 * (seed % 4), strategies=2)
+
+
 def test_stops_at_the_first_pure_check():
     # the stop read off a full-length run: the first check round t (a multiple
     # of check_every, t >= 2 * window) whose recorded purity reaches the threshold
     window, every, t_max = 100, 50, 1500
     games, expected = [], []
     for seed in range(8):
-        cfg, s, c = small_instance(np.random.default_rng(seed), players=30, nodes=5,
-                                   signals=1 + 3 * (seed % 4), strategies=2)
+        cfg, s, c = _staggered_game(seed)
         purities = run(cfg, LearningConfig(iterations=t_max), seed, matrix=c,
                        simplex=s).trajectory.purities
         checks = [t for t in range(2 * window, t_max + 1, every)
@@ -386,3 +396,24 @@ def test_stops_at_the_first_pure_check():
     assert [r.state.iteration for r in results] == expected
     assert [r.converged for r in results] == [t < t_max for t in expected]
     assert len(set(expected)) >= 3    # rows leave the batch at different checks
+
+
+def test_compacted_batch_keeps_every_rows_record():
+    # rows leave the batch at different checks, one plays to t_max; each row's
+    # record is the one its lone run writes, bit for bit
+    learn = LearningConfig(iterations=1500)
+    convergence = ConvergenceSettings(window=100, check_every=50)
+    instances = [_staggered_game(seed) for seed in range(8)]
+    batch = learning.run_lockstep([(cfg, c, s, np.random.default_rng(seed))
+                                   for seed, (cfg, s, c) in enumerate(instances)],
+                                  learn, convergence)
+    stops = [r.state.iteration for r in batch]
+    assert len(set(stops) - {learn.iterations}) >= 3 and learn.iterations in stops
+    for seed, ((cfg, s, c), got) in enumerate(zip(instances, batch)):
+        alone = run(cfg, learn, seed, matrix=c, simplex=s, convergence=convergence)
+        assert (got.state.iteration, got.converged) == (alone.state.iteration, alone.converged)
+        for name in ("signals", "frustrations", "purities"):
+            assert getattr(got.trajectory, name).tobytes() == \
+                getattr(alone.trajectory, name).tobytes()
+        assert got.state.scores.tobytes() == alone.state.scores.tobytes()
+        assert got.state.probabilities.tobytes() == alone.state.probabilities.tobytes()
