@@ -9,12 +9,18 @@ simplex vertices.  Scores feed back into the softmax.
 
 `Lockstep`, the only play state, holds (K, S, N) scores and probabilities of
 K realizations, all starting at zero scores; `lockstep_round` plays one round
-of all of them per call.  Realizations of a batch share N, S, B and the
-learning rates but may differ in M and strengths, and each draws from its
-own generator in the order a lone run would, so its trajectory does not
-depend on what else shares the batch.  `run_lockstep` plays a batch until
-every realization has stopped, and writes a realization's frozen
-`LearnerState` and `Trajectory` once, when it stops; `run` is a batch of one.
+of all of them per call, and `play_block` draws a block of rounds ahead and
+plays them.  Realizations of a batch share N, S, B and the learning rates
+but may differ in M and strengths, and each draws from its own generator in
+the order a lone run would, so its trajectory does not depend on what else
+shares the batch.  A block's draws are decoded from the PCG64 word stream
+(one `random_raw` call per realization and block) to the values that
+per-call `integers(M)` and `random(N)` give; any other bit generator, a
+draw that numpy would reject and redraw, or a numpy whose draws fail the
+decode's one-time self-check replays the block per call.  `run_lockstep`
+plays a batch until every realization has stopped, and writes a
+realization's frozen `LearnerState` and `Trajectory` once, when it stops;
+`run` is a batch of one.
 
 A realization stops at a check, every check_every rounds once 2 * window
 rounds are recorded, when the kernel's purity after that round (min over
@@ -23,6 +29,7 @@ is the only stopping rule: a run that never reaches it plays all its rounds.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -38,7 +45,10 @@ log = logging.getLogger(__name__)
 DEFAULT_LEARNING_RATE = 20.0
 PURITY_THRESHOLD = 0.999
 _ROW_BYTES = 24  # a recorded round: one int64 signal and two float64 values
-_OWN_SWAP = np.array([0, 1])  # a node's occupancy after a swap: N_r if it is played, else N_r + 1
+# rounds are drawn in blocks of at most 2**15 uniforms per realization, and
+# of fewer rounds once a batch would draw more than 2**20 uniforms per block
+_BLOCK_WORDS = 2**15
+_BATCH_WORDS = 2**20
 
 
 def _check_rates(gamma) -> np.ndarray:
@@ -151,6 +161,103 @@ def reward_vector(c: StrategyMatrix, inst: PureInstance, realized_b: np.ndarray,
     return -np.einsum("sd,sd->s", qm, shifted) / (config.signals * config.players)
 
 
+def _decode(bits: np.random.PCG64, signal_count: int, draws: np.ndarray):
+    """Decode a block of rounds from one `random_raw` call of a PCG64 generator.
+
+    Fills draws (T, N) with the uniforms and returns the T signals that T
+    rounds of integers(M) then random(N) would give, and leaves the generator
+    where those calls would: a uniform is (w >> 11) * 2^-53 of a 64-bit word
+    w; a signal is Lemire's multiply-shift of a 32-bit draw, and a word serves
+    its low half to one round's signal and buffers its high half
+    (has_uint32, uinteger) for the next.  M = 1 draws no signal.  Returns
+    None, with the generator restored, if any draw lands in Lemire's
+    rejection zone, where the per-call path draws again.
+    """
+    rounds, n = draws.shape
+    if signal_count == 1:
+        words = bits.random_raw(rounds * n).reshape(rounds, n)
+        np.multiply(words >> 11, 2.0**-53, out=draws)
+        return np.zeros(rounds, dtype=np.int64)
+    state = bits.state
+    lead = state["has_uint32"]   # the first round reads the buffered half
+    pairs, odd = divmod(rounds - lead, 2)
+    words = bits.random_raw(rounds * n + pairs + odd)
+    # after the lead round's N uniforms, two rounds share 2N + 1 words: their
+    # signal word, then each round's N uniforms; an odd last round takes N + 1
+    body = slice(lead * n, lead * n + pairs * (2 * n + 1))
+    paired = words[body][::2 * n + 1]
+    halves = np.empty(rounds, dtype=np.uint64)
+    halves[:lead] = state["uinteger"]
+    halves[lead:rounds - odd:2] = paired & 0xFFFFFFFF
+    halves[lead + 1:rounds - odd:2] = paired >> 32
+    halves[rounds - odd:] = words[body.stop:body.stop + odd] & 0xFFFFFFFF
+    scaled = halves * np.uint64(signal_count)
+    if ((scaled & 0xFFFFFFFF) < (2**32 - signal_count) % signal_count).any():
+        bits.state = state
+        return None
+    # the buffer keeps the high half of the last signal word, used or not
+    after = bits.state
+    after["has_uint32"] = odd
+    if pairs or odd:
+        after["uinteger"] = int(words[body.stop] if odd else paired[-1]) >> 32
+    bits.state = after
+
+    shifted = words >> 11
+    both = shifted[body].reshape(pairs, 2 * n + 1)
+    np.multiply(shifted[:body.start].reshape(lead, n), 2.0**-53, out=draws[:lead])
+    np.multiply(both[:, 1:n + 1], 2.0**-53, out=draws[lead:rounds - odd:2])
+    np.multiply(both[:, n + 1:], 2.0**-53, out=draws[lead + 1:rounds - odd:2])
+    np.multiply(shifted[body.stop + 1:].reshape(odd, n), 2.0**-53, out=draws[rounds - odd:])
+    return (scaled >> 32).astype(np.int64)
+
+
+def _replay(rng: np.random.Generator, signal_count: int, draws: np.ndarray) -> np.ndarray:
+    """The block drawn per call: integers(M), then random(N), round by round."""
+    signals = np.empty(len(draws), dtype=np.int64)
+    for t in range(len(draws)):
+        signals[t] = rng.integers(signal_count)
+        rng.random(out=draws[t])
+    return signals
+
+
+@functools.cache
+def _decode_checked() -> bool:
+    """Whether `_decode` gives this numpy's per-call draws; checked once per process."""
+    for signal_count, rounds in ((1, 3), (2, 5), (3, 4), (50, 1), (2000, 7)):
+        for buffered in (0, 1):
+            fast, slow = (np.random.Generator(np.random.PCG64(signal_count))
+                          for _ in range(2))
+            for rng in (fast, slow)[:2 * buffered]:
+                rng.integers(2)   # leaves the high half of a word buffered
+            got, want = np.empty((rounds, 3)), np.empty((rounds, 3))
+            signals = _decode(fast.bit_generator, signal_count, got)
+            expected = _replay(slow, signal_count, want)
+            if (signals is None or not np.array_equal(signals, expected)
+                    or got.tobytes() != want.tobytes()
+                    or fast.bit_generator.state != slow.bit_generator.state):
+                log.warning("bulk decode of PCG64 draws disagrees with numpy %s; "
+                            "drawing per call", np.__version__)
+                return False
+    return True
+
+
+def _draw_block(rng: np.random.Generator, signal_count: int, draws: np.ndarray) -> np.ndarray:
+    """T rounds' signals (T,) and uniforms, written to draws (T, N), from one generator.
+
+    The values and the generator's state afterwards are those of T rounds of
+    rng.integers(M) then rng.random(N).  A PCG64 stream is decoded in bulk;
+    any other bit generator, M >= 2^32 (numpy's 64-bit path), a draw in
+    Lemire's rejection zone or a failed self-check replays the block per call.
+    """
+    bits = rng.bit_generator
+    if type(bits) is np.random.PCG64 and signal_count < 2**32 and len(draws) \
+            and _decode_checked():
+        signals = _decode(bits, signal_count, draws)
+        if signals is not None:
+            return signals
+    return _replay(rng, signal_count, draws)
+
+
 class Lockstep:
     """Working arrays of K realizations that share N, S and B, played in lockstep.
 
@@ -165,8 +272,12 @@ class Lockstep:
         bases = [matrix.entries.transpose(2, 0, 1) for _, matrix, _, _ in games]
         self.tables = bases[0] if len(bases) == 1 else np.concatenate(bases)
         _, n, strategies = self.tables.shape
+        rates = _check_rates(gamma)
+        if rates.size != 1 and rates.shape != (n,):
+            raise ValidationError(f"gamma gives {rates.size} learning rates in shape "
+                                  f"{rates.shape} for {n} players; give one rate or {n}")
+        self.rates = np.broadcast_to(rates, (1, 1, n))
         self.scores = np.zeros((len(games), strategies, n))
-        self.rates = np.broadcast_to(_check_rates(gamma), (1, 1, n))
         self.probabilities = _softmax(self.scores, self.rates)
         self.signal_counts = [config.signals for config, _, _, _ in games]
         self.offsets = np.cumsum([0] + self.signal_counts[:-1])
@@ -183,6 +294,10 @@ class Lockstep:
         self.cells = strategies * np.arange(k * n).reshape(k, n)
         # realization k's nodes are slots k*B .. k*B + B-1 of the (K, B) counts
         self.slot_base = self.nodes * np.arange(k)[:, None, None]
+        # the reward (1 - occ / y_r / N) / M_k of a strategy on slot k*B + r at
+        # occupancy occ = 0 .. N + 1, entry (k*B + r) * (N + 2) + occ
+        occupancy = np.arange(n + 2)
+        self.rewards = ((1.0 - occupancy * self.inv_y / n) / self.signals).ravel()
 
     def keep(self, rows) -> None:
         """Drop every working row not in `rows` (indices in the current order)."""
@@ -196,24 +311,17 @@ class Lockstep:
         self._index()
 
 
-def lockstep_round(batch: Lockstep):
+def lockstep_round(batch: Lockstep, slots: np.ndarray, draws: np.ndarray):
     """Play one round of every realization in the batch and update it in place.
 
-    Realization k draws its signal with rngs[k].integers(M_k) and then N
-    uniforms, the order a lone run keeps, so seeded runs are reproducible
-    whatever else shares the batch.  A strategy's reward depends only on its
-    node r and on whether r is the played node (occupancy N_r) or not
-    (N_r + 1), so rewards are computed per (k, r, swap) and gathered.
-    Returns per row the signal (K,), node counts (K, B), sum_r N_r^2 / y_r (K,),
-    which `_frustration` turns into R_t, and purity (K,).
+    slots (K, N, S) are the round's table slices as slots of the (K, B) counts
+    and draws (K, N) its uniforms, both drawn ahead by `play_block`.  A
+    strategy's reward depends only on its node r and on whether r is the
+    played node (occupancy N_r) or not (N_r + 1), so it is gathered from the
+    batch's reward table.  Returns per row the node counts (K, B) and each
+    player's largest strategy probability after the round (K, N).
     """
     k, strategies, n = batch.scores.shape
-    signals = np.empty(k, dtype=np.intp)
-    draws = np.empty((k, n))
-    for j, rng in enumerate(batch.rngs):
-        signals[j] = rng.integers(batch.signal_counts[j])
-        rng.random(out=draws[j])
-
     # inverse-cdf sampling; the last cumulative probability counts as 1
     p = batch.probabilities
     cdf = p[:, 0]
@@ -223,20 +331,38 @@ def lockstep_round(batch: Lockstep):
             cdf = cdf + p[:, s - 1]
         pick = pick + (draws > cdf)
 
-    slots = batch.tables.take(batch.offsets + signals, axis=0) + batch.slot_base  # (K, N, S)
     played = slots.take(pick)                                         # (K, N)
     counts = np.bincount(played.ravel(), minlength=k * batch.nodes).reshape(k, -1)
-
-    by_node = counts[:, :, None]
-    occupancy = by_node + _OWN_SWAP                                   # (K, B, 2)
-    node_reward = (1.0 - occupancy * batch.inv_y / n) / batch.signals
     swapped = slots != played[:, :, None]
-    batch.scores += node_reward.take(2 * slots + swapped).transpose(0, 2, 1)
+    cells = slots * (n + 2) + counts.take(slots) + swapped
+    batch.scores += batch.rewards.take(cells).transpose(0, 2, 1)
     batch.probabilities = p = _softmax(batch.scores, batch.rates)
+    return counts, _fold(np.maximum, p)
 
-    # one dot product per row, the same reduction a lone counts @ (counts / y) makes
-    squares = np.matmul(counts[:, None, :], by_node * batch.inv_y)[:, 0, 0]
-    return signals, counts, squares, _fold(np.maximum, p).min(axis=1)
+
+def play_block(batch: Lockstep, rounds: int):
+    """Draw and play the next `rounds` rounds of every realization in the batch.
+
+    Realization k draws its T rounds (per round a signal, then N uniforms, the
+    order a lone run keeps) from rngs[k] in one block, so seeded runs are
+    reproducible whatever else shares the batch; the table slices of all T
+    rounds are then taken at once.  Returns per round and row (T, K) the
+    signal, node counts (T, K, B), sum_r N_r^2 / y_r, which `_frustration`
+    turns into R_t, and purity.
+    """
+    k, _, n = batch.scores.shape
+    signals = np.empty((rounds, k), dtype=np.int64)
+    draws = np.empty((k, rounds, n))
+    for j, rng in enumerate(batch.rngs):
+        signals[:, j] = _draw_block(rng, batch.signal_counts[j], draws[j])
+    slots = batch.tables.take(batch.offsets + signals, axis=0) + batch.slot_base
+    counts = np.empty((rounds, k, batch.nodes), dtype=np.int64)
+    tops = np.empty((rounds, k, n))
+    for t in range(rounds):
+        counts[t], tops[t] = lockstep_round(batch, slots[t], draws[:, t])
+    # one dot product per round and row, the same reduction a lone counts @ (counts / y) makes
+    squares = np.matmul(counts[:, :, None, :], counts[..., None] * batch.inv_y)[..., 0, 0]
+    return signals, counts, squares, tops.min(axis=2)
 
 
 def _frustration(squares, players: int, nodes: int):
@@ -305,8 +431,11 @@ def run_lockstep(games: list, learn: LearningConfig,
         end = min(start + every, iterations)
         m, squares, purity = (np.empty((end - start, active.size), dtype=dtype)
                               for dtype in (np.int64, float, float))
-        for t in range(end - start):
-            m[t], _, squares[t], purity[t] = lockstep_round(batch)
+        span = max(1, min(_BLOCK_WORDS // n, _BATCH_WORDS // (active.size * n)))
+        for sub in range(0, end - start, span):
+            block = slice(sub, min(sub + span, end - start))
+            m[block], _, squares[block], purity[block] = play_block(
+                batch, block.stop - block.start)
         signals[active, start:end] = m.T
         frustrations[active, start:end] = _frustration(squares, n, nodes).T
         purities[active, start:end] = purity.T

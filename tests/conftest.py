@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simplexgame import GameConfig, StrengthDistribution, build_simplex, draw_strategy_matrix
-from simplexgame.learning import DEFAULT_LEARNING_RATE, _frustration, lockstep_round
+from simplexgame.learning import DEFAULT_LEARNING_RATE, _frustration, play_block
 
 
 def random_proper_strengths(rng, nodes, alpha=5.0):
@@ -43,10 +43,11 @@ def reference_state(config, gamma=DEFAULT_LEARNING_RATE):
 
 
 def play_round(batch, config):
-    """One `lockstep_round` of a one-row lockstep batch: (signal, R_t, purity, counts)."""
-    signals, counts, squares, purity = lockstep_round(batch)
-    r_t = float(_frustration(squares[0], config.players, config.nodes))
-    return int(signals[0]), r_t, float(purity[0]), counts[0]
+    """One round of a one-row lockstep batch, played as a block of one round by
+    `play_block` and so by `lockstep_round`: (signal, R_t, purity, counts)."""
+    signals, counts, squares, purity = play_block(batch, 1)
+    r_t = float(_frustration(squares[0, 0], config.players, config.nodes))
+    return int(signals[0, 0]), r_t, float(purity[0, 0]), counts[0, 0]
 
 
 @pytest.fixture

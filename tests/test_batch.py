@@ -17,9 +17,9 @@ from simplexgame import (ConvergenceSettings, ExperimentConfig, GameConfig,
                          harness, learning, run, sweep, verify_reduction)
 from simplexgame.harness import (RealizationRow, child_seed, measure_steady_state,
                                  sweep_data_csv, sweep_json, sweep_summary_csv)
-from simplexgame.learning import Lockstep
+from simplexgame.learning import Lockstep, _frustration, play_block
 
-from conftest import play_round, reference_state
+from conftest import reference_state
 
 
 def _reference_softmax_rows(scores, gammas):
@@ -96,11 +96,15 @@ def test_iterate_matches_reference_round(players, nodes, signals, strategies):
     ref = reference_state(config, gamma=np.linspace(5.0, 25.0, players))
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     batch = Lockstep([(config, c, simplex, rng)], gamma=np.linspace(5.0, 25.0, players))
-    for t in range(300):
-        signal, r_t, purity, counts = play_round(batch, config)
-        want = reference_iterate(ref, c, simplex, config, ref_rng)
-        assert (t + 1, signal, r_t, purity) == want[:4]
-        assert np.array_equal(counts, want[4])
+    t = 0
+    for rounds in (1, 2, 7, 100, 190):   # blocks of both parities, 300 rounds in all
+        block_signals, counts, squares, purity = play_block(batch, rounds)
+        for j in range(rounds):
+            t += 1
+            want = reference_iterate(ref, c, simplex, config, ref_rng)
+            r_t = float(_frustration(squares[j, 0], players, nodes))
+            assert (t, int(block_signals[j, 0]), r_t, float(purity[j, 0])) == want[:4]
+            assert np.array_equal(counts[j, 0], want[4])
     assert _bytes(batch.scores[0].T) == _bytes(ref.scores)
     assert _bytes(batch.probabilities[0].T) == _bytes(ref.probabilities)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -110,18 +114,27 @@ def _bytes(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def _state(rng):
+    """A generator's full state as text (MT19937 keeps its key in an array)."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
 def test_run_trajectory_matches_reference():
+    # PCG64 streams are decoded in bulk, any other generator is drawn per call
     config, simplex, c = _game(20, 3, 10, 2, 5)
-    result = run(config, LearningConfig(iterations=120), 9, matrix=c, simplex=simplex)
-    ref = reference_state(config)
-    rng = np.random.default_rng(9)
-    records = [reference_iterate(ref, c, simplex, config, rng) for _ in range(120)]
-    traj = result.trajectory
-    assert traj.signals.tolist() == [r[1] for r in records]
-    assert traj.frustrations.tolist() == [r[2] for r in records]
-    assert traj.purities.tolist() == [r[3] for r in records]
-    assert result.state.iteration == 120
-    assert result.state.scores.tobytes(order="A") == ref.scores.tobytes(order="A")
+    for bit_generator in (np.random.PCG64, np.random.MT19937):
+        stream = np.random.Generator(bit_generator(9))
+        result = run(config, LearningConfig(iterations=120), stream, matrix=c, simplex=simplex)
+        ref = reference_state(config)
+        rng = np.random.Generator(bit_generator(9))
+        records = [reference_iterate(ref, c, simplex, config, rng) for _ in range(120)]
+        assert _state(stream) == _state(rng)
+        traj = result.trajectory
+        assert traj.signals.tolist() == [r[1] for r in records]
+        assert traj.frustrations.tolist() == [r[2] for r in records]
+        assert traj.purities.tolist() == [r[3] for r in records]
+        assert result.state.iteration == 120
+        assert result.state.scores.tobytes(order="A") == ref.scores.tobytes(order="A")
 
 
 def test_lockstep_games_must_share_shape():

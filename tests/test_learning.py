@@ -157,6 +157,18 @@ def test_learning_settings_validation():
         softmax_probabilities(np.array([1.0, 0.0]), np.nan)
 
 
+def test_gamma_needs_one_rate_or_one_per_player():
+    cfg = GameConfig(players=5, nodes=3, signals=2, strategies_per_player=2,
+                     strengths=StrengthDistribution.uniform(3))
+    for gamma, message in ((np.ones(3), r"3 learning rates in shape \(3,\) for 5 players"),
+                           (np.ones((5, 2)), r"10 learning rates in shape \(5, 2\) for 5")):
+        with pytest.raises(ValidationError, match=message):
+            run(cfg, LearningConfig(gamma=gamma, iterations=5), seed=1)
+    for gamma in (np.full(5, 3.0), np.full((1, 1), 3.0)):
+        result = run(cfg, LearningConfig(gamma=gamma, iterations=5), seed=1)
+        assert len(result.trajectory) == 5
+
+
 def test_run_rejects_mismatched_matrix():
     cfg = fig1_config(uniform=True)
     learn = LearningConfig(iterations=5)
@@ -315,6 +327,41 @@ def test_random_baseline_mean_one_even_for_skewed_strengths():
                      strengths=StrengthDistribution(np.array([0.9, 0.1])))
     traj = random_baseline(cfg, seed=3, iterations=10**4)
     assert np.mean(traj.frustrations) == pytest.approx(1.0, abs=0.06)
+
+
+# -- block draws -------------------------------------------------------------
+
+def test_bulk_decode_self_check_passes_on_installed_numpy():
+    # a numpy whose PCG64 internals no longer match the decode fails here,
+    # instead of every run quietly drawing per call
+    assert learning._decode_checked()
+
+
+@pytest.mark.parametrize("signal_count", [1, 2, 3, 50, 2000, 3 * 10**9])
+@pytest.mark.parametrize("buffered", [0, 1])
+@pytest.mark.parametrize("rounds", [0, 1, 7, 10])
+def test_block_draws_equal_per_call_draws(signal_count, buffered, rounds):
+    fast, slow = np.random.default_rng(17), np.random.default_rng(17)
+    for rng in (fast, slow)[:2 * buffered]:
+        rng.integers(2)   # leaves the high half of a word buffered
+    assert fast.bit_generator.state["has_uint32"] == buffered
+    got, want = np.empty((rounds, 6)), np.empty((rounds, 6))
+    signals = learning._draw_block(fast, signal_count, got)
+    expected = []
+    for t in range(rounds):
+        expected.append(int(slow.integers(signal_count)))
+        slow.random(out=want[t])
+    assert signals.tolist() == expected
+    assert got.tobytes() == want.tobytes()
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_lemire_rejection_replays_the_block():
+    # at M = 3e9 about 30% of 32-bit draws land in the rejection zone
+    rng = np.random.default_rng(17)
+    before = rng.bit_generator.state
+    assert learning._decode(rng.bit_generator, 3 * 10**9, np.empty((10, 6))) is None
+    assert rng.bit_generator.state == before
 
 
 # -- convergence -------------------------------------------------------------
