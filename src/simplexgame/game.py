@@ -6,6 +6,9 @@ Payoffs are congestion payoffs, which the simplex encoding turns into dot
 products with the aggregate bet b = sum of chosen vertices.  As q_r . q_l = -1 +
 delta_rl / y_r, the mixed-profile payoffs and frustrations are computed in count
 space, q_r . b = N_r / y_r - N, and nothing here reads the vertices.
+The (N, S, M) table is drawn by counting cdf thresholds below each uniform
+and read once per payoff evaluation, one block of signals at a time; both give
+the same bytes as rng.choice and as one whole-table sum in signal order.
 A game is fixed by N, B, M, S and the strengths alone: raw per-node
 efficiencies are an input format that `StrengthDistribution.from_efficiencies`
 normalizes into strengths, and every payoff is the linear congestion payoff.
@@ -21,7 +24,7 @@ from .errors import ValidationError, check_allocation
 from .geometry import Simplex, StrengthDistribution, _readonly
 
 ROW_SUM_TOL = 1e-12
-TABLE_BLOCK = 1 << 17  # strategy-table entries per block when drawing or reading the table
+TABLE_BLOCK = 1 << 17  # table entries per drawn or read block; payoff terms per payoff block
 MAX_NODES = int(np.iinfo(np.uint8).max)  # node indices are stored as bytes
 
 
@@ -147,8 +150,11 @@ def draw_strategy_matrix(config: GameConfig, rng: np.random.Generator) -> Strate
 
     Same entries and generator state as rng.choice(B, size=(N, S, M), p=y):
     uniforms in (player, strategy, signal) order through the normalized cdf.
-    Drawing blocks of player rows straight into the uint8 table keeps the
-    transient to one block instead of (N, S, M) int64 picks and float uniforms.
+    A uniform u picks the number of thresholds cdf[r] <= u, which is what
+    rng.choice's cdf.searchsorted(u, side="right") returns; cdf[-1] is exactly
+    1.0, above every uniform, so only the B-1 inner thresholds are counted.
+    Counting them into the uint8 table, one block of player rows at a time,
+    keeps the transient to one block of uniforms.
     """
     n, s, m = config.players, config.strategies_per_player, config.signals
     check_allocation(n * s * m, f"a {n} x {s} x {m} strategy table")
@@ -158,7 +164,11 @@ def draw_strategy_matrix(config: GameConfig, rng: np.random.Generator) -> Strate
     rows = max(1, TABLE_BLOCK // (s * m))
     for start in range(0, n, rows):
         uniforms = rng.random((min(rows, n - start), s, m))
-        picks = cdf.searchsorted(uniforms, side="right")
+        picks = np.zeros(uniforms.shape, dtype=np.uint8)
+        above = np.empty(uniforms.shape, dtype=bool)
+        for threshold in cdf[:-1]:
+            np.greater_equal(uniforms, threshold, out=above)
+            picks += above.view(np.uint8)
         by_signal[:, start:start + rows] = picks.transpose(2, 0, 1)
     return StrategyMatrix(by_signal.transpose(1, 2, 0))
 
@@ -177,27 +187,38 @@ def resolve_bets(c: StrategyMatrix, inst: PureInstance,
     return picked, Allocation(counts)
 
 
-def _signal_keys(c: StrategyMatrix, nodes: int):
-    """(first signal, (Mb, N, S) keys m*B + c_ism) per block of at most TABLE_BLOCK entries."""
+def _check_fit(c: StrategyMatrix, rows: np.ndarray, s: Simplex, config: GameConfig) -> None:
+    """The table, the simplex and the (N, S) profile rows all belong to config's game."""
+    if c.shape != (config.players, config.strategies_per_player, config.signals) \
+            or s.node_count != config.nodes:
+        raise ValidationError(f"a {' x '.join(map(str, c.shape))} strategy table on a "
+                              f"{s.node_count}-node simplex does not fit {config}")
+    if rows.shape != c.shape[:2]:
+        raise ValidationError(f"profile has shape {rows.shape}, the game needs {c.shape[:2]}")
+
+
+def _signal_blocks(c: StrategyMatrix, rows: np.ndarray, nodes: int, step: int):
+    """(keys, occupancy) per block of `step` signals, in signal order.
+
+    keys (Mb, N, S) = m*B + c_ism with m counted from the block's first signal,
+    and occupancy[m*B + r] = sum_is p_is [c_ism = r] is that signal's mean
+    occupancy.  Signals own disjoint key ranges, so one bincount per block
+    adds every bin's weights in the same order as one bincount of the table.
+    The keys live in one buffer that the next block overwrites.
+    """
     table = c.entries.transpose(2, 0, 1)
-    step = max(1, TABLE_BLOCK // (table.shape[1] * table.shape[2]))
+    step = min(step, table.shape[0])
+    offsets = (np.arange(step) * nodes)[:, None, None]
+    weights = np.broadcast_to(rows, (step,) + table.shape[1:]).reshape(-1)
+    buffer = np.empty((step,) + table.shape[1:], dtype=np.intp)
     for start in range(0, table.shape[0], step):
         block = table[start:start + step]
-        yield start, block + (np.arange(start, start + block.shape[0]) * nodes)[:, None, None]
-
-
-def _signal_occupancy(c: StrategyMatrix, rows: np.ndarray, nodes: int) -> np.ndarray:
-    """Mean occupancy sum_is p_is [c_ism = r] at m*B + r.
-
-    Signals own disjoint key ranges, so one bincount per block of signals
-    adds every bin's weights in the same order as one bincount of the table.
-    """
-    parts = []
-    for start, keys in _signal_keys(c, nodes):
-        weights = np.broadcast_to(rows, keys.shape).reshape(-1)
-        parts.append(np.bincount(keys.reshape(-1) - start * nodes, weights,
-                                 minlength=keys.shape[0] * nodes))
-    return np.concatenate(parts)
+        if block.max() >= nodes:
+            raise ValidationError(f"strategy table holds node {block.max()} "
+                                  f"of a {nodes}-node game")
+        keys = np.add(block, offsets[:block.shape[0]], out=buffer[:block.shape[0]])
+        yield keys, np.bincount(keys.reshape(-1), weights[:keys.size],
+                                minlength=keys.shape[0] * nodes)
 
 
 def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray, s: Simplex,
@@ -208,33 +229,50 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray, s: Simplex
     strategy while everyone else keeps playing the mixed profile.  Dotting
     row i with p's row i recovers player i's fully mixed payoff (p may be raw
     rows).  Count space: u_is = (N - mean_m[(O_ism + 1) / y(c_ism)]) / N with
-    O_ism the others' mean occupancy of node c_ism under signal m.  The table
-    is read in blocks of signals, and each sum over m adds the later blocks
-    row by row, so it runs in m order like one sum over the whole table.
+    O_ism the others' mean occupancy of node c_ism under signal m.
+
+    One pass over the table.  Each block of signals gathers (O + 1) / y and
+    player i's own 1 / y per entry with one take, and [c_ijm = c_ikm] / y(c_ijm)
+    for each pair j < k (the pair (k, j) is the same number and (j, j) is the
+    own term).  The terms go into stacks below the running sums, and one sum
+    over a stack's signal axis adds them row by row: every sum runs in m order,
+    as one sum over the whole table would, whatever the block size.
     """
     rows = p.rows if isinstance(p, MixedProfile) else np.asarray(p, dtype=float)
-    occupancy = _signal_occupancy(c, rows, s.node_count)
-    inv_y = np.tile(1.0 / s.strengths.weights, c.shape[2])
-    strategies = c.shape[1]
-    sums = {}
-
-    def add(key, term):   # the first block as numpy sums a whole table, then row by row
-        if key not in sums:
-            sums[key] = term.sum(axis=0)
-        else:
-            for row in term:
-                sums[key] += row
-
-    for _, keys in _signal_keys(c, s.node_count):
-        w = np.take(inv_y, keys)                                       # 1 / y(c_ism)
-        add("all", (np.take(occupancy, keys) + 1.0) * w)
-        for j in range(strategies):  # player i's own sum_k p_ik [c_ikm = c_ijm]
-            for k in range(strategies):
-                add((j, k), (keys[:, :, j] == keys[:, :, k]) * w[:, :, j])
-    total = sums["all"] / c.shape[2]
-    for j in range(strategies):
+    _check_fit(c, rows, s, config)
+    n, strategies, m = c.shape
+    pairs = [(j, k) for j in range(strategies) for k in range(j + 1, strategies)]
+    # Row 0 of a stack holds the running sums.  numpy sums a lone contiguous
+    # axis pairwise, out of m order, so a one-player pair stack gets a spare column.
+    width = 2 if n * len(pairs) == 1 else len(pairs)
+    # a block's stacked terms fill at most TABLE_BLOCK numbers
+    signals = min(m, max(1, TABLE_BLOCK // (n * (2 * strategies + width))))
+    inv_y = np.tile(1.0 / s.strengths.weights, signals)
+    lookup = np.empty((inv_y.size, 2))   # per (signal, node): (O + 1) / y and 1 / y
+    stack = np.zeros((signals + 1, n, strategies, 2))
+    pair_stack = np.zeros((signals + 1, n, width))
+    sums, pair_sums = np.zeros(stack.shape[1:]), np.zeros(pair_stack.shape[1:])
+    for keys, occupancy in _signal_blocks(c, rows, s.node_count, signals):
+        size = keys.shape[0]
+        per_key = lookup[:occupancy.size]
+        np.multiply(occupancy + 1.0, inv_y[:occupancy.size], out=per_key[:, 0])
+        per_key[:, 1] = inv_y[:occupancy.size]
+        terms = stack[1:size + 1]
+        # keys are in range; "clip" lets take write into the stack without a copy
+        np.take(per_key, keys, axis=0, out=terms, mode="clip")
+        for col, (j, k) in enumerate(pairs):
+            np.multiply(keys[..., j] == keys[..., k], terms[..., j, 1],
+                        out=pair_stack[1:size + 1, :, col])
+        for stacked, running in ((stack, sums), (pair_stack, pair_sums)):
+            stacked[0] = running
+            np.sum(stacked[:size + 1], axis=0, out=running)
+    same = {(j, j): sums[:, j, 1] for j in range(strategies)}
+    for col, (j, k) in enumerate(pairs):
+        same[j, k] = same[k, j] = pair_sums[:, col]
+    total = sums[:, :, 0] / m
+    for j in range(strategies):   # player i's own sum_k p_ik [c_ikm = c_ijm]
         for k in range(strategies):
-            total[:, j] -= rows[:, k] * (sums[j, k] / c.shape[2])
+            total[:, j] -= rows[:, k] * (same[j, k] / m)
     return (config.players - total) / config.players
 
 
@@ -251,7 +289,11 @@ def frustration(c: StrategyMatrix, p: MixedProfile, s: Simplex, config: GameConf
     Averages the squared norm of the per-signal mean bet exactly over all M
     signals, as sum_r O_mr^2 / y_r - (sum_r O_mr)^2 on mean occupancies O_mr.
     """
-    occupancy = _signal_occupancy(c, p.rows, s.node_count).reshape(-1, s.node_count)
+    _check_fit(c, p.rows, s, config)
+    step = max(1, TABLE_BLOCK // (config.players * config.strategies_per_player))
+    occupancy = np.concatenate([occupancy for _, occupancy in
+                                _signal_blocks(c, p.rows, s.node_count, step)])
+    occupancy = occupancy.reshape(-1, s.node_count)
     squared = occupancy**2 @ (1.0 / s.strengths.weights) - occupancy.sum(axis=1) ** 2
     return float(squared.sum()) / (occupancy.shape[0] * config.players * (config.nodes - 1))
 

@@ -118,12 +118,18 @@ class RunResult:
 
 
 def softmax_probabilities(scores, gamma: float) -> np.ndarray:
-    """exp(gamma * U_s) / sum, computed max-shifted so large scores never overflow."""
+    """exp(gamma * U_s) / sum over one player's (S,) scores, with one rate.
+
+    Computed max-shifted so large scores never overflow.
+    """
     scores = np.asarray(scores, dtype=float)
-    _check_rates(gamma)
+    rates = _check_rates(gamma)
+    if rates.size != 1:
+        raise ValidationError(f"one player's scores take one learning rate, "
+                              f"got shape {rates.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValidationError("scores must be finite")
-    return _softmax(scores[None, :, None], gamma)[0, :, 0]
+    return _softmax(scores[None, :, None], rates.item())[0, :, 0]
 
 
 def _fold(op, a: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 These evaluate payoffs and frustrations of one realized allocation, or of a
 pure profile, straight from their definitions: through the simplex vertices
 (`aggregate_bet`, `instantaneous_frustration`, `isometry_defect`) or by
-resolving every signal's occupancies (`payoff_linear`, `correlated_payoff`).
+resolving every signal's occupancies (`payoff_linear`, `correlated_payoff`,
+`signal_loop_payoffs`).
 The package computes the same quantities in count space.
 """
 from __future__ import annotations
@@ -49,6 +50,33 @@ def correlated_payoff(c: StrategyMatrix, profile, i: int, config: GameConfig) ->
         r = nodes[i, sig]
         total += 1.0 - counts[r] / (y[r] * n)
     return total / m
+
+
+def signal_loop_payoffs(c: StrategyMatrix, rows: np.ndarray, s: Simplex,
+                        config: GameConfig) -> np.ndarray:
+    """`strategy_payoffs`' count-space formula, one signal at a time.
+
+    Each signal's mean occupancies come from one bincount of its (N, S)
+    entries, and every sum over signals is a running sum in m order, so the
+    package's blocked evaluation must return the same bytes.
+    """
+    n, strategies, m = c.shape
+    inv_y = 1.0 / s.strengths.weights
+    others = np.zeros((n, strategies))
+    same = np.zeros((strategies, strategies, n))
+    for sig in range(m):
+        picks = c.entries[:, :, sig].astype(np.int64)
+        occupancy = np.bincount(picks.reshape(-1), rows.reshape(-1), minlength=s.node_count)
+        w = inv_y[picks]
+        others += (occupancy[picks] + 1.0) * w
+        for j in range(strategies):
+            for k in range(strategies):
+                same[j, k] += (picks[:, j] == picks[:, k]) * w[:, j]
+    total = others / m
+    for j in range(strategies):
+        for k in range(strategies):
+            total[:, j] -= rows[:, k] * (same[j, k] / m)
+    return (config.players - total) / config.players
 
 
 def instantaneous_frustration(alloc: Allocation, s: Simplex, config: GameConfig) -> float:

@@ -10,7 +10,7 @@ from simplexgame import (Allocation, BudgetError, GameConfig, MixedProfile, Pure
 
 from conftest import random_profile, random_proper_strengths, small_instance
 from references import (aggregate_bet, correlated_payoff, instantaneous_frustration,
-                        payoff_linear)
+                        payoff_linear, signal_loop_payoffs)
 
 
 def binary_config(players, signals=1, strategies=1):
@@ -55,11 +55,19 @@ def test_draw_determinism():
 @pytest.mark.parametrize("block", [game.TABLE_BLOCK, 7])
 @pytest.mark.parametrize("players,strategies,signals,nodes", [
     (10, 3, 4, 2), (6, 2, 1, 2), (1, 1, 1, 5), (40, 2, 25, 5), (13, 4, 3, 10),
+    (9, 2, 40, "max-nodes"), (30, 3, 50, "uneven"),
 ])
 def test_draw_matches_rng_choice(monkeypatch, block, players, strategies, signals, nodes):
-    # same entries and generator state as one rng.choice over (N, S, M), for any block size
+    # same entries and generator state as one rng.choice over (N, S, M), for any block
+    # size, up to B = MAX_NODES and with explicit, very uneven strengths
     monkeypatch.setattr(game, "TABLE_BLOCK", block)
-    y = StrengthDistribution.random_proper(nodes, np.random.default_rng(nodes))
+    if nodes == "max-nodes":
+        y = StrengthDistribution(np.random.default_rng(3).dirichlet(np.ones(game.MAX_NODES)))
+    elif nodes == "uneven":
+        y = StrengthDistribution(np.array([1e-6, 0.25, 0.5 - 2e-6, 1e-6, 0.25]))
+    else:
+        y = StrengthDistribution.random_proper(nodes, np.random.default_rng(nodes))
+    nodes = y.node_count
     cfg = GameConfig(players=players, nodes=nodes, signals=signals,
                      strategies_per_player=strategies, strengths=y)
     ref_rng, rng = np.random.default_rng(17), np.random.default_rng(17)
@@ -255,6 +263,49 @@ def test_strategy_payoffs_row_mix_identity(rng):
     for i in range(cfg.players):
         assert float(p.rows[i] @ table[i]) == pytest.approx(
             mixed_correlated_payoff(c, p, i, s, cfg), abs=1e-12)
+
+
+def test_payoffs_reject_a_profile_or_game_of_another_shape():
+    cfg = GameConfig(players=4, nodes=3, signals=5, strategies_per_player=2,
+                     strengths=StrengthDistribution.uniform(3))
+    s, c = build_simplex(cfg.strengths), draw_strategy_matrix(cfg, np.random.default_rng(8))
+    p = MixedProfile.uniform(4, 2)
+    cases = [
+        (c, MixedProfile(np.array([[0.3, 0.7]])), s, cfg),    # one row, once broadcast
+        (c, MixedProfile(np.full((4, 3), 1 / 3)), s, cfg),    # a third strategy
+        (c, p, s, GameConfig(players=9, nodes=3, signals=5, strategies_per_player=2,
+                             strengths=cfg.strengths)),        # config says N = 9
+        (c, p, s, GameConfig(players=4, nodes=3, signals=6, strategies_per_player=2,
+                             strengths=cfg.strengths)),        # config says M = 6
+        (c, p, build_simplex(StrengthDistribution.uniform(4)), cfg),   # a 4-node simplex
+        (StrategyMatrix(np.full((4, 2, 5), 3)), p, s, cfg),    # node 3 of a 3-node game
+    ]
+    for args in cases:
+        for evaluate in (strategy_payoffs, expected_frustration, frustration):
+            with pytest.raises(ValidationError):
+                evaluate(*args)
+    with pytest.raises(ValidationError, match="profile has shape"):
+        strategy_payoffs(c, np.array([[0.3, 0.7]]), s, cfg)
+
+
+@pytest.mark.parametrize("players,strategies,signals", [
+    (1, 2, 400), (5, 1, 30), (13, 2, 9), (6, 4, 25), (20, 2, 1), (1, 1, 1), (300, 2, 300),
+])
+def test_payoffs_do_not_depend_on_the_block_size(monkeypatch, players, strategies, signals):
+    rng = np.random.default_rng(players * strategies + signals)
+    y = StrengthDistribution(rng.dirichlet(np.ones(4)))
+    cfg = GameConfig(players=players, nodes=4, signals=signals,
+                     strategies_per_player=strategies, strengths=y)
+    s, c = build_simplex(y), draw_strategy_matrix(cfg, rng)
+    p = MixedProfile(rng.dirichlet(np.ones(strategies), size=players))
+    reference = signal_loop_payoffs(c, p.rows, s, cfg).tobytes()
+    frustrations = set()
+    for block in (7, game.TABLE_BLOCK, 2 * c.entries.size):
+        monkeypatch.setattr(game, "TABLE_BLOCK", block)
+        assert strategy_payoffs(c, p, s, cfg).tobytes() == reference   # a per-signal loop
+        frustrations.add((np.float64(expected_frustration(c, p, s, cfg)).tobytes(),
+                          np.float64(frustration(c, p, s, cfg)).tobytes()))
+    assert len(frustrations) == 1
 
 
 def test_instantaneous_frustration_examples():

@@ -153,8 +153,11 @@ def test_learning_settings_validation():
             Lockstep([game], gamma)
     with pytest.raises(ValidationError, match="iterations must be >= 0"):
         LearningConfig(iterations=-1)
-    with pytest.raises(ValidationError):
-        softmax_probabilities(np.array([1.0, 0.0]), np.nan)
+    for gamma in (np.nan, [1.0, 5.0, 9.0], np.ones((2, 1))):
+        with pytest.raises(ValidationError):
+            softmax_probabilities(np.array([1.0, 0.0]), gamma)
+    assert softmax_probabilities(np.array([1.0, 0.0]), [1.0]).tobytes() == \
+        softmax_probabilities(np.array([1.0, 0.0]), 1.0).tobytes()
 
 
 def test_gamma_needs_one_rate_or_one_per_player():
