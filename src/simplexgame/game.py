@@ -326,12 +326,25 @@ def save_strategy_matrix(c: StrategyMatrix, path, fmt: str = "json") -> None:
 
 def load_strategy_matrix(path, players: int, strategies: int, signals: int,
                          fmt: str = "json") -> StrategyMatrix:
+    """Read a table written by `save_strategy_matrix`.
+
+    A JSON file must hold one flat list of integer node indices in
+    [0, MAX_NODES]; anything else (floats, booleans, nesting, out-of-range
+    values) is a ValidationError rather than a silently cast byte.
+    """
     shape = (players, strategies, signals)
     check_allocation(players * strategies * signals,
                      f"a {players} x {strategies} x {signals} strategy table")
     if fmt == "json":
         with open(path) as fh:
-            flat = np.asarray(json.load(fh), dtype=np.uint8)
+            try:
+                values = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ValidationError(f"strategy matrix file is not JSON: {err}") from None
+        # bool is a subclass of int; StrategyMatrix checks the range
+        if not isinstance(values, list) or not all(type(v) is int for v in values):
+            raise ValidationError("a JSON strategy matrix must be a flat list of integers")
+        flat = np.array(values)
     elif fmt == "binary":
         with open(path, "rb") as fh:
             flat = np.frombuffer(fh.read(), dtype=np.uint8)

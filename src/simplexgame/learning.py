@@ -9,8 +9,10 @@ simplex vertices.  Scores feed back into the softmax.
 
 `Lockstep`, the only play state, holds (K, S, N) scores and probabilities of
 K realizations, all starting at zero scores; `lockstep_round` plays one round
-of all of them per call, and `play_block` draws a block of rounds ahead and
-plays them.  Realizations of a batch share N, S, B and the learning rates
+of all of them per call, and `play_block` draws a block of T rounds ahead,
+takes their table slices as one (T, K, S, N) slot array, plays them, and
+reads the block's purities from the (T, K, S, N) probabilities the rounds
+wrote.  Realizations of a batch share N, S, B and the learning rates
 but may differ in M and strengths, and each draws from its own generator in
 the order a lone run would, so its trajectory does not depend on what else
 shares the batch.  A block's draws are decoded from the PCG64 word stream
@@ -23,8 +25,8 @@ realization's frozen `LearnerState` and `Trajectory` once, when it stops;
 `run` is a batch of one.
 
 A realization stops at a check, every check_every rounds once 2 * window
-rounds are recorded, when the kernel's purity after that round (min over
-players of the largest strategy probability) reaches PURITY_THRESHOLD.  That
+rounds are recorded, when its purity after that round (min over players of
+the largest strategy probability) reaches PURITY_THRESHOLD.  That
 is the only stopping rule: a run that never reaches it plays all its rounds.
 """
 from __future__ import annotations
@@ -46,7 +48,9 @@ DEFAULT_LEARNING_RATE = 20.0
 PURITY_THRESHOLD = 0.999
 _ROW_BYTES = 24  # a recorded round: one int64 signal and two float64 values
 # rounds are drawn in blocks of at most 2**15 uniforms per realization, and
-# of fewer rounds once a batch would draw more than 2**20 uniforms per block
+# of fewer rounds once a batch would draw more than 2**20 uniforms per block,
+# or hold more than 2**21 slots (T K S N) in each of its slot and probability
+# arrays; for S <= 2 the uniforms set the limit
 _BLOCK_WORDS = 2**15
 _BATCH_WORDS = 2**20
 
@@ -132,24 +136,21 @@ def softmax_probabilities(scores, gamma: float) -> np.ndarray:
     return _softmax(scores[None, :, None], rates.item())[0, :, 0]
 
 
-def _fold(op, a: np.ndarray) -> np.ndarray:
-    """op folded over the strategy axis of a (K, S, N) array, s = 0, 1, ... in turn.
+def _softmax(scores: np.ndarray, rates, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of rates * scores over the strategy axis of (K, S, N) scores.
 
-    A fixed order keeps sums independent of K and N, and for small S the
-    loop of whole-row operations is cheaper than an axis reduction.
+    Written to `out` (K, S, N) if given; rates is one number or one per player.
+    The sum runs s = 0, 1, ... in turn: an axis reduction may sum pairwise
+    (it does for N = 1 and S >= 8), and its result would then depend on N.
     """
-    out = a[:, 0]
-    for s in range(1, a.shape[1]):
-        out = op(out, a[:, s])
-    return out
-
-
-def _softmax(scores: np.ndarray, rates) -> np.ndarray:
-    """Softmax of rates * scores over the strategy axis of (K, S, N) scores."""
-    z = rates * scores
-    z -= _fold(np.maximum, z)[:, None]
-    e = np.exp(z)
-    return e / _fold(np.add, e)[:, None]
+    z = np.multiply(scores, rates, out=out)
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    total = z[:, :1]
+    for s in range(1, z.shape[1]):
+        total = total + z[:, s:s + 1]
+    z /= total
+    return z
 
 
 def reward_vector(c: StrategyMatrix, inst: PureInstance, realized_b: np.ndarray,
@@ -191,12 +192,13 @@ def _decode(bits: np.random.PCG64, signal_count: int, draws: np.ndarray):
     # after the lead round's N uniforms, two rounds share 2N + 1 words: their
     # signal word, then each round's N uniforms; an odd last round takes N + 1
     body = slice(lead * n, lead * n + pairs * (2 * n + 1))
-    paired = words[body][::2 * n + 1]
+    signal_words = words[body.start:body.stop + odd:2 * n + 1]
+    # a signal word's low half serves one round and its high half the next,
+    # the order of its two 32-bit halves in little-endian layout
+    ordered = signal_words.astype("<u8", copy=False)[:, None].view("<u4").ravel()
     halves = np.empty(rounds, dtype=np.uint64)
     halves[:lead] = state["uinteger"]
-    halves[lead:rounds - odd:2] = paired & 0xFFFFFFFF
-    halves[lead + 1:rounds - odd:2] = paired >> 32
-    halves[rounds - odd:] = words[body.stop:body.stop + odd] & 0xFFFFFFFF
+    halves[lead:] = ordered[:rounds - lead]
     scaled = halves * np.uint64(signal_count)
     if ((scaled & 0xFFFFFFFF) < (2**32 - signal_count) % signal_count).any():
         bits.state = state
@@ -205,16 +207,15 @@ def _decode(bits: np.random.PCG64, signal_count: int, draws: np.ndarray):
     after = bits.state
     after["has_uint32"] = odd
     if pairs or odd:
-        after["uinteger"] = int(words[body.stop] if odd else paired[-1]) >> 32
+        after["uinteger"] = int(signal_words[-1]) >> 32
     bits.state = after
 
     shifted = words >> 11
-    both = shifted[body].reshape(pairs, 2 * n + 1)
+    both = shifted[body].reshape(pairs, 2 * n + 1)[:, 1:].reshape(pairs, 2, n)
     np.multiply(shifted[:body.start].reshape(lead, n), 2.0**-53, out=draws[:lead])
-    np.multiply(both[:, 1:n + 1], 2.0**-53, out=draws[lead:rounds - odd:2])
-    np.multiply(both[:, n + 1:], 2.0**-53, out=draws[lead + 1:rounds - odd:2])
+    np.multiply(both, 2.0**-53, out=draws[lead:rounds - odd].reshape(pairs, 2, n))
     np.multiply(shifted[body.stop + 1:].reshape(odd, n), 2.0**-53, out=draws[rounds - odd:])
-    return (scaled >> 32).astype(np.int64)
+    return (scaled >> 32).view(np.int64)
 
 
 def _replay(rng: np.random.Generator, signal_count: int, draws: np.ndarray) -> np.ndarray:
@@ -269,7 +270,7 @@ class Lockstep:
 
     `games` are (config, matrix, simplex, rng) tuples.  Scores start at zero
     and probabilities uniform, both (K, S, N); every row learns at the rates
-    gamma (a scalar or one per player), one (1, 1, N) array.  Realization k's
+    gamma, one float or one (N,) array of per-player rates.  Realization k's
     signal-major table is rows offsets[k] .. offsets[k] + M_k of `tables`, one
     (sum M, N, S) uint8 array, and it plays from its own generator rngs[k].
     """
@@ -282,7 +283,7 @@ class Lockstep:
         if rates.size != 1 and rates.shape != (n,):
             raise ValidationError(f"gamma gives {rates.size} learning rates in shape "
                                   f"{rates.shape} for {n} players; give one rate or {n}")
-        self.rates = np.broadcast_to(rates, (1, 1, n))
+        self.rates = rates.item() if rates.size == 1 else rates
         self.scores = np.zeros((len(games), strategies, n))
         self.probabilities = _softmax(self.scores, self.rates)
         self.signal_counts = [config.signals for config, _, _, _ in games]
@@ -293,17 +294,35 @@ class Lockstep:
         self.rngs = [rng for _, _, _, rng in games]
         self.nodes = self.inv_y.shape[1]
         self._index()
+        # a block's arrays are views of these, reused from block to block:
+        # faulting in fresh pages for them every block cost about a tenth of
+        # play at K = 4 to 8
+        self._floats = np.empty(0)
+        self._ints = np.empty(0, dtype=np.int64)
 
     def _index(self) -> None:
-        k, strategies, n = self.scores.shape
-        # flat index of player i's first entry in a (K, N, S) table slice
-        self.cells = strategies * np.arange(k * n).reshape(k, n)
+        k, _, n = self.scores.shape
         # realization k's nodes are slots k*B .. k*B + B-1 of the (K, B) counts
         self.slot_base = self.nodes * np.arange(k)[:, None, None]
         # the reward (1 - occ / y_r / N) / M_k of a strategy on slot k*B + r at
-        # occupancy occ = 0 .. N + 1, entry (k*B + r) * (N + 2) + occ
+        # occupancy occ = 0 .. N + 1, entry (k*B + r) * (N + 2) + occ, and the
+        # first entry (k*B + r) * (N + 2) of each slot
         occupancy = np.arange(n + 2)
         self.rewards = ((1.0 - occupancy * self.inv_y / n) / self.signals).ravel()
+        self.slot_cells = (n + 2) * np.arange(k * self.nodes)
+
+    def _block_arrays(self, rounds: int):
+        """Draws (T, K, N), slots (T, K, S, N) and probabilities (T, K, S, N) of
+        a block of T rounds, as views of buffers that later blocks reuse."""
+        k, strategies, n = self.scores.shape
+        cells, uniforms = rounds * k * strategies * n, rounds * k * n
+        if self._ints.size < cells:
+            self._ints = np.empty(cells, dtype=np.int64)
+        if self._floats.size < cells + uniforms:
+            self._floats = np.empty(cells + uniforms)
+        return (self._floats[cells:cells + uniforms].reshape(rounds, k, n),
+                self._ints[:cells].reshape(rounds, k, strategies, n),
+                self._floats[:cells].reshape(rounds, k, strategies, n))
 
     def keep(self, rows) -> None:
         """Drop every working row not in `rows` (indices in the current order)."""
@@ -317,33 +336,36 @@ class Lockstep:
         self._index()
 
 
-def lockstep_round(batch: Lockstep, slots: np.ndarray, draws: np.ndarray):
+def lockstep_round(batch: Lockstep, slots: np.ndarray, draws: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
     """Play one round of every realization in the batch and update it in place.
 
-    slots (K, N, S) are the round's table slices as slots of the (K, B) counts
+    slots (K, S, N) are the round's table slices as slots of the (K, B) counts
     and draws (K, N) its uniforms, both drawn ahead by `play_block`.  A
     strategy's reward depends only on its node r and on whether r is the
     played node (occupancy N_r) or not (N_r + 1), so it is gathered from the
-    batch's reward table.  Returns per row the node counts (K, B) and each
-    player's largest strategy probability after the round (K, N).
+    batch's reward table straight into the (K, S, N) scores.  The new
+    probabilities are written to out (K, S, N), which becomes the batch's.
+    Returns the round's node counts per row (K, B).
     """
-    k, strategies, n = batch.scores.shape
-    # inverse-cdf sampling; the last cumulative probability counts as 1
+    k, strategies, _ = batch.scores.shape
+    # inverse-cdf sampling; the last cumulative probability counts as 1.  The
+    # cdf never decreases, so the played slot is that of the last s whose
+    # cdf_s lies below the draw
     p = batch.probabilities
     cdf = p[:, 0]
-    pick = batch.cells
+    played = slots[:, 0]
     for s in range(1, strategies):
         if s > 1:
             cdf = cdf + p[:, s - 1]
-        pick = pick + (draws > cdf)
+        played = np.where(draws > cdf, slots[:, s], played)
 
-    played = slots.take(pick)                                         # (K, N)
-    counts = np.bincount(played.ravel(), minlength=k * batch.nodes).reshape(k, -1)
-    swapped = slots != played[:, :, None]
-    cells = slots * (n + 2) + counts.take(slots) + swapped
-    batch.scores += batch.rewards.take(cells).transpose(0, 2, 1)
-    batch.probabilities = p = _softmax(batch.scores, batch.rates)
-    return counts, _fold(np.maximum, p)
+    counts = np.bincount(played.ravel(), minlength=k * batch.nodes)
+    cells = (batch.slot_cells + counts).take(slots)
+    cells += (slots != played[:, None]).view(np.uint8)
+    batch.scores += batch.rewards.take(cells)
+    batch.probabilities = _softmax(batch.scores, batch.rates, out)
+    return counts.reshape(k, -1)
 
 
 def play_block(batch: Lockstep, rounds: int):
@@ -352,23 +374,29 @@ def play_block(batch: Lockstep, rounds: int):
     Realization k draws its T rounds (per round a signal, then N uniforms, the
     order a lone run keeps) from rngs[k] in one block, so seeded runs are
     reproducible whatever else shares the batch; the table slices of all T
-    rounds are then taken at once.  Returns per round and row (T, K) the
-    signal, node counts (T, K, B), sum_r N_r^2 / y_r, which `_frustration`
-    turns into R_t, and purity.
+    rounds are then taken at once, as one (T, K, S, N) slot array, and every
+    round writes its probabilities to one (T, K, S, N) array, from which the
+    block's purities are read at the end.  Returns per round and row (T, K)
+    the signal, node counts (T, K, B), sum_r N_r^2 / y_r, which
+    `_frustration` turns into R_t, and purity (min over players of the
+    largest strategy probability after the round).
     """
-    k, _, n = batch.scores.shape
+    k = len(batch.rngs)
     signals = np.empty((rounds, k), dtype=np.int64)
-    draws = np.empty((k, rounds, n))
+    draws, slots, probabilities = batch._block_arrays(rounds)
     for j, rng in enumerate(batch.rngs):
-        signals[:, j] = _draw_block(rng, batch.signal_counts[j], draws[j])
-    slots = batch.tables.take(batch.offsets + signals, axis=0) + batch.slot_base
+        signals[:, j] = _draw_block(rng, batch.signal_counts[j], draws[:, j])
+    np.add(batch.tables.take(batch.offsets + signals, axis=0).transpose(0, 1, 3, 2),
+           batch.slot_base, out=slots)
     counts = np.empty((rounds, k, batch.nodes), dtype=np.int64)
-    tops = np.empty((rounds, k, n))
     for t in range(rounds):
-        counts[t], tops[t] = lockstep_round(batch, slots[t], draws[:, t])
+        counts[t] = lockstep_round(batch, slots[t], draws[t], probabilities[t])
+    if rounds:
+        # a copy, as the next block reuses the buffer
+        batch.probabilities = probabilities[-1].copy()
     # one dot product per round and row, the same reduction a lone counts @ (counts / y) makes
     squares = np.matmul(counts[:, :, None, :], counts[..., None] * batch.inv_y)[..., 0, 0]
-    return signals, counts, squares, tops.min(axis=2)
+    return signals, counts, squares, probabilities.max(axis=2).min(axis=2)
 
 
 def _frustration(squares, players: int, nodes: int):
@@ -409,7 +437,7 @@ def run_lockstep(games: list, learn: LearningConfig,
     shapes = {(c.players, c.strategies_per_player, c.nodes) for c, _, _, _ in games}
     if len(shapes) != 1:
         raise ValidationError(f"lockstep games must share N, S and B, got {sorted(shapes)}")
-    (n, _, nodes), = shapes
+    (n, strategies, nodes), = shapes
     if not all(np.array_equal(s.strengths.weights, c.strengths.weights)
                for c, _, s, _ in games):
         raise ValidationError("a game's simplex strengths differ from its config's strengths")
@@ -437,7 +465,8 @@ def run_lockstep(games: list, learn: LearningConfig,
         end = min(start + every, iterations)
         m, squares, purity = (np.empty((end - start, active.size), dtype=dtype)
                               for dtype in (np.int64, float, float))
-        span = max(1, min(_BLOCK_WORDS // n, _BATCH_WORDS // (active.size * n)))
+        span = max(1, min(_BLOCK_WORDS // n, 2 * _BATCH_WORDS
+                          // (active.size * n * max(strategies, 2))))
         for sub in range(0, end - start, span):
             block = slice(sub, min(sub + span, end - start))
             m[block], _, squares[block], purity[block] = play_block(

@@ -7,6 +7,7 @@ from it, and the sweep task body that played each realization with its own
 batch composition or worker count.
 """
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,44 @@ def test_iterate_matches_reference_round(players, nodes, signals, strategies):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("strategies", [2, 4])
+def test_multi_row_batch_matches_reference_rows(strategies):
+    # rows differ in M (M = 1 draws no signal word) and strengths and share
+    # per-player rates; blocks of odd length flip each row's buffered half,
+    # and a middle row leaves the batch mid-run
+    players, nodes = 9, 4
+    gamma = np.linspace(5.0, 25.0, players)
+    games, refs = [], []
+    for j, signals in enumerate((3, 40, 1, 7)):
+        config, simplex, c = _game(players, nodes, signals, strategies, 20 + j)
+        games.append((config, c, simplex, np.random.default_rng(100 + j)))
+        refs.append((reference_state(config, gamma), np.random.default_rng(100 + j)))
+    batch = Lockstep(games, gamma=gamma)
+    rows = [0, 1, 2, 3]
+
+    def check_state(j, k):
+        ref, ref_rng = refs[k]
+        assert _bytes(batch.scores[j].T) == _bytes(ref.scores)
+        assert _bytes(batch.probabilities[j].T) == _bytes(ref.probabilities)
+        assert games[k][3].bit_generator.state == ref_rng.bit_generator.state
+
+    for block, rounds in enumerate((1, 2, 7, 60, 31)):
+        block_signals, counts, squares, purity = play_block(batch, rounds)
+        for j, k in enumerate(rows):
+            config, c, simplex, _ = games[k]
+            ref, ref_rng = refs[k]
+            for t in range(rounds):
+                want = reference_iterate(ref, c, simplex, config, ref_rng)
+                r_t = float(_frustration(squares[t, j], players, nodes))
+                assert (int(block_signals[t, j]), r_t, float(purity[t, j])) == want[1:4]
+                assert np.array_equal(counts[t, j], want[4])
+            check_state(j, k)
+        if block == 2:
+            batch.keep([0, 2, 3])
+            rows = [0, 2, 3]
+    assert refs[1][0].iteration == 10 and refs[0][0].iteration == 101
+
+
 def _bytes(a):
     return np.ascontiguousarray(a).tobytes()
 
@@ -135,6 +174,22 @@ def test_run_trajectory_matches_reference():
         assert traj.purities.tolist() == [r[3] for r in records]
         assert result.state.iteration == 120
         assert result.state.scores.tobytes(order="A") == ref.scores.tobytes(order="A")
+
+
+def test_block_memory_is_bounded_for_many_strategies():
+    # a block's slot and probability arrays hold T K S N entries each; the
+    # sub-block span counts S, so at S = 64 a 100-round block is split
+    games = []
+    for j in range(16):
+        config, simplex, c = _game(50, 5, 10, 64, j)
+        games.append((config, c, simplex, np.random.default_rng(j)))
+    tracemalloc.start()
+    try:
+        learning.run_lockstep(games, LearningConfig(iterations=100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_lockstep_games_must_share_shape():

@@ -427,6 +427,21 @@ def test_matrix_io_size_mismatch(tmp_path, rng):
                              cfg.signals, "json")
 
 
+@pytest.mark.parametrize("text", [
+    "[1.5, 0]", "[1.0, 0]", "[true, 0]", "[[1], [0]]", "[300, 0]", "[-1, 0]",
+    "[NaN, 0]", '{"a": 1}', "[100000000000000000000000, 0]", "[1, 0",
+])
+def test_json_matrix_must_be_a_flat_list_of_node_indices(tmp_path, text):
+    # a float, bool, nested list, out-of-range value or broken file is refused,
+    # never cast to a byte
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError):
+        load_strategy_matrix(path, 1, 2, 1)
+    path.write_text("[255, 0]")
+    assert load_strategy_matrix(path, 1, 2, 1).entries.ravel().tolist() == [255, 0]
+
+
 def test_table_allocation_is_budgeted(tmp_path):
     # 10^12 table bytes: refused before drawing, and before reading a file
     cfg = binary_config(players=10**6, signals=10**6, strategies=1)

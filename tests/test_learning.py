@@ -334,10 +334,22 @@ def test_random_baseline_mean_one_even_for_skewed_strengths():
 
 # -- block draws -------------------------------------------------------------
 
-def test_bulk_decode_self_check_passes_on_installed_numpy():
+def test_bulk_decode_self_check_passes_on_installed_numpy(monkeypatch):
     # a numpy whose PCG64 internals no longer match the decode fails here,
-    # instead of every run quietly drawing per call
+    # instead of every run quietly drawing per call: the self-check only logs
+    # its failure, which the warnings filter does not see
     assert learning._decode_checked()
+
+    def per_call(*args):
+        raise AssertionError("a PCG64 block was drawn per call")
+
+    monkeypatch.setattr(learning, "_replay", per_call)
+    for signal_count in (1, 2, 3, 50):
+        for buffered in (0, 1):
+            rng = np.random.default_rng(signal_count)
+            if buffered:
+                rng.integers(2)
+            learning._draw_block(rng, signal_count, np.empty((7, 5)))
 
 
 @pytest.mark.parametrize("signal_count", [1, 2, 3, 50, 2000, 3 * 10**9])
