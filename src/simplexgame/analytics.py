@@ -103,8 +103,8 @@ def critical_lambda(strategies: int, nodes: int) -> float:
 
 def predicted_anarchy(lam: float, strategies: int, nodes: int) -> float:
     """Closed-form steady-state frustration at training parameter lam."""
-    if lam <= 0.0:
-        raise ValidationError("lambda must be > 0")
+    if not 0.0 < lam < math.inf:
+        raise ValidationError(f"lambda must be > 0 and finite, got {lam}")
     return float(prediction_for(strategies, nodes).curve(lam))
 
 

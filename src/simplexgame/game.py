@@ -187,12 +187,21 @@ def resolve_bets(c: StrategyMatrix, inst: PureInstance,
     return picked, Allocation(counts)
 
 
+def check_simplex(s: Simplex, config: GameConfig) -> None:
+    """The simplex was built from config's strengths."""
+    if not np.array_equal(s.strengths.weights, config.strengths.weights):
+        raise ValidationError(f"a simplex built from strengths {s.strengths.weights.tolist()} "
+                              f"does not fit a game of strengths "
+                              f"{config.strengths.weights.tolist()}")
+
+
 def _check_fit(c: StrategyMatrix, rows: np.ndarray, s: Simplex, config: GameConfig) -> None:
     """The table, the simplex and the (N, S) profile rows all belong to config's game."""
     if c.shape != (config.players, config.strategies_per_player, config.signals) \
             or s.node_count != config.nodes:
         raise ValidationError(f"a {' x '.join(map(str, c.shape))} strategy table on a "
                               f"{s.node_count}-node simplex does not fit {config}")
+    check_simplex(s, config)
     if rows.shape != c.shape[:2]:
         raise ValidationError(f"profile has shape {rows.shape}, the game needs {c.shape[:2]}")
 

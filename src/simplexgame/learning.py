@@ -7,11 +7,12 @@ space as (1 - N'_r / (y_r N)) / M with N'_r the occupancy of the strategy's
 node r after the player's own swap.  Only `reward_vector` still reads the
 simplex vertices.  Scores feed back into the softmax.
 
-`Lockstep`, the only play state, holds (K, S, N) scores and probabilities of
-K realizations, all starting at zero scores; `lockstep_round` plays one round
+`Lockstep`, the only play state, holds (S, K, N) scores and probabilities of
+K realizations, strategy-major so that each strategy's slice is a contiguous
+(K, N) plane, all starting at zero scores; `lockstep_round` plays one round
 of all of them per call, and `play_block` draws a block of T rounds ahead,
-takes their table slices as one (T, K, S, N) slot array, plays them, and
-reads the block's purities from the (T, K, S, N) probabilities the rounds
+takes their table slices as one (T, S, K, N) slot array, plays them, and
+reads the block's purities from the (T, K, N) softmax totals the rounds
 wrote.  Realizations of a batch share N, S, B and the learning rates
 but may differ in M and strengths, and each draws from its own generator in
 the order a lone run would, so its trajectory does not depend on what else
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import ValidationError, check_allocation
 from .game import (GameConfig, MixedProfile, PureInstance, StrategyMatrix,
-                   draw_strategy_matrix, strategy_payoffs)
+                   check_simplex, draw_strategy_matrix, strategy_payoffs)
 from .geometry import Simplex, build_simplex
 
 log = logging.getLogger(__name__)
@@ -49,8 +50,8 @@ PURITY_THRESHOLD = 0.999
 _ROW_BYTES = 24  # a recorded round: one int64 signal and two float64 values
 # rounds are drawn in blocks of at most 2**15 uniforms per realization, and
 # of fewer rounds once a batch would draw more than 2**20 uniforms per block,
-# or hold more than 2**21 slots (T K S N) in each of its slot and probability
-# arrays; for S <= 2 the uniforms set the limit
+# or hold more than 2**21 slots (T S K N) in its slot array; for S <= 2 the
+# uniforms set the limit
 _BLOCK_WORDS = 2**15
 _BATCH_WORDS = 2**20
 
@@ -133,22 +134,36 @@ def softmax_probabilities(scores, gamma: float) -> np.ndarray:
                               f"got shape {rates.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValidationError("scores must be finite")
-    return _softmax(scores[None, :, None], rates.item())[0, :, 0]
+    return _softmax(scores[:, None, None], rates.item())[:, 0, 0]
 
 
-def _softmax(scores: np.ndarray, rates, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax of rates * scores over the strategy axis of (K, S, N) scores.
+def _softmax(scores: np.ndarray, rates, out: np.ndarray | None = None,
+             total: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of rates * scores over the leading strategy axis of (S, K, N) scores.
 
-    Written to `out` (K, S, N) if given; rates is one number or one per player.
-    The sum runs s = 0, 1, ... in turn: an axis reduction may sum pairwise
-    (it does for N = 1 and S >= 8), and its result would then depend on N.
+    Written to `out` (S, K, N) if given, and each player's sum of the shifted
+    exponentials to `total` (K, N) if given; rates is one number or one per
+    player.  The max and the sum fold over s = 0, 1, ... in turn: max is exact
+    in any order, and an axis reduction may sum pairwise (it does for N = 1
+    and S >= 8), so its result would depend on N.  After the shift the top
+    strategy's exponential is exactly 1, so a player's largest probability is
+    exactly 1 / total.
     """
     z = np.multiply(scores, rates, out=out)
-    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    strategies = z.shape[0]
+    if total is None:
+        total = np.empty(z.shape[1:])
+    peak = z[0] if strategies == 1 else np.maximum(z[0], z[1], out=total)
+    for s in range(2, strategies):
+        np.maximum(peak, z[s], out=peak)
+    z -= peak
     np.exp(z, out=z)
-    total = z[:, :1]
-    for s in range(1, z.shape[1]):
-        total = total + z[:, s:s + 1]
+    if strategies == 1:
+        np.copyto(total, z[0])
+    else:
+        np.add(z[0], z[1], out=total)
+    for s in range(2, strategies):
+        np.add(total, z[s], out=total)
     z /= total
     return z
 
@@ -269,8 +284,9 @@ class Lockstep:
     """Working arrays of K realizations that share N, S and B, played in lockstep.
 
     `games` are (config, matrix, simplex, rng) tuples.  Scores start at zero
-    and probabilities uniform, both (K, S, N); every row learns at the rates
-    gamma, one float or one (N,) array of per-player rates.  Realization k's
+    and probabilities uniform, both (S, K, N), so that each strategy's slice
+    is a contiguous (K, N) plane; every row learns at the rates gamma, one
+    float or one (N,) array of per-player rates.  Realization k's
     signal-major table is rows offsets[k] .. offsets[k] + M_k of `tables`, one
     (sum M, N, S) uint8 array, and it plays from its own generator rngs[k].
     """
@@ -284,7 +300,7 @@ class Lockstep:
             raise ValidationError(f"gamma gives {rates.size} learning rates in shape "
                                   f"{rates.shape} for {n} players; give one rate or {n}")
         self.rates = rates.item() if rates.size == 1 else rates
-        self.scores = np.zeros((len(games), strategies, n))
+        self.scores = np.zeros((strategies, len(games), n))
         self.probabilities = _softmax(self.scores, self.rates)
         self.signal_counts = [config.signals for config, _, _, _ in games]
         self.offsets = np.cumsum([0] + self.signal_counts[:-1])
@@ -301,9 +317,9 @@ class Lockstep:
         self._ints = np.empty(0, dtype=np.int64)
 
     def _index(self) -> None:
-        k, _, n = self.scores.shape
+        _, k, n = self.scores.shape
         # realization k's nodes are slots k*B .. k*B + B-1 of the (K, B) counts
-        self.slot_base = self.nodes * np.arange(k)[:, None, None]
+        self.slot_base = self.nodes * np.arange(k)[:, None]
         # the reward (1 - occ / y_r / N) / M_k of a strategy on slot k*B + r at
         # occupancy occ = 0 .. N + 1, entry (k*B + r) * (N + 2) + occ, and the
         # first entry (k*B + r) * (N + 2) of each slot
@@ -312,22 +328,24 @@ class Lockstep:
         self.slot_cells = (n + 2) * np.arange(k * self.nodes)
 
     def _block_arrays(self, rounds: int):
-        """Draws (T, K, N), slots (T, K, S, N) and probabilities (T, K, S, N) of
-        a block of T rounds, as views of buffers that later blocks reuse."""
-        k, strategies, n = self.scores.shape
-        cells, uniforms = rounds * k * strategies * n, rounds * k * n
+        """Draws (T, K, N), slots (T, S, K, N) and softmax totals (T, K, N) of a
+        block of T rounds, as views of buffers that later blocks reuse."""
+        strategies, k, n = self.scores.shape
+        cells, uniforms = rounds * strategies * k * n, rounds * k * n
         if self._ints.size < cells:
             self._ints = np.empty(cells, dtype=np.int64)
-        if self._floats.size < cells + uniforms:
-            self._floats = np.empty(cells + uniforms)
-        return (self._floats[cells:cells + uniforms].reshape(rounds, k, n),
-                self._ints[:cells].reshape(rounds, k, strategies, n),
-                self._floats[:cells].reshape(rounds, k, strategies, n))
+        if self._floats.size < 2 * uniforms:
+            self._floats = np.empty(2 * uniforms)
+        return (self._floats[:uniforms].reshape(rounds, k, n),
+                self._ints[:cells].reshape(rounds, strategies, k, n),
+                self._floats[uniforms:2 * uniforms].reshape(rounds, k, n))
 
     def keep(self, rows) -> None:
         """Drop every working row not in `rows` (indices in the current order)."""
-        self.scores = self.scores[rows]
-        self.probabilities = self.probabilities[rows]
+        # take, not [:, rows]: an index on the middle axis gives a strided
+        # array, and every round would then work on strided planes
+        self.scores = self.scores.take(rows, axis=1)
+        self.probabilities = self.probabilities.take(rows, axis=1)
         self.offsets = self.offsets[rows]
         self.signals = self.signals[rows]
         self.inv_y = self.inv_y[rows]
@@ -337,34 +355,36 @@ class Lockstep:
 
 
 def lockstep_round(batch: Lockstep, slots: np.ndarray, draws: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
+                   totals: np.ndarray) -> np.ndarray:
     """Play one round of every realization in the batch and update it in place.
 
-    slots (K, S, N) are the round's table slices as slots of the (K, B) counts
+    slots (S, K, N) are the round's table slices as slots of the (K, B) counts
     and draws (K, N) its uniforms, both drawn ahead by `play_block`.  A
     strategy's reward depends only on its node r and on whether r is the
     played node (occupancy N_r) or not (N_r + 1), so it is gathered from the
-    batch's reward table straight into the (K, S, N) scores.  The new
-    probabilities are written to out (K, S, N), which becomes the batch's.
-    Returns the round's node counts per row (K, B).
+    batch's reward table straight into the (S, K, N) scores.  The softmax then
+    rewrites the batch's (S, K, N) probabilities, which sampling has read, and
+    writes each player's softmax total, the inverse of its largest
+    probability, to totals (K, N).  Returns the round's node counts per row
+    (K, B).
     """
-    k, strategies, _ = batch.scores.shape
+    strategies, k, _ = batch.scores.shape
     # inverse-cdf sampling; the last cumulative probability counts as 1.  The
     # cdf never decreases, so the played slot is that of the last s whose
     # cdf_s lies below the draw
     p = batch.probabilities
-    cdf = p[:, 0]
-    played = slots[:, 0]
+    cdf = p[0]
+    played = slots[0]
     for s in range(1, strategies):
         if s > 1:
-            cdf = cdf + p[:, s - 1]
-        played = np.where(draws > cdf, slots[:, s], played)
+            cdf = cdf + p[s - 1]
+        played = np.where(draws > cdf, slots[s], played)
 
     counts = np.bincount(played.ravel(), minlength=k * batch.nodes)
     cells = (batch.slot_cells + counts).take(slots)
-    cells += (slots != played[:, None]).view(np.uint8)
+    cells += (slots != played).astype(np.int64)
     batch.scores += batch.rewards.take(cells)
-    batch.probabilities = _softmax(batch.scores, batch.rates, out)
+    _softmax(batch.scores, batch.rates, p, totals)
     return counts.reshape(k, -1)
 
 
@@ -374,29 +394,26 @@ def play_block(batch: Lockstep, rounds: int):
     Realization k draws its T rounds (per round a signal, then N uniforms, the
     order a lone run keeps) from rngs[k] in one block, so seeded runs are
     reproducible whatever else shares the batch; the table slices of all T
-    rounds are then taken at once, as one (T, K, S, N) slot array, and every
-    round writes its probabilities to one (T, K, S, N) array, from which the
-    block's purities are read at the end.  Returns per round and row (T, K)
-    the signal, node counts (T, K, B), sum_r N_r^2 / y_r, which
-    `_frustration` turns into R_t, and purity (min over players of the
-    largest strategy probability after the round).
+    rounds are then taken at once, as one (T, S, K, N) slot array, and every
+    round writes its softmax totals to one (T, K, N) array, from which the
+    block's purities are read at the end as the smallest 1 / total.  Returns
+    per round and row (T, K) the signal, node counts (T, K, B),
+    sum_r N_r^2 / y_r, which `_frustration` turns into R_t, and purity (min
+    over players of the largest strategy probability after the round).
     """
     k = len(batch.rngs)
     signals = np.empty((rounds, k), dtype=np.int64)
-    draws, slots, probabilities = batch._block_arrays(rounds)
+    draws, slots, totals = batch._block_arrays(rounds)
     for j, rng in enumerate(batch.rngs):
         signals[:, j] = _draw_block(rng, batch.signal_counts[j], draws[:, j])
-    np.add(batch.tables.take(batch.offsets + signals, axis=0).transpose(0, 1, 3, 2),
+    np.add(batch.tables.take(batch.offsets + signals, axis=0).transpose(0, 3, 1, 2),
            batch.slot_base, out=slots)
     counts = np.empty((rounds, k, batch.nodes), dtype=np.int64)
     for t in range(rounds):
-        counts[t] = lockstep_round(batch, slots[t], draws[t], probabilities[t])
-    if rounds:
-        # a copy, as the next block reuses the buffer
-        batch.probabilities = probabilities[-1].copy()
+        counts[t] = lockstep_round(batch, slots[t], draws[t], totals[t])
     # one dot product per round and row, the same reduction a lone counts @ (counts / y) makes
     squares = np.matmul(counts[:, :, None, :], counts[..., None] * batch.inv_y)[..., 0, 0]
-    return signals, counts, squares, probabilities.max(axis=2).min(axis=2)
+    return signals, counts, squares, np.divide(1.0, totals, out=totals).min(axis=2)
 
 
 def _frustration(squares, players: int, nodes: int):
@@ -438,9 +455,8 @@ def run_lockstep(games: list, learn: LearningConfig,
     if len(shapes) != 1:
         raise ValidationError(f"lockstep games must share N, S and B, got {sorted(shapes)}")
     (n, strategies, nodes), = shapes
-    if not all(np.array_equal(s.strengths.weights, c.strengths.weights)
-               for c, _, s, _ in games):
-        raise ValidationError("a game's simplex strengths differ from its config's strengths")
+    for config, _, simplex, _ in games:
+        check_simplex(simplex, config)
     total, iterations = len(games), learn.iterations
     check_allocation(total * iterations * _ROW_BYTES,
                      f"{total} trajectories of {iterations} iterations")
@@ -455,7 +471,7 @@ def run_lockstep(games: list, learn: LearningConfig,
         k = active[j]
         _, matrix, simplex, _ = games[k]
         results[k] = RunResult(
-            LearnerState(batch.scores[j].T.copy(), batch.probabilities[j].T.copy(), rounds),
+            LearnerState(batch.scores[:, j].T.copy(), batch.probabilities[:, j].T.copy(), rounds),
             Trajectory(signals[k, :rounds], frustrations[k, :rounds], purities[k, :rounds]),
             matrix, simplex, converged)
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .game import GameConfig, MixedProfile, StrategyMatrix, strategy_payoffs
+from .game import (GameConfig, MixedProfile, StrategyMatrix, check_simplex,
+                   strategy_payoffs)
 from .geometry import Simplex
 
 DEFAULT_BUDGET = 10**6
@@ -59,6 +60,7 @@ class _ProfileEvaluator:
     def __init__(self, c: StrategyMatrix, simplex: Simplex, config: GameConfig):
         if c.shape != (config.players, config.strategies_per_player, config.signals):
             raise ValidationError("strategy matrix shape does not match config")
+        check_simplex(simplex, config)
         self.config = config
         self.qc = simplex.vertices[c.entries.astype(np.int64)]  # (N,S,M,D)
         self.n, s = self.qc.shape[:2]

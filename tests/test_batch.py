@@ -106,8 +106,8 @@ def test_iterate_matches_reference_round(players, nodes, signals, strategies):
             r_t = float(_frustration(squares[j, 0], players, nodes))
             assert (t, int(block_signals[j, 0]), r_t, float(purity[j, 0])) == want[:4]
             assert np.array_equal(counts[j, 0], want[4])
-    assert _bytes(batch.scores[0].T) == _bytes(ref.scores)
-    assert _bytes(batch.probabilities[0].T) == _bytes(ref.probabilities)
+    assert _bytes(batch.scores[:, 0].T) == _bytes(ref.scores)
+    assert _bytes(batch.probabilities[:, 0].T) == _bytes(ref.probabilities)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -128,8 +128,8 @@ def test_multi_row_batch_matches_reference_rows(strategies):
 
     def check_state(j, k):
         ref, ref_rng = refs[k]
-        assert _bytes(batch.scores[j].T) == _bytes(ref.scores)
-        assert _bytes(batch.probabilities[j].T) == _bytes(ref.probabilities)
+        assert _bytes(batch.scores[:, j].T) == _bytes(ref.scores)
+        assert _bytes(batch.probabilities[:, j].T) == _bytes(ref.probabilities)
         assert games[k][3].bit_generator.state == ref_rng.bit_generator.state
 
     for block, rounds in enumerate((1, 2, 7, 60, 31)):
@@ -147,6 +147,20 @@ def test_multi_row_batch_matches_reference_rows(strategies):
             batch.keep([0, 2, 3])
             rows = [0, 2, 3]
     assert refs[1][0].iteration == 10 and refs[0][0].iteration == 101
+
+
+def test_keep_leaves_every_strategy_plane_contiguous():
+    # a round reads and writes each strategy's (K, N) plane; dropping a row
+    # must not leave them strided
+    games = []
+    for j in range(4):
+        config, simplex, c = _game(9, 4, 5, 3, 30 + j)
+        games.append((config, c, simplex, np.random.default_rng(j)))
+    batch = Lockstep(games)
+    play_block(batch, 3)
+    batch.keep([0, 2, 3])
+    for array in (batch.scores, batch.probabilities):
+        assert array.shape == (3, 3, 9) and array.flags.c_contiguous
 
 
 def _bytes(a):
@@ -176,20 +190,30 @@ def test_run_trajectory_matches_reference():
         assert result.state.scores.tobytes(order="A") == ref.scores.tobytes(order="A")
 
 
-def test_block_memory_is_bounded_for_many_strategies():
-    # a block's slot and probability arrays hold T K S N entries each; the
-    # sub-block span counts S, so at S = 64 a 100-round block is split
+def _block_peak(strategies):
+    """tracemalloc peak of 100 rounds of 16 realizations at N = 50."""
     games = []
     for j in range(16):
-        config, simplex, c = _game(50, 5, 10, 64, j)
+        config, simplex, c = _game(50, 5, 10, strategies, j)
         games.append((config, c, simplex, np.random.default_rng(j)))
     tracemalloc.start()
     try:
         learning.run_lockstep(games, LearningConfig(iterations=100))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+
+
+def test_block_memory_is_bounded_for_many_strategies():
+    # a block's slot array holds T S K N entries; the sub-block span counts S,
+    # so at S = 64 a 100-round block is split
+    assert _block_peak(64) < 40 * 2**20
+
+
+def test_block_memory_does_not_grow_with_strategies():
+    # per round a block keeps the (K, N) softmax totals, not the (S, K, N)
+    # probabilities: a (T, K, S, N) probability array peaked at 21.9 MiB here
+    assert _block_peak(16) < 16 * 2**20
 
 
 def test_lockstep_games_must_share_shape():

@@ -352,6 +352,13 @@ REJECTED = {
     "oracle-no-strategies":
         (["oracle", "--N", "3", "--S", "0", "--M", "2", "--B", "2"], None),
     "zeta-no-strategies": (["zeta", "--S", "0"], None),
+    # lambda that is not positive and finite
+    "predict-nan-lambda": (["predict", "--S", "2", "--B", "5", "--lambda-grid", "nan,0.5"],
+                           None),
+    "predict-inf-lambda": (["predict", "--S", "2", "--B", "5", "--lambda-grid", "0.5,inf"],
+                           None),
+    "predict-negative-inf-lambda":
+        (["predict", "--S", "2", "--B", "5", "--lambda-grid=-inf"], None),
     # 10^12 sizes: refused by a budget, not by a failed allocation
     "sweep-huge-t_max":
         (["sweep", "--config", "{cfg}", "--out", "{out}"], SWEEP_ONE + f"t_max = {HUGE}\n"),

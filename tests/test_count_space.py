@@ -110,8 +110,8 @@ def test_iterate_matches_vertex_route(players, nodes, signals, strategies,
         assert np.array_equal(counts_t, counts)
         assert abs(frustration_t - r_t) <= TOL
         bound = TOL * np.maximum(1.0, np.abs(ref.scores))
-        assert np.all(np.abs(batch.scores[0].T - ref.scores) <= bound)
-    assert np.max(np.abs(batch.probabilities[0].T - ref.probabilities)) <= 1e-10
+        assert np.all(np.abs(batch.scores[:, 0].T - ref.scores) <= bound)
+    assert np.max(np.abs(batch.probabilities[:, 0].T - ref.probabilities)) <= 1e-10
     # both generators sit at the same point of the stream
     assert rng.random() == ref_rng.random()
 

@@ -288,6 +288,20 @@ def test_payoffs_reject_a_profile_or_game_of_another_shape():
         strategy_payoffs(c, np.array([[0.3, 0.7]]), s, cfg)
 
 
+def test_payoffs_reject_a_simplex_of_other_strengths():
+    # built from the mirrored strengths the simplex once gave expected_frustration
+    # 1.896 for 1.427 and frustration 1.323 for 0.714
+    y = StrengthDistribution(np.array([0.5, 0.3, 0.2]))
+    cfg = GameConfig(players=4, nodes=3, signals=2, strategies_per_player=2, strengths=y)
+    c, p = draw_strategy_matrix(cfg, np.random.default_rng(0)), MixedProfile.uniform(4, 2)
+    mirrored = build_simplex(StrengthDistribution(np.array([0.2, 0.3, 0.5])))
+    for evaluate in (strategy_payoffs, expected_frustration, frustration):
+        with pytest.raises(ValidationError, match="does not fit"):
+            evaluate(c, p, mirrored, cfg)
+    assert expected_frustration(c, p, build_simplex(y), cfg) == pytest.approx(1.427, abs=1e-3)
+    assert frustration(c, p, build_simplex(y), cfg) == pytest.approx(0.714, abs=1e-3)
+
+
 @pytest.mark.parametrize("players,strategies,signals", [
     (1, 2, 400), (5, 1, 30), (13, 2, 9), (6, 4, 25), (20, 2, 1), (1, 1, 1), (300, 2, 300),
 ])

@@ -102,8 +102,8 @@ def test_iterate_updates_are_consistent(rng):
         play_round(batch, cfg)
         # probabilities always softmax-consistent with scores
         for i in range(cfg.players):
-            expect = softmax_probabilities(batch.scores[0, :, i], 7.0)
-            assert np.max(np.abs(batch.probabilities[0, :, i] - expect)) <= 1e-12
+            expect = softmax_probabilities(batch.scores[:, 0, i], 7.0)
+            assert np.max(np.abs(batch.probabilities[:, 0, i] - expect)) <= 1e-12
 
 
 def test_iterate_single_strategy_is_repeated_play(rng):
@@ -245,7 +245,7 @@ def test_score_drift_matches_strategy_payoffs(rng):
         batch = Lockstep([(cfg, c, s, stream)], gamma=20.0)
         for _ in range(window):
             play_round(batch, cfg)
-        drift += batch.scores[0].T
+        drift += batch.scores[:, 0].T
     corr = spearman(drift.reshape(-1), predicted.reshape(-1))
     assert corr > 0.5
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from simplexgame import (BudgetError, GameConfig, LearningConfig, MixedProfile,
+                         ValidationError,
                          StrategyMatrix, StrengthDistribution, build_simplex,
                          draw_strategy_matrix, enumerate_equilibria, frustration,
                          maximizer_equilibrium_report, oracle_report,
@@ -165,6 +166,18 @@ def test_anti_coordination_equilibria():
     # coordinated profiles land both players on one node: R = 2
     _, _, r = _ProfileEvaluator(c, s, cfg).evaluate([(0, 0)])
     assert r[0] == pytest.approx(2.0)
+
+
+def test_oracle_rejects_a_simplex_of_other_strengths():
+    y = StrengthDistribution(np.array([0.5, 0.3, 0.2]))
+    cfg = GameConfig(players=4, nodes=3, signals=2, strategies_per_player=2, strengths=y)
+    c = draw_strategy_matrix(cfg, np.random.default_rng(0))
+    mirrored = build_simplex(StrengthDistribution(np.array([0.2, 0.3, 0.5])))
+    with pytest.raises(ValidationError, match="does not fit"):
+        _ProfileEvaluator(c, mirrored, cfg)
+    with pytest.raises(ValidationError, match="does not fit"):
+        oracle_report(c, mirrored, cfg)
+    _ProfileEvaluator(c, build_simplex(y), cfg)
 
 
 def test_exact_price_of_anarchy_zero_when_balanced_profile_exists():
