@@ -13,8 +13,8 @@ from .analytics import (AnarchyPrediction, critical_lambda, predicted_anarchy,
 from .errors import BudgetError, DegenerateStrengthsError, ValidationError
 from .game import (Allocation, GameConfig, MixedProfile, PureInstance,
                    StrategyMatrix, draw_strategy_matrix, expected_frustration,
-                   frustration, load_strategy_matrix, mixed_correlated_payoff,
-                   resolve_bets, save_strategy_matrix, strategy_payoffs)
+                   frustration, load_strategy_matrix, resolve_bets,
+                   save_strategy_matrix, strategy_payoffs)
 from .geometry import (PropernessReport, Simplex, StrengthDistribution,
                        build_simplex, gram_defect, properness, weighted_moments)
 from .harness import (ComparisonResult, ExperimentConfig, SweepResult, child_seed,

@@ -285,13 +285,6 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray, s: Simplex
     return (config.players - total) / config.players
 
 
-def mixed_correlated_payoff(c: StrategyMatrix, p: MixedProfile, i: int, s: Simplex,
-                            config: GameConfig) -> float:
-    """Player i's signal-averaged payoff with every player mixing."""
-    per_strategy = strategy_payoffs(c, p, s, config)
-    return float(p.rows[i] @ per_strategy[i])
-
-
 def frustration(c: StrategyMatrix, p: MixedProfile, s: Simplex, config: GameConfig) -> float:
     """Signal-averaged squared mean bet, normalized by N (B-1).
 

@@ -8,11 +8,14 @@ with the maximizers of the aggregate payoff; `enumerate_equilibria`,
 Payoffs here are dot products with the (N, S, M, B-1) strategy vertices,
 independent of the count-space evaluators in `game` (which only
 `potential_defect` calls).  The pass evaluates blocks of consecutive profiles
-(in `itertools.product` order) per NumPy call; a block's largest array, the
-(P, N, S, M, B-1) deviation bets, holds at most ORACLE_BLOCK floats unless one
-profile alone needs more; the block temporaries are written into work arrays
-allocated once per scan, and the scan keeps only the equilibria and the
-maximizer candidates, so memory does not grow with S^N.
+(in `itertools.product` order) with a few NumPy calls per block: a block's
+aggregate bets are contracted once with the (N S, M (B-1)) vertex table, and
+every deviation payoff is read from that contraction and the game's vertex
+overlaps, so no per-deviation bet is built.  Every sum runs in a fixed order,
+so a profile's floats do not depend on the block it is in.  A block's
+contraction takes at most ORACLE_BLOCK products, and none of its arrays holds
+more floats, unless one profile alone needs more; the scan keeps only the
+equilibria and the maximizer candidates, so memory does not grow with S^N.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .geometry import Simplex
 DEFAULT_BUDGET = 10**6
 EQUILIBRIUM_SLACK = 1e-12  # deviation gain still counted as no gain
 TIE_TOL = 1e-12            # aggregate shortfall still counted as a maximizer
-ORACLE_BLOCK = 1 << 15     # floats in one block's deviation bets (256 KB)
+ORACLE_BLOCK = 1 << 15     # products in one block's contraction, P * N S * M (B-1)
 
 
 @dataclass(frozen=True)
@@ -55,47 +58,49 @@ class MaximizerReport:
 
 
 class _ProfileEvaluator:
-    """Dot-product payoff evaluation for all pure profiles of one game."""
+    """Dot-product payoff evaluation for all pure profiles of one game.
+
+    With q_ism player i's vertex for strategy s under signal m and b_pm a
+    profile's aggregate bet, a deviation to s (in place of the played c_i) pays
+    -sum_m q_ism . (b_pm - q_icm + q_ism) / (N M), expanded as
+    -((q_is . b_p) - H[i, s, c_i] + H[i, s, s]) / (N M) with the per-game
+    vertex overlaps H[i, s, k] = sum_m q_ism . q_ikm; the played payoff is
+    -(q_ic . b_p) / (N M).
+    """
 
     def __init__(self, c: StrategyMatrix, simplex: Simplex, config: GameConfig):
         if c.shape != (config.players, config.strategies_per_player, config.signals):
             raise ValidationError("strategy matrix shape does not match config")
         check_simplex(simplex, config)
         self.config = config
-        self.qc = simplex.vertices[c.entries.astype(np.int64)]  # (N,S,M,D)
-        self.n, s = self.qc.shape[:2]
-        self.rows_of_qc = self.qc.reshape(self.n * s, *self.qc.shape[2:])
-        self.row_offset = s * np.arange(self.n)   # player i's strategy k is row i*S + k
-        self.rows = 0
-
-    def _work(self, p: int) -> tuple:
-        """Views of the first p rows of the work arrays, grown when p exceeds them."""
-        if p > self.rows:
-            n, s, m, d = self.qc.shape
-            self.rows = p
-            self.arrays = (np.empty((p, n, m, d)), np.empty((p, m, d)),
-                           np.empty((p, n, m)), np.empty((p, n, s, m, d)),
-                           np.empty((p, n, s, m)))
-        return tuple(a[:p] for a in self.arrays)
+        qc = simplex.vertices[c.entries.astype(np.int64)]   # (N,S,M,D)
+        self.n, s, self.m = qc.shape[:3]
+        # (N*S, M*D) vertex table: player i's strategy k is row i*S + k
+        self.table = qc.reshape(self.n * s, -1)
+        self.columns = np.ascontiguousarray(self.table.T)   # (M*D, N*S)
+        self.row_offset = s * np.arange(self.n)
+        overlap = np.einsum("ismd,ikmd->isk", qc, qc)       # H (N,S,S)
+        # row i*S + k is H[i, :, k], the overlaps when player i plays k
+        self.played_overlap = overlap.transpose(0, 2, 1).reshape(self.n * s, s)
+        self.own_overlap = np.einsum("iss->is", overlap)    # H[i, s, s]
 
     def evaluate(self, profiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For a (P, N) block of pure profiles: averaged payoffs (P, N), averaged
         deviation payoffs (P, N, S) and frustrations (P,)."""
-        idx = np.asarray(profiles, dtype=np.int64)
-        chosen, b, u, b_dev, u_dev = self._work(idx.shape[0])
-        np.take(self.rows_of_qc, idx + self.row_offset, axis=0, out=chosen)  # (P,N,M,D)
-        np.sum(chosen, axis=1, out=b)                                    # (P,M,D)
-        np.einsum("pimd,pmd->pim", chosen, b, out=u)
-        np.negative(u, out=u)
-        u /= self.n
-        # deviation of player i to strategy s: shift b by the player's own swap
-        np.subtract(b[:, None, None], chosen[:, :, None], out=b_dev)     # (P,N,S,M,D)
-        b_dev += self.qc
-        np.einsum("ismd,pismd->pism", self.qc, b_dev, out=u_dev)
-        np.negative(u_dev, out=u_dev)
-        u_dev /= self.n
-        r = np.einsum("pmd,pmd->p", b, b) / (b.shape[1] * self.n * (self.config.nodes - 1))
-        return u.mean(axis=2), u_dev.mean(axis=3), r
+        rows = np.asarray(profiles, dtype=np.int64) + self.row_offset   # (P,N)
+        p, ns = rows.shape[0], self.table.shape[0]
+        chosen = np.take(self.table, rows.T, axis=0)                   # (N,P,M*D)
+        b = chosen[0].copy()
+        for vertices in chosen[1:]:   # in player order, so b's bits do not depend on P
+            b += vertices
+        bets = np.einsum("px,xk->pk", b, self.columns)                 # q_is . b_p
+        scale = -(self.n * self.m)
+        u = np.take(bets, rows + ns * np.arange(p)[:, None]) / scale   # (P,N)
+        u_dev = bets.reshape(p, self.n, -1) - np.take(self.played_overlap, rows, axis=0)
+        u_dev += self.own_overlap
+        u_dev /= scale
+        r = np.einsum("px,px->p", b, b) / (self.m * self.n * (self.config.nodes - 1))
+        return u, u_dev, r
 
 
 def _block_rows(config: GameConfig) -> int:
@@ -106,7 +111,10 @@ def _block_rows(config: GameConfig) -> int:
 
 
 def check_budget(config: GameConfig, budget: int = DEFAULT_BUDGET) -> int:
-    """S^N, the number of pure profiles; BudgetError when it exceeds the budget."""
+    """S^N, the number of pure profiles; BudgetError when it exceeds the budget,
+    ValidationError when the budget is negative."""
+    if budget < 0:
+        raise ValidationError(f"budget must be >= 0, got {budget}")
     s, n = config.strategies_per_player, config.players
     # S^N >= 2^N: once 2^min(N, 64) passes the budget, S^N (N may be huge) is never built
     if (s > 1 and 2 ** min(n, 64) > budget) or s ** n > budget:

@@ -2,16 +2,19 @@
 
 These evaluate payoffs and frustrations of one realized allocation, or of a
 pure profile, straight from their definitions: through the simplex vertices
-(`aggregate_bet`, `instantaneous_frustration`, `isometry_defect`) or by
-resolving every signal's occupancies (`payoff_linear`, `correlated_payoff`,
-`signal_loop_payoffs`).
-The package computes the same quantities in count space.
+(`aggregate_bet`, `instantaneous_frustration`, `isometry_defect`,
+`DeviationBetEvaluator`) or by resolving every signal's occupancies
+(`payoff_linear`, `correlated_payoff`, `signal_loop_payoffs`).
+The package computes the same quantities in count space, and its oracle by
+expanded vertex dot products.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from simplexgame import Allocation, GameConfig, Simplex, StrategyMatrix, ValidationError
+from simplexgame import (Allocation, GameConfig, MixedProfile, Simplex, StrategyMatrix,
+                         ValidationError, strategy_payoffs)
+from simplexgame.game import check_simplex
 
 
 def aggregate_bet(alloc: Allocation, s: Simplex) -> np.ndarray:
@@ -79,6 +82,13 @@ def signal_loop_payoffs(c: StrategyMatrix, rows: np.ndarray, s: Simplex,
     return (config.players - total) / config.players
 
 
+def mixed_correlated_payoff(c: StrategyMatrix, p: MixedProfile, i: int, s: Simplex,
+                            config: GameConfig) -> float:
+    """Player i's signal-averaged payoff with every player mixing."""
+    per_strategy = strategy_payoffs(c, p, s, config)
+    return float(p.rows[i] @ per_strategy[i])
+
+
 def instantaneous_frustration(alloc: Allocation, s: Simplex, config: GameConfig) -> float:
     """|b|^2 / (N (B-1)) for one realized allocation; 0 iff b = 0."""
     b = aggregate_bet(alloc, s)
@@ -94,3 +104,52 @@ def isometry_defect(s: Simplex, x: np.ndarray) -> float:
     proj = s.vertices @ x
     return float(abs(s.strengths.weights @ (proj * proj) - x @ x))
 
+
+
+class DeviationBetEvaluator:
+    """The oracle's block evaluator on the direct vertex route.
+
+    Builds every deviation's aggregate bet b - q_ic + q_is as a
+    (P, N, S, M, B-1) array and dots it with the deviating vertex; it takes
+    the place of `oracle._ProfileEvaluator` to check the expanded route.
+    """
+
+    def __init__(self, c: StrategyMatrix, simplex: Simplex, config: GameConfig):
+        if c.shape != (config.players, config.strategies_per_player, config.signals):
+            raise ValidationError("strategy matrix shape does not match config")
+        check_simplex(simplex, config)
+        self.config = config
+        self.qc = simplex.vertices[c.entries.astype(np.int64)]  # (N,S,M,D)
+        self.n, s = self.qc.shape[:2]
+        self.rows_of_qc = self.qc.reshape(self.n * s, *self.qc.shape[2:])
+        self.row_offset = s * np.arange(self.n)   # player i's strategy k is row i*S + k
+        self.rows = 0
+
+    def _work(self, p: int) -> tuple:
+        """Views of the first p rows of the work arrays, grown when p exceeds them."""
+        if p > self.rows:
+            n, s, m, d = self.qc.shape
+            self.rows = p
+            self.arrays = (np.empty((p, n, m, d)), np.empty((p, m, d)),
+                           np.empty((p, n, m)), np.empty((p, n, s, m, d)),
+                           np.empty((p, n, s, m)))
+        return tuple(a[:p] for a in self.arrays)
+
+    def evaluate(self, profiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For a (P, N) block of pure profiles: averaged payoffs (P, N), averaged
+        deviation payoffs (P, N, S) and frustrations (P,)."""
+        idx = np.asarray(profiles, dtype=np.int64)
+        chosen, b, u, b_dev, u_dev = self._work(idx.shape[0])
+        np.take(self.rows_of_qc, idx + self.row_offset, axis=0, out=chosen)  # (P,N,M,D)
+        np.sum(chosen, axis=1, out=b)                                    # (P,M,D)
+        np.einsum("pimd,pmd->pim", chosen, b, out=u)
+        np.negative(u, out=u)
+        u /= self.n
+        # deviation of player i to strategy s: shift b by the player's own swap
+        np.subtract(b[:, None, None], chosen[:, :, None], out=b_dev)     # (P,N,S,M,D)
+        b_dev += self.qc
+        np.einsum("ismd,pismd->pism", self.qc, b_dev, out=u_dev)
+        np.negative(u_dev, out=u_dev)
+        u_dev /= self.n
+        r = np.einsum("pmd,pmd->p", b, b) / (b.shape[1] * self.n * (self.config.nodes - 1))
+        return u.mean(axis=2), u_dev.mean(axis=3), r

@@ -351,6 +351,8 @@ REJECTED = {
         (["predict", "--S", "0", "--B", "2", "--lambda-grid", "0.5"], None),
     "oracle-no-strategies":
         (["oracle", "--N", "3", "--S", "0", "--M", "2", "--B", "2"], None),
+    "oracle-negative-budget":
+        (["oracle", "--N", "3", "--S", "2", "--M", "2", "--B", "3", "--budget", "-5"], None),
     "zeta-no-strategies": (["zeta", "--S", "0"], None),
     # lambda that is not positive and finite
     "predict-nan-lambda": (["predict", "--S", "2", "--B", "5", "--lambda-grid", "nan,0.5"],

@@ -4,13 +4,12 @@ import pytest
 from simplexgame import (Allocation, BudgetError, GameConfig, MixedProfile, PureInstance,
                          StrategyMatrix, StrengthDistribution, ValidationError,
                          build_simplex, draw_strategy_matrix, expected_frustration,
-                         frustration, game, load_strategy_matrix,
-                         mixed_correlated_payoff, resolve_bets, save_strategy_matrix,
-                         strategy_payoffs)
+                         frustration, game, load_strategy_matrix, resolve_bets,
+                         save_strategy_matrix, strategy_payoffs)
 
 from conftest import random_profile, random_proper_strengths, small_instance
 from references import (aggregate_bet, correlated_payoff, instantaneous_frustration,
-                        payoff_linear, signal_loop_payoffs)
+                        mixed_correlated_payoff, payoff_linear, signal_loop_payoffs)
 
 
 def binary_config(players, signals=1, strategies=1):

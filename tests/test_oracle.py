@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -14,19 +15,22 @@ from simplexgame import oracle
 from simplexgame.oracle import EquilibriumSet, MaximizerReport, _ProfileEvaluator
 
 from conftest import random_profile, random_proper_strengths, small_instance
-from references import correlated_payoff
+from references import DeviationBetEvaluator, correlated_payoff
 
 
 def reference_evaluate(ev, profile):
-    """One profile on the vertex route: (payoffs (N,), deviation payoffs (N,S), frustration)."""
-    idx = np.asarray(profile, dtype=np.int64)
-    chosen = ev.qc[np.arange(ev.n), idx]          # (N,M,D)
-    b = chosen.sum(axis=0)                        # (M,D)
-    u = -np.einsum("imd,md->im", chosen, b) / ev.n
-    b_dev = b[None, None] - chosen[:, None] + ev.qc  # (N,S,M,D)
-    u_dev = -np.einsum("ismd,ismd->ism", ev.qc, b_dev) / ev.n
-    r = float(np.einsum("md,md->", b, b)) / (b.shape[0] * ev.n * (ev.config.nodes - 1))
-    return u.mean(axis=1), u_dev.mean(axis=2), r
+    """One profile on the expanded vertex route: (payoffs (N,), deviation payoffs (N,S),
+    frustration), from the evaluator's vertex table and overlaps."""
+    rows = np.asarray(profile, dtype=np.int64) + ev.row_offset
+    b = ev.table[rows[0]].copy()                  # (M*D,)
+    for row in rows[1:]:
+        b += ev.table[row]
+    bets = np.einsum("x,xk->k", b, ev.columns)    # (N*S,)
+    scale = -(ev.n * ev.m)
+    u = bets[rows] / scale
+    u_dev = (bets.reshape(ev.n, -1) - ev.played_overlap[rows] + ev.own_overlap) / scale
+    r = float(np.einsum("x,x->", b, b)) / (ev.m * ev.n * (ev.config.nodes - 1))
+    return u, u_dev, r
 
 
 def reference_scan(c, s, cfg):
@@ -335,11 +339,20 @@ def _random_games(count, seed):
         yield cfg, build_simplex(y), draw_strategy_matrix(cfg, gen)
 
 
+def _one_coordinate_game():
+    """N=9, M=1, B=2 with skewed strengths: each profile's bet is one float, so a
+    block of one profile sums nine scalars, whose bits show the summation order."""
+    gen = np.random.default_rng(901)
+    y = random_proper_strengths(gen, 2)
+    cfg = GameConfig(players=9, nodes=2, signals=1, strategies_per_player=2, strengths=y)
+    return cfg, build_simplex(y), draw_strategy_matrix(cfg, gen)
+
+
 def test_blocked_scan_equals_per_profile_scan(monkeypatch):
     # same lists in the same order and the same floats, whatever the block size:
     # one profile per block, and blocks of 2 and 3 (ragged last blocks, of one
     # profile when S^N is odd or 2^N = 1 mod 3)
-    games = [anti_coordination_game(), *_random_games(60, 900)]
+    games = [anti_coordination_game(), _one_coordinate_game(), *_random_games(60, 900)]
     for cfg, s, c in games:
         want = reference_scan(c, s, cfg)
         monkeypatch.undo()
@@ -349,13 +362,18 @@ def test_blocked_scan_equals_per_profile_scan(monkeypatch):
             assert oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET) == want
 
 
-def test_blocked_scan_equals_per_profile_scan_on_benchmark_game(monkeypatch):
-    # the benchmark's oracle input (N=15, S=2, M=3, B=3, uniform, seed 7); blocks
-    # of 7 leave one profile for the last block, since 2^15 = 1 mod 7
+def _benchmark_games(seeds):
+    """The benchmark's oracle shape: N=15, S=2, M=3, B=3, uniform strengths."""
     y = StrengthDistribution.uniform(3)
     cfg = GameConfig(players=15, nodes=3, signals=3, strategies_per_player=2, strengths=y)
-    c = draw_strategy_matrix(cfg, np.random.default_rng(7))
-    s = build_simplex(y)
+    for seed in seeds:
+        yield cfg, build_simplex(y), draw_strategy_matrix(cfg, np.random.default_rng(seed))
+
+
+def test_blocked_scan_equals_per_profile_scan_on_benchmark_game(monkeypatch):
+    # the benchmark's oracle input at seed 7; blocks of 7 leave one profile for
+    # the last block, since 2^15 = 1 mod 7
+    cfg, s, c = next(_benchmark_games([7]))
     want = reference_scan(c, s, cfg)
     assert 1 < oracle._block_rows(cfg) < 2**15
     assert oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET) == want
@@ -364,8 +382,8 @@ def test_blocked_scan_equals_per_profile_scan_on_benchmark_game(monkeypatch):
 
 
 def test_block_rows_bounded():
-    # at least one profile per block; the deviation bets of a block stay within
-    # ORACLE_BLOCK floats unless one profile alone needs more
+    # at least one profile per block; a block's contraction stays within
+    # ORACLE_BLOCK products unless one profile alone needs more
     y = StrengthDistribution.uniform(5)
     for players, signals, strategies in [(15, 3, 2), (2, 1, 1), (4, 5000, 3), (20, 5000, 2)]:
         cfg = GameConfig(players=players, nodes=5, signals=signals,
@@ -413,3 +431,47 @@ def test_check_budget_counts_profiles_up_to_the_budget():
                                         (5, 1, 0), (2, 10**12, 10**6)]:
         with pytest.raises(BudgetError):
             oracle.check_budget(config(players, strategies), budget)
+
+
+def test_check_budget_rejects_a_negative_budget():
+    cfg = GameConfig(players=3, nodes=3, signals=2, strategies_per_player=2,
+                     strengths=StrengthDistribution.uniform(3))
+    c = draw_strategy_matrix(cfg, np.random.default_rng(0))
+    for call in (lambda: oracle.check_budget(cfg, -5),
+                 lambda: oracle_report(c, build_simplex(cfg.strengths), cfg, -1)):
+        with pytest.raises(ValidationError, match="budget must be >= 0") as err:
+            call()
+        assert not isinstance(err.value, BudgetError)
+
+
+def _floats_close(got, want, tol):
+    """Equal lists, counts and flags; floats (also inside lists) within tol."""
+    if isinstance(want, float) and isinstance(got, float):
+        return abs(got - want) <= tol
+    if isinstance(want, list) and isinstance(got, list):
+        return len(got) == len(want) and all(_floats_close(g, w, tol)
+                                             for g, w in zip(got, want))
+    return type(got) is type(want) and got == want
+
+
+ROUTE_TOL = 1e-12   # the two routes sum the same dot products in another order
+
+
+def test_expanded_route_matches_deviation_bet_route(monkeypatch):
+    # every list, count and flag identical to the (P, N, S, M, B-1) deviation-bet
+    # route the oracle used to build, and every float within ROUTE_TOL
+    games = [*_oracle_games(), *_random_games(60, 900), *_benchmark_games(range(1, 11))]
+    for cfg, s, c in games:
+        got = oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET)
+        report = oracle_report(c, s, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_ProfileEvaluator", DeviationBetEvaluator)
+            want = oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET)
+            want_report = oracle_report(c, s, cfg)
+        for ours, theirs in zip(got, want):
+            for field in dataclasses.fields(theirs):
+                mine, old = getattr(ours, field.name), getattr(theirs, field.name)
+                assert _floats_close(mine, old, ROUTE_TOL), (field.name, mine, old)
+        assert report.keys() == want_report.keys()
+        for key, old in want_report.items():
+            assert _floats_close(report[key], old, ROUTE_TOL), (key, report[key], old)
