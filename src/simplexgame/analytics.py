@@ -25,6 +25,7 @@ from .errors import ValidationError, check_allocation
 QUAD_LIMIT = 8.0    # integrand carries exp(-z^2); tail beyond |z|=8 is < 1e-27
 QUAD_POINTS = 1025  # trapezoid nodes, step 2 * QUAD_LIMIT / 1024 = 1/64
 QUAD_TOL = 1e-8     # largest accepted fine-minus-coarse difference
+MC_CHUNK = 10**6    # Monte-Carlo minima drawn per chunk of zeta_monte_carlo
 
 
 @dataclass(frozen=True)
@@ -69,21 +70,20 @@ def zeta(strategies: int) -> float:
     return float(strategies * math.sqrt(2.0 / math.pi) * fine)
 
 
-def zeta_monte_carlo(strategies: int, samples: int = 10**6, seed=None,
-                     chunk: int = 10**6) -> tuple[float, float]:
+def zeta_monte_carlo(strategies: int, samples: int = 10**6, seed=None) -> tuple[float, float]:
     """Sampling estimate of zeta(S): (mean of per-draw minima, standard error)."""
     if strategies < 1:
         raise ValidationError("strategies must be >= 1")
     if samples < 2:
         raise ValidationError("need at least 2 samples")
-    check_allocation(min(samples, chunk) * strategies * 8,
-                     f"a chunk of {min(samples, chunk)} x {strategies} normal draws")
+    check_allocation(min(samples, MC_CHUNK) * strategies * 8,
+                     f"a chunk of {min(samples, MC_CHUNK)} x {strategies} normal draws")
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     remaining = samples
     while remaining > 0:
-        take = min(remaining, chunk)
+        take = min(remaining, MC_CHUNK)
         m = rng.standard_normal((take, strategies)).min(axis=1)
         total += float(m.sum())
         total_sq += float((m * m).sum())

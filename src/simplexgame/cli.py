@@ -96,11 +96,17 @@ def _play(args, command):
 
 
 def _cmd_run(args) -> int:
-    result = _play(args, harness.single_run)
+    def run_and_dump(exp):
+        # the dump is built before any write: strengths too skewed for vertices fail here
+        result = harness.single_run(exp)
+        dump = debug_dict(build_simplex(result.config.strengths)) if args.dump_simplex else None
+        return result, dump
+
+    result, dump = _play(args, run_and_dump)
     harness.export_trajectory(result.trajectory, args.out)
-    if args.dump_simplex:
+    if dump is not None:
         with open(args.dump_simplex, "w") as fh:
-            json.dump(debug_dict(result.simplex), fh, indent=2, sort_keys=True)
+            json.dump(dump, fh, indent=2, sort_keys=True)
     print(f"wrote {len(result.trajectory)} iterations to {args.out}")
     return 0
 
@@ -142,9 +148,8 @@ def _cmd_oracle(args) -> int:
                         strategies_per_player=args.strategies, strengths=y)
     oracle.check_budget(config, args.budget)   # before the table is drawn
     rng = np.random.default_rng(args.seed)
-    simplex = build_simplex(y)
     matrix = draw_strategy_matrix(config, rng)
-    report = oracle.oracle_report(matrix, simplex, config, args.budget)
+    report = oracle.oracle_report(matrix, config, args.budget)
     report["seed"] = args.seed
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, check_allocation
-from .geometry import Simplex, StrengthDistribution, _readonly
+from .geometry import StrengthDistribution, _readonly
 
 ROW_SUM_TOL = 1e-12
 TABLE_BLOCK = 1 << 17  # table entries per drawn or read block; payoff terms per payoff block
@@ -187,21 +187,19 @@ def resolve_bets(c: StrategyMatrix, inst: PureInstance,
     return picked, Allocation(counts)
 
 
-def check_simplex(s: Simplex, config: GameConfig) -> None:
-    """The simplex was built from config's strengths."""
-    if not np.array_equal(s.strengths.weights, config.strengths.weights):
-        raise ValidationError(f"a simplex built from strengths {s.strengths.weights.tolist()} "
-                              f"does not fit a game of strengths "
-                              f"{config.strengths.weights.tolist()}")
+def check_matrix(c: StrategyMatrix, config: GameConfig) -> None:
+    """The table belongs to config's game: shape (N, S, M) and every node below B."""
+    if c.shape != (config.players, config.strategies_per_player, config.signals):
+        raise ValidationError(f"a {' x '.join(map(str, c.shape))} strategy table "
+                              f"does not fit {config}")
+    top = int(c.entries.max())
+    if top >= config.nodes:
+        raise ValidationError(f"strategy table holds node {top} of a {config.nodes}-node game")
 
 
-def _check_fit(c: StrategyMatrix, rows: np.ndarray, s: Simplex, config: GameConfig) -> None:
-    """The table, the simplex and the (N, S) profile rows all belong to config's game."""
-    if c.shape != (config.players, config.strategies_per_player, config.signals) \
-            or s.node_count != config.nodes:
-        raise ValidationError(f"a {' x '.join(map(str, c.shape))} strategy table on a "
-                              f"{s.node_count}-node simplex does not fit {config}")
-    check_simplex(s, config)
+def _check_fit(c: StrategyMatrix, rows: np.ndarray, config: GameConfig) -> None:
+    """The table and the (N, S) profile rows both belong to config's game."""
+    check_matrix(c, config)
     if rows.shape != c.shape[:2]:
         raise ValidationError(f"profile has shape {rows.shape}, the game needs {c.shape[:2]}")
 
@@ -222,15 +220,12 @@ def _signal_blocks(c: StrategyMatrix, rows: np.ndarray, nodes: int, step: int):
     buffer = np.empty((step,) + table.shape[1:], dtype=np.intp)
     for start in range(0, table.shape[0], step):
         block = table[start:start + step]
-        if block.max() >= nodes:
-            raise ValidationError(f"strategy table holds node {block.max()} "
-                                  f"of a {nodes}-node game")
         keys = np.add(block, offsets[:block.shape[0]], out=buffer[:block.shape[0]])
         yield keys, np.bincount(keys.reshape(-1), weights[:keys.size],
                                 minlength=keys.shape[0] * nodes)
 
 
-def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray, s: Simplex,
+def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray,
                      config: GameConfig) -> np.ndarray:
     """(N, S) matrix of signal-averaged payoffs u_i(rest mixed; strategy s).
 
@@ -248,7 +243,7 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray, s: Simplex
     as one sum over the whole table would, whatever the block size.
     """
     rows = p.rows if isinstance(p, MixedProfile) else np.asarray(p, dtype=float)
-    _check_fit(c, rows, s, config)
+    _check_fit(c, rows, config)
     n, strategies, m = c.shape
     pairs = [(j, k) for j in range(strategies) for k in range(j + 1, strategies)]
     # Row 0 of a stack holds the running sums.  numpy sums a lone contiguous
@@ -256,12 +251,12 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray, s: Simplex
     width = 2 if n * len(pairs) == 1 else len(pairs)
     # a block's stacked terms fill at most TABLE_BLOCK numbers
     signals = min(m, max(1, TABLE_BLOCK // (n * (2 * strategies + width))))
-    inv_y = np.tile(1.0 / s.strengths.weights, signals)
+    inv_y = np.tile(1.0 / config.strengths.weights, signals)
     lookup = np.empty((inv_y.size, 2))   # per (signal, node): (O + 1) / y and 1 / y
     stack = np.zeros((signals + 1, n, strategies, 2))
     pair_stack = np.zeros((signals + 1, n, width))
     sums, pair_sums = np.zeros(stack.shape[1:]), np.zeros(pair_stack.shape[1:])
-    for keys, occupancy in _signal_blocks(c, rows, s.node_count, signals):
+    for keys, occupancy in _signal_blocks(c, rows, config.nodes, signals):
         size = keys.shape[0]
         per_key = lookup[:occupancy.size]
         np.multiply(occupancy + 1.0, inv_y[:occupancy.size], out=per_key[:, 0])
@@ -285,30 +280,29 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray, s: Simplex
     return (config.players - total) / config.players
 
 
-def frustration(c: StrategyMatrix, p: MixedProfile, s: Simplex, config: GameConfig) -> float:
+def frustration(c: StrategyMatrix, p: MixedProfile, config: GameConfig) -> float:
     """Signal-averaged squared mean bet, normalized by N (B-1).
 
     Averages the squared norm of the per-signal mean bet exactly over all M
     signals, as sum_r O_mr^2 / y_r - (sum_r O_mr)^2 on mean occupancies O_mr.
     """
-    _check_fit(c, p.rows, s, config)
+    _check_fit(c, p.rows, config)
     step = max(1, TABLE_BLOCK // (config.players * config.strategies_per_player))
     occupancy = np.concatenate([occupancy for _, occupancy in
-                                _signal_blocks(c, p.rows, s.node_count, step)])
-    occupancy = occupancy.reshape(-1, s.node_count)
-    squared = occupancy**2 @ (1.0 / s.strengths.weights) - occupancy.sum(axis=1) ** 2
+                                _signal_blocks(c, p.rows, config.nodes, step)])
+    occupancy = occupancy.reshape(-1, config.nodes)
+    squared = occupancy**2 @ (1.0 / config.strengths.weights) - occupancy.sum(axis=1) ** 2
     return float(squared.sum()) / (occupancy.shape[0] * config.players * (config.nodes - 1))
 
 
-def expected_frustration(c: StrategyMatrix, p: MixedProfile, s: Simplex,
-                         config: GameConfig) -> float:
+def expected_frustration(c: StrategyMatrix, p: MixedProfile, config: GameConfig) -> float:
     """Exact frustration level of a mixed profile: -(sum_i u_i*) / (B-1).
 
     Unlike `frustration`, this is the expectation of |b|^2 under independent
     strategy sampling, so it includes each player's own mixing variance.  The
     two agree exactly at pure profiles.
     """
-    per_strategy = strategy_payoffs(c, p, s, config)
+    per_strategy = strategy_payoffs(c, p, config)
     u_star_total = float(np.einsum("is,is->", p.rows, per_strategy))
     return -u_star_total / (config.nodes - 1)
 

@@ -7,8 +7,10 @@ the analytic curve.  Every realization derives its own seed from the master
 seed and its grid coordinates, so whole sweeps are reproducible byte for byte.
 
 The (grid point, realization) tasks are dealt round-robin into one batch per
-worker process; each batch sets up its realizations, plays them in lockstep
-(`learning.run_lockstep`) and measures each.  A realization's row depends
+worker process; each batch sets up its realizations as (config, matrix, rng)
+games, plays them in lockstep (`learning.run_lockstep`) and measures each
+from its `RunResult`, which carries its game's config.  No simplex is built:
+every measurement is computed in count space.  A realization's row depends
 only on its own seed, not on its batch or the worker count.
 """
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import analytics, learning
 from .errors import ValidationError
 from .game import (GameConfig, StrategyMatrix, check_node_count, draw_strategy_matrix,
                    expected_frustration)
-from .geometry import Simplex, StrengthDistribution, build_simplex
+from .geometry import StrengthDistribution
 from .learning import ConvergenceSettings, LearningConfig, LearnerState, Trajectory
 
 WORKERS_ENV = "SIMPLEXGAME_WORKERS"
@@ -122,8 +124,8 @@ def child_seed(master_seed: int, lambda_index: int, realization: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def measure_steady_state(state: LearnerState, c: StrategyMatrix, simplex: Simplex,
-                         config: GameConfig, mode: str = "final-profile",
+def measure_steady_state(state: LearnerState, c: StrategyMatrix, config: GameConfig,
+                         mode: str = "final-profile",
                          trajectory: Trajectory | None = None,
                          window: int = 200) -> float:
     """Steady-state frustration of a finished run.
@@ -133,7 +135,7 @@ def measure_steady_state(state: LearnerState, c: StrategyMatrix, simplex: Simple
     trace over the last `window` iterations, matching what a trace plot shows.
     """
     if mode == "final-profile":
-        return expected_frustration(c, state.profile(), simplex, config)
+        return expected_frustration(c, state.profile(), config)
     if mode == "windowed-trace":
         if trajectory is None or len(trajectory) == 0:
             raise ValidationError("windowed-trace mode needs a non-empty trajectory")
@@ -182,16 +184,14 @@ def _run_batch(job: tuple) -> list:
         seed = child_seed(exp.master_seed, lambda_index, realization)
         rng = np.random.default_rng(seed)
         config = _draw_game(exp, signals, rng)
-        simplex = build_simplex(config.strengths)
         seeds.append(seed)
-        games.append((config, draw_strategy_matrix(config, rng), simplex, rng))
+        games.append((config, draw_strategy_matrix(config, rng), rng))
     results = learning.run_lockstep(
         games, LearningConfig(gamma=exp.gamma, iterations=exp.t_max),
         ConvergenceSettings(window=exp.window, check_every=exp.check_every))
     rows = []
-    for (lambda_index, realization, signals), seed, (config, *_), result in zip(
-            coords, seeds, games, results):
-        steady = measure_steady_state(result.state, result.matrix, result.simplex, config,
+    for (lambda_index, realization, signals), seed, result in zip(coords, seeds, results):
+        steady = measure_steady_state(result.state, result.matrix, result.config,
                                       exp.measurement, result.trajectory, exp.window)
         rows.append(RealizationRow(
             lambda_index=lambda_index, realized_lambda=signals / exp.players,

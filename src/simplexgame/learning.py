@@ -21,9 +21,10 @@ shares the batch.  A block's draws are decoded from the PCG64 word stream
 per-call `integers(M)` and `random(N)` give; any other bit generator, a
 draw that numpy would reject and redraw, or a numpy whose draws fail the
 decode's one-time self-check replays the block per call.  `run_lockstep`
-plays a batch until every realization has stopped, and writes a
-realization's frozen `LearnerState` and `Trajectory` once, when it stops;
-`run` is a batch of one.
+plays a batch of (config, matrix, rng) games, whose `GameConfig` alone gives
+the strengths the rewards read, until every realization has stopped, and
+writes a realization's frozen `LearnerState` and `Trajectory` once, when it
+stops; `run` is a batch of one.
 
 A realization stops at a check, every check_every rounds once 2 * window
 rounds are recorded, when its purity after that round (min over players of
@@ -40,8 +41,8 @@ import numpy as np
 
 from .errors import ValidationError, check_allocation
 from .game import (GameConfig, MixedProfile, PureInstance, StrategyMatrix,
-                   check_simplex, draw_strategy_matrix, strategy_payoffs)
-from .geometry import Simplex, build_simplex
+                   check_matrix, draw_strategy_matrix, strategy_payoffs)
+from .geometry import Simplex
 
 log = logging.getLogger(__name__)
 
@@ -118,7 +119,7 @@ class RunResult:
     state: LearnerState
     trajectory: Trajectory
     matrix: StrategyMatrix
-    simplex: Simplex
+    config: GameConfig
     converged: bool  # stopped at a purity check
 
 
@@ -283,7 +284,7 @@ def _draw_block(rng: np.random.Generator, signal_count: int, draws: np.ndarray) 
 class Lockstep:
     """Working arrays of K realizations that share N, S and B, played in lockstep.
 
-    `games` are (config, matrix, simplex, rng) tuples.  Scores start at zero
+    `games` are (config, matrix, rng) tuples.  Scores start at zero
     and probabilities uniform, both (S, K, N), so that each strategy's slice
     is a contiguous (K, N) plane; every row learns at the rates gamma, one
     float or one (N,) array of per-player rates.  Realization k's
@@ -292,7 +293,7 @@ class Lockstep:
     """
 
     def __init__(self, games: list, gamma=DEFAULT_LEARNING_RATE):
-        bases = [matrix.entries.transpose(2, 0, 1) for _, matrix, _, _ in games]
+        bases = [matrix.entries.transpose(2, 0, 1) for _, matrix, _ in games]
         self.tables = bases[0] if len(bases) == 1 else np.concatenate(bases)
         _, n, strategies = self.tables.shape
         rates = _check_rates(gamma)
@@ -302,12 +303,12 @@ class Lockstep:
         self.rates = rates.item() if rates.size == 1 else rates
         self.scores = np.zeros((strategies, len(games), n))
         self.probabilities = _softmax(self.scores, self.rates)
-        self.signal_counts = [config.signals for config, _, _, _ in games]
+        self.signal_counts = [config.signals for config, _, _ in games]
         self.offsets = np.cumsum([0] + self.signal_counts[:-1])
         self.signals = np.array(self.signal_counts, dtype=float)[:, None, None]
-        self.inv_y = np.stack([1.0 / simplex.strengths.weights
-                               for _, _, simplex, _ in games])[:, :, None]
-        self.rngs = [rng for _, _, _, rng in games]
+        self.inv_y = np.stack([1.0 / config.strengths.weights
+                               for config, _, _ in games])[:, :, None]
+        self.rngs = [rng for _, _, rng in games]
         self.nodes = self.inv_y.shape[1]
         self._index()
         # a block's arrays are views of these, reused from block to block:
@@ -422,7 +423,7 @@ def _frustration(squares, players: int, nodes: int):
 
 
 def run(config: GameConfig, learn: LearningConfig, seed,
-        matrix: StrategyMatrix | None = None, simplex: Simplex | None = None,
+        matrix: StrategyMatrix | None = None,
         convergence: ConvergenceSettings | None = None) -> RunResult:
     """Iterate a game for learn.iterations rounds (stopping early if asked).
 
@@ -430,33 +431,27 @@ def run(config: GameConfig, learn: LearningConfig, seed,
     (unless one is supplied) and then drives the play stream.
     """
     rng = np.random.default_rng(seed)
-    if simplex is None:
-        simplex = build_simplex(config.strengths)
     if matrix is None:
         matrix = draw_strategy_matrix(config, rng)
-    elif matrix.shape != (config.players, config.strategies_per_player, config.signals) \
-            or matrix.entries.max(initial=0) >= config.nodes:
-        raise ValidationError(f"strategy matrix {matrix.shape} does not fit {config}")
-    return run_lockstep([(config, matrix, simplex, rng)], learn, convergence)[0]
+    return run_lockstep([(config, matrix, rng)], learn, convergence)[0]
 
 
 def run_lockstep(games: list, learn: LearningConfig,
                  convergence: ConvergenceSettings | None = None) -> list:
-    """Play (config, matrix, simplex, rng) games in lockstep; one RunResult each.
+    """Play (config, matrix, rng) games in lockstep; one RunResult each.
 
     Every game starts from the uniform state and plays up to learn.iterations
     rounds.  Each stops on its own when a check (every check_every rounds
     once 2 * window rounds are recorded) finds its purity at or above
     PURITY_THRESHOLD; its record is written then and it leaves the working
-    arrays.  The games must share N, S and B; matrices must fit their configs, and
-    each simplex must be built from its config's strengths.
+    arrays.  The games must share N, S and B, and each matrix must fit its config.
     """
-    shapes = {(c.players, c.strategies_per_player, c.nodes) for c, _, _, _ in games}
+    shapes = {(c.players, c.strategies_per_player, c.nodes) for c, _, _ in games}
     if len(shapes) != 1:
         raise ValidationError(f"lockstep games must share N, S and B, got {sorted(shapes)}")
     (n, strategies, nodes), = shapes
-    for config, _, simplex, _ in games:
-        check_simplex(simplex, config)
+    for config, matrix, _ in games:
+        check_matrix(matrix, config)
     total, iterations = len(games), learn.iterations
     check_allocation(total * iterations * _ROW_BYTES,
                      f"{total} trajectories of {iterations} iterations")
@@ -469,11 +464,11 @@ def run_lockstep(games: list, learn: LearningConfig,
 
     def settle(j: int, rounds: int, converged: bool) -> None:
         k = active[j]
-        _, matrix, simplex, _ = games[k]
+        config, matrix, _ = games[k]
         results[k] = RunResult(
             LearnerState(batch.scores[:, j].T.copy(), batch.probabilities[:, j].T.copy(), rounds),
             Trajectory(signals[k, :rounds], frustrations[k, :rounds], purities[k, :rounds]),
-            matrix, simplex, converged)
+            matrix, config, converged)
 
     # rounds between checks are played round-major, then written per record
     every = convergence.check_every if convergence is not None else max(iterations, 1)
@@ -507,8 +502,8 @@ def run_lockstep(games: list, learn: LearningConfig,
     return results
 
 
-def replicator_flow(c: StrategyMatrix, p: MixedProfile, simplex: Simplex,
-                    config: GameConfig, gammas) -> np.ndarray:
+def replicator_flow(c: StrategyMatrix, p: MixedProfile, config: GameConfig,
+                    gammas) -> np.ndarray:
     """dp_is/dtau = gamma_i p_is (u_i(rest; s) - u_i(mixed)).
 
     Better-performing strategies grow; every row of the output sums to zero,
@@ -516,14 +511,13 @@ def replicator_flow(c: StrategyMatrix, p: MixedProfile, simplex: Simplex,
     """
     rows = p.rows if hasattr(p, "rows") else np.asarray(p, dtype=float)
     gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (config.players,))
-    per_strategy = strategy_payoffs(c, rows, simplex, config)
+    per_strategy = strategy_payoffs(c, rows, config)
     mixed = np.einsum("is,is->i", rows, per_strategy)
     return gammas[:, None] * rows * (per_strategy - mixed[:, None])
 
 
-def integrate_replicator(c: StrategyMatrix, p0: MixedProfile, simplex: Simplex,
-                         config: GameConfig, gamma, tau_end: float,
-                         step: float) -> list[MixedProfile]:
+def integrate_replicator(c: StrategyMatrix, p0: MixedProfile, config: GameConfig,
+                         gamma, tau_end: float, step: float) -> list[MixedProfile]:
     """Classical 4-stage explicit integration of the replicator flow.
 
     Rows are renormalized after every step; negative components (possible
@@ -537,7 +531,7 @@ def integrate_replicator(c: StrategyMatrix, p0: MixedProfile, simplex: Simplex,
     out = [MixedProfile(rows.copy())]
 
     def flow(r):
-        d = replicator_flow(c, r, simplex, config, gamma)
+        d = replicator_flow(c, r, config, gamma)
         if not np.all(np.isfinite(d)):
             raise FloatingPointError(
                 f"non-finite replicator derivative at tau={len(out) * step:.6g}")

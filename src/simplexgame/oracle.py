@@ -5,7 +5,8 @@ condition on signal-averaged payoffs, and reports the minimum frustration
 over the equilibrium set (the game's optimistic price of anarchy) together
 with the maximizers of the aggregate payoff; `enumerate_equilibria`,
 `maximizer_equilibrium_report` and `oracle_report` are views of that one pass.
-Payoffs here are dot products with the (N, S, M, B-1) strategy vertices,
+Payoffs here are dot products with the (N, S, M, B-1) strategy vertices of
+the simplex that `geometry.build_simplex` makes from the config's strengths,
 independent of the count-space evaluators in `game` (which only
 `potential_defect` calls).  The pass evaluates blocks of consecutive profiles
 (in `itertools.product` order) with a few NumPy calls per block: a block's
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .game import (GameConfig, MixedProfile, StrategyMatrix, check_simplex,
-                   strategy_payoffs)
-from .geometry import Simplex
+from .game import GameConfig, MixedProfile, StrategyMatrix, check_matrix, strategy_payoffs
+from .geometry import build_simplex
 
 DEFAULT_BUDGET = 10**6
 EQUILIBRIUM_SLACK = 1e-12  # deviation gain still counted as no gain
@@ -68,12 +68,10 @@ class _ProfileEvaluator:
     -(q_ic . b_p) / (N M).
     """
 
-    def __init__(self, c: StrategyMatrix, simplex: Simplex, config: GameConfig):
-        if c.shape != (config.players, config.strategies_per_player, config.signals):
-            raise ValidationError("strategy matrix shape does not match config")
-        check_simplex(simplex, config)
+    def __init__(self, c: StrategyMatrix, config: GameConfig):
+        check_matrix(c, config)
         self.config = config
-        qc = simplex.vertices[c.entries.astype(np.int64)]   # (N,S,M,D)
+        qc = build_simplex(config.strengths).vertices[c.entries.astype(np.int64)]   # (N,S,M,D)
         self.n, s, self.m = qc.shape[:3]
         # (N*S, M*D) vertex table: player i's strategy k is row i*S + k
         self.table = qc.reshape(self.n * s, -1)
@@ -122,7 +120,7 @@ def check_budget(config: GameConfig, budget: int = DEFAULT_BUDGET) -> int:
     return s ** n
 
 
-def _scan(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
+def _scan(c: StrategyMatrix, config: GameConfig,
           budget: int) -> tuple[EquilibriumSet, MaximizerReport]:
     """One pass over all S^N pure profiles: the equilibria and the maximizers.
 
@@ -132,7 +130,7 @@ def _scan(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
     """
     strategies = config.strategies_per_player
     count = check_budget(config, budget)
-    ev = _ProfileEvaluator(c, simplex, config)
+    ev = _ProfileEvaluator(c, config)
     rows = _block_rows(config)
     # block rows are the base-S digits of start..stop-1, player 0 most
     # significant: the rows of itertools.product(range(S), repeat=N)
@@ -164,14 +162,14 @@ def _scan(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
                             worst_violation=worst, max_aggregate=best))
 
 
-def enumerate_equilibria(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
+def enumerate_equilibria(c: StrategyMatrix, config: GameConfig,
                          budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     """Exhaustively test all S^N pure profiles against every unilateral deviation."""
-    return _scan(c, simplex, config, budget)[0]
+    return _scan(c, config, budget)[0]
 
 
 def potential_defect(c: StrategyMatrix, p: MixedProfile, i: int, s1: int, s2: int,
-                     simplex: Simplex, config: GameConfig) -> float:
+                     config: GameConfig) -> float:
     """Residual of the exact potential identity between two strategies of player i.
 
     aggregate(rest; s2) - aggregate(rest; s1) equals twice player i's own payoff
@@ -181,16 +179,16 @@ def potential_defect(c: StrategyMatrix, p: MixedProfile, i: int, s1: int, s2: in
     s_count = config.strategies_per_player
     if not (0 <= s1 < s_count and 0 <= s2 < s_count):
         raise ValidationError("strategy indices out of range")
-    per_strategy = strategy_payoffs(c, p, simplex, config)
+    per_strategy = strategy_payoffs(c, p, config)
 
     def aggregate_with(i_pure: int) -> float:
         rows = p.rows.copy()
         rows[i] = 0.0
         rows[i, i_pure] = 1.0
-        pinned = strategy_payoffs(c, MixedProfile(rows), simplex, config)
+        pinned = strategy_payoffs(c, MixedProfile(rows), config)
         return float(np.einsum("is,is->", rows, pinned))
 
-    sq = np.einsum("rd,rd->r", simplex.vertices, simplex.vertices)
+    sq = build_simplex(config.strengths).squared_norms
     own_sq = sq[c.entries[i].astype(np.int64)].mean(axis=1)  # (S,) averaged over signals
     lhs = aggregate_with(s2) - aggregate_with(s1)
     own = 2.0 * (per_strategy[i, s2] - per_strategy[i, s1])
@@ -198,18 +196,17 @@ def potential_defect(c: StrategyMatrix, p: MixedProfile, i: int, s1: int, s2: in
     return float(lhs - own - correction)
 
 
-def maximizer_equilibrium_report(c: StrategyMatrix, simplex: Simplex,
-                                 config: GameConfig,
+def maximizer_equilibrium_report(c: StrategyMatrix, config: GameConfig,
                                  budget: int = DEFAULT_BUDGET) -> MaximizerReport:
     """Locate pure maximizers of the aggregate averaged payoff and check each
     against the equilibrium condition, reporting the worst deviation gain."""
-    return _scan(c, simplex, config, budget)[1]
+    return _scan(c, config, budget)[1]
 
 
-def oracle_report(c: StrategyMatrix, simplex: Simplex, config: GameConfig,
+def oracle_report(c: StrategyMatrix, config: GameConfig,
                   budget: int = DEFAULT_BUDGET) -> dict:
     """JSON-ready summary: equilibrium count, min frustration, maximizer check."""
-    eq, mx = _scan(c, simplex, config, budget)
+    eq, mx = _scan(c, config, budget)
     return {
         "players": config.players,
         "nodes": config.nodes,

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from simplexgame import (Allocation, GameConfig, MixedProfile, Simplex, StrategyMatrix,
-                         ValidationError, strategy_payoffs)
-from simplexgame.game import check_simplex
+                         ValidationError, build_simplex, strategy_payoffs)
+from simplexgame.game import check_matrix
 
 
 def aggregate_bet(alloc: Allocation, s: Simplex) -> np.ndarray:
@@ -55,7 +55,7 @@ def correlated_payoff(c: StrategyMatrix, profile, i: int, config: GameConfig) ->
     return total / m
 
 
-def signal_loop_payoffs(c: StrategyMatrix, rows: np.ndarray, s: Simplex,
+def signal_loop_payoffs(c: StrategyMatrix, rows: np.ndarray,
                         config: GameConfig) -> np.ndarray:
     """`strategy_payoffs`' count-space formula, one signal at a time.
 
@@ -64,12 +64,12 @@ def signal_loop_payoffs(c: StrategyMatrix, rows: np.ndarray, s: Simplex,
     package's blocked evaluation must return the same bytes.
     """
     n, strategies, m = c.shape
-    inv_y = 1.0 / s.strengths.weights
+    inv_y = 1.0 / config.strengths.weights
     others = np.zeros((n, strategies))
     same = np.zeros((strategies, strategies, n))
     for sig in range(m):
         picks = c.entries[:, :, sig].astype(np.int64)
-        occupancy = np.bincount(picks.reshape(-1), rows.reshape(-1), minlength=s.node_count)
+        occupancy = np.bincount(picks.reshape(-1), rows.reshape(-1), minlength=config.nodes)
         w = inv_y[picks]
         others += (occupancy[picks] + 1.0) * w
         for j in range(strategies):
@@ -82,10 +82,10 @@ def signal_loop_payoffs(c: StrategyMatrix, rows: np.ndarray, s: Simplex,
     return (config.players - total) / config.players
 
 
-def mixed_correlated_payoff(c: StrategyMatrix, p: MixedProfile, i: int, s: Simplex,
+def mixed_correlated_payoff(c: StrategyMatrix, p: MixedProfile, i: int,
                             config: GameConfig) -> float:
     """Player i's signal-averaged payoff with every player mixing."""
-    per_strategy = strategy_payoffs(c, p, s, config)
+    per_strategy = strategy_payoffs(c, p, config)
     return float(p.rows[i] @ per_strategy[i])
 
 
@@ -114,12 +114,11 @@ class DeviationBetEvaluator:
     the place of `oracle._ProfileEvaluator` to check the expanded route.
     """
 
-    def __init__(self, c: StrategyMatrix, simplex: Simplex, config: GameConfig):
-        if c.shape != (config.players, config.strategies_per_player, config.signals):
-            raise ValidationError("strategy matrix shape does not match config")
-        check_simplex(simplex, config)
+    def __init__(self, c: StrategyMatrix, config: GameConfig):
+        check_matrix(c, config)
         self.config = config
-        self.qc = simplex.vertices[c.entries.astype(np.int64)]  # (N,S,M,D)
+        vertices = build_simplex(config.strengths).vertices
+        self.qc = vertices[c.entries.astype(np.int64)]  # (N,S,M,D)
         self.n, s = self.qc.shape[:2]
         self.rows_of_qc = self.qc.reshape(self.n * s, *self.qc.shape[2:])
         self.row_offset = s * np.arange(self.n)   # player i's strategy k is row i*S + k

@@ -73,7 +73,7 @@ def test_c02_algebraic_identities():
         if s_count >= 2:
             p = sg.MixedProfile(rng.dirichlet(np.ones(s_count), size=n))
             s1, s2 = rng.choice(s_count, size=2, replace=False)
-            defect = sg.potential_defect(c, p, i, int(s1), int(s2), simplex, cfg)
+            defect = sg.potential_defect(c, p, i, int(s1), int(s2), cfg)
             worst_potential = max(worst_potential, abs(defect))
     ok = worst_reward <= 1e-12 and worst_potential <= 1e-12
     _report(2, "algebraic-identities", ok,
@@ -199,16 +199,15 @@ def test_c09_oracle_consistency():
     y = sg.StrengthDistribution(np.array([0.5, 0.5]))
     cfg = sg.GameConfig(players=3, nodes=2, signals=2, strategies_per_player=2,
                         strengths=y)
-    simplex = sg.build_simplex(y)
     nonempty = bound_ok = close = 0
     for seed in range(20):
         c = sg.draw_strategy_matrix(cfg, np.random.default_rng(seed))
-        eq = sg.enumerate_equilibria(c, simplex, cfg)
+        eq = sg.enumerate_equilibria(c, cfg)
         if eq.count > 0:
             nonempty += 1
         result = sg.run(cfg, sg.LearningConfig(gamma=20.0, iterations=2000),
-                        seed, matrix=c, simplex=simplex)
-        learned = sg.expected_frustration(c, result.state.profile(), simplex, cfg)
+                        seed, matrix=c)
+        learned = sg.expected_frustration(c, result.state.profile(), cfg)
         if learned >= eq.min_r - 1e-9:
             bound_ok += 1
         if abs(learned - eq.min_r) <= 0.05:

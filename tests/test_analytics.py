@@ -57,6 +57,15 @@ def test_zeta_quadrature_vs_monte_carlo(strategies):
     assert abs(zeta(strategies) - estimate) <= 4 * stderr
 
 
+def test_zeta_monte_carlo_draws_chunks_from_one_stream(monkeypatch):
+    # chunks of 3 rows read the normals one (10, 2) draw gives, in row order
+    minima = np.random.default_rng(5).standard_normal((10, 2)).min(axis=1)
+    monkeypatch.setattr(analytics, "MC_CHUNK", 3)
+    estimate, stderr = zeta_monte_carlo(2, samples=10, seed=5)
+    assert estimate == pytest.approx(minima.mean(), abs=1e-15)
+    assert stderr == pytest.approx(minima.std(ddof=1) / np.sqrt(10), rel=1e-12)
+
+
 def test_critical_lambda_values():
     assert critical_lambda(1, 7) == 0.0
     assert critical_lambda(2, 2) == pytest.approx(1.0 / np.pi, abs=1e-12)

@@ -14,7 +14,7 @@ import pytest
 
 from simplexgame import (ConvergenceSettings, ExperimentConfig, GameConfig,
                          LearningConfig, StrengthDistribution,
-                         ValidationError, build_simplex, draw_strategy_matrix,
+                         ValidationError, draw_strategy_matrix,
                          harness, learning, run, sweep, verify_reduction)
 from simplexgame.harness import (RealizationRow, child_seed, measure_steady_state,
                                  sweep_data_csv, sweep_json, sweep_summary_csv)
@@ -30,7 +30,7 @@ def _reference_softmax_rows(scores, gammas):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def reference_iterate(state, c, simplex, config, rng):
+def reference_iterate(state, c, config, rng):
     """One round of one realization; returns (iteration, signal, R_t, purity, counts)."""
     n, strategies = state.scores.shape
     m = int(rng.integers(config.signals))
@@ -43,7 +43,7 @@ def reference_iterate(state, c, simplex, config, rng):
     table = c.entries[:, :, m]
     played = table[np.arange(n), choices]
     counts = np.bincount(played, minlength=config.nodes)
-    inv_y = 1.0 / simplex.strengths.weights
+    inv_y = 1.0 / config.strengths.weights
     occupancy = counts[table] + (table != played[:, None])
     state.scores += (1.0 - occupancy * inv_y[table] / config.players) / config.signals
     state.probabilities = _reference_softmax_rows(state.scores, state.learning_rates)
@@ -65,14 +65,13 @@ def reference_execute(exp, points):
                 y = StrengthDistribution(exp.strengths)
             config = GameConfig(players=exp.players, nodes=exp.nodes, signals=m,
                                 strategies_per_player=exp.strategies, strengths=y)
-            simplex = build_simplex(y)
             matrix = draw_strategy_matrix(config, rng)
             result = learning.run(
                 config, LearningConfig(gamma=exp.gamma, iterations=exp.t_max),
-                rng, matrix=matrix, simplex=simplex,
+                rng, matrix=matrix,
                 convergence=ConvergenceSettings(window=exp.window,
                                                 check_every=exp.check_every))
-            steady = measure_steady_state(result.state, matrix, simplex, config,
+            steady = measure_steady_state(result.state, matrix, config,
                                           exp.measurement, result.trajectory, exp.window)
             rows.append(RealizationRow(lambda_index=li, realized_lambda=m / exp.players,
                                        realization=k, seed=seed, steady_r=steady,
@@ -86,23 +85,23 @@ def _game(players, nodes, signals, strategies, seed):
     y = StrengthDistribution.random_proper(nodes, rng)
     config = GameConfig(players=players, nodes=nodes, signals=signals,
                         strategies_per_player=strategies, strengths=y)
-    return config, build_simplex(y), draw_strategy_matrix(config, rng)
+    return config, draw_strategy_matrix(config, rng)
 
 
 @pytest.mark.parametrize("players,nodes,signals,strategies", [
     (5, 2, 3, 2), (50, 5, 15, 2), (30, 4, 60, 3), (7, 3, 2, 1), (1, 2, 4, 2),
 ])
 def test_iterate_matches_reference_round(players, nodes, signals, strategies):
-    config, simplex, c = _game(players, nodes, signals, strategies, 3)
+    config, c = _game(players, nodes, signals, strategies, 3)
     ref = reference_state(config, gamma=np.linspace(5.0, 25.0, players))
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    batch = Lockstep([(config, c, simplex, rng)], gamma=np.linspace(5.0, 25.0, players))
+    batch = Lockstep([(config, c, rng)], gamma=np.linspace(5.0, 25.0, players))
     t = 0
     for rounds in (1, 2, 7, 100, 190):   # blocks of both parities, 300 rounds in all
         block_signals, counts, squares, purity = play_block(batch, rounds)
         for j in range(rounds):
             t += 1
-            want = reference_iterate(ref, c, simplex, config, ref_rng)
+            want = reference_iterate(ref, c, config, ref_rng)
             r_t = float(_frustration(squares[j, 0], players, nodes))
             assert (t, int(block_signals[j, 0]), r_t, float(purity[j, 0])) == want[:4]
             assert np.array_equal(counts[j, 0], want[4])
@@ -120,8 +119,8 @@ def test_multi_row_batch_matches_reference_rows(strategies):
     gamma = np.linspace(5.0, 25.0, players)
     games, refs = [], []
     for j, signals in enumerate((3, 40, 1, 7)):
-        config, simplex, c = _game(players, nodes, signals, strategies, 20 + j)
-        games.append((config, c, simplex, np.random.default_rng(100 + j)))
+        config, c = _game(players, nodes, signals, strategies, 20 + j)
+        games.append((config, c, np.random.default_rng(100 + j)))
         refs.append((reference_state(config, gamma), np.random.default_rng(100 + j)))
     batch = Lockstep(games, gamma=gamma)
     rows = [0, 1, 2, 3]
@@ -130,15 +129,15 @@ def test_multi_row_batch_matches_reference_rows(strategies):
         ref, ref_rng = refs[k]
         assert _bytes(batch.scores[:, j].T) == _bytes(ref.scores)
         assert _bytes(batch.probabilities[:, j].T) == _bytes(ref.probabilities)
-        assert games[k][3].bit_generator.state == ref_rng.bit_generator.state
+        assert games[k][2].bit_generator.state == ref_rng.bit_generator.state
 
     for block, rounds in enumerate((1, 2, 7, 60, 31)):
         block_signals, counts, squares, purity = play_block(batch, rounds)
         for j, k in enumerate(rows):
-            config, c, simplex, _ = games[k]
+            config, c, _ = games[k]
             ref, ref_rng = refs[k]
             for t in range(rounds):
-                want = reference_iterate(ref, c, simplex, config, ref_rng)
+                want = reference_iterate(ref, c, config, ref_rng)
                 r_t = float(_frustration(squares[t, j], players, nodes))
                 assert (int(block_signals[t, j]), r_t, float(purity[t, j])) == want[1:4]
                 assert np.array_equal(counts[t, j], want[4])
@@ -154,8 +153,8 @@ def test_keep_leaves_every_strategy_plane_contiguous():
     # must not leave them strided
     games = []
     for j in range(4):
-        config, simplex, c = _game(9, 4, 5, 3, 30 + j)
-        games.append((config, c, simplex, np.random.default_rng(j)))
+        config, c = _game(9, 4, 5, 3, 30 + j)
+        games.append((config, c, np.random.default_rng(j)))
     batch = Lockstep(games)
     play_block(batch, 3)
     batch.keep([0, 2, 3])
@@ -174,13 +173,13 @@ def _state(rng):
 
 def test_run_trajectory_matches_reference():
     # PCG64 streams are decoded in bulk, any other generator is drawn per call
-    config, simplex, c = _game(20, 3, 10, 2, 5)
+    config, c = _game(20, 3, 10, 2, 5)
     for bit_generator in (np.random.PCG64, np.random.MT19937):
         stream = np.random.Generator(bit_generator(9))
-        result = run(config, LearningConfig(iterations=120), stream, matrix=c, simplex=simplex)
+        result = run(config, LearningConfig(iterations=120), stream, matrix=c)
         ref = reference_state(config)
         rng = np.random.Generator(bit_generator(9))
-        records = [reference_iterate(ref, c, simplex, config, rng) for _ in range(120)]
+        records = [reference_iterate(ref, c, config, rng) for _ in range(120)]
         assert _state(stream) == _state(rng)
         traj = result.trajectory
         assert traj.signals.tolist() == [r[1] for r in records]
@@ -194,8 +193,8 @@ def _block_peak(strategies):
     """tracemalloc peak of 100 rounds of 16 realizations at N = 50."""
     games = []
     for j in range(16):
-        config, simplex, c = _game(50, 5, 10, strategies, j)
-        games.append((config, c, simplex, np.random.default_rng(j)))
+        config, c = _game(50, 5, 10, strategies, j)
+        games.append((config, c, np.random.default_rng(j)))
     tracemalloc.start()
     try:
         learning.run_lockstep(games, LearningConfig(iterations=100))
@@ -219,7 +218,7 @@ def test_block_memory_does_not_grow_with_strategies():
 def test_lockstep_games_must_share_shape():
     a = _game(10, 3, 4, 2, 1)
     b = _game(10, 4, 4, 2, 2)
-    games = [(cfg, c, s, np.random.default_rng(0)) for cfg, s, c in (a, b)]
+    games = [(cfg, c, np.random.default_rng(0)) for cfg, c in (a, b)]
     with pytest.raises(ValidationError):
         learning.run_lockstep(games, LearningConfig(iterations=5))
 

@@ -17,6 +17,7 @@ from simplexgame import (GameConfig, StrengthDistribution, build_simplex,
                          draw_strategy_matrix, harness)
 from simplexgame import cli
 from simplexgame.cli import main
+from simplexgame.geometry import debug_dict
 from simplexgame.oracle import oracle_report
 
 RUN_CFG = """\
@@ -42,17 +43,35 @@ check_every = 50
 
 def test_run_subcommand(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(RUN_CFG)
     out = tmp_path / "traj.csv"
     dump = tmp_path / "simplex.json"
-    code = main(["run", "--config", str(cfg), "--seed", "7",
-                 "--out", str(out), "--dump-simplex", str(dump)])
-    assert code == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "t,m,R_t,purity"
-    assert len(lines) == 301
-    simplex = json.loads(dump.read_text())
-    assert simplex["gram_defect"] <= 1e-10
+    for text in (RUN_CFG, RUN_CFG + "strengths = random\n"):
+        cfg.write_text(text)
+        code = main(["run", "--config", str(cfg), "--seed", "7",
+                     "--out", str(out), "--dump-simplex", str(dump)])
+        assert code == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "t,m,R_t,purity"
+        assert len(lines) == 301
+        simplex = json.loads(dump.read_text())
+        assert simplex["gram_defect"] <= 1e-10
+        # the dump is the simplex of the strengths the run played with
+        played = harness.single_run(harness.experiment_from_file(str(cfg), seed=7))
+        want = debug_dict(build_simplex(played.config.strengths))
+        assert simplex["strengths"] == want["strengths"]
+        assert simplex["vertices"] == want["vertices"]
+
+
+def test_run_plays_strengths_that_have_no_vertices(tmp_path, capsys):
+    # count space needs no vertices; only the dump builds them, before any write
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG + "strengths = 1e-12,0.5,0.499999999999\n")
+    out, dump = tmp_path / "traj.csv", tmp_path / "simplex.json"
+    argv = ["run", "--config", str(cfg), "--out", str(out)]
+    assert main(argv + ["--dump-simplex", str(dump)]) == 1
+    assert f"error: {cfg}: expected exactly one zero Gram" in capsys.readouterr().err
+    assert not out.exists() and not dump.exists()
+    assert main(argv) == 0 and len(out.read_text().splitlines()) == 301
 
 
 def test_sweep_subcommand_csv_and_json(tmp_path):
@@ -93,7 +112,7 @@ def test_oracle_subcommand_matches_library(tmp_path):
     config = GameConfig(players=3, nodes=2, signals=2, strategies_per_player=2,
                         strengths=y)
     matrix = draw_strategy_matrix(config, np.random.default_rng(1))
-    expect = oracle_report(matrix, build_simplex(y), config)
+    expect = oracle_report(matrix, config)
     assert got["equilibrium_count"] == expect["equilibrium_count"]
     assert got["min_r"] == pytest.approx(expect["min_r"])
     assert got["seed"] == 1
@@ -244,7 +263,7 @@ def test_oracle_strengths_list_matches_library(tmp_path):
     config = GameConfig(players=3, nodes=3, signals=2, strategies_per_player=2,
                         strengths=y)
     matrix = draw_strategy_matrix(config, np.random.default_rng(4))
-    expect = oracle_report(matrix, build_simplex(y), config)
+    expect = oracle_report(matrix, config)
     assert json.loads(out.read_text()) == dict(expect, seed=4)
 
 

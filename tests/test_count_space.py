@@ -102,7 +102,7 @@ def test_iterate_matches_vertex_route(players, nodes, signals, strategies,
     config, simplex, c = _game(players, nodes, signals, strategies, random_strengths, 5)
     ref = reference_state(config)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    batch = Lockstep([(config, c, simplex, rng)])
+    batch = Lockstep([(config, c, rng)])
     for _ in range(ROUNDS):
         signal, frustration_t, _, counts_t = play_round(batch, config)
         m, counts, r_t = reference_iterate(ref, c, simplex, config, ref_rng)
@@ -123,12 +123,12 @@ def test_mixed_payoffs_match_vertex_route(rng):
         for _ in range(3):
             p = random_profile(rng, config.players, config.strategies_per_player)
             ref = reference_strategy_payoffs(c, p.rows, s, config)
-            got = strategy_payoffs(c, p, s, config)
+            got = strategy_payoffs(c, p, config)
             assert np.max(np.abs(got - ref)) <= TOL
-            assert np.array_equal(strategy_payoffs(c, p.rows, s, config), got)
-            assert expected_frustration(c, p, s, config) == pytest.approx(
+            assert np.array_equal(strategy_payoffs(c, p.rows, config), got)
+            assert expected_frustration(c, p, config) == pytest.approx(
                 reference_expected_frustration(c, p.rows, s, config), abs=TOL)
-            assert frustration(c, p, s, config) == pytest.approx(
+            assert frustration(c, p, config) == pytest.approx(
                 reference_frustration(c, p.rows, s, config), abs=TOL)
 
 
@@ -143,6 +143,6 @@ def test_mixed_payoffs_match_at_pure_and_skewed_profiles(rng):
         skewed = MixedProfile(rng.dirichlet(np.full(3, 0.05), size=config.players))
         for p in (pure, skewed):
             ref = reference_strategy_payoffs(c, p.rows, s, config)
-            assert np.max(np.abs(strategy_payoffs(c, p, s, config) - ref)) <= TOL
-            assert frustration(c, p, s, config) == pytest.approx(
+            assert np.max(np.abs(strategy_payoffs(c, p, config) - ref)) <= TOL
+            assert frustration(c, p, config) == pytest.approx(
                 reference_frustration(c, p.rows, s, config), abs=TOL)

@@ -221,7 +221,7 @@ def test_mixed_payoff_at_pure_equals_correlated(rng):
         profile = rng.integers(0, cfg.strategies_per_player, cfg.players)
         p = MixedProfile.pure(profile, cfg.strategies_per_player)
         for i in range(cfg.players):
-            mixed = mixed_correlated_payoff(c, p, i, s, cfg)
+            mixed = mixed_correlated_payoff(c, p, i, cfg)
             pure = correlated_payoff(c, tuple(profile), i, cfg)
             assert mixed == pytest.approx(pure, abs=1e-11)
 
@@ -236,7 +236,7 @@ def test_mixed_payoff_multilinear_expansion(rng):
             for s2 in range(2):
                 w = p.rows[0, s1] * p.rows[1, s2]
                 expect += w * correlated_payoff(c, (s1, s2), i, cfg)
-        got = mixed_correlated_payoff(c, p, i, s, cfg)
+        got = mixed_correlated_payoff(c, p, i, cfg)
         assert got == pytest.approx(expect, abs=1e-12)
 
 
@@ -244,7 +244,7 @@ def test_mixed_payoff_permutation_invariance(rng):
     cfg, s, c = small_instance(rng, players=3, strategies=3)
     p = random_profile(rng, 3, 3)
     i = 1
-    base = mixed_correlated_payoff(c, p, i, s, cfg)
+    base = mixed_correlated_payoff(c, p, i, cfg)
     perm = [2, 0, 1]
     entries = np.array(c.entries)
     entries[i] = entries[i][perm]
@@ -252,53 +252,41 @@ def test_mixed_payoff_permutation_invariance(rng):
     rows = p.rows.copy()
     rows[i] = rows[i][perm]
     p2 = MixedProfile(rows)
-    assert mixed_correlated_payoff(c2, p2, i, s, cfg) == pytest.approx(base, abs=1e-12)
+    assert mixed_correlated_payoff(c2, p2, i, cfg) == pytest.approx(base, abs=1e-12)
 
 
 def test_strategy_payoffs_row_mix_identity(rng):
     cfg, s, c = small_instance(rng)
     p = random_profile(rng, cfg.players, cfg.strategies_per_player)
-    table = strategy_payoffs(c, p, s, cfg)
+    table = strategy_payoffs(c, p, cfg)
     for i in range(cfg.players):
         assert float(p.rows[i] @ table[i]) == pytest.approx(
-            mixed_correlated_payoff(c, p, i, s, cfg), abs=1e-12)
+            mixed_correlated_payoff(c, p, i, cfg), abs=1e-12)
 
 
 def test_payoffs_reject_a_profile_or_game_of_another_shape():
     cfg = GameConfig(players=4, nodes=3, signals=5, strategies_per_player=2,
                      strengths=StrengthDistribution.uniform(3))
-    s, c = build_simplex(cfg.strengths), draw_strategy_matrix(cfg, np.random.default_rng(8))
+    c = draw_strategy_matrix(cfg, np.random.default_rng(8))
+    assert c.entries.max() == 2
     p = MixedProfile.uniform(4, 2)
     cases = [
-        (c, MixedProfile(np.array([[0.3, 0.7]])), s, cfg),    # one row, once broadcast
-        (c, MixedProfile(np.full((4, 3), 1 / 3)), s, cfg),    # a third strategy
-        (c, p, s, GameConfig(players=9, nodes=3, signals=5, strategies_per_player=2,
-                             strengths=cfg.strengths)),        # config says N = 9
-        (c, p, s, GameConfig(players=4, nodes=3, signals=6, strategies_per_player=2,
-                             strengths=cfg.strengths)),        # config says M = 6
-        (c, p, build_simplex(StrengthDistribution.uniform(4)), cfg),   # a 4-node simplex
-        (StrategyMatrix(np.full((4, 2, 5), 3)), p, s, cfg),    # node 3 of a 3-node game
+        (c, MixedProfile(np.array([[0.3, 0.7]])), cfg),    # one row, once broadcast
+        (c, MixedProfile(np.full((4, 3), 1 / 3)), cfg),    # a third strategy
+        (c, p, GameConfig(players=9, nodes=3, signals=5, strategies_per_player=2,
+                          strengths=cfg.strengths)),        # config says N = 9
+        (c, p, GameConfig(players=4, nodes=3, signals=6, strategies_per_player=2,
+                          strengths=cfg.strengths)),        # config says M = 6
+        (c, p, GameConfig(players=4, nodes=2, signals=5, strategies_per_player=2,
+                          strengths=StrengthDistribution.uniform(2))),   # config says B = 2
+        (StrategyMatrix(np.full((4, 2, 5), 3)), p, cfg),    # node 3 of a 3-node game
     ]
     for args in cases:
         for evaluate in (strategy_payoffs, expected_frustration, frustration):
             with pytest.raises(ValidationError):
                 evaluate(*args)
     with pytest.raises(ValidationError, match="profile has shape"):
-        strategy_payoffs(c, np.array([[0.3, 0.7]]), s, cfg)
-
-
-def test_payoffs_reject_a_simplex_of_other_strengths():
-    # built from the mirrored strengths the simplex once gave expected_frustration
-    # 1.896 for 1.427 and frustration 1.323 for 0.714
-    y = StrengthDistribution(np.array([0.5, 0.3, 0.2]))
-    cfg = GameConfig(players=4, nodes=3, signals=2, strategies_per_player=2, strengths=y)
-    c, p = draw_strategy_matrix(cfg, np.random.default_rng(0)), MixedProfile.uniform(4, 2)
-    mirrored = build_simplex(StrengthDistribution(np.array([0.2, 0.3, 0.5])))
-    for evaluate in (strategy_payoffs, expected_frustration, frustration):
-        with pytest.raises(ValidationError, match="does not fit"):
-            evaluate(c, p, mirrored, cfg)
-    assert expected_frustration(c, p, build_simplex(y), cfg) == pytest.approx(1.427, abs=1e-3)
-    assert frustration(c, p, build_simplex(y), cfg) == pytest.approx(0.714, abs=1e-3)
+        strategy_payoffs(c, np.array([[0.3, 0.7]]), cfg)
 
 
 @pytest.mark.parametrize("players,strategies,signals", [
@@ -309,15 +297,15 @@ def test_payoffs_do_not_depend_on_the_block_size(monkeypatch, players, strategie
     y = StrengthDistribution(rng.dirichlet(np.ones(4)))
     cfg = GameConfig(players=players, nodes=4, signals=signals,
                      strategies_per_player=strategies, strengths=y)
-    s, c = build_simplex(y), draw_strategy_matrix(cfg, rng)
+    c = draw_strategy_matrix(cfg, rng)
     p = MixedProfile(rng.dirichlet(np.ones(strategies), size=players))
-    reference = signal_loop_payoffs(c, p.rows, s, cfg).tobytes()
+    reference = signal_loop_payoffs(c, p.rows, cfg).tobytes()
     frustrations = set()
     for block in (7, game.TABLE_BLOCK, 2 * c.entries.size):
         monkeypatch.setattr(game, "TABLE_BLOCK", block)
-        assert strategy_payoffs(c, p, s, cfg).tobytes() == reference   # a per-signal loop
-        frustrations.add((np.float64(expected_frustration(c, p, s, cfg)).tobytes(),
-                          np.float64(frustration(c, p, s, cfg)).tobytes()))
+        assert strategy_payoffs(c, p, cfg).tobytes() == reference   # a per-signal loop
+        frustrations.add((np.float64(expected_frustration(c, p, cfg)).tobytes(),
+                          np.float64(frustration(c, p, cfg)).tobytes()))
     assert len(frustrations) == 1
 
 
@@ -344,12 +332,11 @@ def test_instantaneous_frustration_mean_is_one(rng):
 def test_frustration_zero_at_balanced_profile():
     # both players constant on opposite nodes: every signal is a Nash allocation
     cfg = binary_config(players=2, signals=3, strategies=1)
-    s = build_simplex(cfg.strengths)
     entries = np.zeros((2, 1, 3), dtype=np.uint8)
     entries[1, 0, :] = 1
     c = StrategyMatrix(entries)
     p = MixedProfile.pure(np.array([0, 0]), 1)
-    assert frustration(c, p, s, cfg) == pytest.approx(0.0, abs=1e-14)
+    assert frustration(c, p, cfg) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_frustration_expansion_oracle(rng):
@@ -368,19 +355,19 @@ def test_frustration_expansion_oracle(rng):
                     cross += np.einsum("md,md->", mean_i[i], mean_i[j])
         exact = (cross / cfg.signals + sq_i.mean(axis=1).sum()) / (
             cfg.players * (cfg.nodes - 1))
-        assert expected_frustration(c, p, s, cfg) == pytest.approx(exact, abs=1e-10)
+        assert expected_frustration(c, p, cfg) == pytest.approx(exact, abs=1e-10)
         variance_term = (sq_i.mean(axis=1).sum()
                          - np.einsum("imd,imd->", mean_i, mean_i) / cfg.signals) / (
             cfg.players * (cfg.nodes - 1))
-        assert frustration(c, p, s, cfg) == pytest.approx(exact - variance_term, abs=1e-10)
+        assert frustration(c, p, cfg) == pytest.approx(exact - variance_term, abs=1e-10)
 
 
 def test_frustration_agrees_with_exact_at_pure(rng):
     cfg, s, c = small_instance(rng)
     profile = rng.integers(0, cfg.strategies_per_player, cfg.players)
     p = MixedProfile.pure(profile, cfg.strategies_per_player)
-    assert frustration(c, p, s, cfg) == pytest.approx(
-        expected_frustration(c, p, s, cfg), abs=1e-12)
+    assert frustration(c, p, cfg) == pytest.approx(
+        expected_frustration(c, p, cfg), abs=1e-12)
 
 
 def test_decomposition_reassembles_within_5_over_n(rng):
@@ -390,8 +377,8 @@ def test_decomposition_reassembles_within_5_over_n(rng):
         cfg, s, c = small_instance(rng)
         p = random_profile(rng, cfg.players, cfg.strategies_per_player)
         g = float(np.einsum("is,is->", p.rows, p.rows)) / cfg.players
-        reassembled = 1.0 + frustration(c, p, s, cfg) - g
-        exact = expected_frustration(c, p, s, cfg)
+        reassembled = 1.0 + frustration(c, p, cfg) - g
+        exact = expected_frustration(c, p, cfg)
         assert abs(reassembled - exact) <= 5.0 / cfg.players
 
 

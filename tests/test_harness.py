@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from simplexgame import (ExperimentConfig, GameConfig, LearningConfig,
                          MixedProfile, StrengthDistribution, ValidationError,
-                         build_simplex, child_seed, compare_strengths,
+                         child_seed, compare_strengths,
                          expected_frustration,
                          experiment_from_file, export_sweep, export_trajectory,
                          measure_steady_state, run, single_run, sweep,
@@ -50,14 +50,13 @@ def test_measure_steady_state_zero_at_balanced_pure():
     from simplexgame import StrategyMatrix
     cfg = GameConfig(players=2, nodes=2, signals=3, strategies_per_player=1,
                      strengths=StrengthDistribution(np.array([0.5, 0.5])))
-    s = build_simplex(cfg.strengths)
     entries = np.zeros((2, 1, 3), dtype=np.uint8)
     entries[1, :, :] = 1
     c = StrategyMatrix(entries)
-    result = run(cfg, LearningConfig(iterations=300), seed=0, matrix=c, simplex=s)
-    final = measure_steady_state(result.state, c, s, cfg, "final-profile")
+    result = run(cfg, LearningConfig(iterations=300), seed=0, matrix=c)
+    final = measure_steady_state(result.state, c, cfg, "final-profile")
     assert final == pytest.approx(0.0, abs=1e-12)
-    windowed = measure_steady_state(result.state, c, s, cfg, "windowed-trace",
+    windowed = measure_steady_state(result.state, c, cfg, "windowed-trace",
                                     result.trajectory, window=100)
     assert windowed == pytest.approx(0.0, abs=1e-12)
 
@@ -67,15 +66,13 @@ def test_measure_steady_state_gamma_zero_modes():
     cfg = GameConfig(players=50, nodes=5, signals=2, strategies_per_player=2,
                      strengths=y)
     result = run(cfg, LearningConfig(gamma=0.0, iterations=3000), seed=8)
-    final = measure_steady_state(result.state, result.matrix, result.simplex,
-                                 cfg, "final-profile")
+    final = measure_steady_state(result.state, result.matrix, cfg, "final-profile")
     # exact evaluation of the uniform profile on the drawn matrix
     expect = expected_frustration(result.matrix,
-                                  MixedProfile.uniform(50, 2),
-                                  result.simplex, cfg)
+                                  MixedProfile.uniform(50, 2), cfg)
     assert final == pytest.approx(expect, abs=1e-12)
-    windowed = measure_steady_state(result.state, result.matrix, result.simplex,
-                                    cfg, "windowed-trace", result.trajectory, 1000)
+    windowed = measure_steady_state(result.state, result.matrix, cfg, "windowed-trace",
+                                    result.trajectory, 1000)
     # the trace realizes the same expectation through sampled play
     assert windowed == pytest.approx(final, abs=0.25)
 
@@ -86,10 +83,9 @@ def test_measure_modes_agree_after_convergence():
     cfg = GameConfig(players=50, nodes=5, signals=2, strategies_per_player=2,
                      strengths=y)
     result = run(cfg, LearningConfig(gamma=20.0, iterations=2000), seed=14)
-    final = measure_steady_state(result.state, result.matrix, result.simplex,
-                                 cfg, "final-profile")
-    windowed = measure_steady_state(result.state, result.matrix, result.simplex,
-                                    cfg, "windowed-trace", result.trajectory, 200)
+    final = measure_steady_state(result.state, result.matrix, cfg, "final-profile")
+    windowed = measure_steady_state(result.state, result.matrix, cfg, "windowed-trace",
+                                    result.trajectory, 200)
     assert abs(final - windowed) <= 0.05
 
 
@@ -98,11 +94,9 @@ def test_measure_mode_validation():
                      strengths=StrengthDistribution.uniform(2))
     result = run(cfg, LearningConfig(iterations=10), seed=0)
     with pytest.raises(ValidationError):
-        measure_steady_state(result.state, result.matrix, result.simplex, cfg,
-                             "bogus")
+        measure_steady_state(result.state, result.matrix, cfg, "bogus")
     with pytest.raises(ValidationError):
-        measure_steady_state(result.state, result.matrix, result.simplex, cfg,
-                             "windowed-trace", None)
+        measure_steady_state(result.state, result.matrix, cfg, "windowed-trace", None)
 
 
 # -- sweep -------------------------------------------------------------------
@@ -359,7 +353,7 @@ def test_single_run_uses_seeded_strengths(tmp_path):
     a = single_run(experiment_from_file(str(path)))
     b = single_run(experiment_from_file(str(path)))
     assert a.trajectory.frustrations.tobytes() == b.trajectory.frustrations.tobytes()
-    assert np.allclose(a.simplex.strengths.weights, b.simplex.strengths.weights)
+    assert np.allclose(a.config.strengths.weights, b.config.strengths.weights)
 
 
 def test_experiment_validation():

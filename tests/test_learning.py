@@ -97,7 +97,7 @@ def test_softmax_no_overflow():
 
 def test_iterate_updates_are_consistent(rng):
     cfg, s, c = small_instance(rng, players=6, strategies=3)
-    batch = Lockstep([(cfg, c, s, rng)], gamma=7.0)
+    batch = Lockstep([(cfg, c, rng)], gamma=7.0)
     for _ in range(30):
         play_round(batch, cfg)
         # probabilities always softmax-consistent with scores
@@ -108,7 +108,7 @@ def test_iterate_updates_are_consistent(rng):
 
 def test_iterate_single_strategy_is_repeated_play(rng):
     cfg, s, c = small_instance(rng, strategies=1)
-    batch = Lockstep([(cfg, c, s, rng)])
+    batch = Lockstep([(cfg, c, rng)])
     for _ in range(5):
         _, _, purity, _ = play_round(batch, cfg)
     assert np.allclose(batch.probabilities, 1.0)
@@ -145,7 +145,7 @@ def test_learning_settings_validation():
     per_player = np.full(cfg.players, 20.0)
     per_player[3] = np.nan
     rng = np.random.default_rng(0)
-    game = (cfg, draw_strategy_matrix(cfg, rng), build_simplex(cfg.strengths), rng)
+    game = (cfg, draw_strategy_matrix(cfg, rng), rng)
     for gamma in (np.nan, np.inf, -1.0, per_player):
         with pytest.raises(ValidationError):
             LearningConfig(gamma=gamma)
@@ -186,21 +186,26 @@ def test_run_rejects_mismatched_matrix():
     assert len(run(cfg, learn, seed=1, matrix=StrategyMatrix(entries)).trajectory) == 5
 
 
-def test_run_rejects_a_simplex_of_another_game(rng):
-    cfg = fig1_config(rng)
+def test_run_lockstep_rejects_a_matrix_that_does_not_fit_its_game():
+    cfg = GameConfig(players=4, nodes=3, signals=2, strategies_per_player=2,
+                     strengths=StrengthDistribution(np.array([0.5, 0.3, 0.2])))
     learn = LearningConfig(iterations=5)
-    for other in (StrengthDistribution.uniform(cfg.nodes),
-                  StrengthDistribution.uniform(cfg.nodes + 1)):
-        with pytest.raises(ValidationError):
-            run(cfg, learn, seed=1, simplex=build_simplex(other))
-    c = draw_strategy_matrix(cfg, rng)
-    games = [(cfg, c, build_simplex(cfg.strengths), np.random.default_rng(1)),
-             (cfg, c, build_simplex(StrengthDistribution.uniform(cfg.nodes)),
-              np.random.default_rng(2))]
-    with pytest.raises(ValidationError):
+    good = draw_strategy_matrix(cfg, np.random.default_rng(0))
+    entries = np.array(good.entries)
+    entries[0] = 4   # player 0 always plays a node of no 3-node game
+    # unchecked, the bad first table rewrote the second realization's trace:
+    # node 4 of row 0 is node 1 of row 1 in the batch's (K, B) counts
+    games = [(cfg, StrategyMatrix(entries), np.random.default_rng(1)),
+             (cfg, good, np.random.default_rng(2))]
+    with pytest.raises(ValidationError, match="holds node 4 of a 3-node game"):
         learning.run_lockstep(games, learn)
-    same = build_simplex(StrengthDistribution(cfg.strengths.weights.copy()))
-    assert len(run(cfg, learn, seed=1, simplex=same).trajectory) == 5
+    one_signal = StrategyMatrix(np.zeros((4, 2, 1), dtype=np.uint8))   # M = 1, config says 2
+    with pytest.raises(ValidationError, match="does not fit"):
+        learning.run_lockstep([(cfg, one_signal, np.random.default_rng(1))], learn)
+    alone = run(cfg, learn, 2, matrix=good)
+    both = learning.run_lockstep([(cfg, good, np.random.default_rng(1)),
+                                  (cfg, good, np.random.default_rng(2))], learn)
+    assert both[1].trajectory.frustrations.tobytes() == alone.trajectory.frustrations.tobytes()
 
 
 def test_run_zero_iterations():
@@ -233,16 +238,15 @@ def test_score_drift_matches_strategy_payoffs(rng):
     # per-strategy mixed payoff: averaging short windows over play streams, the
     # rank correlation across all strategy slots clears 0.5
     cfg = fig1_config(rng)
-    s = build_simplex(cfg.strengths)
     c = draw_strategy_matrix(cfg, rng)
     uniform = MixedProfile.uniform(cfg.players, cfg.strategies_per_player)
-    predicted = strategy_payoffs(c, uniform, s, cfg)
+    predicted = strategy_payoffs(c, uniform, cfg)
     window = 2 * cfg.signals
     drift = np.zeros_like(predicted)
     repeats = 20
     for k in range(repeats):
         stream = np.random.default_rng(1000 + k)
-        batch = Lockstep([(cfg, c, s, stream)], gamma=20.0)
+        batch = Lockstep([(cfg, c, stream)], gamma=20.0)
         for _ in range(window):
             play_round(batch, cfg)
         drift += batch.scores[:, 0].T
@@ -256,14 +260,13 @@ def test_replicator_pure_equilibrium_is_stationary(rng):
     # anti-coordinated binary pair: a strict equilibrium, exactly stationary
     cfg = GameConfig(players=2, nodes=2, signals=1, strategies_per_player=2,
                      strengths=StrengthDistribution(np.array([0.5, 0.5])))
-    s = build_simplex(cfg.strengths)
     entries = np.zeros((2, 2, 1), dtype=np.uint8)
     entries[:, 1, :] = 1  # strategy 0 -> node 0, strategy 1 -> node 1 for both
     c = StrategyMatrix(entries)
     p = MixedProfile.pure(np.array([0, 1]), 2)
-    flow = replicator_flow(c, p, s, cfg, 20.0)
+    flow = replicator_flow(c, p, cfg, 20.0)
     assert np.max(np.abs(flow)) <= 1e-12
-    profiles = integrate_replicator(c, p, s, cfg, 20.0, tau_end=1.0, step=0.05)
+    profiles = integrate_replicator(c, p, cfg, 20.0, tau_end=1.0, step=0.05)
     assert np.max(np.abs(profiles[-1].rows - p.rows)) <= 1e-12
 
 
@@ -271,30 +274,28 @@ def test_replicator_rows_sum_to_zero(rng):
     for _ in range(10):
         cfg, s, c = small_instance(rng)
         p = random_profile(rng, cfg.players, cfg.strategies_per_player)
-        flow = replicator_flow(c, p, s, cfg, 20.0)
+        flow = replicator_flow(c, p, cfg, 20.0)
         assert np.max(np.abs(flow.sum(axis=1))) <= 1e-12
 
 
 def test_replicator_frustration_is_nonincreasing(rng):
     cfg = fig1_config(rng)
-    s = build_simplex(cfg.strengths)
     c = draw_strategy_matrix(cfg, rng)
     p0 = MixedProfile.uniform(cfg.players, cfg.strategies_per_player)
-    profiles = integrate_replicator(c, p0, s, cfg, gamma=20.0, tau_end=2.0, step=0.01)
-    values = [expected_frustration(c, p, s, cfg) for p in profiles[::10]]
+    profiles = integrate_replicator(c, p0, cfg, gamma=20.0, tau_end=2.0, step=0.01)
+    values = [expected_frustration(c, p, cfg) for p in profiles[::10]]
     diffs = np.diff(values)
     assert np.all(diffs <= 1e-6)
 
 
 def test_replicator_step_halving(rng):
     cfg = fig1_config(rng)
-    s = build_simplex(cfg.strengths)
     c = draw_strategy_matrix(cfg, rng)
     p0 = MixedProfile.uniform(cfg.players, cfg.strategies_per_player)
-    coarse = integrate_replicator(c, p0, s, cfg, 20.0, tau_end=1.0, step=0.02)
-    fine = integrate_replicator(c, p0, s, cfg, 20.0, tau_end=1.0, step=0.01)
-    r_coarse = expected_frustration(c, coarse[-1], s, cfg)
-    r_fine = expected_frustration(c, fine[-1], s, cfg)
+    coarse = integrate_replicator(c, p0, cfg, 20.0, tau_end=1.0, step=0.02)
+    fine = integrate_replicator(c, p0, cfg, 20.0, tau_end=1.0, step=0.01)
+    r_coarse = expected_frustration(c, coarse[-1], cfg)
+    r_fine = expected_frustration(c, fine[-1], cfg)
     assert abs(r_coarse - r_fine) < 1e-4
 
 
@@ -302,7 +303,7 @@ def test_replicator_step_validation(rng):
     cfg, s, c = small_instance(rng)
     p = MixedProfile.uniform(cfg.players, cfg.strategies_per_player)
     with pytest.raises(ValidationError):
-        integrate_replicator(c, p, s, cfg, 20.0, tau_end=1.0, step=0.0)
+        integrate_replicator(c, p, cfg, 20.0, tau_end=1.0, step=0.0)
 
 
 # -- baseline ----------------------------------------------------------------
@@ -385,7 +386,7 @@ def test_detect_convergence_one_hot_rows(rng):
     # one strategy each: every row is one-hot from the first round, so the run
     # stops at the first check, after 2 * window rounds
     cfg, s, c = small_instance(rng, players=4, strategies=1)
-    result = run(cfg, LearningConfig(iterations=500), seed=1, matrix=c, simplex=s,
+    result = run(cfg, LearningConfig(iterations=500), seed=1, matrix=c,
                  convergence=ConvergenceSettings(window=50, check_every=50))
     assert result.converged and result.state.iteration == 100
     assert len(result.trajectory) == 100
@@ -417,7 +418,7 @@ def test_detect_convergence_fig1_style():
 def test_detect_convergence_requires_window(rng):
     # no check before 2 * window rounds: pure rows play on until then
     cfg, s, c = small_instance(rng, players=4, strategies=1)
-    result = run(cfg, LearningConfig(iterations=99), seed=1, matrix=c, simplex=s,
+    result = run(cfg, LearningConfig(iterations=99), seed=1, matrix=c,
                  convergence=ConvergenceSettings(window=50, check_every=10))
     assert not result.converged and result.state.iteration == 99
 
@@ -447,12 +448,11 @@ def test_stops_at_the_first_pure_check():
     games, expected = [], []
     for seed in range(8):
         cfg, s, c = _staggered_game(seed)
-        purities = run(cfg, LearningConfig(iterations=t_max), seed, matrix=c,
-                       simplex=s).trajectory.purities
+        purities = run(cfg, LearningConfig(iterations=t_max), seed, matrix=c).trajectory.purities
         checks = [t for t in range(2 * window, t_max + 1, every)
                   if purities[t - 1] >= PURITY_THRESHOLD]
         expected.append(checks[0] if checks else t_max)
-        games.append((cfg, c, s, np.random.default_rng(seed)))
+        games.append((cfg, c, np.random.default_rng(seed)))
     results = learning.run_lockstep(games, LearningConfig(iterations=t_max),
                                     ConvergenceSettings(window=window, check_every=every))
     assert [r.state.iteration for r in results] == expected
@@ -466,13 +466,13 @@ def test_compacted_batch_keeps_every_rows_record():
     learn = LearningConfig(iterations=1500)
     convergence = ConvergenceSettings(window=100, check_every=50)
     instances = [_staggered_game(seed) for seed in range(8)]
-    batch = learning.run_lockstep([(cfg, c, s, np.random.default_rng(seed))
-                                   for seed, (cfg, s, c) in enumerate(instances)],
+    batch = learning.run_lockstep([(cfg, c, np.random.default_rng(seed))
+                                   for seed, (cfg, _, c) in enumerate(instances)],
                                   learn, convergence)
     stops = [r.state.iteration for r in batch]
     assert len(set(stops) - {learn.iterations}) >= 3 and learn.iterations in stops
     for seed, ((cfg, s, c), got) in enumerate(zip(instances, batch)):
-        alone = run(cfg, learn, seed, matrix=c, simplex=s, convergence=convergence)
+        alone = run(cfg, learn, seed, matrix=c, convergence=convergence)
         assert (got.state.iteration, got.converged) == (alone.state.iteration, alone.converged)
         for name in ("signals", "frustrations", "purities"):
             assert getattr(got.trajectory, name).tobytes() == \

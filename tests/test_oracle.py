@@ -33,9 +33,9 @@ def reference_evaluate(ev, profile):
     return u, u_dev, r
 
 
-def reference_scan(c, s, cfg):
+def reference_scan(c, cfg):
     """The one-pass scan one profile at a time, in itertools.product order."""
-    ev = _ProfileEvaluator(c, s, cfg)
+    ev = _ProfileEvaluator(c, cfg)
     profiles, frustrations = [], []
     best, candidates = -np.inf, []
     for profile in itertools.product(range(cfg.strategies_per_player), repeat=cfg.players):
@@ -61,9 +61,9 @@ def reference_scan(c, s, cfg):
                             worst_violation=worst, max_aggregate=best))
 
 
-def reference_equilibria(c, s, cfg):
+def reference_equilibria(c, cfg):
     """Pass one: every profile against every unilateral deviation."""
-    ev = _ProfileEvaluator(c, s, cfg)
+    ev = _ProfileEvaluator(c, cfg)
     profiles, frustrations = [], []
     for profile in itertools.product(range(cfg.strategies_per_player), repeat=cfg.players):
         u, u_dev, r = reference_evaluate(ev, profile)
@@ -73,11 +73,11 @@ def reference_equilibria(c, s, cfg):
     return profiles, frustrations
 
 
-def reference_report(c, s, cfg):
+def reference_report(c, cfg):
     """The three-pass oracle: equilibria, then equilibria again plus a maximizer pass."""
-    profiles, frustrations = reference_equilibria(c, s, cfg)
-    equilibria = set(reference_equilibria(c, s, cfg)[0])
-    ev = _ProfileEvaluator(c, s, cfg)
+    profiles, frustrations = reference_equilibria(c, cfg)
+    equilibria = set(reference_equilibria(c, cfg)[0])
+    ev = _ProfileEvaluator(c, cfg)
     best, evaluated = -np.inf, []
     for profile in itertools.product(range(cfg.strategies_per_player), repeat=cfg.players):
         u, u_dev, _ = reference_evaluate(ev, profile)
@@ -114,7 +114,7 @@ def anti_coordination_game():
 
 def test_single_player_equilibria_are_argmax(rng):
     cfg, s, c = small_instance(rng, players=1, strategies=3, signals=3)
-    eq = enumerate_equilibria(c, s, cfg)
+    eq = enumerate_equilibria(c, cfg)
     values = [correlated_payoff(c, (k,), 0, cfg) for k in range(3)]
     best = max(values)
     expect = {(k,) for k in range(3) if values[k] >= best - 1e-12}
@@ -123,7 +123,7 @@ def test_single_player_equilibria_are_argmax(rng):
 
 def test_single_strategy_profile_is_trivial_equilibrium(rng):
     cfg, s, c = small_instance(rng, players=3, strategies=1)
-    eq = enumerate_equilibria(c, s, cfg)
+    eq = enumerate_equilibria(c, cfg)
     assert eq.profiles == [(0, 0, 0)]
     assert eq.min_r == pytest.approx(eq.frustrations[0])
 
@@ -133,9 +133,8 @@ def test_seeded_tiny_game_equilibria_verified_independently():
     y = StrengthDistribution(np.array([0.5, 0.5]))
     cfg = GameConfig(players=3, nodes=2, signals=2, strategies_per_player=2,
                      strengths=y)
-    s = build_simplex(y)
     c = draw_strategy_matrix(cfg, np.random.default_rng(12))
-    eq = enumerate_equilibria(c, s, cfg)
+    eq = enumerate_equilibria(c, cfg)
     assert eq.count > 0
     for profile in eq.profiles:
         for i in range(cfg.players):
@@ -152,41 +151,41 @@ def test_two_evaluators_agree_everywhere(rng):
         cfg, s, c = small_instance(rng, players=3)
         profiles = list(itertools.product(range(cfg.strategies_per_player),
                                           repeat=cfg.players))
-        block_u, _, block_r = _ProfileEvaluator(c, s, cfg).evaluate(profiles)
+        block_u, _, block_r = _ProfileEvaluator(c, cfg).evaluate(profiles)
         assert block_u.shape == (len(profiles), cfg.players)
         for profile, u, r in zip(profiles, block_u, block_r):
             for i in range(cfg.players):
                 assert u[i] == pytest.approx(
                     correlated_payoff(c, profile, i, cfg), abs=1e-12)
             p = MixedProfile.pure(np.array(profile), cfg.strategies_per_player)
-            assert r == pytest.approx(frustration(c, p, s, cfg), abs=1e-12)
+            assert r == pytest.approx(frustration(c, p, cfg), abs=1e-12)
 
 
 def test_anti_coordination_equilibria():
     cfg, s, c = anti_coordination_game()
-    eq = enumerate_equilibria(c, s, cfg)
+    eq = enumerate_equilibria(c, cfg)
     assert set(eq.profiles) == {(0, 1), (1, 0)}
     assert eq.min_r == pytest.approx(0.0, abs=1e-14)
     # coordinated profiles land both players on one node: R = 2
-    _, _, r = _ProfileEvaluator(c, s, cfg).evaluate([(0, 0)])
+    _, _, r = _ProfileEvaluator(c, cfg).evaluate([(0, 0)])
     assert r[0] == pytest.approx(2.0)
 
 
-def test_oracle_rejects_a_simplex_of_other_strengths():
-    y = StrengthDistribution(np.array([0.5, 0.3, 0.2]))
-    cfg = GameConfig(players=4, nodes=3, signals=2, strategies_per_player=2, strengths=y)
-    c = draw_strategy_matrix(cfg, np.random.default_rng(0))
-    mirrored = build_simplex(StrengthDistribution(np.array([0.2, 0.3, 0.5])))
-    with pytest.raises(ValidationError, match="does not fit"):
-        _ProfileEvaluator(c, mirrored, cfg)
-    with pytest.raises(ValidationError, match="does not fit"):
-        oracle_report(c, mirrored, cfg)
-    _ProfileEvaluator(c, build_simplex(y), cfg)
+def test_oracle_rejects_a_matrix_that_does_not_fit_its_game():
+    cfg = GameConfig(players=3, nodes=3, signals=2, strategies_per_player=2,
+                     strengths=StrengthDistribution(np.array([0.5, 0.3, 0.2])))
+    entries = np.zeros((3, 2, 2), dtype=np.uint8)
+    entries[2, 1, 1] = 3   # one past the last node: an IndexError before the check
+    for c in (StrategyMatrix(entries), StrategyMatrix(np.zeros((3, 2, 1), dtype=np.uint8))):
+        with pytest.raises(ValidationError):
+            _ProfileEvaluator(c, cfg)
+        with pytest.raises(ValidationError):
+            oracle_report(c, cfg)
 
 
 def test_exact_price_of_anarchy_zero_when_balanced_profile_exists():
     cfg, s, c = anti_coordination_game()
-    assert enumerate_equilibria(c, s, cfg).min_r == pytest.approx(0.0, abs=1e-14)
+    assert enumerate_equilibria(c, cfg).min_r == pytest.approx(0.0, abs=1e-14)
 
 
 def test_no_pure_equilibrium_is_reported_not_raised():
@@ -202,30 +201,28 @@ def test_budget_enforced():
     cfg = GameConfig(players=10, nodes=2, signals=1, strategies_per_player=3,
                      strengths=y)
     c = draw_strategy_matrix(cfg, np.random.default_rng(0))
-    s = build_simplex(y)
     with pytest.raises(BudgetError):
-        enumerate_equilibria(c, s, cfg, budget=1000)
+        enumerate_equilibria(c, cfg, budget=1000)
 
 
 def test_learned_plateau_bounded_below_by_oracle(rng):
     y = StrengthDistribution(np.array([0.5, 0.5]))
     cfg = GameConfig(players=3, nodes=2, signals=2, strategies_per_player=2,
                      strengths=y)
-    s = build_simplex(y)
     for seed in range(5):
         c = draw_strategy_matrix(cfg, np.random.default_rng(seed))
-        min_r = enumerate_equilibria(c, s, cfg).min_r
+        min_r = enumerate_equilibria(c, cfg).min_r
         result = run(cfg, LearningConfig(gamma=20.0, iterations=1500), seed=seed,
-                     matrix=c, simplex=s)
+                     matrix=c)
         from simplexgame import expected_frustration
-        learned = expected_frustration(c, result.state.profile(), s, cfg)
+        learned = expected_frustration(c, result.state.profile(), cfg)
         assert learned >= min_r - 1e-9
 
 
 def test_potential_defect_same_strategy_is_zero(rng):
     cfg, s, c = small_instance(rng, strategies=2)
     p = random_profile(rng, cfg.players, cfg.strategies_per_player)
-    assert potential_defect(c, p, 0, 1, 1, s, cfg) == 0.0
+    assert potential_defect(c, p, 0, 1, 1, cfg) == 0.0
 
 
 def test_potential_defect_binary_equal_strengths(rng):
@@ -235,11 +232,10 @@ def test_potential_defect_binary_equal_strengths(rng):
     y = StrengthDistribution(np.array([0.5, 0.5]))
     cfg = GameConfig(players=cfg.players, nodes=2, signals=cfg.signals,
                      strategies_per_player=2, strengths=y)
-    s = build_simplex(y)
     c = draw_strategy_matrix(cfg, rng)
     p = random_profile(rng, cfg.players, 2)
     for i in range(cfg.players):
-        assert abs(potential_defect(c, p, i, 0, 1, s, cfg)) <= 1e-12
+        assert abs(potential_defect(c, p, i, 0, 1, cfg)) <= 1e-12
 
 
 def test_potential_defect_random_games(rng):
@@ -247,7 +243,7 @@ def test_potential_defect_random_games(rng):
         cfg, s, c = small_instance(rng, players=4, nodes=3, signals=3, strategies=2)
         p = random_profile(rng, 4, 2)
         i = int(rng.integers(4))
-        assert abs(potential_defect(c, p, i, 0, 1, s, cfg)) <= 1e-12
+        assert abs(potential_defect(c, p, i, 0, 1, cfg)) <= 1e-12
 
 
 def test_maximizer_report_binary_equal_strengths(rng):
@@ -255,10 +251,9 @@ def test_maximizer_report_binary_equal_strengths(rng):
     y = StrengthDistribution(np.array([0.5, 0.5]))
     cfg = GameConfig(players=4, nodes=2, signals=2, strategies_per_player=2,
                      strengths=y)
-    s = build_simplex(y)
     for seed in range(5):
         c = draw_strategy_matrix(cfg, np.random.default_rng(100 + seed))
-        report = maximizer_equilibrium_report(c, s, cfg)
+        report = maximizer_equilibrium_report(c, cfg)
         assert all(report.in_equilibrium_set)
         assert report.worst_violation <= 1e-12
 
@@ -272,7 +267,7 @@ def test_maximizer_violations_bounded(rng):
                          strengths=y)
         s = build_simplex(y)
         c = draw_strategy_matrix(cfg, gen)
-        report = maximizer_equilibrium_report(c, s, cfg)
+        report = maximizer_equilibrium_report(c, cfg)
         sq = np.einsum("rd,rd->r", s.vertices, s.vertices)
         bound = (sq.max() - sq.min()) / (2 * cfg.players) + 1e-12
         assert report.worst_violation <= bound
@@ -280,7 +275,7 @@ def test_maximizer_violations_bounded(rng):
 
 def test_oracle_report_fields(rng):
     cfg, s, c = small_instance(rng, players=3, strategies=2)
-    report = oracle_report(c, s, cfg)
+    report = oracle_report(c, cfg)
     assert report["equilibrium_count"] >= 0
     assert report["players"] == 3
     assert ("min_r" in report) and ("maximizer_worst_violation" in report)
@@ -307,11 +302,11 @@ def _oracle_games():
 @pytest.mark.parametrize("game", list(_oracle_games()))
 def test_one_pass_oracle_equals_three_pass_reference(game):
     cfg, s, c = game
-    want, profiles, frustrations, maximizers, flags = reference_report(c, s, cfg)
-    assert oracle_report(c, s, cfg) == want
-    eq = enumerate_equilibria(c, s, cfg)
+    want, profiles, frustrations, maximizers, flags = reference_report(c, cfg)
+    assert oracle_report(c, cfg) == want
+    eq = enumerate_equilibria(c, cfg)
     assert (eq.profiles, eq.frustrations) == (profiles, frustrations)
-    mx = maximizer_equilibrium_report(c, s, cfg)
+    mx = maximizer_equilibrium_report(c, cfg)
     assert (mx.maximizers, mx.in_equilibrium_set) == (maximizers, flags)
 
 
@@ -354,12 +349,12 @@ def test_blocked_scan_equals_per_profile_scan(monkeypatch):
     # profile when S^N is odd or 2^N = 1 mod 3)
     games = [anti_coordination_game(), _one_coordinate_game(), *_random_games(60, 900)]
     for cfg, s, c in games:
-        want = reference_scan(c, s, cfg)
+        want = reference_scan(c, cfg)
         monkeypatch.undo()
-        assert oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET) == want
+        assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
         for rows in (1, 2, 3):
             _set_block_rows(monkeypatch, cfg, rows)
-            assert oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET) == want
+            assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
 
 
 def _benchmark_games(seeds):
@@ -374,11 +369,11 @@ def test_blocked_scan_equals_per_profile_scan_on_benchmark_game(monkeypatch):
     # the benchmark's oracle input at seed 7; blocks of 7 leave one profile for
     # the last block, since 2^15 = 1 mod 7
     cfg, s, c = next(_benchmark_games([7]))
-    want = reference_scan(c, s, cfg)
+    want = reference_scan(c, cfg)
     assert 1 < oracle._block_rows(cfg) < 2**15
-    assert oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET) == want
+    assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
     _set_block_rows(monkeypatch, cfg, 7)
-    assert oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET) == want
+    assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
 
 
 def test_block_rows_bounded():
@@ -395,7 +390,7 @@ def test_block_rows_bounded():
     cfg = GameConfig(players=4, nodes=5, signals=5000, strategies_per_player=2, strengths=y)
     c = draw_strategy_matrix(cfg, np.random.default_rng(1))
     assert oracle._block_rows(cfg) == 1
-    assert oracle._scan(c, build_simplex(y), cfg, 16) == reference_scan(c, build_simplex(y), cfg)
+    assert oracle._scan(c, cfg, 16) == reference_scan(c, cfg)
 
 
 def test_oracle_report_evaluates_each_profile_once(monkeypatch):
@@ -410,7 +405,7 @@ def test_oracle_report_evaluates_each_profile_once(monkeypatch):
             if rows is not None:
                 _set_block_rows(monkeypatch, cfg, rows)
             blocks.clear()
-            oracle_report(c, s, cfg)
+            oracle_report(c, cfg)
             evaluated = [tuple(p) for block in blocks for p in block.tolist()]
             assert sorted(evaluated) == list(itertools.product(
                 range(cfg.strategies_per_player), repeat=cfg.players))
@@ -438,7 +433,7 @@ def test_check_budget_rejects_a_negative_budget():
                      strengths=StrengthDistribution.uniform(3))
     c = draw_strategy_matrix(cfg, np.random.default_rng(0))
     for call in (lambda: oracle.check_budget(cfg, -5),
-                 lambda: oracle_report(c, build_simplex(cfg.strengths), cfg, -1)):
+                 lambda: oracle_report(c, cfg, -1)):
         with pytest.raises(ValidationError, match="budget must be >= 0") as err:
             call()
         assert not isinstance(err.value, BudgetError)
@@ -462,12 +457,12 @@ def test_expanded_route_matches_deviation_bet_route(monkeypatch):
     # route the oracle used to build, and every float within ROUTE_TOL
     games = [*_oracle_games(), *_random_games(60, 900), *_benchmark_games(range(1, 11))]
     for cfg, s, c in games:
-        got = oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET)
-        report = oracle_report(c, s, cfg)
+        got = oracle._scan(c, cfg, oracle.DEFAULT_BUDGET)
+        report = oracle_report(c, cfg)
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_ProfileEvaluator", DeviationBetEvaluator)
-            want = oracle._scan(c, s, cfg, oracle.DEFAULT_BUDGET)
-            want_report = oracle_report(c, s, cfg)
+            want = oracle._scan(c, cfg, oracle.DEFAULT_BUDGET)
+            want_report = oracle_report(c, cfg)
         for ours, theirs in zip(got, want):
             for field in dataclasses.fields(theirs):
                 mine, old = getattr(ours, field.name), getattr(theirs, field.name)
