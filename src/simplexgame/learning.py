@@ -175,8 +175,12 @@ def reward_vector(c: StrategyMatrix, inst: PureInstance, realized_b: np.ndarray,
 
     W_is = -(1/(M N)) q(c_is^m) . [b + (q(c_is^m) - q(c_i,played^m))], i.e. the
     payoff strategy s would have earned had player i swapped only its own bet,
-    rescaled by 1/M.  At the played strategy the bracket reduces to b.
+    rescaled by 1/M.  At the played strategy the bracket reduces to b.  The
+    table must fit config's game and s be the simplex of config's strengths.
     """
+    check_matrix(c, config)
+    if not np.array_equal(s.strengths.weights, config.strengths.weights):
+        raise ValidationError("the simplex is built from other strengths than the game's")
     m = inst.signal
     qm = s.vertices[c.entries[i, :, m].astype(np.int64)]          # (S, D)
     played = s.vertices[int(c.entries[i, inst.choices[i], m])]    # (D,)

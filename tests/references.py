@@ -6,7 +6,8 @@ pure profile, straight from their definitions: through the simplex vertices
 `DeviationBetEvaluator`) or by resolving every signal's occupancies
 (`payoff_linear`, `correlated_payoff`, `signal_loop_payoffs`).
 The package computes the same quantities in count space, and its oracle by
-expanded vertex dot products.
+expanded vertex dot products from two half tables; `blocked_scan` is the
+oracle's scan over blocks of profiles with any evaluator.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import numpy as np
 from simplexgame import (Allocation, GameConfig, MixedProfile, Simplex, StrategyMatrix,
                          ValidationError, build_simplex, strategy_payoffs)
 from simplexgame.game import check_matrix
+from simplexgame.oracle import EQUILIBRIUM_SLACK, TIE_TOL, EquilibriumSet, MaximizerReport
 
 
 def aggregate_bet(alloc: Allocation, s: Simplex) -> np.ndarray:
@@ -110,8 +112,8 @@ class DeviationBetEvaluator:
     """The oracle's block evaluator on the direct vertex route.
 
     Builds every deviation's aggregate bet b - q_ic + q_is as a
-    (P, N, S, M, B-1) array and dots it with the deviating vertex; it takes
-    the place of `oracle._ProfileEvaluator` to check the expanded route.
+    (P, N, S, M, B-1) array and dots it with the deviating vertex; through
+    `blocked_scan` it checks the oracle's expanded route.
     """
 
     def __init__(self, c: StrategyMatrix, config: GameConfig):
@@ -152,3 +154,40 @@ class DeviationBetEvaluator:
         u_dev /= self.n
         r = np.einsum("pmd,pmd->p", b, b) / (b.shape[1] * self.n * (self.config.nodes - 1))
         return u.mean(axis=2), u_dev.mean(axis=3), r
+
+
+def blocked_scan(evaluator, config: GameConfig, rows: int) -> tuple:
+    """The oracle's one pass over all S^N pure profiles, `rows` per block.
+
+    A block's profiles are the base-S digits of consecutive indices, player 0
+    most significant (the order of itertools.product(range(S), repeat=N)),
+    evaluated by `evaluator.evaluate(block)`; the equilibrium and maximizer
+    bookkeeping is the oracle's.  Returns (EquilibriumSet, MaximizerReport).
+    """
+    strategies = config.strategies_per_player
+    count = strategies ** config.players
+    place = strategies ** np.arange(config.players - 1, -1, -1)
+    profiles, frustrations = [], []
+    best, candidates = -np.inf, []
+    for start in range(0, count, rows):
+        block = np.arange(start, min(start + rows, count))[:, None] // place % strategies
+        u, u_dev, r = evaluator.evaluate(block)
+        violation = (u_dev - u[:, :, None]).max(axis=(1, 2))
+        stable = violation <= EQUILIBRIUM_SLACK
+        profiles.extend(map(tuple, block[stable].tolist()))
+        frustrations.extend(r[stable].tolist())
+        total = u.sum(axis=1)
+        best = max(best, float(total.max()))
+        near = total >= best - TIE_TOL
+        candidates.extend(zip(map(tuple, block[near].tolist()), total[near].tolist(),
+                              violation[near].tolist(), stable[near].tolist()))
+    maximizers, flags, worst = [], [], 0.0
+    for profile, total, violation, stable in candidates:
+        if total >= best - TIE_TOL:
+            maximizers.append(profile)
+            flags.append(stable)
+            worst = max(worst, violation)
+    min_r = min(frustrations) if frustrations else None
+    return (EquilibriumSet(profiles=profiles, frustrations=frustrations, min_r=min_r),
+            MaximizerReport(maximizers=maximizers, in_equilibrium_set=flags,
+                            worst_violation=worst, max_aggregate=best))

@@ -15,50 +15,47 @@ from simplexgame import oracle
 from simplexgame.oracle import EquilibriumSet, MaximizerReport, _ProfileEvaluator
 
 from conftest import random_profile, random_proper_strengths, small_instance
-from references import DeviationBetEvaluator, correlated_payoff
+from references import DeviationBetEvaluator, blocked_scan, correlated_payoff
 
 
 def reference_evaluate(ev, profile):
-    """One profile on the expanded vertex route: (payoffs (N,), deviation payoffs (N,S),
-    frustration), from the evaluator's vertex table and overlaps."""
+    """One profile on the halves' route: (payoffs (N,), deviation payoffs (N,S),
+    frustration), from the evaluator's vertex table, split and overlaps."""
     rows = np.asarray(profile, dtype=np.int64) + ev.row_offset
-    b = ev.table[rows[0]].copy()                  # (M*D,)
-    for row in rows[1:]:
-        b += ev.table[row]
-    bets = np.einsum("x,xk->k", b, ev.columns)    # (N*S,)
+    halves = []
+    for part in (rows[:ev.high_players], rows[ev.high_players:]):
+        b = np.zeros(ev.table.shape[1])           # (M*D,), summed in player order
+        for row in part:
+            b += ev.table[row]
+        halves.append(b)
+    high, low = (np.einsum("x,xk->k", b, ev.columns) for b in halves)
+    bets = high + low
+    cross = 0.0                                   # b_high . b_low, in player order
+    for row in rows[ev.high_players:]:
+        cross += high[row]
+    norm = (halves[0] * halves[0]).sum() + 2 * cross + (halves[1] * halves[1]).sum()
     scale = -(ev.n * ev.m)
     u = bets[rows] / scale
     u_dev = (bets.reshape(ev.n, -1) - ev.played_overlap[rows] + ev.own_overlap) / scale
-    r = float(np.einsum("x,x->", b, b)) / (ev.m * ev.n * (ev.config.nodes - 1))
+    r = float(norm) / (ev.m * ev.n * (ev.config.nodes - 1))
     return u, u_dev, r
+
+
+class _OneProfile:
+    """`reference_evaluate` behind the evaluator interface, for blocks of one profile."""
+
+    def __init__(self, c, cfg):
+        self.ev = _ProfileEvaluator(c, cfg)
+
+    def evaluate(self, profiles):
+        (profile,) = profiles
+        u, u_dev, r = reference_evaluate(self.ev, profile)
+        return u[None], u_dev[None], np.array([r])
 
 
 def reference_scan(c, cfg):
     """The one-pass scan one profile at a time, in itertools.product order."""
-    ev = _ProfileEvaluator(c, cfg)
-    profiles, frustrations = [], []
-    best, candidates = -np.inf, []
-    for profile in itertools.product(range(cfg.strategies_per_player), repeat=cfg.players):
-        u, u_dev, r = reference_evaluate(ev, profile)
-        violation = float(np.max(u_dev - u[:, None]))
-        stable = violation <= 1e-12
-        if stable:
-            profiles.append(profile)
-            frustrations.append(r)
-        total = float(u.sum())
-        best = max(best, total)
-        if total >= best - 1e-12:
-            candidates.append((profile, total, violation, stable))
-    maximizers, flags, worst = [], [], 0.0
-    for profile, total, violation, stable in candidates:
-        if total >= best - 1e-12:
-            maximizers.append(profile)
-            flags.append(stable)
-            worst = max(worst, violation)
-    min_r = min(frustrations) if frustrations else None
-    return (EquilibriumSet(profiles=profiles, frustrations=frustrations, min_r=min_r),
-            MaximizerReport(maximizers=maximizers, in_equilibrium_set=flags,
-                            worst_violation=worst, max_aggregate=best))
+    return blocked_scan(_OneProfile(c, cfg), cfg, 1)
 
 
 def reference_equilibria(c, cfg):
@@ -151,7 +148,13 @@ def test_two_evaluators_agree_everywhere(rng):
         cfg, s, c = small_instance(rng, players=3)
         profiles = list(itertools.product(range(cfg.strategies_per_player),
                                           repeat=cfg.players))
-        block_u, _, block_r = _ProfileEvaluator(c, cfg).evaluate(profiles)
+        ev = _ProfileEvaluator(c, cfg)
+        high = np.array(list(itertools.product(range(cfg.strategies_per_player),
+                                               repeat=ev.high_players)))
+        high += ev.row_offset[:ev.high_players]
+        assert len(high) <= ev.block_rows
+        rows, block_u, _, block_r = ev.evaluate(high, *ev.half(high))
+        assert [tuple(row) for row in (rows - ev.row_offset).tolist()] == profiles
         assert block_u.shape == (len(profiles), cfg.players)
         for profile, u, r in zip(profiles, block_u, block_r):
             for i in range(cfg.players):
@@ -167,7 +170,9 @@ def test_anti_coordination_equilibria():
     assert set(eq.profiles) == {(0, 1), (1, 0)}
     assert eq.min_r == pytest.approx(0.0, abs=1e-14)
     # coordinated profiles land both players on one node: R = 2
-    _, _, r = _ProfileEvaluator(c, cfg).evaluate([(0, 0)])
+    ev, high = _ProfileEvaluator(c, cfg), np.array([[0]])
+    rows, _, _, r = ev.evaluate(high, *ev.half(high))
+    assert rows.tolist() == [[0, 2], [0, 3]]      # (0, 0) and (0, 1)
     assert r[0] == pytest.approx(2.0)
 
 
@@ -314,10 +319,13 @@ def _per_profile(cfg):
     return cfg.players * cfg.strategies_per_player * cfg.signals * (cfg.nodes - 1)
 
 
-def _set_block_rows(monkeypatch, cfg, rows):
-    """Make `_scan` evaluate `rows` profiles per block through ORACLE_BLOCK."""
-    monkeypatch.setattr(oracle, "ORACLE_BLOCK", rows * _per_profile(cfg))
-    assert oracle._block_rows(cfg) == rows
+def _set_block_rows(monkeypatch, cfg, rows, chunk_rows=None):
+    """Make `_scan` pair `rows` high-half rows with the low half per block, and
+    build the high half's tables `chunk_rows` rows at a time (by default as it
+    would), on the split it would use anyway."""
+    high_players, chunk, _ = oracle._plan(cfg)
+    chunk = chunk if chunk_rows is None else chunk_rows
+    monkeypatch.setattr(oracle, "_plan", lambda config: (high_players, chunk, rows))
 
 
 def _random_games(count, seed):
@@ -343,17 +351,32 @@ def _one_coordinate_game():
     return cfg, build_simplex(y), draw_strategy_matrix(cfg, gen)
 
 
+def _edge_games():
+    """N=1 (an empty high half), S=1, odd N, and M (B-1) = 20000, where the low
+    half is empty because one of its rows is wider than ORACLE_BLOCK / S."""
+    gen = np.random.default_rng(902)
+    for players, nodes, signals, strategies in [(1, 3, 3, 4), (5, 3, 2, 1), (7, 3, 2, 2),
+                                                (4, 5, 5000, 3)]:
+        y = random_proper_strengths(gen, nodes)
+        cfg = GameConfig(players=players, nodes=nodes, signals=signals,
+                         strategies_per_player=strategies, strengths=y)
+        yield cfg, build_simplex(y), draw_strategy_matrix(cfg, gen)
+
+
 def test_blocked_scan_equals_per_profile_scan(monkeypatch):
     # same lists in the same order and the same floats, whatever the block size:
-    # one profile per block, and blocks of 2 and 3 (ragged last blocks, of one
-    # profile when S^N is odd or 2^N = 1 mod 3)
-    games = [anti_coordination_game(), _one_coordinate_game(), *_random_games(60, 900)]
+    # one high-half row per block, and blocks of 2, 3 and 7 (ragged last blocks
+    # when S^a is not a multiple), also with the high half's tables built in
+    # chunks of 5 rows
+    games = [anti_coordination_game(), _one_coordinate_game(), *_edge_games(),
+             *_random_games(60, 900)]
+    assert [oracle._plan(cfg)[0] for cfg, s, c in games[2:6]] == [0, 2, 3, 4]
     for cfg, s, c in games:
-        want = reference_scan(c, cfg)
         monkeypatch.undo()
+        want = reference_scan(c, cfg)
         assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
-        for rows in (1, 2, 3):
-            _set_block_rows(monkeypatch, cfg, rows)
+        for rows, chunk_rows in [(1, None), (2, None), (3, None), (7, None), (2, 5)]:
+            _set_block_rows(monkeypatch, cfg, rows, chunk_rows)
             assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
 
 
@@ -366,40 +389,71 @@ def _benchmark_games(seeds):
 
 
 def test_blocked_scan_equals_per_profile_scan_on_benchmark_game(monkeypatch):
-    # the benchmark's oracle input at seed 7; blocks of 7 leave one profile for
-    # the last block, since 2^15 = 1 mod 7
+    # the benchmark's oracle input at seed 7: 7 high and 8 low players, one
+    # chunk of the high half, and blocks of 7 high rows leave 2 for the last
+    # block, since 2^7 = 2 mod 7
     cfg, s, c = next(_benchmark_games([7]))
     want = reference_scan(c, cfg)
-    assert 1 < oracle._block_rows(cfg) < 2**15
+    assert oracle._plan(cfg) == (7, 546, 2)
     assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
     _set_block_rows(monkeypatch, cfg, 7)
     assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
 
 
-def test_block_rows_bounded():
-    # at least one profile per block; a block's contraction stays within
-    # ORACLE_BLOCK products unless one profile alone needs more
+def _unit(cfg):
+    """Floats one profile alone needs: its N S contractions, or its M (B-1) bet."""
+    return max(cfg.players * cfg.strategies_per_player, cfg.signals * (cfg.nodes - 1))
+
+
+def test_half_tables_and_blocks_bounded(monkeypatch):
+    # the halves' tables and a block's arrays hold at most ORACLE_BLOCK floats,
+    # unless one profile alone needs more
     y = StrengthDistribution.uniform(5)
-    for players, signals, strategies in [(15, 3, 2), (2, 1, 1), (4, 5000, 3), (20, 5000, 2)]:
+    for players, signals, strategies in [(15, 3, 2), (19, 3, 2), (2, 1, 1), (1, 3, 1000),
+                                         (4, 5000, 3), (20, 5000, 2)]:
         cfg = GameConfig(players=players, nodes=5, signals=signals,
                          strategies_per_player=strategies, strengths=y)
-        rows = oracle._block_rows(cfg)
-        assert rows >= 1
-        assert rows * _per_profile(cfg) <= max(oracle.ORACLE_BLOCK, _per_profile(cfg))
-    # such a game still scans, one profile per block
-    cfg = GameConfig(players=4, nodes=5, signals=5000, strategies_per_player=2, strengths=y)
-    c = draw_strategy_matrix(cfg, np.random.default_rng(1))
-    assert oracle._block_rows(cfg) == 1
-    assert oracle._scan(c, cfg, 16) == reference_scan(c, cfg)
+        high_players, chunk, rows = oracle._plan(cfg)
+        low = strategies ** (players - high_players)
+        limit = max(oracle.ORACLE_BLOCK, _unit(cfg))
+        assert players // 2 <= high_players <= players and rows >= 1
+        assert low * _unit(cfg) <= limit          # the low half's bets and contractions
+        assert chunk * _unit(cfg) <= limit and chunk % rows == 0   # the high half's
+        assert rows * max(low * players * strategies, _unit(cfg)) <= limit
+    # at N = 19 a low half of 9 or 10 players would hold 2^9 or 2^10 rows of 38 floats
+    assert oracle._plan(GameConfig(players=19, nodes=3, signals=3, strategies_per_player=2,
+                                   strengths=StrengthDistribution.uniform(3)))[0] == 11
+    # every array `half` takes or returns and `evaluate` returns, in scans of such games
+    sizes = []
+    half, evaluate = _ProfileEvaluator.half, _ProfileEvaluator.evaluate
+
+    def record(arrays):
+        sizes.extend(a.size for a in arrays)
+        return arrays
+
+    monkeypatch.setattr(_ProfileEvaluator, "half",
+                        lambda self, rows: record(half(self, record((rows,))[0])))
+    monkeypatch.setattr(_ProfileEvaluator, "evaluate",
+                        lambda self, *high: record(evaluate(self, *record(high))))
+    for cfg, s, c in [next(_benchmark_games([7])), *list(_edge_games())[2:]]:
+        sizes.clear()
+        oracle._scan(c, cfg, oracle.DEFAULT_BUDGET)
+        assert sizes and max(sizes) <= max(oracle.ORACLE_BLOCK, _unit(cfg))
 
 
 def test_oracle_report_evaluates_each_profile_once(monkeypatch):
-    # every profile in exactly one block row, with default and with ragged blocks of 3
+    # every profile in exactly one block row, in itertools.product order, with
+    # the default blocks and with ragged blocks of 3 high-half rows
     blocks = []
     evaluate = _ProfileEvaluator.evaluate
-    monkeypatch.setattr(_ProfileEvaluator, "evaluate",
-                        lambda self, profiles: blocks.append(np.array(profiles))
-                        or evaluate(self, profiles))
+
+    def recording(self, high_rows, *tables):
+        assert 1 <= len(high_rows) <= self.block_rows
+        out = evaluate(self, high_rows, *tables)
+        blocks.append(out[0] - self.row_offset)
+        return out
+
+    monkeypatch.setattr(_ProfileEvaluator, "evaluate", recording)
     for rows in (None, 3):
         for cfg, s, c in list(_oracle_games())[:3]:
             if rows is not None:
@@ -407,9 +461,8 @@ def test_oracle_report_evaluates_each_profile_once(monkeypatch):
             blocks.clear()
             oracle_report(c, cfg)
             evaluated = [tuple(p) for block in blocks for p in block.tolist()]
-            assert sorted(evaluated) == list(itertools.product(
+            assert evaluated == list(itertools.product(
                 range(cfg.strategies_per_player), repeat=cfg.players))
-            assert all(1 <= len(block) <= oracle._block_rows(cfg) for block in blocks)
 
 
 def test_check_budget_counts_profiles_up_to_the_budget():
@@ -452,21 +505,20 @@ def _floats_close(got, want, tol):
 ROUTE_TOL = 1e-12   # the two routes sum the same dot products in another order
 
 
-def test_expanded_route_matches_deviation_bet_route(monkeypatch):
-    # every list, count and flag identical to the (P, N, S, M, B-1) deviation-bet
-    # route the oracle used to build, and every float within ROUTE_TOL
+def test_expanded_route_matches_deviation_bet_route():
+    # every list, count and flag identical to the blocked scan on the
+    # (P, N, S, M, B-1) deviation-bet route the oracle used to build, and every
+    # float within ROUTE_TOL; each side scans each game once
     games = [*_oracle_games(), *_random_games(60, 900), *_benchmark_games(range(1, 11))]
     for cfg, s, c in games:
         got = oracle._scan(c, cfg, oracle.DEFAULT_BUDGET)
-        report = oracle_report(c, cfg)
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_ProfileEvaluator", DeviationBetEvaluator)
-            want = oracle._scan(c, cfg, oracle.DEFAULT_BUDGET)
-            want_report = oracle_report(c, cfg)
+        want = blocked_scan(DeviationBetEvaluator(c, cfg), cfg,
+                            max(1, oracle.ORACLE_BLOCK // _per_profile(cfg)))
         for ours, theirs in zip(got, want):
             for field in dataclasses.fields(theirs):
                 mine, old = getattr(ours, field.name), getattr(theirs, field.name)
                 assert _floats_close(mine, old, ROUTE_TOL), (field.name, mine, old)
+        report, want_report = oracle._summary(cfg, *got), oracle._summary(cfg, *want)
         assert report.keys() == want_report.keys()
         for key, old in want_report.items():
             assert _floats_close(report[key], old, ROUTE_TOL), (key, report[key], old)
