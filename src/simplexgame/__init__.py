@@ -23,7 +23,7 @@ from .harness import (ComparisonResult, ExperimentConfig, SweepResult, child_see
                       verify_reduction)
 from .learning import (ConvergenceSettings, LearnerState, LearningConfig, RunResult,
                        Trajectory, integrate_replicator, random_baseline,
-                       replicator_flow, reward_vector, run, softmax_probabilities)
+                       replicator_flow, reward_vector, run)
 from .oracle import (EquilibriumSet, MaximizerReport, enumerate_equilibria,
                      maximizer_equilibrium_report, oracle_report, potential_defect)
 

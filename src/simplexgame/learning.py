@@ -123,21 +123,6 @@ class RunResult:
     converged: bool  # stopped at a purity check
 
 
-def softmax_probabilities(scores, gamma: float) -> np.ndarray:
-    """exp(gamma * U_s) / sum over one player's (S,) scores, with one rate.
-
-    Computed max-shifted so large scores never overflow.
-    """
-    scores = np.asarray(scores, dtype=float)
-    rates = _check_rates(gamma)
-    if rates.size != 1:
-        raise ValidationError(f"one player's scores take one learning rate, "
-                              f"got shape {rates.shape}")
-    if not np.all(np.isfinite(scores)):
-        raise ValidationError("scores must be finite")
-    return _softmax(scores[:, None, None], rates.item())[:, 0, 0]
-
-
 def _softmax(scores: np.ndarray, rates, out: np.ndarray | None = None,
              total: np.ndarray | None = None) -> np.ndarray:
     """Softmax of rates * scores over the leading strategy axis of (S, K, N) scores.

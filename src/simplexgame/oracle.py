@@ -17,11 +17,15 @@ deviation payoff is read from the contractions and the game's vertex
 overlaps, so no per-deviation bet is built.  The low half's tables are built
 once per game and the high half's a chunk of rows at a time, and each block
 pairs a few high-half rows with all low-half rows, so blocks follow
-`itertools.product` order without decoding any profile's digits.  Every sum
-runs in a fixed order, so a profile's floats do not depend on the block it
-is in.  The halves' tables and a block's arrays hold at most ORACLE_BLOCK
-floats, unless one profile alone needs more; the scan keeps only the
-equilibria and the maximizer candidates, so memory does not grow with S^N.
+`itertools.product` order without decoding any profile's digits.  A block's
+arrays are laid out profile-minor, with its profiles on the last axis, so
+every broadcast and every max, min or sum over players or strategies runs
+elementwise along that axis.  Every sum runs in a fixed order (sums over
+players fold in player order), so a profile's floats do not depend on the
+block it is in.  The halves' tables, the low half's per-game tables and a
+block's arrays hold at most ORACLE_BLOCK numbers, unless one profile alone
+needs more; the scan keeps only the equilibria and the maximizer candidates,
+so memory does not grow with S^N.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, check_allocation
 from .game import GameConfig, MixedProfile, StrategyMatrix, check_matrix, strategy_payoffs
 from .geometry import build_simplex
 
@@ -77,38 +81,57 @@ class _ProfileEvaluator:
     players and the rest, so q_is . b is the sum of the halves' contractions
     and |b|^2 = |b_high|^2 + 2 b_high . b_low + |b_low|^2, where
     b_high . b_low = sum over low players i of q_ic_i . b_high is read from
-    the high half's contraction.  The low half's tables (one row per low-half
-    profile, in itertools.product order) are built once per game and the high
-    half's by `half`, `chunk_rows` rows at a time; `evaluate` pairs up to
+    the high half's contraction.  The low half's tables (one column per
+    low-half profile, in itertools.product order) are built once per game:
+    its players' table rows, their played contractions and overlaps, and the
+    indices that gather q_ic_i . b_high for a block.  The high half's are built
+    by `half`, `chunk_rows` rows at a time; `evaluate` pairs up to
     `block_rows` high-half rows with all low-half rows.
+
+    Dividing by the negative -N M reverses the order of a player's deviation
+    terms and subtracting its played payoff keeps it, and rounding keeps both
+    steps monotone, so its best deviation payoff is its smallest term divided
+    once and its largest gain is that payoff less the played one: the same
+    floats as dividing every term.  `evaluate` divides only that one.
     """
 
     def __init__(self, c: StrategyMatrix, config: GameConfig):
         check_matrix(c, config)
+        n, s, m = c.shape
+        d = config.nodes - 1
+        # the table as int64, its vertices, their transpose, and two (N, S, S) overlaps
+        check_allocation(8 * n * s * (m * (1 + 2 * d) + 2 * s),
+                         f"the oracle's {n} x {s} x {m} x {d} vertex tables")
         self.config = config
         qc = build_simplex(config.strengths).vertices[c.entries.astype(np.int64)]   # (N,S,M,D)
-        self.n, s, self.m = qc.shape[:3]
+        self.n, self.m = n, m
         # (N*S, M*D) vertex table: player i's strategy k is row i*S + k
-        self.table = qc.reshape(self.n * s, -1)
+        self.table = qc.reshape(n * s, -1)
         self.columns = np.ascontiguousarray(self.table.T)   # (M*D, N*S)
-        self.row_offset = s * np.arange(self.n)
+        self.row_offset = s * np.arange(n)
         overlap = np.einsum("ismd,ikmd->isk", qc, qc)       # H (N,S,S)
         # row i*S + k is H[i, :, k], the overlaps when player i plays k
-        self.played_overlap = overlap.transpose(0, 2, 1).reshape(self.n * s, s)
+        self.played_overlap = overlap.transpose(0, 2, 1).reshape(n * s, s)
         self.own_overlap = np.einsum("iss->is", overlap)    # H[i, s, s]
         self.high_players, self.chunk_rows, self.block_rows = _plan(config)
-        low = list(itertools.product(range(s), repeat=self.n - self.high_players))
-        self.low_rows = (np.array(low, dtype=np.int64).reshape(len(low), -1)
-                         + self.row_offset[self.high_players:])
-        self.low_contraction, self.low_norms = self.half(self.low_rows)
-        # a block's profile k reads its contractions from row k of the (P, N*S) bets
-        self.bet_offset = self.n * s * np.arange(self.block_rows * len(low))[:, None]
+        a = self.high_players
+        low = list(itertools.product(range(s), repeat=n - a))
+        self.low_rows = (np.array(low, dtype=np.int64).reshape(len(low), -1).T
+                         + self.row_offset[a:, None])                    # (N-a, L)
+        contraction, self.low_norms = self.half(self.low_rows)          # (L, N*S)
+        self.low_bets = contraction.T.reshape(n, s, 1, -1).copy()       # (N, S, 1, L)
+        # each low player's played contraction (N-a, L) and overlaps (N-a, S, 1, L)
+        self.low_played = np.take_along_axis(contraction, self.low_rows.T, axis=1).T.copy()
+        self.low_overlap = self.played_overlap[self.low_rows].transpose(0, 2, 1)[:, :, None].copy()
+        # entry (i, j, l) is q_ic_i . b_high's index in a block's (H, N*S) high contractions
+        self.low_gather = (n * s * np.arange(self.block_rows)[:, None]
+                           + self.low_rows[:, None])                    # (N-a, block_rows, L)
 
     def half(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """For (P, k) table rows of k players, with b their bets summed in player
+        """For (k, P) table rows of k players, with b their bets summed in player
         order: the contractions q_is . b (P, N*S) and |b|^2 (P,)."""
-        b = np.zeros((rows.shape[0], self.table.shape[1]))
-        for column in rows.T:
+        b = np.zeros((rows.shape[1], self.table.shape[1]))
+        for column in rows:
             b += np.take(self.table, column, axis=0)
         # row sums, not einsum: einsum's buffered sums over rows longer than
         # 8192 floats would depend on how many rows it is given
@@ -116,31 +139,44 @@ class _ProfileEvaluator:
 
     def evaluate(self, high_rows, high_bets, high_norms) -> tuple[np.ndarray, ...]:
         """The H L profiles pairing each of H <= block_rows high-half profiles,
-        given as their (H, high_players) table rows and `half` of them, with
-        every low-half profile, high-half major: their (H L, N) table rows,
-        averaged payoffs (H L, N), averaged deviation payoffs (H L, N, S) and
-        frustrations (H L,)."""
-        h, low = len(high_rows), len(self.low_rows)
-        p, ns = h * low, self.table.shape[0]
-        bets = (high_bets[:, None] + self.low_contraction).reshape(p, ns)   # q_is . b
-        # b_high . b_low: each low player's column of the high contractions,
-        # summed in player order into (L, H)
-        cross = np.zeros((low, h))
-        for played in np.take(high_bets.T, self.low_rows.T, axis=0):
-            cross += played
-        norms = (high_norms[:, None] + 2 * cross.T + self.low_norms).reshape(p)
-        rows = np.empty((h, low, self.n), dtype=np.int64)
-        rows[:, :, :self.high_players] = high_rows[:, None]
-        rows[:, :, self.high_players:] = self.low_rows
-        rows = rows.reshape(p, self.n)
-        scale = -(self.n * self.m)
-        u = np.take(bets, rows + self.bet_offset[:p])
+        given as their (high_players, H) table rows and `half` of them, with
+        every low-half profile, high-half major, laid out profile-minor: their
+        (N, H L) table rows, averaged payoffs (N, H L), each player's best
+        averaged deviation payoff (N, H L) and frustrations (H L,)."""
+        a, h = high_rows.shape
+        n, s, _, low = self.low_bets.shape
+        p, scale = h * low, -(n * self.m)
+        bets = np.add(high_bets.T.reshape(n, s, h, 1), self.low_bets)   # q_is . b (N, S, H, L)
+        u = np.empty((n, h, low))
+        u[:a] = bets.reshape(n * s, h, low)[high_rows, np.arange(h)]
+        played = np.take(high_bets, self.low_gather[:, :h])   # q_ic_i . b_high, (N-a, H, L)
+        np.add(played, self.low_played[:, None], out=u[a:])
         u /= scale
-        u_dev = np.take(self.played_overlap, rows, axis=0)
-        np.subtract(bets.reshape(p, self.n, -1), u_dev, out=u_dev)
-        u_dev += self.own_overlap
-        u_dev /= scale
-        return rows, u, u_dev, norms / (self.m * self.n * (self.config.nodes - 1))
+        cross = _fold(played.reshape(n - a, p))                # b_high . b_low
+        norms = high_norms[:, None] + 2 * cross.reshape(h, low) + self.low_norms
+        # deviation terms q_is . b - H[i, s, c_i] + H[i, s, s], in place of the bets
+        bets[:a] -= self.played_overlap[high_rows].transpose(0, 2, 1)[..., None]
+        bets[a:] -= self.low_overlap
+        bets += self.own_overlap[:, :, None, None]
+        best = bets.min(axis=1)
+        best /= scale
+        rows = np.empty((n, h, low), dtype=np.int64)
+        rows[:a] = high_rows[:, :, None]
+        rows[a:] = self.low_rows[:, None]
+        return (rows.reshape(n, p), u.reshape(n, p), best.reshape(n, p),
+                norms.reshape(p) / (self.m * n * (self.config.nodes - 1)))
+
+
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """(K, P) terms summed over K in order, as one running sum along P.
+
+    numpy reduces axis 0 of a (K, P) array that way, one row at a time,
+    whenever P >= 2, but sums a lone column pairwise, so a (K, 1) stack is
+    reduced as two copies of its column."""
+    columns = terms.shape[1]
+    if columns == 1:
+        terms = np.repeat(terms, 2, axis=1)
+    return np.add.reduce(terms, axis=0)[:columns]
 
 
 def _plan(config: GameConfig) -> tuple[int, int, int]:
@@ -192,23 +228,23 @@ def _scan(c: StrategyMatrix, config: GameConfig,
     profiles, frustrations = [], []
     best, candidates = -np.inf, []
     while chunk := list(itertools.islice(high, ev.chunk_rows)):
-        high_rows = (np.array(chunk, dtype=np.int64).reshape(len(chunk), ev.high_players)
-                     + ev.row_offset[:ev.high_players])
+        high_rows = (np.array(chunk, dtype=np.int64).reshape(len(chunk), ev.high_players).T
+                     + ev.row_offset[:ev.high_players, None])
         high_bets, high_norms = ev.half(high_rows)
         for start in range(0, len(chunk), ev.block_rows):
             part = slice(start, start + ev.block_rows)
-            rows, u, u_dev, r = ev.evaluate(high_rows[part], high_bets[part], high_norms[part])
-            u_dev -= u[:, :, None]                 # each deviation's gain
-            violation = u_dev.reshape(len(u), -1).max(axis=1)
+            rows, u, gain, r = ev.evaluate(high_rows[:, part], high_bets[part], high_norms[part])
+            gain -= u                              # each player's best deviation gain
+            violation = gain.max(axis=0)
             stable = violation <= EQUILIBRIUM_SLACK
-            total = u.sum(axis=1)
+            total = _fold(u)
             best = max(best, float(total.max()))
             near = total >= best - TIE_TOL
             if stable.any():
-                profiles.extend(map(tuple, (rows[stable] - ev.row_offset).tolist()))
+                profiles.extend(map(tuple, (rows[:, stable].T - ev.row_offset).tolist()))
                 frustrations.extend(r[stable].tolist())
             if near.any():
-                candidates.extend(zip(map(tuple, (rows[near] - ev.row_offset).tolist()),
+                candidates.extend(zip(map(tuple, (rows[:, near].T - ev.row_offset).tolist()),
                                       total[near].tolist(), violation[near].tolist(),
                                       stable[near].tolist()))
 

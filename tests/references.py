@@ -8,14 +8,20 @@ pure profile, straight from their definitions: through the simplex vertices
 The package computes the same quantities in count space, and its oracle by
 expanded vertex dot products from two half tables; `blocked_scan` is the
 oracle's scan over blocks of profiles with any evaluator.
+`softmax_probabilities` is one player's softmax through the package's own
+`(S, K, N)` softmax.
 """
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
 from simplexgame import (Allocation, GameConfig, MixedProfile, Simplex, StrategyMatrix,
                          ValidationError, build_simplex, strategy_payoffs)
 from simplexgame.game import check_matrix
+from simplexgame.learning import _check_rates, _softmax
 from simplexgame.oracle import EQUILIBRIUM_SLACK, TIE_TOL, EquilibriumSet, MaximizerReport
 
 
@@ -91,6 +97,21 @@ def mixed_correlated_payoff(c: StrategyMatrix, p: MixedProfile, i: int,
     return float(p.rows[i] @ per_strategy[i])
 
 
+def softmax_probabilities(scores, gamma: float) -> np.ndarray:
+    """exp(gamma * U_s) / sum over one player's (S,) scores, with one rate.
+
+    Computed max-shifted so large scores never overflow.
+    """
+    scores = np.asarray(scores, dtype=float)
+    rates = _check_rates(gamma)
+    if rates.size != 1:
+        raise ValidationError(f"one player's scores take one learning rate, "
+                              f"got shape {rates.shape}")
+    if not np.all(np.isfinite(scores)):
+        raise ValidationError("scores must be finite")
+    return _softmax(scores[:, None, None], rates.item())[:, 0, 0]
+
+
 def instantaneous_frustration(alloc: Allocation, s: Simplex, config: GameConfig) -> float:
     """|b|^2 / (N (B-1)) for one realized allocation; 0 iff b = 0."""
     b = aggregate_bet(alloc, s)
@@ -162,7 +183,8 @@ def blocked_scan(evaluator, config: GameConfig, rows: int) -> tuple:
     A block's profiles are the base-S digits of consecutive indices, player 0
     most significant (the order of itertools.product(range(S), repeat=N)),
     evaluated by `evaluator.evaluate(block)`; the equilibrium and maximizer
-    bookkeeping is the oracle's.  Returns (EquilibriumSet, MaximizerReport).
+    bookkeeping is the oracle's, and a profile's aggregate payoff is summed
+    over players in player order.  Returns (EquilibriumSet, MaximizerReport).
     """
     strategies = config.strategies_per_player
     count = strategies ** config.players
@@ -176,7 +198,7 @@ def blocked_scan(evaluator, config: GameConfig, rows: int) -> tuple:
         stable = violation <= EQUILIBRIUM_SLACK
         profiles.extend(map(tuple, block[stable].tolist()))
         frustrations.extend(r[stable].tolist())
-        total = u.sum(axis=1)
+        total = np.array([functools.reduce(operator.add, payoffs) for payoffs in u.tolist()])
         best = max(best, float(total.max()))
         near = total >= best - TIE_TOL
         candidates.extend(zip(map(tuple, block[near].tolist()), total[near].tolist(),

@@ -7,10 +7,11 @@ from simplexgame import (ConvergenceSettings, GameConfig,
                          build_simplex, draw_strategy_matrix, expected_frustration,
                          integrate_replicator, learning, random_baseline,
                          replicator_flow, resolve_bets, reward_vector, run,
-                         softmax_probabilities, strategy_payoffs)
+                         strategy_payoffs)
 from simplexgame.learning import PURITY_THRESHOLD, Lockstep
 
 from conftest import play_round, random_profile, small_instance
+from references import softmax_probabilities
 
 FIG1_STYLE = dict(players=50, nodes=5, signals=2, strategies_per_player=2)
 

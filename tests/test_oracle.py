@@ -11,7 +11,8 @@ from simplexgame import (BudgetError, GameConfig, LearningConfig, MixedProfile,
                          maximizer_equilibrium_report, oracle_report,
                          potential_defect, run)
 
-from simplexgame import oracle
+from simplexgame import errors, oracle
+from simplexgame.cli import main
 from simplexgame.oracle import EquilibriumSet, MaximizerReport, _ProfileEvaluator
 
 from conftest import random_profile, random_proper_strengths, small_instance
@@ -78,7 +79,9 @@ def reference_report(c, cfg):
     best, evaluated = -np.inf, []
     for profile in itertools.product(range(cfg.strategies_per_player), repeat=cfg.players):
         u, u_dev, _ = reference_evaluate(ev, profile)
-        total = float(u.sum())
+        total = float(u[0])                       # summed in player order
+        for payoff in u[1:]:
+            total += float(payoff)
         evaluated.append((profile, total, float(np.max(u_dev - u[:, None]))))
         best = max(best, total)
     maximizers, flags, worst = [], [], 0.0
@@ -149,17 +152,20 @@ def test_two_evaluators_agree_everywhere(rng):
         profiles = list(itertools.product(range(cfg.strategies_per_player),
                                           repeat=cfg.players))
         ev = _ProfileEvaluator(c, cfg)
-        high = np.array(list(itertools.product(range(cfg.strategies_per_player),
-                                               repeat=ev.high_players)))
-        high += ev.row_offset[:ev.high_players]
-        assert len(high) <= ev.block_rows
-        rows, block_u, _, block_r = ev.evaluate(high, *ev.half(high))
-        assert [tuple(row) for row in (rows - ev.row_offset).tolist()] == profiles
-        assert block_u.shape == (len(profiles), cfg.players)
-        for profile, u, r in zip(profiles, block_u, block_r):
+        high = list(itertools.product(range(cfg.strategies_per_player), repeat=ev.high_players))
+        high = np.array(high).reshape(len(high), ev.high_players).T
+        high += ev.row_offset[:ev.high_players, None]
+        assert high.shape[1] <= ev.block_rows
+        rows, block_u, block_best, block_r = ev.evaluate(high, *ev.half(high))
+        assert [tuple(row) for row in (rows.T - ev.row_offset).tolist()] == profiles
+        assert block_u.shape == block_best.shape == (cfg.players, len(profiles))
+        for profile, u, best, r in zip(profiles, block_u.T, block_best.T, block_r):
             for i in range(cfg.players):
                 assert u[i] == pytest.approx(
                     correlated_payoff(c, profile, i, cfg), abs=1e-12)
+                deviations = [correlated_payoff(c, profile[:i] + (k,) + profile[i + 1:], i, cfg)
+                              for k in range(cfg.strategies_per_player)]
+                assert best[i] == pytest.approx(max(deviations), abs=1e-12)
             p = MixedProfile.pure(np.array(profile), cfg.strategies_per_player)
             assert r == pytest.approx(frustration(c, p, cfg), abs=1e-12)
 
@@ -172,7 +178,7 @@ def test_anti_coordination_equilibria():
     # coordinated profiles land both players on one node: R = 2
     ev, high = _ProfileEvaluator(c, cfg), np.array([[0]])
     rows, _, _, r = ev.evaluate(high, *ev.half(high))
-    assert rows.tolist() == [[0, 2], [0, 3]]      # (0, 0) and (0, 1)
+    assert rows.tolist() == [[0, 0], [2, 3]]      # (0, 0) and (0, 1), profile-minor
     assert r[0] == pytest.approx(2.0)
 
 
@@ -400,6 +406,38 @@ def test_blocked_scan_equals_per_profile_scan_on_benchmark_game(monkeypatch):
     assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
 
 
+def test_blocked_scan_equals_per_profile_scan_with_a_short_low_half(monkeypatch):
+    # a small ORACLE_BLOCK cuts the low half short of ceil(N/2) players, as the
+    # default one does at N=19 and at N=6, S=10, and leaves a ragged last block
+    gen = np.random.default_rng(903)
+    for players, strategies, signals, block in [(9, 2, 20, 440), (7, 3, 2, 1200)]:
+        monkeypatch.setattr(oracle, "ORACLE_BLOCK", block)
+        y = random_proper_strengths(gen, 3)
+        cfg = GameConfig(players=players, nodes=3, signals=signals,
+                         strategies_per_player=strategies, strengths=y)
+        c = draw_strategy_matrix(cfg, gen)
+        high_players, chunk, rows = oracle._plan(cfg)
+        assert 0 < players - high_players < players - players // 2
+        assert strategies ** high_players % chunk % rows != 0
+        want = reference_scan(c, cfg)
+        assert want[0].count and want[1].maximizers
+        assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
+
+
+def test_vertex_tables_are_budgeted(monkeypatch, capsys):
+    # the 4,000-byte table fits a 10,000-byte budget, but its 64,000 bytes of
+    # vertices do not: the oracle stops before building them
+    monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 10_000)
+    assert main(["oracle", "--N", "2", "--S", "2", "--M", "1000", "--B", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "vertex tables" in err and "allocation budget" in err
+    cfg = GameConfig(players=2, nodes=3, signals=1000, strategies_per_player=2,
+                     strengths=StrengthDistribution.uniform(3))
+    with pytest.raises(BudgetError, match="vertex tables"):
+        _ProfileEvaluator(draw_strategy_matrix(cfg, np.random.default_rng(0)), cfg)
+    assert main(["oracle", "--N", "2", "--S", "2", "--M", "10", "--B", "3"]) == 0
+
+
 def _unit(cfg):
     """Floats one profile alone needs: its N S contractions, or its M (B-1) bet."""
     return max(cfg.players * cfg.strategies_per_player, cfg.signals * (cfg.nodes - 1))
@@ -423,7 +461,8 @@ def test_half_tables_and_blocks_bounded(monkeypatch):
     # at N = 19 a low half of 9 or 10 players would hold 2^9 or 2^10 rows of 38 floats
     assert oracle._plan(GameConfig(players=19, nodes=3, signals=3, strategies_per_player=2,
                                    strengths=StrengthDistribution.uniform(3)))[0] == 11
-    # every array `half` takes or returns and `evaluate` returns, in scans of such games
+    # every array `half` takes or returns, every array `evaluate` takes or
+    # returns and the low half's per-game tables, in scans of such games
     sizes = []
     half, evaluate = _ProfileEvaluator.half, _ProfileEvaluator.evaluate
 
@@ -431,10 +470,14 @@ def test_half_tables_and_blocks_bounded(monkeypatch):
         sizes.extend(a.size for a in arrays)
         return arrays
 
+    def evaluate_recorded(self, *high):
+        record((self.low_rows, self.low_bets, self.low_played, self.low_overlap,
+                self.low_gather))
+        return record(evaluate(self, *record(high)))
+
     monkeypatch.setattr(_ProfileEvaluator, "half",
                         lambda self, rows: record(half(self, record((rows,))[0])))
-    monkeypatch.setattr(_ProfileEvaluator, "evaluate",
-                        lambda self, *high: record(evaluate(self, *record(high))))
+    monkeypatch.setattr(_ProfileEvaluator, "evaluate", evaluate_recorded)
     for cfg, s, c in [next(_benchmark_games([7])), *list(_edge_games())[2:]]:
         sizes.clear()
         oracle._scan(c, cfg, oracle.DEFAULT_BUDGET)
@@ -448,9 +491,9 @@ def test_oracle_report_evaluates_each_profile_once(monkeypatch):
     evaluate = _ProfileEvaluator.evaluate
 
     def recording(self, high_rows, *tables):
-        assert 1 <= len(high_rows) <= self.block_rows
+        assert 1 <= high_rows.shape[1] <= self.block_rows
         out = evaluate(self, high_rows, *tables)
-        blocks.append(out[0] - self.row_offset)
+        blocks.append(out[0].T - self.row_offset)
         return out
 
     monkeypatch.setattr(_ProfileEvaluator, "evaluate", recording)
