@@ -14,8 +14,8 @@ import numpy as np
 
 from . import analytics, harness, oracle
 from .errors import ValidationError
-from .game import GameConfig, check_node_count, draw_strategy_matrix
-from .geometry import StrengthDistribution, build_simplex, debug_dict
+from .game import GameConfig, StrengthDistribution, check_node_count, draw_strategy_matrix
+from .geometry import build_simplex, debug_dict
 
 
 class _Parser(argparse.ArgumentParser):

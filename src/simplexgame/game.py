@@ -9,9 +9,10 @@ space, q_r . b = N_r / y_r - N, and nothing here reads the vertices.
 The (N, S, M) table is drawn by counting cdf thresholds below each uniform
 and read once per payoff evaluation, one block of signals at a time; both give
 the same bytes as rng.choice and as one whole-table sum in signal order.
-A game is fixed by N, B, M, S and the strengths alone: raw per-node
-efficiencies are an input format that `StrengthDistribution.from_efficiencies`
-normalizes into strengths, and every payoff is the linear congestion payoff.
+A game is fixed by N, B, M, S and the strengths alone, and the strengths live
+here: `from_efficiencies` normalizes raw per-node efficiencies into them,
+`random_proper` draws them, and `GameConfig` rejects any whose count-space
+terms overflow.  Every payoff is the linear congestion payoff.
 """
 from __future__ import annotations
 
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_allocation
-from .geometry import StrengthDistribution, _readonly
+from .errors import DegenerateStrengthsError, ValidationError, check_allocation
 
-ROW_SUM_TOL = 1e-12
+SUM_TOL = 1e-12   # strengths and each profile row sum to 1 within this
+PROPERNESS_THRESHOLD = 10.0   # largest degeneracy index `random_proper` accepts
+MAX_PROPER_DRAWS = 10_000
 TABLE_BLOCK = 1 << 17  # table entries per drawn or read block; payoff terms per payoff block
 MAX_NODES = int(np.iinfo(np.uint8).max)  # node indices are stored as bytes
 
@@ -34,6 +36,64 @@ def check_node_count(nodes: int) -> None:
         raise ValidationError("nodes must be >= 2")
     if nodes > MAX_NODES:
         raise ValidationError(f"node indices are stored as bytes; nodes must be <= {MAX_NODES}")
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class StrengthDistribution:
+    """Normalized node strengths: all weights positive, summing to one."""
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        if w.size < 2:
+            raise ValidationError(f"need at least 2 nodes, got {w.size}")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("strengths must be finite")
+        if np.any(w <= 0.0):
+            raise ValidationError("every strength must be > 0")
+        if abs(w.sum() - 1.0) > SUM_TOL:
+            raise ValidationError(f"strengths must sum to 1 (got {float(w.sum())!r})")
+        object.__setattr__(self, "weights", _readonly(w))
+
+    @property
+    def node_count(self) -> int:
+        return self.weights.size
+
+    @classmethod
+    def uniform(cls, node_count: int) -> "StrengthDistribution":
+        if node_count < 2:
+            raise ValidationError(f"need at least 2 nodes, got {node_count}")
+        return cls(np.full(node_count, 1.0 / node_count))
+
+    @classmethod
+    def from_efficiencies(cls, raw: np.ndarray) -> "StrengthDistribution":
+        """Normalize raw per-node spectral efficiencies (e.g. Mbps) to strengths."""
+        raw = np.asarray(raw, dtype=float).reshape(-1)
+        if raw.size < 2 or np.any(raw <= 0.0) or not np.all(np.isfinite(raw)):
+            raise ValidationError("efficiencies must be >= 2 positive finite values")
+        return cls(raw / raw.sum())
+
+    @classmethod
+    def random_proper(cls, node_count, rng, alpha=1.0) -> "StrengthDistribution":
+        """Draw Dirichlet(alpha) strengths until one's degeneracy index is at most
+        PROPERNESS_THRESHOLD; DegenerateStrengthsError after MAX_PROPER_DRAWS."""
+        for _ in range(MAX_PROPER_DRAWS):
+            y = cls(rng.dirichlet(np.full(node_count, float(alpha))))
+            if _properness_index(y) <= PROPERNESS_THRESHOLD:
+                return y
+        raise DegenerateStrengthsError(f"no proper strengths in {MAX_PROPER_DRAWS} draws")
+
+
+def _properness_index(y: StrengthDistribution) -> float:
+    """Degeneracy index (1/(B-1)) sum_r (1/y_r - B); zero iff y is uniform."""
+    return float(np.sum(1.0 / y.weights - y.node_count) / (y.node_count - 1))
 
 
 @dataclass(frozen=True)
@@ -55,9 +115,15 @@ class GameConfig:
         if self.strategies_per_player < 1:
             raise ValidationError("strategies_per_player must be >= 1")
         if self.strengths.node_count != self.nodes:
+            raise ValidationError(f"strengths have {self.strengths.node_count} nodes, "
+                                  f"config says {self.nodes}")
+        # the largest count-space term, a payoff sum over M signals of (N + 1)^2 / y_r,
+        # must be finite; comparing the exact integer side never overflows
+        weakest = float(self.strengths.weights.min())
+        if self.signals * (self.players + 1) ** 2 > float(np.finfo(float).max) * weakest:
             raise ValidationError(
-                f"strengths have {self.strengths.node_count} nodes, config says {self.nodes}"
-            )
+                f"strengths down to {weakest!r} overflow the count-space terms of "
+                f"{self.players} players and {self.signals} signals")
 
     @property
     def training_parameter(self) -> float:
@@ -112,7 +178,7 @@ class MixedProfile:
             raise ValidationError("profile probabilities must be finite")
         if np.any(p < 0.0):
             raise ValidationError("profile probabilities must be nonnegative")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
+        if np.max(np.abs(p.sum(axis=1) - 1.0)) > SUM_TOL:
             raise ValidationError("each profile row must sum to 1")
         object.__setattr__(self, "rows", _readonly(p))
 

@@ -27,9 +27,8 @@ import numpy as np
 
 from . import analytics, learning
 from .errors import ValidationError
-from .game import (GameConfig, StrategyMatrix, check_node_count, draw_strategy_matrix,
-                   expected_frustration)
-from .geometry import StrengthDistribution
+from .game import (GameConfig, StrategyMatrix, StrengthDistribution, check_node_count,
+                   draw_strategy_matrix, expected_frustration)
 from .learning import ConvergenceSettings, LearningConfig, LearnerState, Trajectory
 
 WORKERS_ENV = "SIMPLEXGAME_WORKERS"
@@ -100,10 +99,8 @@ def _strengths_field(name: str, value, nodes: int):
 
 def _draw_game(exp: ExperimentConfig, signals: int, rng) -> GameConfig:
     """One realization's game; "random" strengths are drawn from `rng` first."""
-    if exp.strengths == "random":
-        y = StrengthDistribution.random_proper(exp.nodes, rng)
-    else:
-        y = StrengthDistribution(exp.strengths)
+    y = (StrengthDistribution.random_proper(exp.nodes, rng) if exp.strengths == "random"
+         else StrengthDistribution(exp.strengths))
     return GameConfig(players=exp.players, nodes=exp.nodes, signals=signals,
                       strategies_per_player=exp.strategies, strengths=y)
 

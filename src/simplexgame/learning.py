@@ -4,8 +4,8 @@ Each round a uniform signal is broadcast, players sample a strategy from
 their softmax probabilities, bets resolve, and every player scores all of
 its strategies with the payoff each one would have earned, computed in count
 space as (1 - N'_r / (y_r N)) / M with N'_r the occupancy of the strategy's
-node r after the player's own swap.  Only `reward_vector` still reads the
-simplex vertices.  Scores feed back into the softmax.
+node r after the player's own swap (`oracle.reward_vector` is the vertex
+form).  Scores feed back into the softmax.
 
 `Lockstep`, the only play state, holds (S, K, N) scores and probabilities of
 K realizations, strategy-major so that each strategy's slice is a contiguous
@@ -40,9 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, check_allocation
-from .game import (GameConfig, MixedProfile, PureInstance, StrategyMatrix,
-                   check_matrix, draw_strategy_matrix, strategy_payoffs)
-from .geometry import Simplex
+from .game import (GameConfig, MixedProfile, StrategyMatrix, check_matrix,
+                   draw_strategy_matrix, strategy_payoffs)
 
 log = logging.getLogger(__name__)
 
@@ -152,25 +151,6 @@ def _softmax(scores: np.ndarray, rates, out: np.ndarray | None = None,
         np.add(total, z[s], out=total)
     z /= total
     return z
-
-
-def reward_vector(c: StrategyMatrix, inst: PureInstance, realized_b: np.ndarray,
-                  i: int, s: Simplex, config: GameConfig) -> np.ndarray:
-    """Counterfactual per-strategy rewards for player i in one realized round.
-
-    W_is = -(1/(M N)) q(c_is^m) . [b + (q(c_is^m) - q(c_i,played^m))], i.e. the
-    payoff strategy s would have earned had player i swapped only its own bet,
-    rescaled by 1/M.  At the played strategy the bracket reduces to b.  The
-    table must fit config's game and s be the simplex of config's strengths.
-    """
-    check_matrix(c, config)
-    if not np.array_equal(s.strengths.weights, config.strengths.weights):
-        raise ValidationError("the simplex is built from other strengths than the game's")
-    m = inst.signal
-    qm = s.vertices[c.entries[i, :, m].astype(np.int64)]          # (S, D)
-    played = s.vertices[int(c.entries[i, inst.choices[i], m])]    # (D,)
-    shifted = realized_b[None, :] + qm - played[None, :]
-    return -np.einsum("sd,sd->s", qm, shifted) / (config.signals * config.players)
 
 
 def _decode(bits: np.random.PCG64, signal_count: int, draws: np.ndarray):
@@ -445,6 +425,11 @@ def run_lockstep(games: list, learn: LearningConfig,
     check_allocation(total * iterations * _ROW_BYTES,
                      f"{total} trajectories of {iterations} iterations")
     batch = Lockstep(games, learn.gamma)
+    rate = float(np.max(batch.rates))
+    # a score sums at most `iterations` rewards, so this bounds every rate * score
+    if not np.isfinite(rate * iterations * float(np.abs(batch.rewards).max())):
+        raise ValidationError(f"learning rate gamma up to {rate!r} overflows the scores "
+                              f"of {iterations} rounds")
     # row k holds game k's recorded rounds
     signals, frustrations, purities = (np.empty((total, iterations), dtype=dtype)
                                        for dtype in (np.int64, float, float))

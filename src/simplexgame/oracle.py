@@ -8,13 +8,14 @@ with the maximizers of the aggregate payoff; `enumerate_equilibria`,
 Payoffs here are dot products with the (N, S, M, B-1) strategy vertices of
 the simplex that `geometry.build_simplex` makes from the config's strengths,
 independent of the count-space evaluators in `game` (which only
-`potential_defect` calls).  A profile's aggregate bet b is a sum over
-players, so it splits into the bets of a high half (the first players) and
-a low half (the rest).  Each half's bets are contracted once with the
-(N S, M (B-1)) vertex table; a profile's contractions q_is . b are the sum
-of its halves', |b|^2 = |b_high|^2 + 2 b_high . b_low + |b_low|^2, and every
-deviation payoff is read from the contractions and the game's vertex
-overlaps, so no per-deviation bet is built.  The low half's tables are built
+`potential_defect` calls); `reward_vector`, the vertex form of the learning
+rule's reward, builds its simplex the same way.  A profile's aggregate bet b
+is a sum over players, so it splits into the bets of a high half (the first
+players) and a low half (the rest).  Each half's bets are contracted once
+with the (N S, M (B-1)) vertex table; a profile's contractions q_is . b are
+the sum of its halves', |b|^2 = |b_high|^2 + 2 b_high . b_low + |b_low|^2,
+and every deviation payoff is read from the contractions and the game's
+vertex overlaps, so no per-deviation bet is built.  The low half's tables are built
 once per game and the high half's a chunk of rows at a time, and each block
 pairs a few high-half rows with all low-half rows, so blocks follow
 `itertools.product` order without decoding any profile's digits.  A block's
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError, check_allocation
-from .game import GameConfig, MixedProfile, StrategyMatrix, check_matrix, strategy_payoffs
+from .game import (GameConfig, MixedProfile, PureInstance, StrategyMatrix, check_matrix,
+                   strategy_payoffs)
 from .geometry import build_simplex
 
 DEFAULT_BUDGET = 10**6
@@ -292,6 +294,22 @@ def potential_defect(c: StrategyMatrix, p: MixedProfile, i: int, s1: int, s2: in
     own = 2.0 * (per_strategy[i, s2] - per_strategy[i, s1])
     correction = (own_sq[s2] - own_sq[s1]) / config.players
     return float(lhs - own - correction)
+
+
+def reward_vector(c: StrategyMatrix, inst: PureInstance, realized_b: np.ndarray,
+                  i: int, config: GameConfig) -> np.ndarray:
+    """Player i's counterfactual per-strategy rewards in one realized round b.
+
+    W_is = -(1/(M N)) q(c_is^m) . [b + q(c_is^m) - q(c_i,played^m)] with the
+    vertices of config's strengths: the payoff s would have earned had player
+    i swapped only its own bet, over M.  The table must fit config's game."""
+    check_matrix(c, config)
+    vertices = build_simplex(config.strengths).vertices
+    m = inst.signal
+    qm = vertices[c.entries[i, :, m].astype(np.int64)]          # (S, D)
+    played = vertices[int(c.entries[i, inst.choices[i], m])]    # (D,)
+    shifted = realized_b[None, :] + qm - played[None, :]
+    return -np.einsum("sd,sd->s", qm, shifted) / (config.signals * config.players)
 
 
 def maximizer_equilibrium_report(c: StrategyMatrix, config: GameConfig,

@@ -62,7 +62,7 @@ def test_c02_algebraic_identities():
         _, alloc = sg.resolve_bets(c, inst, cfg.nodes)
         bet = alloc.counts @ simplex.vertices
         i = int(rng.integers(n))
-        w = sg.reward_vector(c, inst, bet, i, simplex, cfg)
+        w = sg.reward_vector(c, inst, bet, i, cfg)
         for strat in range(s_count):
             swapped = choices.copy()
             swapped[i] = strat

@@ -170,6 +170,23 @@ def test_zero_check_interval_exits_one(tmp_path, capsys):
     assert "check_every" in capsys.readouterr().err
 
 
+def test_strengths_that_overflow_count_space_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("players = 10\nnodes = 2\n", "players = 3\nnodes = 3\n")
+                   + "efficiencies = 1,2,1e308\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: strengths down to 1e-308 ")
+
+
+def test_overflowing_learning_rate_exits_one_before_play(tmp_path, capsys):
+    # every round warned of an overflow before the run failed on NaN probabilities
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG + "gamma = 1e308\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == (f"error: {cfg}: learning rate gamma up to 1e+308 "
+                                       "overflows the scores of 400 rounds\n")
+
+
 @pytest.mark.parametrize("line,lineno", [("players = abc", 1),
                                           ("lambda_grid = a:b:3", 4),
                                           ("lambda_grid = 0.5,x", 4),

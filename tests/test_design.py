@@ -1,11 +1,20 @@
 """Design guards: a game is described by its `GameConfig` alone.
 
-Count-space code reads the strengths from the config; a `Simplex` is built
-only where vertices are read, so no other public signature can take one.
+Count-space code reads the strengths from the config; `geometry` is only the
+vertex construction, which the oracle (its cross-check and `reward_vector`)
+and `run --dump-simplex` build from a config's strengths, so no public
+signature outside `geometry` can take a `Simplex`.
 """
+import ast
 import inspect
+from pathlib import Path
 
-from simplexgame import game, harness, learning
+import pytest
+
+import simplexgame
+from simplexgame import analytics, game, geometry, harness, learning, oracle
+
+PACKAGE = Path(simplexgame.__file__).parent
 
 
 def _public(module):
@@ -28,8 +37,41 @@ def _takes_a_simplex(obj) -> bool:
     return any("Simplex" in str(p.annotation) or p.name == "simplex" for p in parameters)
 
 
-def test_only_reward_vector_takes_a_simplex():
-    takers = [name for module in (game, harness, learning)
+def _imports_geometry(path: Path) -> bool:
+    """Whether an import statement of the file names a `geometry` module or name."""
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            named.add((node.module or "").split(".")[-1])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(a.name.split(".")[-1] for a in node.names)
+    return "geometry" in named
+
+
+def test_only_the_oracle_and_cli_use_the_vertices():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    importers = [m for m in modules if _imports_geometry(PACKAGE / f"{m}.py")]
+    assert importers == ["cli", "oracle"]
+    takers = [name for module in (game, harness, learning, analytics, oracle)
               for name, obj in _public(module) if _takes_a_simplex(obj)]
-    assert takers == ["simplexgame.learning.reward_vector"]
+    assert takers == []
     assert not hasattr(game, "check_simplex")
+    # the strengths are a count-space type, with no alias left in geometry
+    assert not hasattr(geometry, "StrengthDistribution")
+    for name in ("properness", "PropernessReport"):
+        assert not any(hasattr(module, name) for module in (geometry, game, simplexgame))
+    assert "threshold" not in inspect.signature(game.StrengthDistribution.random_proper).parameters
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from .geometry import build_simplex", True),
+    ("from . import geometry", True),
+    ("from simplexgame.geometry import Simplex", True),
+    ("import simplexgame.geometry", True),
+    ("from .game import GameConfig", False),
+    ("from . import game, oracle", False),
+])
+def test_the_import_guard_sees_every_form(tmp_path, source, expected):
+    path = tmp_path / "module.py"
+    path.write_text(source + "\n")
+    assert _imports_geometry(path) == expected

@@ -29,6 +29,19 @@ def test_config_validation():
                    strengths=StrengthDistribution.uniform(256))
 
 
+def test_config_rejects_strengths_whose_count_space_terms_overflow():
+    # efficiencies 1, 2, 1e308 are finite strengths (1e-308, 2e-308, 1.0), but
+    # M (N + 1)^2 / y_r is not: play overflowed to R_t = inf and NaN probabilities
+    y = StrengthDistribution.from_efficiencies((1.0, 2.0, 1e308))
+    with pytest.raises(ValidationError, match="strengths down to 1e-308 overflow"):
+        GameConfig(players=3, nodes=3, signals=3, strategies_per_player=2, strengths=y)
+    weak = StrengthDistribution(np.array([1e-290, 1.0]))
+    GameConfig(players=999, nodes=2, signals=1000, strategies_per_player=1, strengths=weak)
+    with pytest.raises(ValidationError, match="strengths"):   # an int too large for a float
+        GameConfig(players=10**400, nodes=2, signals=1, strategies_per_player=1,
+                   strengths=StrengthDistribution.uniform(2))
+
+
 def test_training_parameter_is_derived():
     cfg = GameConfig(players=50, nodes=2, signals=7, strategies_per_player=2,
                      strengths=StrengthDistribution.uniform(2))

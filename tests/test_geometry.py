@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from simplexgame import (DegenerateStrengthsError, Simplex, StrengthDistribution,
-                         ValidationError, build_simplex, gram_defect, properness,
+                         ValidationError, build_simplex, game, gram_defect,
                          weighted_moments)
 from simplexgame.geometry import debug_dict, target_gram
 
@@ -88,21 +88,18 @@ def test_isometry_dimension_mismatch():
 
 
 def test_properness_examples():
-    assert properness(StrengthDistribution.uniform(7)).index == pytest.approx(0.0, abs=1e-12)
-    assert properness(StrengthDistribution.uniform(7)).is_proper
+    index, threshold = game._properness_index, game.PROPERNESS_THRESHOLD
+    assert index(StrengthDistribution.uniform(7)) == pytest.approx(0.0, abs=1e-12)
+    assert index(StrengthDistribution.uniform(7)) <= threshold
 
-    report = properness(StrengthDistribution(np.array([0.5, 0.25, 0.25])))
-    assert report.index == pytest.approx(0.5)
-    assert report.is_proper
+    report = index(StrengthDistribution(np.array([0.5, 0.25, 0.25])))
+    assert report == pytest.approx(0.5)
+    assert report <= threshold
 
-    rep = properness(StrengthDistribution(np.array([0.98, 0.01, 0.01])), threshold=10.0)
-    assert rep.index == pytest.approx(96.01, abs=0.01)
-    assert not rep.is_proper
-
-
-def test_properness_threshold_validation():
-    with pytest.raises(ValidationError):
-        properness(StrengthDistribution.uniform(3), threshold=0.0)
+    rep = index(StrengthDistribution(np.array([0.98, 0.01, 0.01])))
+    assert threshold == 10.0
+    assert rep == pytest.approx(96.01, abs=0.01)
+    assert not rep <= threshold
 
 
 def test_strength_validation():
@@ -116,23 +113,25 @@ def test_strength_validation():
         StrengthDistribution(np.array([0.5, 0.5 + 1e-9]))
 
 
-def test_random_proper_gives_up_after_max_draws():
+def test_random_proper_gives_up_after_max_draws(monkeypatch):
     # only the exactly uniform distribution has index 0, so no draw passes
+    monkeypatch.setattr(game, "PROPERNESS_THRESHOLD", 1e-300)
     with pytest.raises(DegenerateStrengthsError):
-        StrengthDistribution.random_proper(3, np.random.default_rng(0), threshold=1e-300)
+        StrengthDistribution.random_proper(3, np.random.default_rng(0))
 
 
-def test_random_proper_accepts_the_same_draw_as_unbounded_rejection():
+def test_random_proper_accepts_the_same_draw_as_unbounded_rejection(monkeypatch):
     # a strict threshold rejects many draws first; the accepted one and the
     # generator state afterwards match a plain rejection loop
+    monkeypatch.setattr(game, "PROPERNESS_THRESHOLD", 2.0)
     for seed in range(5):
         expect_rng = np.random.default_rng(seed)
         while True:
             y = StrengthDistribution(expect_rng.dirichlet(np.ones(4)))
-            if properness(y, 2.0).is_proper:
+            if game._properness_index(y) <= 2.0:
                 break
         rng = np.random.default_rng(seed)
-        got = StrengthDistribution.random_proper(4, rng, threshold=2.0)
+        got = StrengthDistribution.random_proper(4, rng)
         assert got.weights.tobytes() == y.weights.tobytes()
         assert rng.random() == expect_rng.random()
 

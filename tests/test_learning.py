@@ -37,7 +37,7 @@ def test_reward_at_played_strategy_is_scaled_payoff(rng):
         payoffs = 1.0 - alloc.counts[nodes] / (
             cfg.strengths.weights[nodes] * cfg.players)
         for i in range(cfg.players):
-            w = reward_vector(c, inst, b, i, s, cfg)
+            w = reward_vector(c, inst, b, i, cfg)
             assert w[choices[i]] == pytest.approx(payoffs[i] / cfg.signals, abs=1e-12)
 
 
@@ -51,7 +51,7 @@ def test_reward_dual_form_agreement(rng):
         _, alloc = resolve_bets(c, inst, cfg.nodes)
         b = alloc.counts @ s.vertices
         i = int(rng.integers(cfg.players))
-        w = reward_vector(c, inst, b, i, s, cfg)
+        w = reward_vector(c, inst, b, i, cfg)
         for strat in range(cfg.strategies_per_player):
             swapped = choices.copy()
             swapped[i] = strat
@@ -69,28 +69,24 @@ def test_reward_single_player_example():
     inst = PureInstance(0, np.array([0]))
     _, alloc = resolve_bets(c, inst, cfg.nodes)
     b = alloc.counts @ s.vertices
-    w = reward_vector(c, inst, b, 0, s, cfg)
+    w = reward_vector(c, inst, b, 0, cfg)
     assert w[0] == pytest.approx(-1.0)
 
 
-def test_reward_vector_rejects_a_simplex_or_table_of_another_game():
+def test_reward_vector_rejects_a_table_of_another_game():
     y = StrengthDistribution(np.array([0.5, 0.3, 0.2]))
     cfg = GameConfig(players=4, nodes=3, signals=2, strategies_per_player=2, strengths=y)
     c = draw_strategy_matrix(cfg, np.random.default_rng(0))
     inst = PureInstance(0, np.zeros(cfg.players, dtype=np.int64))
     _, alloc = resolve_bets(c, inst, cfg.nodes)
     s = build_simplex(y)
-    w = reward_vector(c, inst, alloc.counts @ s.vertices, 0, s, cfg)
+    w = reward_vector(c, inst, alloc.counts @ s.vertices, 0, cfg)
     assert w == pytest.approx([-1 / 3, 0.25], abs=1e-12)
-    # the mirrored strengths' simplex read [-1/3, -0.125] without an error
-    mirrored = build_simplex(StrengthDistribution(np.array([0.2, 0.3, 0.5])))
-    with pytest.raises(ValidationError, match="other strengths"):
-        reward_vector(c, inst, alloc.counts @ mirrored.vertices, 0, mirrored, cfg)
     entries = c.entries.copy()
     entries[0, 1, 0] = 3   # one past the last node
     for table in (StrategyMatrix(entries), StrategyMatrix(c.entries[:, :, :1])):
         with pytest.raises(ValidationError):
-            reward_vector(table, inst, alloc.counts @ s.vertices, 0, s, cfg)
+            reward_vector(table, inst, alloc.counts @ s.vertices, 0, cfg)
 
 
 # -- softmax -----------------------------------------------------------------
