@@ -20,7 +20,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -222,6 +221,9 @@ def _execute(exp: ExperimentConfig, points: list) -> list:
     if workers == 1:
         rows = _run_batch(jobs[0])
     else:
+        # imported here: it loads multiprocessing, socket and subprocess, which
+        # a one-worker run and every other command never use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [row for batch in pool.map(_run_batch, jobs) for row in batch]
     return sorted(rows, key=lambda r: (r.lambda_index, r.realization))
@@ -494,6 +496,11 @@ def parse_config_file(path: str) -> dict:
 
     Unknown keys, and a second key for a field already set, are errors.
     """
+    return _parse_config(path)[0]
+
+
+def _parse_config(path: str) -> tuple[dict, dict]:
+    """`parse_config_file`'s fields, and the line number that set each one."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -502,7 +509,7 @@ def parse_config_file(path: str) -> dict:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValidationError(f"{path}:{lineno}: not UTF-8 text "
                               f"(byte 0x{data[exc.start]:02x})") from exc
-    values, set_by = {}, {}
+    values, set_by, set_at = {}, {}, {}
     for lineno, line in enumerate(io.StringIO(content, newline=None), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -518,23 +525,53 @@ def parse_config_file(path: str) -> dict:
             raise ValidationError(f"{path}:{lineno}: " + (
                 f"duplicate config key {key!r}" if other == key else
                 f"{key!r} and {other!r} both set {field}; give one of them"))
-        set_by[field] = key
+        set_by[field], set_at[field] = key, lineno
         try:
             values[field] = parse(raw)
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {key} = {raw!r}: {exc}") from exc
-    return values
+    return values, set_at
 
 
 def experiment_from_file(path: str, seed: int | None = None) -> ExperimentConfig:
     """The experiment a config file describes; `seed` overrides its `seed` key."""
-    values = parse_config_file(path)
+    values, set_at = _parse_config(path)
     for f in fields(ExperimentConfig):
         if f.default is MISSING and f.name not in values:
             raise ValidationError(f"{path}: missing required key {f.name!r}")
     if seed is not None:
         values["master_seed"] = seed
     try:
-        return ExperimentConfig(**values)
+        exp = ExperimentConfig(**values)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    _check_overflow(exp, path, set_at)
+    return exp
+
+
+def _check_overflow(exp: ExperimentConfig, path: str, set_at: dict) -> None:
+    """What a sweep's batches would find overflowing, found before any pool
+    starts when the strengths are fixed: strengths whose count-space terms
+    overflow at the grid's largest signal count, and a gamma whose scores
+    overflow over t_max at its smallest.  An error names the file and the
+    line that set the field.  Random strengths are checked in each batch."""
+    if exp.lambda_grid is None:
+        return
+    signals = [signals_for(lam, exp.players) for lam in exp.lambda_grid]
+    for field in ("strengths", "strengths_b"):
+        weights = getattr(exp, field)
+        if weights is None or weights == "random":
+            continue
+
+        def game(m):
+            return GameConfig(players=exp.players, nodes=exp.nodes, signals=m,
+                              strategies_per_player=exp.strategies,
+                              strengths=StrengthDistribution(weights))
+        for name, check in ((field, lambda: game(max(signals))),
+                            ("gamma", lambda: learning.check_score_range(
+                                exp.gamma, exp.t_max, game(min(signals))))):
+            try:
+                check()
+            except ValidationError as exc:
+                where = f"{path}:{set_at[name]}" if name in set_at else path
+                raise ValidationError(f"{where}: {exc}") from exc

@@ -405,6 +405,22 @@ def run(config: GameConfig, learn: LearningConfig, seed,
     return run_lockstep([(config, matrix, rng)], learn, convergence)[0]
 
 
+def check_score_range(gamma, iterations: int, config: GameConfig) -> None:
+    """ValidationError when learning rates up to max(gamma) could overflow a
+    score of config's game over `iterations` rounds.
+
+    A score sums at most `iterations` rewards (1 - occ / (y_r N)) / M, which
+    fall as the occupancy occ = 0 .. N + 1 rises, also as rounded floats, so
+    the largest |reward| of the table `Lockstep` plays is at one end.
+    """
+    rate = float(np.max(gamma))
+    ends = np.array([[0.0], [config.players + 1.0]])
+    rewards = (1.0 - ends * (1.0 / config.strengths.weights) / config.players) / config.signals
+    if not np.isfinite(rate * iterations * float(np.abs(rewards).max())):
+        raise ValidationError(f"learning rate gamma up to {rate!r} overflows the scores "
+                              f"of {iterations} rounds")
+
+
 def run_lockstep(games: list, learn: LearningConfig,
                  convergence: ConvergenceSettings | None = None) -> list:
     """Play (config, matrix, rng) games in lockstep; one RunResult each.
@@ -425,11 +441,8 @@ def run_lockstep(games: list, learn: LearningConfig,
     check_allocation(total * iterations * _ROW_BYTES,
                      f"{total} trajectories of {iterations} iterations")
     batch = Lockstep(games, learn.gamma)
-    rate = float(np.max(batch.rates))
-    # a score sums at most `iterations` rewards, so this bounds every rate * score
-    if not np.isfinite(rate * iterations * float(np.abs(batch.rewards).max())):
-        raise ValidationError(f"learning rate gamma up to {rate!r} overflows the scores "
-                              f"of {iterations} rounds")
+    for config, _, _ in games:
+        check_score_range(batch.rates, iterations, config)
     # row k holds game k's recorded rounds
     signals, frustrations, purities = (np.empty((total, iterations), dtype=dtype)
                                        for dtype in (np.int64, float, float))

@@ -15,23 +15,32 @@ players) and a low half (the rest).  Each half's bets are contracted once
 with the (N S, M (B-1)) vertex table; a profile's contractions q_is . b are
 the sum of its halves', |b|^2 = |b_high|^2 + 2 b_high . b_low + |b_low|^2,
 and every deviation payoff is read from the contractions and the game's
-vertex overlaps, so no per-deviation bet is built.  The low half's tables are built
-once per game and the high half's a chunk of rows at a time, and each block
-pairs a few high-half rows with all low-half rows, so blocks follow
-`itertools.product` order without decoding any profile's digits.  A block's
-arrays are laid out profile-minor, with its profiles on the last axis, so
-every broadcast and every max, min or sum over players or strategies runs
-elementwise along that axis.  Every sum runs in a fixed order (sums over
-players fold in player order), so a profile's floats do not depend on the
-block it is in.  The halves' tables, the low half's per-game tables and a
-block's arrays hold at most ORACLE_BLOCK numbers, unless one profile alone
-needs more; the scan keeps only the equilibria and the maximizer candidates,
-so memory does not grow with S^N.
+vertex overlaps, so no per-deviation bet is built.  The low half's tables are
+built once per game and the high half's a chunk of rows at a time, and each
+block pairs a few high-half rows with all low-half rows, so blocks follow
+`itertools.product` order without decoding any profile's digits.
+
+A profile stops being a candidate equilibrium at the first player who gains
+by deviating, so a block tests its players one at a time, player 0 on every
+profile and each next one only on the profiles still standing.  Its
+maximizers are found through a norm filter: in exact arithmetic the
+aggregate payoff sum_i q_ic_i . b / (-N M) is -|b|^2 / (N M), which one matmul
+of the halves' bets gives for the whole block.  The filter keeps the profiles
+within TIE_TOL plus a derived bound on its rounding of the best, and only
+those get their N payoffs summed.  Every sum that reaches a result runs in a
+fixed order (sums over players fold in player order), so a profile's floats
+do not depend on the block it is in, nor on which profiles the filter kept:
+the lists and floats are those of evaluating every profile in full.  The
+halves' tables and a block's arrays hold at most ORACLE_BLOCK numbers,
+unless one profile alone needs more; the scan keeps only the equilibria and
+the maximizer candidates, so memory does not grow with S^N.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +78,19 @@ class MaximizerReport:
     max_aggregate: float
 
 
+class _Half(NamedTuple):
+    """Tables of P profiles of some consecutive players of the game."""
+
+    rows: np.ndarray          # (k, P) their k players' vertex-table rows
+    bets: np.ndarray          # (P, M (B-1)) their bets b, summed in player order
+    contractions: np.ndarray  # (S, N, P) q_is . b for every strategy s and player i
+    norms: np.ndarray         # (P,) |b|^2
+
+    def part(self, profiles: slice) -> _Half:
+        return _Half(self.rows[:, profiles], self.bets[profiles],
+                     self.contractions[..., profiles], self.norms[profiles])
+
+
 class _ProfileEvaluator:
     """Dot-product payoff evaluation for all pure profiles of one game.
 
@@ -77,24 +99,21 @@ class _ProfileEvaluator:
     -sum_m q_ism . (b_pm - q_icm + q_ism) / (N M), expanded as
     -((q_is . b_p) - H[i, s, c_i] + H[i, s, s]) / (N M) with the per-game
     vertex overlaps H[i, s, k] = sum_m q_ism . q_ikm; the played payoff is
-    -(q_ic . b_p) / (N M).
+    -(q_ic . b_p) / (N M).  Dividing by the negative -N M reverses the order
+    of a player's deviation terms and rounding keeps it, so its best
+    deviation payoff is its smallest term divided once: the same float as the
+    largest of its divided terms.
 
     A profile's bet splits as b = b_high + b_low over the first `high_players`
     players and the rest, so q_is . b is the sum of the halves' contractions
     and |b|^2 = |b_high|^2 + 2 b_high . b_low + |b_low|^2, where
-    b_high . b_low = sum over low players i of q_ic_i . b_high is read from
-    the high half's contraction.  The low half's tables (one column per
-    low-half profile, in itertools.product order) are built once per game:
-    its players' table rows, their played contractions and overlaps, and the
-    indices that gather q_ic_i . b_high for a block.  The high half's are built
-    by `half`, `chunk_rows` rows at a time; `evaluate` pairs up to
-    `block_rows` high-half rows with all low-half rows.
-
-    Dividing by the negative -N M reverses the order of a player's deviation
-    terms and subtracting its played payoff keeps it, and rounding keeps both
-    steps monotone, so its best deviation payoff is its smallest term divided
-    once and its largest gain is that payoff less the played one: the same
-    floats as dividing every term.  `evaluate` divides only that one.
+    b_high . b_low = sum over low players i of q_ic_i . b_high.  The low
+    half's `_Half` (one profile per low-half row, in itertools.product order)
+    is built once per game, the high half's by `half`, `chunk_rows` rows at a
+    time.  A set of profiles is a pair of index arrays h, l into a high-half
+    `_Half` and the low half's, which broadcast together: (H, 1) and (1, L)
+    for a whole block, or two (K,) lists.  `evaluate` scans a block of up to
+    `block_rows` high-half rows paired with every low-half row.
     """
 
     def __init__(self, c: StrategyMatrix, config: GameConfig):
@@ -106,79 +125,203 @@ class _ProfileEvaluator:
                          f"the oracle's {n} x {s} x {m} x {d} vertex tables")
         self.config = config
         qc = build_simplex(config.strengths).vertices[c.entries.astype(np.int64)]   # (N,S,M,D)
-        self.n, self.m = n, m
+        self.n, self.m, self.strategies = n, m, s
+        self.scale = -(n * m)
         # (N*S, M*D) vertex table: player i's strategy k is row i*S + k
         self.table = qc.reshape(n * s, -1)
         self.columns = np.ascontiguousarray(self.table.T)   # (M*D, N*S)
+        self.player_index = np.arange(n)[:, None]
         self.row_offset = s * np.arange(n)
         overlap = np.einsum("ismd,ikmd->isk", qc, qc)       # H (N,S,S)
-        # row i*S + k is H[i, :, k], the overlaps when player i plays k
-        self.played_overlap = overlap.transpose(0, 2, 1).reshape(n * s, s)
-        self.own_overlap = np.einsum("iss->is", overlap)    # H[i, s, s]
+        # column i*S + k is H[i, :, k], the overlaps when player i plays k
+        self.overlap_columns = overlap.transpose(1, 0, 2).reshape(s, n * s)
+        self.played_overlap = self.overlap_columns.T        # row i*S + k
+        self.own_columns = np.einsum("iss->si", overlap).copy()   # H[i, s, s] (S, N)
+        self.own_overlap = self.own_columns.T
         self.high_players, self.chunk_rows, self.block_rows = _plan(config)
         a = self.high_players
         low = list(itertools.product(range(s), repeat=n - a))
-        self.low_rows = (np.array(low, dtype=np.int64).reshape(len(low), -1).T
-                         + self.row_offset[a:, None])                    # (N-a, L)
-        contraction, self.low_norms = self.half(self.low_rows)          # (L, N*S)
-        self.low_bets = contraction.T.reshape(n, s, 1, -1).copy()       # (N, S, 1, L)
-        # each low player's played contraction (N-a, L) and overlaps (N-a, S, 1, L)
-        self.low_played = np.take_along_axis(contraction, self.low_rows.T, axis=1).T.copy()
-        self.low_overlap = self.played_overlap[self.low_rows].transpose(0, 2, 1)[:, :, None].copy()
-        # entry (i, j, l) is q_ic_i . b_high's index in a block's (H, N*S) high contractions
-        self.low_gather = (n * s * np.arange(self.block_rows)[:, None]
-                           + self.low_rows[:, None])                    # (N-a, block_rows, L)
+        self.low = self.half(np.array(low, dtype=np.int64).reshape(len(low), -1).T
+                             + self.row_offset[a:, None])
+        self.low_bets = np.ascontiguousarray(self.low.bets.T)     # (M*D, L)
+        # a whole block's profiles, as broadcasting high- and low-half indices
+        self.dense = (np.arange(self.block_rows)[:, None], np.arange(len(low))[None, :])
+        self.low_size = len(low)
 
-    def half(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """For (k, P) table rows of k players, with b their bets summed in player
-        order: the contractions q_is . b (P, N*S) and |b|^2 (P,)."""
+    @functools.cached_property
+    def margin(self) -> float:
+        """How far below the largest filter value a maximizer's can lie:
+        TIE_TOL, plus `_rounding_bound` for its filter value and again for
+        the largest one."""
+        vertices = self.table.reshape(self.n, self.strategies, -1)
+        return TIE_TOL + 2 * _rounding_bound(vertices, self.m)
+
+    def half(self, rows) -> _Half:
+        """The `_Half` of (k, P) table rows of k players: P profiles of theirs."""
         b = np.zeros((rows.shape[1], self.table.shape[1]))
         for column in rows:
-            b += np.take(self.table, column, axis=0)
+            b += self.table.take(column, axis=0)
         # row sums, not einsum: einsum's buffered sums over rows longer than
         # 8192 floats would depend on how many rows it is given
-        return np.einsum("px,xk->pk", b, self.columns), (b * b).sum(axis=1)
+        contractions = np.einsum("px,xk->pk", b, self.columns)
+        return _Half(rows, b, np.ascontiguousarray(
+            contractions.reshape(-1, self.n, self.strategies).transpose(2, 1, 0)),
+            (b * b).sum(axis=1))
 
-    def evaluate(self, high_rows, high_bets, high_norms) -> tuple[np.ndarray, ...]:
-        """The H L profiles pairing each of H <= block_rows high-half profiles,
-        given as their (high_players, H) table rows and `half` of them, with
-        every low-half profile, high-half major, laid out profile-minor: their
-        (N, H L) table rows, averaged payoffs (N, H L), each player's best
-        averaged deviation payoff (N, H L) and frustrations (H L,)."""
-        a, h = high_rows.shape
-        n, s, _, low = self.low_bets.shape
-        p, scale = h * low, -(n * self.m)
-        bets = np.add(high_bets.T.reshape(n, s, h, 1), self.low_bets)   # q_is . b (N, S, H, L)
-        u = np.empty((n, h, low))
-        u[:a] = bets.reshape(n * s, h, low)[high_rows, np.arange(h)]
-        played = np.take(high_bets, self.low_gather[:, :h])   # q_ic_i . b_high, (N-a, H, L)
-        np.add(played, self.low_played[:, None], out=u[a:])
-        u /= scale
-        cross = _fold(played.reshape(n - a, p))                # b_high . b_low
-        norms = high_norms[:, None] + 2 * cross.reshape(h, low) + self.low_norms
-        # deviation terms q_is . b - H[i, s, c_i] + H[i, s, s], in place of the bets
-        bets[:a] -= self.played_overlap[high_rows].transpose(0, 2, 1)[..., None]
-        bets[a:] -= self.low_overlap
-        bets += self.own_overlap[:, :, None, None]
-        best = bets.min(axis=1)
-        best /= scale
-        rows = np.empty((n, h, low), dtype=np.int64)
-        rows[:a] = high_rows[:, :, None]
-        rows[a:] = self.low_rows[:, None]
-        return (rows.reshape(n, p), u.reshape(n, p), best.reshape(n, p),
-                norms.reshape(p) / (self.m * n * (self.config.nodes - 1)))
+    def table_rows(self, high: _Half, first: int, last: int, h, l) -> np.ndarray:
+        """Players first .. last-1's table rows (last - first, *shape) at the
+        profiles (h, l), whose index arrays broadcast to `shape`."""
+        a = self.high_players
+        upper = high.rows[first:last].take(h, axis=1)
+        lower = self.low.rows[max(first - a, 0):max(last - a, 0)].take(l, axis=1)
+        if not (len(upper) and len(lower)):
+            return lower if len(lower) else upper
+        rows = np.empty((last - first, *np.broadcast(h, l).shape), dtype=np.int64)
+        rows[:len(upper)] = upper
+        rows[len(upper):] = lower
+        return rows
+
+    def bets(self, high: _Half, first: int, last: int, h, l) -> tuple[np.ndarray, ...]:
+        """For players first .. last-1 at the profiles (h, l): q_is . b
+        (S, last - first, *shape), their table rows and their averaged payoffs
+        (last - first, *shape)."""
+        bets = (high.contractions[:, first:last].take(h, axis=2)
+                + self.low.contractions[:, first:last].take(l, axis=2))
+        rows = self.table_rows(high, first, last, h, l)
+        played = rows - self.row_offset[first:last].reshape(-1, *(1,) * (rows.ndim - 1))
+        cells = bets[0].size
+        u = bets.take(played * cells + np.arange(cells).reshape(bets.shape[1:]))
+        u /= self.scale
+        return bets, rows, u
+
+    def gains(self, bets: np.ndarray, rows: np.ndarray, u: np.ndarray,
+              first: int) -> np.ndarray:
+        """Players first, first+1, ...'s largest deviation gains from what
+        `bets` returned for them: each one's best averaged deviation payoff
+        less its played one.  Overwrites the bets."""
+        # deviation terms q_is . b - H[i, s, c_i] + H[i, s, s]
+        bets -= self.overlap_columns.take(rows, axis=1)
+        bets += self.own_columns[:, first:first + len(rows)].reshape(
+            -1, len(rows), *(1,) * (bets.ndim - 2))
+        best = bets.min(axis=0)
+        best /= self.scale
+        best -= u
+        return best
+
+    def evaluate(self, high: _Half, filtered: float) -> tuple:
+        """Scan the block pairing `high`'s H <= block_rows rows with every
+        low-half row, high-half major, given the largest filter value of the
+        blocks before it.
+
+        Players 0 and 1 are tested on every profile, and each next player
+        only on the profiles still standing, as many players at a time as fit
+        one (S, players, standing) array of ORACLE_BLOCK floats, until the
+        standing profiles' remaining players fit one such array (at once, in
+        a small block): `describe` tests those.  Unless every profile still
+        stands, the norm filter -|b|^2 / (N M), from one matmul of the
+        halves' bets, keeps the profiles within `margin` of the largest
+        filter value so far, the only ones that can be maximizers.  Returns,
+        as positions h L + l, the profiles standing or kept (sorted) and
+        those kept, the kept ones' filter values, and the new largest filter
+        value."""
+        n, s = self.n, self.strategies
+        h, l = self.dense[0][:high.norms.size], self.dense[1]
+        everyone = np.arange(h.size * l.size)
+        standing, player = everyone, 0
+        if n * s * everyone.size > ORACLE_BLOCK:
+            # most profiles pass player 0, so player 1 too is tested on all of them
+            player = min(2, n)
+            standing = everyone[np.logical_and.reduce([
+                (self.gains(*self.bets(high, i, i + 1, h, l), i) <= EQUILIBRIUM_SLACK).ravel()
+                for i in range(player)])]
+            h, l = np.divmod(standing, self.low_size)
+        while (n - player) * s * standing.size > ORACLE_BLOCK:
+            last = player + max(1, ORACLE_BLOCK // (s * standing.size))
+            gains = self.gains(*self.bets(high, player, last, h, l), player)
+            standing = standing[(gains.max(axis=0) <= EQUILIBRIUM_SLACK).ravel()]
+            h, l = np.divmod(standing, self.low_size)
+            player = last
+        if standing.size == everyone.size:
+            return standing, everyone[:0], np.empty(0), filtered
+        # in exact arithmetic sum_i q_ic_i . b = |b|^2: a profile's aggregate payoff
+        approx = high.norms[:, None] + 2 * (high.bets @ self.low_bets) + self.low.norms
+        approx /= self.scale
+        filtered = max(filtered, float(approx.max()))
+        read = (approx >= filtered - self.margin).ravel()
+        kept = read.nonzero()[0]
+        read[standing] = True
+        return read.nonzero()[0], kept, approx.ravel()[kept], filtered
+
+    def describe(self, high: _Half, positions: np.ndarray) -> tuple:
+        """The largest deviation gains and the aggregate payoffs (N payoffs
+        summed in player order) of the profiles at positions h L + l, and
+        those of them that are equilibria, as tuples of strategies, with
+        their frustrations |b|^2 / (M N (B-1)), b_high . b_low summed over
+        the low players in player order."""
+        violations, totals, profiles, frustrations = [np.empty(0)], [np.empty(0)], [], []
+        for h, l in self._pieces(positions):
+            bets, rows, u = self.bets(high, 0, self.n, h, l)
+            totals.append(_fold(u))
+            violations.append(self.gains(bets, rows, u, 0).max(axis=0))
+            stable = violations[-1] <= EQUILIBRIUM_SLACK
+            if stable.any():
+                played = rows[:, stable] - self.row_offset[:, None]
+                h, l, a = h[stable], l[stable], self.high_players
+                profiles += _tuples(played)
+                cross = _fold(high.contractions[played[a:], self.player_index[a:], h])
+                norms = high.norms[h] + 2 * cross + self.low.norms[l]
+                frustrations += (norms / (self.m * self.n * (self.config.nodes - 1))).tolist()
+        return np.concatenate(violations), np.concatenate(totals), profiles, frustrations
+
+    def profiles(self, high: _Half, positions: np.ndarray) -> list:
+        """The profiles at positions h L + l, as tuples of strategies."""
+        return [profile for h, l in self._pieces(positions) for profile in
+                _tuples(self.table_rows(high, 0, self.n, h, l) - self.row_offset[:, None])]
+
+    def _pieces(self, positions: np.ndarray):
+        """(h, l) of the profiles at positions h L + l, in runs whose
+        (S, N, profiles) arrays fit ORACLE_BLOCK floats."""
+        step = max(1, ORACLE_BLOCK // (self.n * self.strategies))
+        for start in range(0, positions.size, step):
+            yield np.divmod(positions[start:start + step], self.low_size)
+
+
+def _tuples(profiles: np.ndarray) -> list:
+    """(N, P) strategies as P tuples."""
+    return list(map(tuple, profiles.T.tolist()))
+
+
+def _rounding_bound(vertices: np.ndarray, signals: int) -> float:
+    """A bound on |filter - exact| for every profile of the game whose
+    strategies have the (N, S, M (B-1)) vertices, over M signals.
+
+    Both routes compute -|b|^2 / (N M) from products q_imd b_md: the exact one
+    as sum_i q_ic_i . b, folding N payoffs, and the filter from the halves'
+    norms and one matmul.  With A_md = sum_i |q_ic_imd| >= |b_md|, each route
+    runs at most K = M (B-1) + 2 N + 4 roundings deep (N for a bet, M (B-1) for
+    a dot product, N for the fold, a few adds and a division), so it is
+    within gamma_K sum_md A_md^2 / (N M) of -|b|^2 / (N M), gamma_K =
+    K u / (1 - K u) with u = 2^-53, underflow aside.  A_md is at most the sum
+    over players of their largest |q_icmd| over strategies.
+    """
+    n, _, width = vertices.shape
+    reach = np.abs(vertices).max(axis=1).sum(axis=0)      # (M (B-1),)
+    k = width + 2 * n + 4
+    unit = np.finfo(float).eps / 2
+    return 2 * k * unit / (1 - k * unit) * float(reach @ reach) / (n * signals)
 
 
 def _fold(terms: np.ndarray) -> np.ndarray:
     """(K, P) terms summed over K in order, as one running sum along P.
 
-    numpy reduces axis 0 of a (K, P) array that way, one row at a time,
-    whenever P >= 2, but sums a lone column pairwise, so a (K, 1) stack is
-    reduced as two copies of its column."""
+    numpy reduces axis 0 of a C-ordered (K, P) array that way, one row at a
+    time, whenever P >= 2, but sums a contiguous column pairwise: a gather
+    may come out column-major, and a (K, 1) stack is reduced as two copies of
+    its column."""
     columns = terms.shape[1]
     if columns == 1:
         terms = np.repeat(terms, 2, axis=1)
-    return np.add.reduce(terms, axis=0)[:columns]
+    return np.add.reduce(np.ascontiguousarray(terms), axis=0)[:columns]
 
 
 def _plan(config: GameConfig) -> tuple[int, int, int]:
@@ -189,16 +332,16 @@ def _plan(config: GameConfig) -> tuple[int, int, int]:
     The low half is the last ceil(N/2) players, or fewer when its tables,
     S^(N-a) rows of max(N S, M (B-1)) floats, would exceed ORACLE_BLOCK, and
     C is the largest multiple of H whose high-half rows fit the same bound.  A
-    block's H S^(N-a) profiles of N S floats stay within ORACLE_BLOCK, unless
-    one profile alone needs more.
+    block's H S^(N-a) profiles hold S floats each in one player's deviation
+    terms, and its H high-half rows their tables: both stay within
+    ORACLE_BLOCK, unless one profile alone needs more.
     """
     players, strategies = config.players, config.strategies_per_player
-    per_profile = players * strategies
-    width = max(per_profile, config.signals * (config.nodes - 1))
+    width = max(players * strategies, config.signals * (config.nodes - 1))
     low = 0
     while low < players - players // 2 and strategies ** (low + 1) * width <= ORACLE_BLOCK:
         low += 1
-    block = max(1, ORACLE_BLOCK // max(strategies ** low * per_profile, width))
+    block = max(1, ORACLE_BLOCK // max(strategies ** (low + 1), width))
     return players - low, max(1, ORACLE_BLOCK // width) // block * block, block
 
 
@@ -219,42 +362,59 @@ def _scan(c: StrategyMatrix, config: GameConfig,
     """One pass over all S^N pure profiles: the equilibria and the maximizers.
 
     A profile is an equilibrium when no unilateral deviation gains more than
-    EQUILIBRIUM_SLACK.  Maximizer candidates are the profiles within TIE_TOL of
-    the running best aggregate; the final best then filters them.
+    EQUILIBRIUM_SLACK, and a maximizer when its aggregate payoff, its N
+    payoffs summed in player order, is within TIE_TOL of the largest.  A
+    chunk's blocks prune its profiles to those that can still be either;
+    `describe` then gives those their largest deviation gains and aggregate
+    payoffs, and the candidates within TIE_TOL of the running best are kept
+    until the final best filters them.
     """
     check_budget(config, budget)
     ev = _ProfileEvaluator(c, config)
     # high-half rows in itertools.product order, each paired with the low-half
     # rows in that order: block rows follow itertools.product(range(S), repeat=N)
     high = itertools.product(range(config.strategies_per_player), repeat=ev.high_players)
-    profiles, frustrations = [], []
-    best, candidates = -np.inf, []
+    low = ev.low_size
+    profiles, frustrations, candidates = [], [], []
+    filtered = best = -np.inf
     while chunk := list(itertools.islice(high, ev.chunk_rows)):
-        high_rows = (np.array(chunk, dtype=np.int64).reshape(len(chunk), ev.high_players).T
-                     + ev.row_offset[:ev.high_players, None])
-        high_bets, high_norms = ev.half(high_rows)
+        tables = ev.half(np.array(chunk, dtype=np.int64).reshape(len(chunk), ev.high_players).T
+                         + ev.row_offset[:ev.high_players, None])
+        # profiles by their positions h L + l in the chunk
+        blocks = []
         for start in range(0, len(chunk), ev.block_rows):
-            part = slice(start, start + ev.block_rows)
-            rows, u, gain, r = ev.evaluate(high_rows[:, part], high_bets[part], high_norms[part])
-            gain -= u                              # each player's best deviation gain
-            violation = gain.max(axis=0)
-            stable = violation <= EQUILIBRIUM_SLACK
-            total = _fold(u)
-            best = max(best, float(total.max()))
-            near = total >= best - TIE_TOL
-            if stable.any():
-                profiles.extend(map(tuple, (rows[:, stable].T - ev.row_offset).tolist()))
-                frustrations.extend(r[stable].tolist())
-            if near.any():
-                candidates.extend(zip(map(tuple, (rows[:, near].T - ev.row_offset).tolist()),
-                                      total[near].tolist(), violation[near].tolist(),
-                                      stable[near].tolist()))
+            *found, approx, filtered = ev.evaluate(
+                tables.part(slice(start, start + ev.block_rows)), filtered)
+            blocks.append((*(positions + start * low for positions in found), approx))
+        positions, kept, approx = (np.concatenate(parts) for parts in zip(*blocks))
+        described = ev.describe(tables, positions)
+        # the rounding bound is checked where it can be: a block's filter is
+        # trusted only while it stays within a hundredth of the margin of the
+        # exact sums, and otherwise every profile of the block is read out
+        if kept.size:
+            exact = described[1][np.searchsorted(positions, kept)]
+            off = kept[np.abs(approx - exact) > ev.margin / 100]
+            if off.size:
+                read = np.zeros(len(chunk) * low, dtype=bool)
+                read[positions] = True
+                rows = ev.block_rows * low
+                for first in (off // rows * rows).tolist():
+                    read[first:first + rows] = True
+                positions = read.nonzero()[0]
+                described = ev.describe(tables, positions)
+        violations, totals, equilibria, frustrated = described
+        profiles += equilibria
+        frustrations += frustrated
+        best = max(best, float(totals.max(initial=-np.inf)))
+        near = totals >= best - TIE_TOL
+        candidates += zip(ev.profiles(tables, positions[near]), violations[near].tolist(),
+                          totals[near].tolist())
 
     maximizers, flags, worst = [], [], 0.0
-    for profile, total, violation, stable in candidates:
+    for profile, violation, total in candidates:
         if total >= best - TIE_TOL:
             maximizers.append(profile)
-            flags.append(stable)
+            flags.append(violation <= EQUILIBRIUM_SLACK)
             worst = max(worst, violation)
     min_r = min(frustrations) if frustrations else None
     return (EquilibriumSet(profiles=profiles, frustrations=frustrations, min_r=min_r),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplexgame import (GameConfig, StrengthDistribution, build_simplex,
+from simplexgame import (GameConfig, StrengthDistribution, ValidationError, build_simplex,
                          draw_strategy_matrix, harness)
 from simplexgame import cli
 from simplexgame.cli import main
@@ -171,20 +171,35 @@ def test_zero_check_interval_exits_one(tmp_path, capsys):
 
 
 def test_strengths_that_overflow_count_space_exit_one(tmp_path, capsys):
+    # found when the experiment is built, named by the line that set them
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(SWEEP_CFG.replace("players = 10\nnodes = 2\n", "players = 3\nnodes = 3\n")
-                   + "efficiencies = 1,2,1e308\n")
+    text = SWEEP_CFG.replace("players = 10\nnodes = 2\n", "players = 3\nnodes = 3\n")
+    cfg.write_text(text + "efficiencies = 1,2,1e308\n")
+    line = text.count("\n") + 1
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {cfg}: strengths down to 1e-308 ")
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:{line}: strengths down to 1e-308 ")
+    # the second arm of a comparison too, at the line of its own key
+    cfg.write_text(text + "efficiencies = 1,2,3\nefficiencies_b = 1,2,1e308\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(cfg))}:{line + 1}: strengths"):
+        harness.experiment_from_file(str(cfg))
 
 
-def test_overflowing_learning_rate_exits_one_before_play(tmp_path, capsys):
-    # every round warned of an overflow before the run failed on NaN probabilities
+def test_overflowing_learning_rate_exits_one_before_play(tmp_path, capsys, monkeypatch):
+    # every round warned of an overflow before the run failed on NaN
+    # probabilities; found when the experiment is built, before any pool
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG + "gamma = 1e308\n")
+    line = SWEEP_CFG.count("\n") + 1
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
-    assert capsys.readouterr().err == (f"error: {cfg}: learning rate gamma up to 1e+308 "
-                                       "overflows the scores of 400 rounds\n")
+    assert capsys.readouterr().err == (f"error: {cfg}:{line}: learning rate gamma up to "
+                                       "1e+308 overflows the scores of 400 rounds\n")
+    # random strengths are drawn per realization: the batch still finds it
+    cfg.write_text(SWEEP_CFG + "gamma = 1e308\nstrengths = random\n")
+    harness.experiment_from_file(str(cfg))
+    monkeypatch.setenv(harness.WORKERS_ENV, "1")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == (f"error: {cfg}: learning rate gamma up to "
+                                       "1e+308 overflows the scores of 400 rounds\n")
 
 
 @pytest.mark.parametrize("line,lineno", [("players = abc", 1),

@@ -3,10 +3,14 @@
 Count-space code reads the strengths from the config; `geometry` is only the
 vertex construction, which the oracle (its cross-check and `reward_vector`)
 and `run --dump-simplex` build from a config's strengths, so no public
-signature outside `geometry` can take a `Simplex`.
+signature outside `geometry` can take a `Simplex`.  Importing the command
+line loads no process-pool machinery, which only a multi-worker sweep uses.
 """
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +79,13 @@ def test_the_import_guard_sees_every_form(tmp_path, source, expected):
     path = tmp_path / "module.py"
     path.write_text(source + "\n")
     assert _imports_geometry(path) == expected
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a fresh interpreter: this one has imported more than the cli alone
+    probe = ("import sys, simplexgame.cli; print(sorted(m for m in sys.modules if m in "
+             "('multiprocessing', 'concurrent.futures.process', 'socket', 'selectors', "
+             "'subprocess')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

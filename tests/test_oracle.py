@@ -145,6 +145,15 @@ def test_seeded_tiny_game_equilibria_verified_independently():
                 assert correlated_payoff(c, tuple(alt), i, cfg) <= base + 1e-12
 
 
+def _whole_game(ev):
+    """The high half's tables of every high-half profile, and every profile's
+    position h L + l, for a game that fits one chunk."""
+    high = list(itertools.product(range(ev.strategies), repeat=ev.high_players))
+    assert len(high) <= ev.chunk_rows
+    rows = np.array(high, dtype=np.int64).reshape(len(high), ev.high_players).T
+    return ev.half(rows + ev.row_offset[:ev.high_players, None]), np.arange(len(high) * ev.low_size)
+
+
 def test_two_evaluators_agree_everywhere(rng):
     # dot-product route vs direct count resolution, all profiles of small games
     for _ in range(10):
@@ -152,20 +161,27 @@ def test_two_evaluators_agree_everywhere(rng):
         profiles = list(itertools.product(range(cfg.strategies_per_player),
                                           repeat=cfg.players))
         ev = _ProfileEvaluator(c, cfg)
-        high = list(itertools.product(range(cfg.strategies_per_player), repeat=ev.high_players))
-        high = np.array(high).reshape(len(high), ev.high_players).T
-        high += ev.row_offset[:ev.high_players, None]
-        assert high.shape[1] <= ev.block_rows
-        rows, block_u, block_best, block_r = ev.evaluate(high, *ev.half(high))
-        assert [tuple(row) for row in (rows.T - ev.row_offset).tolist()] == profiles
-        assert block_u.shape == block_best.shape == (cfg.players, len(profiles))
-        for profile, u, best, r in zip(profiles, block_u.T, block_best.T, block_r):
+        tables, positions = _whole_game(ev)
+        assert ev.profiles(tables, positions) == profiles
+        h, l = np.divmod(positions, ev.low_size)
+        bets, rows, payoffs = ev.bets(tables, 0, cfg.players, h, l)
+        assert payoffs.shape == (cfg.players, len(profiles))
+        best = ev.gains(bets, rows, payoffs, 0) + payoffs
+        violations, totals, equilibria, frustrations = ev.describe(tables, positions)
+        for profile, u, dev, violation, total in zip(profiles, payoffs.T, best.T,
+                                                     violations, totals):
+            direct = [correlated_payoff(c, profile, i, cfg) for i in range(cfg.players)]
+            assert u == pytest.approx(direct, abs=1e-12)
+            assert total == pytest.approx(sum(direct), abs=1e-12)
+            gains = []
             for i in range(cfg.players):
-                assert u[i] == pytest.approx(
-                    correlated_payoff(c, profile, i, cfg), abs=1e-12)
                 deviations = [correlated_payoff(c, profile[:i] + (k,) + profile[i + 1:], i, cfg)
                               for k in range(cfg.strategies_per_player)]
-                assert best[i] == pytest.approx(max(deviations), abs=1e-12)
+                assert dev[i] == pytest.approx(max(deviations), abs=1e-12)
+                gains.append(max(deviations) - direct[i])
+            assert violation == pytest.approx(max(gains), abs=1e-12)
+        assert equilibria == [p for p, v in zip(profiles, violations) if v <= 1e-12]
+        for profile, r in zip(equilibria, frustrations):
             p = MixedProfile.pure(np.array(profile), cfg.strategies_per_player)
             assert r == pytest.approx(frustration(c, p, cfg), abs=1e-12)
 
@@ -175,11 +191,13 @@ def test_anti_coordination_equilibria():
     eq = enumerate_equilibria(c, cfg)
     assert set(eq.profiles) == {(0, 1), (1, 0)}
     assert eq.min_r == pytest.approx(0.0, abs=1e-14)
-    # coordinated profiles land both players on one node: R = 2
-    ev, high = _ProfileEvaluator(c, cfg), np.array([[0]])
-    rows, _, _, r = ev.evaluate(high, *ev.half(high))
-    assert rows.tolist() == [[0, 0], [2, 3]]      # (0, 0) and (0, 1), profile-minor
-    assert r[0] == pytest.approx(2.0)
+    # coordinated profiles land both players on one node: each pays -1
+    ev = _ProfileEvaluator(c, cfg)
+    high = ev.half(np.array([[0]]))
+    assert ev.profiles(high, np.arange(2)) == [(0, 0), (0, 1)]
+    violations, totals, equilibria, frustrations = ev.describe(high, np.arange(2))
+    assert totals[0] == pytest.approx(-2.0) and violations[0] > 0
+    assert equilibria == [(0, 1)] and frustrations == [pytest.approx(0.0, abs=1e-14)]
 
 
 def test_oracle_rejects_a_matrix_that_does_not_fit_its_game():
@@ -396,11 +414,15 @@ def _benchmark_games(seeds):
 
 def test_blocked_scan_equals_per_profile_scan_on_benchmark_game(monkeypatch):
     # the benchmark's oracle input at seed 7: 7 high and 8 low players, one
-    # chunk of the high half, and blocks of 7 high rows leave 2 for the last
-    # block, since 2^7 = 2 mod 7
+    # chunk of the high half in 4 blocks of 32 high rows, and 8 tied
+    # maximizers, one or more in every block; blocks of 7 high rows leave 2
+    # for the last block, since 2^7 = 2 mod 7
     cfg, s, c = next(_benchmark_games([7]))
     want = reference_scan(c, cfg)
-    assert oracle._plan(cfg) == (7, 546, 2)
+    assert oracle._plan(cfg) == (7, 544, 32)
+    profiles = list(itertools.product(range(2), repeat=15))
+    assert len(want[1].maximizers) == 8
+    assert {profiles.index(p) // (32 * 2**8) for p in want[1].maximizers} == {0, 1, 2, 3}
     assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
     _set_block_rows(monkeypatch, cfg, 7)
     assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
@@ -457,44 +479,58 @@ def test_half_tables_and_blocks_bounded(monkeypatch):
         assert players // 2 <= high_players <= players and rows >= 1
         assert low * _unit(cfg) <= limit          # the low half's bets and contractions
         assert chunk * _unit(cfg) <= limit and chunk % rows == 0   # the high half's
-        assert rows * max(low * players * strategies, _unit(cfg)) <= limit
+        # one player's (S, H L) deviation terms, and the block's H rows of tables
+        assert rows * max(low * strategies, _unit(cfg)) <= limit
     # at N = 19 a low half of 9 or 10 players would hold 2^9 or 2^10 rows of 38 floats
     assert oracle._plan(GameConfig(players=19, nodes=3, signals=3, strategies_per_player=2,
                                    strengths=StrengthDistribution.uniform(3)))[0] == 11
-    # every array `half` takes or returns, every array `evaluate` takes or
-    # returns and the low half's per-game tables, in scans of such games
+    # every array the evaluator's methods take or return, the low half's
+    # per-game tables, and the (S, players, profiles) terms `bets` returns,
+    # which `gains` works on in place, in scans of such games
     sizes = []
-    half, evaluate = _ProfileEvaluator.half, _ProfileEvaluator.evaluate
 
-    def record(arrays):
-        sizes.extend(a.size for a in arrays)
-        return arrays
+    def record(value):
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                sizes.append(item.size)
+            elif isinstance(item, tuple):
+                record(item)
+        return value
 
-    def evaluate_recorded(self, *high):
-        record((self.low_rows, self.low_bets, self.low_played, self.low_overlap,
-                self.low_gather))
-        return record(evaluate(self, *record(high)))
-
-    monkeypatch.setattr(_ProfileEvaluator, "half",
-                        lambda self, rows: record(half(self, record((rows,))[0])))
-    monkeypatch.setattr(_ProfileEvaluator, "evaluate", evaluate_recorded)
-    for cfg, s, c in [next(_benchmark_games([7])), *list(_edge_games())[2:]]:
+    for name in ("half", "table_rows", "bets", "gains", "evaluate", "describe"):
+        method = getattr(_ProfileEvaluator, name)
+        monkeypatch.setattr(_ProfileEvaluator, name,
+                            lambda self, *args, method=method: record(
+                                method(self, *record(args))))
+    for cfg, s, c in [next(_benchmark_games([7])), *list(_edge_games())[2:],
+                      _short_low_half_game()]:
         sizes.clear()
+        ev = _ProfileEvaluator(c, cfg)
+        record((ev.low, ev.low_bets, ev.dense))
         oracle._scan(c, cfg, oracle.DEFAULT_BUDGET)
         assert sizes and max(sizes) <= max(oracle.ORACLE_BLOCK, _unit(cfg))
 
 
+def _short_low_half_game():
+    """N=19, S=2, M=3, B=3: the low half is 8 players, short of ceil(N/2)."""
+    y = StrengthDistribution.uniform(3)
+    cfg = GameConfig(players=19, nodes=3, signals=3, strategies_per_player=2, strengths=y)
+    return cfg, build_simplex(y), draw_strategy_matrix(cfg, np.random.default_rng(19))
+
+
 def test_oracle_report_evaluates_each_profile_once(monkeypatch):
-    # every profile in exactly one block row, in itertools.product order, with
-    # the default blocks and with ragged blocks of 3 high-half rows
+    # every profile in exactly one block, in itertools.product order, with
+    # the default blocks and with ragged blocks of 3 high-half rows: a block
+    # pairs its high-half rows with every low-half row
     blocks = []
     evaluate = _ProfileEvaluator.evaluate
 
-    def recording(self, high_rows, *tables):
-        assert 1 <= high_rows.shape[1] <= self.block_rows
-        out = evaluate(self, high_rows, *tables)
-        blocks.append(out[0].T - self.row_offset)
-        return out
+    def recording(self, high, *rest):
+        assert 1 <= high.rows.shape[1] <= self.block_rows
+        low = self.low.rows - self.row_offset[self.high_players:, None]
+        for column in (high.rows - self.row_offset[:self.high_players, None]).T.tolist():
+            blocks.extend(tuple(column) + tuple(row) for row in low.T.tolist())
+        return evaluate(self, high, *rest)
 
     monkeypatch.setattr(_ProfileEvaluator, "evaluate", recording)
     for rows in (None, 3):
@@ -503,9 +539,92 @@ def test_oracle_report_evaluates_each_profile_once(monkeypatch):
                 _set_block_rows(monkeypatch, cfg, rows)
             blocks.clear()
             oracle_report(c, cfg)
-            evaluated = [tuple(p) for block in blocks for p in block.tolist()]
-            assert evaluated == list(itertools.product(
+            assert blocks == list(itertools.product(
                 range(cfg.strategies_per_player), repeat=cfg.players))
+
+
+def _dominated_first_player_game():
+    """N=4, B=2 with strengths (0.9, 0.1): player 0's strategy 0 puts it on the
+    weak node under every signal and its strategy 1 on the strong one, so no
+    profile where player 0 plays 0 survives player 0's test."""
+    cfg = GameConfig(players=4, nodes=2, signals=2, strategies_per_player=2,
+                     strengths=StrengthDistribution(np.array([0.9, 0.1])))
+    entries = draw_strategy_matrix(cfg, np.random.default_rng(904)).entries.copy()
+    entries[:, 0, 0] = 1
+    entries[:, 0, 1] = 0
+    return cfg, build_simplex(cfg.strengths), StrategyMatrix(entries)
+
+
+def _identical_strategies_games():
+    """S=1 (one profile), and every player's strategies identical (every profile
+    an equilibrium and a maximizer), with N=1 and with N=10."""
+    gen = np.random.default_rng(905)
+    for players, strategies in [(6, 1), (1, 3), (10, 2)]:
+        y = random_proper_strengths(gen, 3)
+        cfg = GameConfig(players=players, nodes=3, signals=3,
+                         strategies_per_player=strategies, strengths=y)
+        entries = draw_strategy_matrix(cfg, gen).entries.copy()
+        entries[:] = entries[:, :1]        # (N, S, M): strategy 0's nodes for every strategy
+        yield cfg, build_simplex(y), StrategyMatrix(entries)
+
+
+def test_pruned_scan_equals_per_profile_scan_on_extreme_games(monkeypatch):
+    # blocks of one high-half row where no profile survives player 0, and
+    # games where every profile survives every player, as one block and (at
+    # N = 10 under a small ORACLE_BLOCK) as blocks whose players are tested
+    # one at a time
+    cfg, s, c = _dominated_first_player_game()
+    want = reference_scan(c, cfg)
+    assert want[0].count and all(p[0] == 1 for p in want[0].profiles)
+    dominated = [p for p in itertools.product(range(2), repeat=4) if p[0] == 0]
+    assert set(dominated).isdisjoint(want[0].profiles)
+    _set_block_rows(monkeypatch, cfg, 1)
+    assert oracle._ProfileEvaluator(c, cfg).high_players >= 1
+    assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
+    monkeypatch.undo()
+    for cfg, s, c in _identical_strategies_games():
+        want = reference_scan(c, cfg)
+        count = cfg.strategies_per_player ** cfg.players
+        assert want[0].count == len(want[1].maximizers) == count
+        assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
+    # the split moves with ORACLE_BLOCK, and the reference follows it
+    monkeypatch.setattr(oracle, "ORACLE_BLOCK", 200)
+    high_players, _, rows = oracle._plan(cfg)
+    assert rows * 2 ** (cfg.players - high_players) * 2 * cfg.players > 200
+    assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == reference_scan(c, cfg)
+
+
+def test_filter_fallback_reads_every_profile_of_a_block(monkeypatch):
+    # filter values shifted by the margin fail the self-check in every block
+    # that kept a profile, which is then read out in full: the same lists and
+    # floats as the per-profile scan, in games of several chunks and blocks
+    evaluate, describe = _ProfileEvaluator.evaluate, _ProfileEvaluator.describe
+    read = []
+
+    def shifted(self, high, filtered):
+        positions, kept, approx, filtered = evaluate(self, high, filtered)
+        return positions, kept, approx + self.margin, filtered
+
+    def counting(self, high, positions):
+        read.append(positions.size)
+        return describe(self, high, positions)
+
+    monkeypatch.setattr(_ProfileEvaluator, "evaluate", shifted)
+    monkeypatch.setattr(_ProfileEvaluator, "describe", counting)
+    gen = np.random.default_rng(906)
+    for players, strategies, signals, block in [(9, 2, 20, 440), (7, 3, 2, 1200)]:
+        monkeypatch.setattr(oracle, "ORACLE_BLOCK", block)
+        cfg = GameConfig(players=players, nodes=3, signals=signals,
+                         strategies_per_player=strategies,
+                         strengths=random_proper_strengths(gen, 3))
+        c = draw_strategy_matrix(cfg, gen)
+        high_players, chunk, rows = oracle._plan(cfg)
+        read.clear()
+        assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == reference_scan(c, cfg)
+        # a chunk whose blocks kept a profile is read out again, with whole blocks
+        chunks = -(-strategies ** high_players // chunk)
+        assert 1 < chunks < len(read) <= 2 * chunks
+        assert max(read) >= rows * strategies ** (players - high_players)
 
 
 def test_check_budget_counts_profiles_up_to_the_budget():
