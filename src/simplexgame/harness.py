@@ -491,16 +491,12 @@ CONFIG_KEYS = {
 }
 
 
-def parse_config_file(path: str) -> dict:
-    """ExperimentConfig fields from a flat UTF-8 key=value file with '#' comments.
+def _parse_config(path: str) -> tuple[dict, dict]:
+    """ExperimentConfig fields from a flat UTF-8 key=value file with '#'
+    comments, and the line number that set each one.
 
     Unknown keys, and a second key for a field already set, are errors.
     """
-    return _parse_config(path)[0]
-
-
-def _parse_config(path: str) -> tuple[dict, dict]:
-    """`parse_config_file`'s fields, and the line number that set each one."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:

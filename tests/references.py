@@ -9,7 +9,8 @@ The package computes the same quantities in count space, and its oracle by
 expanded vertex dot products from two half tables; `blocked_scan` is the
 oracle's scan over blocks of profiles with any evaluator.
 `softmax_probabilities` is one player's softmax through the package's own
-`(S, K, N)` softmax.
+`(S, K, N)` softmax, and `parse_config_file` a config file's fields without
+the line numbers that set them.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 from simplexgame import (Allocation, GameConfig, MixedProfile, Simplex, StrategyMatrix,
                          ValidationError, build_simplex, strategy_payoffs)
 from simplexgame.game import check_matrix
+from simplexgame.harness import _parse_config
 from simplexgame.learning import _check_rates, _softmax
 from simplexgame.oracle import EQUILIBRIUM_SLACK, TIE_TOL, EquilibriumSet, MaximizerReport
 
@@ -213,3 +215,11 @@ def blocked_scan(evaluator, config: GameConfig, rows: int) -> tuple:
     return (EquilibriumSet(profiles=profiles, frustrations=frustrations, min_r=min_r),
             MaximizerReport(maximizers=maximizers, in_equilibrium_set=flags,
                             worst_violation=worst, max_aggregate=best))
+
+
+def parse_config_file(path: str) -> dict:
+    """ExperimentConfig fields from a flat UTF-8 key=value file with '#' comments.
+
+    Unknown keys, and a second key for a field already set, are errors.
+    """
+    return _parse_config(path)[0]

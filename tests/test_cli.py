@@ -421,6 +421,9 @@ REJECTED = {
     "oracle-huge-table-and-profiles":
         (["oracle", "--N", "30", "--S", "2", "--M", HUGE, "--B", "3"], None),
     "oracle-huge-players": (["oracle", "--N", HUGE, "--S", "2", "--M", "1", "--B", "2"], None),
+    "oracle-huge-players-and-budget":
+        (["oracle", "--N", HUGE, "--S", "3", "--M", "1", "--B", "2", "--budget", str(10**30)],
+         None),
     "oracle-huge-table": (["oracle", "--N", "2", "--S", "2", "--M", HUGE, "--B", "3"], None),
     "oracle-huge-nodes": (["oracle", "--N", "2", "--S", "2", "--M", "2", "--B", HUGE], None),
     "sweep-huge-nodes":

@@ -13,9 +13,11 @@ from simplexgame import (ExperimentConfig, GameConfig, LearningConfig,
                          measure_steady_state, run, single_run, sweep,
                          verify_reduction)
 from simplexgame import harness
-from simplexgame.harness import (CONFIG_KEYS, config_hash, parse_config_file,
-                                 parse_lambda_grid, semantic_config, signals_for,
-                                 sweep_data_csv, sweep_summary_csv)
+from simplexgame.harness import (CONFIG_KEYS, config_hash, parse_lambda_grid,
+                                 semantic_config, signals_for, sweep_data_csv,
+                                 sweep_summary_csv)
+
+from references import parse_config_file
 
 
 def tiny_sweep_config(**overrides):

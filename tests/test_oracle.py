@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,10 +36,10 @@ def reference_evaluate(ev, profile):
     for row in rows[ev.high_players:]:
         cross += high[row]
     norm = (halves[0] * halves[0]).sum() + 2 * cross + (halves[1] * halves[1]).sum()
-    scale = -(ev.n * ev.m)
+    scale = ev.scale                              # -N M
     u = bets[rows] / scale
-    u_dev = (bets.reshape(ev.n, -1) - ev.played_overlap[rows] + ev.own_overlap) / scale
-    r = float(norm) / (ev.m * ev.n * (ev.config.nodes - 1))
+    u_dev = (bets.reshape(ev.n, -1) - ev.overlap_columns.T[rows] + ev.own_columns.T) / scale
+    r = float(norm) / (ev.n * ev.table.shape[1])  # N M (B-1)
     return u, u_dev, r
 
 
@@ -147,11 +148,10 @@ def test_seeded_tiny_game_equilibria_verified_independently():
 
 def _whole_game(ev):
     """The high half's tables of every high-half profile, and every profile's
-    position h L + l, for a game that fits one chunk."""
+    position h L + l, for a game that fits one group."""
     high = list(itertools.product(range(ev.strategies), repeat=ev.high_players))
-    assert len(high) <= ev.chunk_rows
-    rows = np.array(high, dtype=np.int64).reshape(len(high), ev.high_players).T
-    return ev.half(rows + ev.row_offset[:ev.high_players, None]), np.arange(len(high) * ev.low_size)
+    assert len(high) <= ev.group_rows
+    return ev.half(high, 0), np.arange(len(high) * ev.low_size)
 
 
 def test_two_evaluators_agree_everywhere(rng):
@@ -162,12 +162,17 @@ def test_two_evaluators_agree_everywhere(rng):
                                           repeat=cfg.players))
         ev = _ProfileEvaluator(c, cfg)
         tables, positions = _whole_game(ev)
-        assert ev.profiles(tables, positions) == profiles
         h, l = np.divmod(positions, ev.low_size)
-        bets, rows, payoffs = ev.bets(tables, 0, cfg.players, h, l)
+        gains, rows, payoffs = ev.gains(tables, 0, cfg.players, h, l)
+        assert list(map(tuple, (rows.T - ev.row_offset).tolist())) == profiles
         assert payoffs.shape == (cfg.players, len(profiles))
-        best = ev.gains(bets, rows, payoffs, 0) + payoffs
-        violations, totals, equilibria, frustrations = ev.describe(tables, positions)
+        best, violations = gains + payoffs, gains.max(axis=0)
+        totals, equilibria, frustrations, candidates, top = ev.describe(tables, positions,
+                                                                        -np.inf)
+        # one run of profiles: the candidates are those within TIE_TOL of its best
+        assert top == totals.max()
+        assert candidates == [(p, v, t) for p, v, t in zip(profiles, violations.tolist(),
+                                                           totals.tolist()) if t >= top - 1e-12]
         for profile, u, dev, violation, total in zip(profiles, payoffs.T, best.T,
                                                      violations, totals):
             direct = [correlated_payoff(c, profile, i, cfg) for i in range(cfg.players)]
@@ -193,10 +198,11 @@ def test_anti_coordination_equilibria():
     assert eq.min_r == pytest.approx(0.0, abs=1e-14)
     # coordinated profiles land both players on one node: each pays -1
     ev = _ProfileEvaluator(c, cfg)
-    high = ev.half(np.array([[0]]))
-    assert ev.profiles(high, np.arange(2)) == [(0, 0), (0, 1)]
-    violations, totals, equilibria, frustrations = ev.describe(high, np.arange(2))
-    assert totals[0] == pytest.approx(-2.0) and violations[0] > 0
+    high = ev.half([(0,)], 0)
+    gains, rows, _ = ev.gains(high, 0, 2, *np.divmod(np.arange(2), ev.low_size))
+    assert (rows.T - ev.row_offset).tolist() == [[0, 0], [0, 1]]
+    totals, equilibria, frustrations, *_ = ev.describe(high, np.arange(2), -np.inf)
+    assert totals[0] == pytest.approx(-2.0) and gains[:, 0].max() > 0
     assert equilibria == [(0, 1)] and frustrations == [pytest.approx(0.0, abs=1e-14)]
 
 
@@ -343,13 +349,13 @@ def _per_profile(cfg):
     return cfg.players * cfg.strategies_per_player * cfg.signals * (cfg.nodes - 1)
 
 
-def _set_block_rows(monkeypatch, cfg, rows, chunk_rows=None):
-    """Make `_scan` pair `rows` high-half rows with the low half per block, and
-    build the high half's tables `chunk_rows` rows at a time (by default as it
-    would), on the split it would use anyway."""
-    high_players, chunk, _ = oracle._plan(cfg)
-    chunk = chunk if chunk_rows is None else chunk_rows
-    monkeypatch.setattr(oracle, "_plan", lambda config: (high_players, chunk, rows))
+def _set_block_rows(monkeypatch, cfg, rows, group_rows=None):
+    """Make `_scan` pair `rows` high-half rows with the low half per block, in
+    groups of `group_rows` high-half rows (by default as many as it would
+    use), on the split it would use anyway."""
+    high_players, _, group = oracle._plan(cfg)
+    group = group if group_rows is None else group_rows
+    monkeypatch.setattr(oracle, "_plan", lambda config: (high_players, rows, group))
 
 
 def _random_games(count, seed):
@@ -390,8 +396,8 @@ def _edge_games():
 def test_blocked_scan_equals_per_profile_scan(monkeypatch):
     # same lists in the same order and the same floats, whatever the block size:
     # one high-half row per block, and blocks of 2, 3 and 7 (ragged last blocks
-    # when S^a is not a multiple), also with the high half's tables built in
-    # chunks of 5 rows
+    # when S^a or the group is not a multiple), also in groups of 5 rows, with a
+    # ragged last block in every group and a ragged last group
     games = [anti_coordination_game(), _one_coordinate_game(), *_edge_games(),
              *_random_games(60, 900)]
     assert [oracle._plan(cfg)[0] for cfg, s, c in games[2:6]] == [0, 2, 3, 4]
@@ -399,8 +405,8 @@ def test_blocked_scan_equals_per_profile_scan(monkeypatch):
         monkeypatch.undo()
         want = reference_scan(c, cfg)
         assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
-        for rows, chunk_rows in [(1, None), (2, None), (3, None), (7, None), (2, 5)]:
-            _set_block_rows(monkeypatch, cfg, rows, chunk_rows)
+        for rows, group_rows in [(1, None), (2, None), (3, None), (7, None), (2, 5)]:
+            _set_block_rows(monkeypatch, cfg, rows, group_rows)
             assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
 
 
@@ -413,13 +419,13 @@ def _benchmark_games(seeds):
 
 
 def test_blocked_scan_equals_per_profile_scan_on_benchmark_game(monkeypatch):
-    # the benchmark's oracle input at seed 7: 7 high and 8 low players, one
-    # chunk of the high half in 4 blocks of 32 high rows, and 8 tied
-    # maximizers, one or more in every block; blocks of 7 high rows leave 2
-    # for the last block, since 2^7 = 2 mod 7
+    # the benchmark's oracle input at seed 7: 7 high and 8 low players, two
+    # groups of 64 high rows, each 2 blocks of 32, and 8 tied maximizers, one
+    # or more in every block; blocks of 7 high rows leave 1 for the last block
+    # of each group, since 64 = 1 mod 7
     cfg, s, c = next(_benchmark_games([7]))
     want = reference_scan(c, cfg)
-    assert oracle._plan(cfg) == (7, 544, 32)
+    assert oracle._plan(cfg) == (7, 32, 64)
     profiles = list(itertools.product(range(2), repeat=15))
     assert len(want[1].maximizers) == 8
     assert {profiles.index(p) // (32 * 2**8) for p in want[1].maximizers} == {0, 1, 2, 3}
@@ -438,9 +444,9 @@ def test_blocked_scan_equals_per_profile_scan_with_a_short_low_half(monkeypatch)
         cfg = GameConfig(players=players, nodes=3, signals=signals,
                          strategies_per_player=strategies, strengths=y)
         c = draw_strategy_matrix(cfg, gen)
-        high_players, chunk, rows = oracle._plan(cfg)
+        high_players, rows, group = oracle._plan(cfg)
         assert 0 < players - high_players < players - players // 2
-        assert strategies ** high_players % chunk % rows != 0
+        assert strategies ** high_players % group % rows != 0 < strategies ** high_players // group
         want = reference_scan(c, cfg)
         assert want[0].count and want[1].maximizers
         assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
@@ -466,27 +472,29 @@ def _unit(cfg):
 
 
 def test_half_tables_and_blocks_bounded(monkeypatch):
-    # the halves' tables and a block's arrays hold at most ORACLE_BLOCK floats,
-    # unless one profile alone needs more
+    # the halves' tables, a block's arrays and a group's read-out hold at most
+    # ORACLE_BLOCK floats, unless one profile alone needs more
     y = StrengthDistribution.uniform(5)
     for players, signals, strategies in [(15, 3, 2), (19, 3, 2), (2, 1, 1), (1, 3, 1000),
                                          (4, 5000, 3), (20, 5000, 2)]:
         cfg = GameConfig(players=players, nodes=5, signals=signals,
                          strategies_per_player=strategies, strengths=y)
-        high_players, chunk, rows = oracle._plan(cfg)
+        high_players, rows, group = oracle._plan(cfg)
         low = strategies ** (players - high_players)
         limit = max(oracle.ORACLE_BLOCK, _unit(cfg))
         assert players // 2 <= high_players <= players and rows >= 1
         assert low * _unit(cfg) <= limit          # the low half's bets and contractions
-        assert chunk * _unit(cfg) <= limit and chunk % rows == 0   # the high half's
+        assert group * _unit(cfg) <= limit and group % rows == 0   # a group's high half
+        assert group * low <= limit               # a group's filter values and positions
         # one player's (S, H L) deviation terms, and the block's H rows of tables
         assert rows * max(low * strategies, _unit(cfg)) <= limit
     # at N = 19 a low half of 9 or 10 players would hold 2^9 or 2^10 rows of 38 floats
     assert oracle._plan(GameConfig(players=19, nodes=3, signals=3, strategies_per_player=2,
                                    strengths=StrengthDistribution.uniform(3)))[0] == 11
-    # every array the evaluator's methods take or return, the low half's
-    # per-game tables, and the (S, players, profiles) terms `bets` returns,
-    # which `gains` works on in place, in scans of such games
+    # every array the evaluator's methods take or return but the equilibrium
+    # and maximizer lists, which are output, the low half's per-game tables,
+    # and the (S, players, profiles) deviation terms `gains` works on, in
+    # scans of such games and of one where every profile is read out
     sizes = []
 
     def record(value):
@@ -497,16 +505,23 @@ def test_half_tables_and_blocks_bounded(monkeypatch):
                 record(item)
         return value
 
-    for name in ("half", "table_rows", "bets", "gains", "evaluate", "describe"):
+    for name in ("half", "gains", "evaluate", "describe"):
         method = getattr(_ProfileEvaluator, name)
         monkeypatch.setattr(_ProfileEvaluator, name,
                             lambda self, *args, method=method: record(
                                 method(self, *record(args))))
+    gains = _ProfileEvaluator.gains
+
+    def deviation_terms(self, high, first, last, h, l):
+        sizes.append(self.strategies * (last - first) * np.broadcast(h, l).size)
+        return gains(self, high, first, last, h, l)
+
+    monkeypatch.setattr(_ProfileEvaluator, "gains", deviation_terms)
     for cfg, s, c in [next(_benchmark_games([7])), *list(_edge_games())[2:],
-                      _short_low_half_game()]:
+                      _short_low_half_game(), _identical_strategies_game(15)]:
         sizes.clear()
         ev = _ProfileEvaluator(c, cfg)
-        record((ev.low, ev.low_bets, ev.dense))
+        record((ev.low, ev.low_bets))
         oracle._scan(c, cfg, oracle.DEFAULT_BUDGET)
         assert sizes and max(sizes) <= max(oracle.ORACLE_BLOCK, _unit(cfg))
 
@@ -519,28 +534,33 @@ def _short_low_half_game():
 
 
 def test_oracle_report_evaluates_each_profile_once(monkeypatch):
-    # every profile in exactly one block, in itertools.product order, with
-    # the default blocks and with ragged blocks of 3 high-half rows: a block
-    # pairs its high-half rows with every low-half row
-    blocks = []
+    # every profile in exactly one group, in itertools.product order, with
+    # the default groups and with groups of 3 high-half rows (several, the
+    # last one ragged): a group pairs its high-half rows with every low-half row
+    groups, sizes = [], []
     evaluate = _ProfileEvaluator.evaluate
 
     def recording(self, high, *rest):
-        assert 1 <= high.rows.shape[1] <= self.block_rows
+        sizes.append(high.rows.shape[1])
+        assert 1 <= sizes[-1] <= self.group_rows
         low = self.low.rows - self.row_offset[self.high_players:, None]
         for column in (high.rows - self.row_offset[:self.high_players, None]).T.tolist():
-            blocks.extend(tuple(column) + tuple(row) for row in low.T.tolist())
+            groups.extend(tuple(column) + tuple(row) for row in low.T.tolist())
         return evaluate(self, high, *rest)
 
     monkeypatch.setattr(_ProfileEvaluator, "evaluate", recording)
+    plan = oracle._plan
     for rows in (None, 3):
         for cfg, s, c in list(_oracle_games())[:3]:
             if rows is not None:
-                _set_block_rows(monkeypatch, cfg, rows)
-            blocks.clear()
+                monkeypatch.setattr(oracle, "_plan", plan)
+                _set_block_rows(monkeypatch, cfg, 1, rows)
+            groups.clear()
+            sizes.clear()
             oracle_report(c, cfg)
-            assert blocks == list(itertools.product(
+            assert groups == list(itertools.product(
                 range(cfg.strategies_per_player), repeat=cfg.players))
+    assert sizes == [3, 3, 2]
 
 
 def _dominated_first_player_game():
@@ -560,12 +580,18 @@ def _identical_strategies_games():
     an equilibrium and a maximizer), with N=1 and with N=10."""
     gen = np.random.default_rng(905)
     for players, strategies in [(6, 1), (1, 3), (10, 2)]:
-        y = random_proper_strengths(gen, 3)
-        cfg = GameConfig(players=players, nodes=3, signals=3,
-                         strategies_per_player=strategies, strengths=y)
-        entries = draw_strategy_matrix(cfg, gen).entries.copy()
-        entries[:] = entries[:, :1]        # (N, S, M): strategy 0's nodes for every strategy
-        yield cfg, build_simplex(y), StrategyMatrix(entries)
+        yield _identical_strategies_game(players, strategies, gen)
+
+
+def _identical_strategies_game(players, strategies=2, gen=None):
+    """M=3, B=3, with strategy 0's nodes for every strategy of every player."""
+    gen = np.random.default_rng(906) if gen is None else gen
+    y = random_proper_strengths(gen, 3)
+    cfg = GameConfig(players=players, nodes=3, signals=3,
+                     strategies_per_player=strategies, strengths=y)
+    entries = draw_strategy_matrix(cfg, gen).entries.copy()
+    entries[:] = entries[:, :1]            # (N, S, M): strategy 0's nodes for every strategy
+    return cfg, build_simplex(y), StrategyMatrix(entries)
 
 
 def test_pruned_scan_equals_per_profile_scan_on_extreme_games(monkeypatch):
@@ -589,25 +615,26 @@ def test_pruned_scan_equals_per_profile_scan_on_extreme_games(monkeypatch):
         assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
     # the split moves with ORACLE_BLOCK, and the reference follows it
     monkeypatch.setattr(oracle, "ORACLE_BLOCK", 200)
-    high_players, _, rows = oracle._plan(cfg)
+    high_players, rows, _ = oracle._plan(cfg)
     assert rows * 2 ** (cfg.players - high_players) * 2 * cfg.players > 200
     assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == reference_scan(c, cfg)
 
 
 def test_filter_fallback_reads_every_profile_of_a_block(monkeypatch):
-    # filter values shifted by the margin fail the self-check in every block
-    # that kept a profile, which is then read out in full: the same lists and
-    # floats as the per-profile scan, in games of several chunks and blocks
+    # filter values shifted by the margin fail the self-check in every group
+    # that read out a profile, which is then read out in full, every profile
+    # of every block: the same lists and floats as the per-profile scan, in
+    # games of several groups and blocks
     evaluate, describe = _ProfileEvaluator.evaluate, _ProfileEvaluator.describe
     read = []
 
     def shifted(self, high, filtered):
-        positions, kept, approx, filtered = evaluate(self, high, filtered)
-        return positions, kept, approx + self.margin, filtered
+        positions, approx, filtered = evaluate(self, high, filtered)
+        return positions, approx + self.margin, filtered
 
-    def counting(self, high, positions):
+    def counting(self, high, positions, best):
         read.append(positions.size)
-        return describe(self, high, positions)
+        return describe(self, high, positions, best)
 
     monkeypatch.setattr(_ProfileEvaluator, "evaluate", shifted)
     monkeypatch.setattr(_ProfileEvaluator, "describe", counting)
@@ -618,13 +645,13 @@ def test_filter_fallback_reads_every_profile_of_a_block(monkeypatch):
                          strategies_per_player=strategies,
                          strengths=random_proper_strengths(gen, 3))
         c = draw_strategy_matrix(cfg, gen)
-        high_players, chunk, rows = oracle._plan(cfg)
+        high_players, rows, group = oracle._plan(cfg)
         read.clear()
         assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == reference_scan(c, cfg)
-        # a chunk whose blocks kept a profile is read out again, with whole blocks
-        chunks = -(-strategies ** high_players // chunk)
-        assert 1 < chunks < len(read) <= 2 * chunks
-        assert max(read) >= rows * strategies ** (players - high_players)
+        # a group that read out a profile is read out again, in full
+        groups = -(-strategies ** high_players // group)
+        assert 1 < groups < len(read) <= 2 * groups
+        assert max(read) == group * strategies ** (players - high_players) > rows
 
 
 def test_check_budget_counts_profiles_up_to_the_budget():
@@ -636,9 +663,12 @@ def test_check_budget_counts_profiles_up_to_the_budget():
     assert oracle.check_budget(config(3, 2), 8) == 8
     assert oracle.check_budget(config(5, 3)) == 3**5
     assert oracle.check_budget(config(10**12, 1), 1) == 1
-    # a 10^12-player count is refused without building S^N
+    assert oracle.check_budget(config(99, 2), 2**99) == 2**99
+    # a 10^12-player count is refused without building S^N, also under a
+    # budget above 2^64
     for players, strategies, budget in [(3, 2, 7), (30, 2, 10**6), (10**12, 2, 10**6),
-                                        (5, 1, 0), (2, 10**12, 10**6)]:
+                                        (5, 1, 0), (2, 10**12, 10**6), (100, 2, 2**100 - 1),
+                                        (10**12, 3, 10**30)]:
         with pytest.raises(BudgetError):
             oracle.check_budget(config(players, strategies), budget)
 
@@ -652,6 +682,22 @@ def test_check_budget_rejects_a_negative_budget():
         with pytest.raises(ValidationError, match="budget must be >= 0") as err:
             call()
         assert not isinstance(err.value, BudgetError)
+
+
+RECORDED = {
+    "oracle_n15_s2_m3_b3_seed7.json": "--N 15 --S 2 --M 3 --B 3 --seed 7 --strengths uniform",
+    "oracle_n8_s3_m4_b4_seed7_skewed.json":
+        "--N 8 --S 3 --M 4 --B 4 --seed 7 --strengths 0.4,0.3,0.2,0.1",
+}
+
+
+@pytest.mark.parametrize("recorded", list(RECORDED))
+def test_oracle_report_matches_recorded_output(tmp_path, recorded):
+    # the benchmark's oracle game and a skewed S=3 one, as recorded in
+    # tests/data: every count, flag and float of the report, text for text
+    out = tmp_path / "report.json"
+    assert main(["oracle", *RECORDED[recorded].split(), "--out", str(out)]) == 0
+    assert out.read_text() == (Path(__file__).parent / "data" / recorded).read_text()
 
 
 def _floats_close(got, want, tol):
