@@ -21,8 +21,7 @@ from .harness import (ComparisonResult, ExperimentConfig, SweepResult, child_see
                       export_trajectory, measure_steady_state, single_run, sweep,
                       verify_reduction)
 from .learning import (ConvergenceSettings, LearnerState, LearningConfig, RunResult,
-                       Trajectory, integrate_replicator, random_baseline,
-                       replicator_flow, run)
+                       Trajectory, random_baseline, run)
 from .oracle import (EquilibriumSet, MaximizerReport, enumerate_equilibria,
                      maximizer_equilibrium_report, oracle_report, potential_defect,
                      reward_vector)

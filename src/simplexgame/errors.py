@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the allocation budget."""
 
-MAX_ALLOCATION_BYTES = 1 << 32  # 4 GiB; arrays in use stay below 20 MB, so more is a typo
+MAX_ALLOCATION_BYTES = 1 << 32  # 4 GiB; a serial c05 sweep peaks at 70 MB, so more is a typo
 
 
 class ValidationError(ValueError):

@@ -9,9 +9,9 @@ seed and its grid coordinates, so whole sweeps are reproducible byte for byte.
 The (grid point, realization) tasks are dealt round-robin into one batch per
 worker process; each batch sets up its realizations as (config, matrix, rng)
 games, plays them in lockstep (`learning.run_lockstep`) and measures each
-from its `RunResult`, which carries its game's config.  No simplex is built:
-every measurement is computed in count space.  A realization's row depends
-only on its own seed, not on its batch or the worker count.
+from its `RunResult`, which carries its game's config and last `window`
+rounds.  No simplex is built: every measurement is computed in count space.
+A realization's row depends only on its own seed, not its batch or worker count.
 """
 from __future__ import annotations
 
@@ -184,7 +184,7 @@ def _run_batch(job: tuple) -> list:
         games.append((config, draw_strategy_matrix(config, rng), rng))
     results = learning.run_lockstep(
         games, LearningConfig(gamma=exp.gamma, iterations=exp.t_max),
-        ConvergenceSettings(window=exp.window, check_every=exp.check_every))
+        ConvergenceSettings(window=exp.window, check_every=exp.check_every), tail=exp.window)
     rows = []
     for (lambda_index, realization, signals), seed, result in zip(coords, seeds, results):
         steady = measure_steady_state(result.state, result.matrix, result.config,

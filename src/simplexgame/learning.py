@@ -1,4 +1,4 @@
-"""Iterated play: counterfactual rewards, exponential learning, replicator flow.
+"""Iterated play: counterfactual rewards and exponential learning.
 
 Each round a uniform signal is broadcast, players sample a strategy from
 their softmax probabilities, bets resolve, and every player scores all of
@@ -22,12 +22,13 @@ per-call `integers(M)` and `random(N)` give; any other bit generator, a
 draw that numpy would reject and redraw, or a numpy whose draws fail the
 decode's one-time self-check replays the block per call.  `run_lockstep`
 plays a batch of (config, matrix, rng) games, whose `GameConfig` alone gives
-the strengths the rewards read, until every realization has stopped, and
-writes a realization's frozen `LearnerState` and `Trajectory` once, when it
-stops; `run` is a batch of one.
+the strengths the rewards read, until every realization has stopped; blocks
+write straight into records of each game's last `tail` rounds (all of them
+for `run`, a batch of one).  A realization's `LearnerState` and `Trajectory`
+are frozen once, when it stops.
 
 A realization stops at a check, every check_every rounds once 2 * window
-rounds are recorded, when its purity after that round (min over players of
+rounds are played, when its purity after that round (min over players of
 the largest strategy probability) reaches PURITY_THRESHOLD.  That
 is the only stopping rule: a run that never reaches it plays all its rounds.
 """
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import ValidationError, check_allocation
 from .game import (GameConfig, MixedProfile, StrategyMatrix, check_matrix,
-                   draw_strategy_matrix, strategy_payoffs)
+                   draw_strategy_matrix)
 
 log = logging.getLogger(__name__)
 
@@ -91,7 +92,7 @@ class LearnerState:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-iteration record of (signal, instantaneous frustration, purity)."""
+    """Per-round (signal, frustration, purity) of a run's last held rounds, oldest first."""
 
     signals: np.ndarray
     frustrations: np.ndarray
@@ -259,18 +260,23 @@ class Lockstep:
     float or one (N,) array of per-player rates.  Realization k's
     signal-major table is rows offsets[k] .. offsets[k] + M_k of `tables`, one
     (sum M, N, S) uint8 array, and it plays from its own generator rngs[k].
+    The allocation budget checks the reward table and the (S, K, N) arrays
+    before any of them is built.
     """
 
     def __init__(self, games: list, gamma=DEFAULT_LEARNING_RATE):
+        config = games[0][0]
+        k, n, strategies = len(games), config.players, config.strategies_per_player
+        check_allocation(8 * k * (config.nodes * (n + 2) + 2 * strategies * n),
+                         f"the reward table, scores and probabilities of {k} games of {n} players")
         bases = [matrix.entries.transpose(2, 0, 1) for _, matrix, _ in games]
         self.tables = bases[0] if len(bases) == 1 else np.concatenate(bases)
-        _, n, strategies = self.tables.shape
         rates = _check_rates(gamma)
         if rates.size != 1 and rates.shape != (n,):
             raise ValidationError(f"gamma gives {rates.size} learning rates in shape "
                                   f"{rates.shape} for {n} players; give one rate or {n}")
         self.rates = rates.item() if rates.size == 1 else rates
-        self.scores = np.zeros((strategies, len(games), n))
+        self.scores = np.zeros((strategies, k, n))
         self.probabilities = _softmax(self.scores, self.rates)
         self.signal_counts = [config.signals for config, _, _ in games]
         self.offsets = np.cumsum([0] + self.signal_counts[:-1])
@@ -422,14 +428,15 @@ def check_score_range(gamma, iterations: int, config: GameConfig) -> None:
 
 
 def run_lockstep(games: list, learn: LearningConfig,
-                 convergence: ConvergenceSettings | None = None) -> list:
+                 convergence: ConvergenceSettings | None = None, tail: int | None = None) -> list:
     """Play (config, matrix, rng) games in lockstep; one RunResult each.
 
     Every game starts from the uniform state and plays up to learn.iterations
     rounds.  Each stops on its own when a check (every check_every rounds
-    once 2 * window rounds are recorded) finds its purity at or above
-    PURITY_THRESHOLD; its record is written then and it leaves the working
-    arrays.  The games must share N, S and B, and each matrix must fit its config.
+    once 2 * window rounds are played) finds its purity at or above
+    PURITY_THRESHOLD; its result, with its last `tail` rounds (all if tail is
+    None), is written then and it leaves the working arrays.  The games must
+    share N, S and B, and each matrix must fit its config.
     """
     shapes = {(c.players, c.strategies_per_player, c.nodes) for c, _, _ in games}
     if len(shapes) != 1:
@@ -438,40 +445,39 @@ def run_lockstep(games: list, learn: LearningConfig,
     for config, matrix, _ in games:
         check_matrix(matrix, config)
     total, iterations = len(games), learn.iterations
-    check_allocation(total * iterations * _ROW_BYTES,
-                     f"{total} trajectories of {iterations} iterations")
+    held = iterations if tail is None else min(tail, iterations)
+    check_allocation(total * held * _ROW_BYTES, f"{total} records of the last {held} rounds")
     batch = Lockstep(games, learn.gamma)
     for config, _, _ in games:
         check_score_range(batch.rates, iterations, config)
-    # row k holds game k's recorded rounds
-    signals, frustrations, purities = (np.empty((total, iterations), dtype=dtype)
-                                       for dtype in (np.int64, float, float))
+    # row k holds game k's last `held` rounds, round t at flat index k * held + t % held
+    records = [np.empty((total, held), dtype=dtype) for dtype in (np.int64, float, float)]
     results = [None] * total
     active = np.arange(total)   # game index of each working row
 
     def settle(j: int, rounds: int, converged: bool) -> None:
         k = active[j]
         config, matrix, _ = games[k]
+        # a wrapped record holds its oldest round in column rounds % held
         results[k] = RunResult(
             LearnerState(batch.scores[:, j].T.copy(), batch.probabilities[:, j].T.copy(), rounds),
-            Trajectory(signals[k, :rounds], frustrations[k, :rounds], purities[k, :rounds]),
+            Trajectory(*(record[k, :rounds] if rounds <= held else np.roll(record[k], -rounds)
+                         for record in records)),
             matrix, config, converged)
 
-    # rounds between checks are played round-major, then written per record
+    # each sub-block of a check writes the rounds the records keep straight into them
     every = convergence.check_every if convergence is not None else max(iterations, 1)
     for start in range(0, iterations, every):
         end = min(start + every, iterations)
-        m, squares, purity = (np.empty((end - start, active.size), dtype=dtype)
-                              for dtype in (np.int64, float, float))
         span = max(1, min(_BLOCK_WORDS // n, 2 * _BATCH_WORDS
                           // (active.size * n * max(strategies, 2))))
-        for sub in range(0, end - start, span):
-            block = slice(sub, min(sub + span, end - start))
-            m[block], _, squares[block], purity[block] = play_block(
-                batch, block.stop - block.start)
-        signals[active, start:end] = m.T
-        frustrations[active, start:end] = _frustration(squares, n, nodes).T
-        purities[active, start:end] = purity.T
+        for first in range(start, end, span):
+            last = min(first + span, end)
+            m, _, squares, purity = play_block(batch, last - first)
+            since = max(first, last - held)
+            cells = np.arange(since, last)[:, None] % held + held * active
+            for record, block in zip(records, (m, _frustration(squares, n, nodes), purity)):
+                record.put(cells, block[since - first:])
         # the 2 * window gate stays: with the cadence it fixes each row's iterations
         if convergence is None or end % every or end < 2 * convergence.window:
             continue
@@ -487,57 +493,6 @@ def run_lockstep(games: list, learn: LearningConfig,
     for j in range(active.size):
         settle(j, iterations, False)
     return results
-
-
-def replicator_flow(c: StrategyMatrix, p: MixedProfile, config: GameConfig,
-                    gammas) -> np.ndarray:
-    """dp_is/dtau = gamma_i p_is (u_i(rest; s) - u_i(mixed)).
-
-    Better-performing strategies grow; every row of the output sums to zero,
-    so the flow stays tangent to the product of probability simplices.
-    """
-    rows = p.rows if hasattr(p, "rows") else np.asarray(p, dtype=float)
-    gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (config.players,))
-    per_strategy = strategy_payoffs(c, rows, config)
-    mixed = np.einsum("is,is->i", rows, per_strategy)
-    return gammas[:, None] * rows * (per_strategy - mixed[:, None])
-
-
-def integrate_replicator(c: StrategyMatrix, p0: MixedProfile, config: GameConfig,
-                         gamma, tau_end: float, step: float) -> list[MixedProfile]:
-    """Classical 4-stage explicit integration of the replicator flow.
-
-    Rows are renormalized after every step; negative components (possible
-    only through roundoff or an overly large step) are clipped to zero with
-    a logged warning.  A non-finite derivative aborts with a diagnostic.
-    """
-    if step <= 0.0:
-        raise ValidationError("step must be > 0")
-    n_steps = max(1, int(round(tau_end / step)))
-    rows = p0.rows.copy()
-    out = [MixedProfile(rows.copy())]
-
-    def flow(r):
-        d = replicator_flow(c, r, config, gamma)
-        if not np.all(np.isfinite(d)):
-            raise FloatingPointError(
-                f"non-finite replicator derivative at tau={len(out) * step:.6g}")
-        return d
-
-    for _ in range(n_steps):
-        k1 = flow(rows)
-        k2 = flow(rows + 0.5 * step * k1)
-        k3 = flow(rows + 0.5 * step * k2)
-        k4 = flow(rows + step * k3)
-        rows = rows + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.any(rows < 0.0):
-            worst = float(rows.min())
-            if worst < -1e-9:
-                log.warning("replicator step clipped negative probability %.3e", worst)
-            rows = np.clip(rows, 0.0, None)
-        rows /= rows.sum(axis=1, keepdims=True)
-        out.append(MixedProfile(rows.copy()))
-    return out
 
 
 def random_baseline(config: GameConfig, seed, iterations: int) -> Trajectory:

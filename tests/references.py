@@ -10,11 +10,14 @@ expanded vertex dot products from two half tables; `blocked_scan` is the
 oracle's scan over blocks of profiles with any evaluator.
 `softmax_probabilities` is one player's softmax through the package's own
 `(S, K, N)` softmax, and `parse_config_file` a config file's fields without
-the line numbers that set them.
+the line numbers that set them.  `replicator_flow` and `integrate_replicator`
+are the continuous-time limit of the learning dynamics, on the package's
+`strategy_payoffs`.
 """
 from __future__ import annotations
 
 import functools
+import logging
 import operator
 
 import numpy as np
@@ -25,6 +28,8 @@ from simplexgame.game import check_matrix
 from simplexgame.harness import _parse_config
 from simplexgame.learning import _check_rates, _softmax
 from simplexgame.oracle import EQUILIBRIUM_SLACK, TIE_TOL, EquilibriumSet, MaximizerReport
+
+log = logging.getLogger(__name__)
 
 
 def aggregate_bet(alloc: Allocation, s: Simplex) -> np.ndarray:
@@ -97,6 +102,57 @@ def mixed_correlated_payoff(c: StrategyMatrix, p: MixedProfile, i: int,
     """Player i's signal-averaged payoff with every player mixing."""
     per_strategy = strategy_payoffs(c, p, config)
     return float(p.rows[i] @ per_strategy[i])
+
+
+def replicator_flow(c: StrategyMatrix, p: MixedProfile, config: GameConfig,
+                    gammas) -> np.ndarray:
+    """dp_is/dtau = gamma_i p_is (u_i(rest; s) - u_i(mixed)).
+
+    Better-performing strategies grow; every row of the output sums to zero,
+    so the flow stays tangent to the product of probability simplices.
+    """
+    rows = p.rows if hasattr(p, "rows") else np.asarray(p, dtype=float)
+    gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (config.players,))
+    per_strategy = strategy_payoffs(c, rows, config)
+    mixed = np.einsum("is,is->i", rows, per_strategy)
+    return gammas[:, None] * rows * (per_strategy - mixed[:, None])
+
+
+def integrate_replicator(c: StrategyMatrix, p0: MixedProfile, config: GameConfig,
+                         gamma, tau_end: float, step: float) -> list[MixedProfile]:
+    """Classical 4-stage explicit integration of the replicator flow.
+
+    Rows are renormalized after every step; negative components (possible
+    only through roundoff or an overly large step) are clipped to zero with
+    a logged warning.  A non-finite derivative aborts with a diagnostic.
+    """
+    if step <= 0.0:
+        raise ValidationError("step must be > 0")
+    n_steps = max(1, int(round(tau_end / step)))
+    rows = p0.rows.copy()
+    out = [MixedProfile(rows.copy())]
+
+    def flow(r):
+        d = replicator_flow(c, r, config, gamma)
+        if not np.all(np.isfinite(d)):
+            raise FloatingPointError(
+                f"non-finite replicator derivative at tau={len(out) * step:.6g}")
+        return d
+
+    for _ in range(n_steps):
+        k1 = flow(rows)
+        k2 = flow(rows + 0.5 * step * k1)
+        k3 = flow(rows + 0.5 * step * k2)
+        k4 = flow(rows + step * k3)
+        rows = rows + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.any(rows < 0.0):
+            worst = float(rows.min())
+            if worst < -1e-9:
+                log.warning("replicator step clipped negative probability %.3e", worst)
+            rows = np.clip(rows, 0.0, None)
+        rows /= rows.sum(axis=1, keepdims=True)
+        out.append(MixedProfile(rows.copy()))
+    return out
 
 
 def softmax_probabilities(scores, gamma: float) -> np.ndarray:

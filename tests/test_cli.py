@@ -88,6 +88,59 @@ def test_sweep_subcommand_csv_and_json(tmp_path):
     assert len(payload["rows"]) == 4
 
 
+# (config, seed) of the sweeps recorded in tests/data: a windowed-trace sweep
+# with window > check_every and rows capped at t_max, and a final-profile one
+# with S = 3, window < check_every and random strengths
+RECORDED_SWEEPS = {
+    "sweep_trace_n30_s2_b4_seed2": ("""\
+players = 30
+nodes = 4
+strategies = 2
+strengths = random
+lambda_grid = 0.2,1,3
+realizations = 3
+t_max = 1000
+window = 150
+check_every = 50
+measurement = windowed-trace
+""", 2),
+    "sweep_final_n20_s3_b3_seed1": ("""\
+players = 20
+nodes = 3
+strategies = 3
+strengths = random
+lambda_grid = 0.1,0.5,2
+realizations = 3
+t_max = 900
+window = 30
+check_every = 100
+measurement = final-profile
+""", 1),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("recorded", list(RECORDED_SWEEPS))
+def test_sweep_matches_recorded_output(tmp_path, monkeypatch, recorded, workers):
+    # every row and summary line, text for text; the JSON without its wall clock
+    monkeypatch.setenv("SIMPLEXGAME_WORKERS", workers)
+    text, seed = RECORDED_SWEEPS[recorded]
+    cfg, data = tmp_path / "sweep.cfg", Path(__file__).parent / "data"
+    cfg.write_text(text)
+    for name in (f"{recorded}.csv", f"{recorded}.json"):
+        out = tmp_path / name
+        assert main(["sweep", "--config", str(cfg), "--seed", str(seed), "--out", str(out),
+                     "--format", out.suffix[1:]]) == 0
+        if out.suffix == ".json":
+            payload = json.loads(out.read_text())
+            payload["metadata"].pop("wall_clock_seconds")
+            out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        else:
+            summary = Path(harness.summary_path_for(name))
+            assert (tmp_path / summary).read_text() == (data / summary).read_text()
+        assert out.read_text() == (data / name).read_text()
+
+
 def test_predict_subcommand(tmp_path):
     out = tmp_path / "pred.csv"
     code = main(["predict", "--S", "2", "--B", "5",
@@ -413,8 +466,9 @@ REJECTED = {
     "predict-negative-inf-lambda":
         (["predict", "--S", "2", "--B", "5", "--lambda-grid=-inf"], None),
     # 10^12 sizes: refused by a budget, not by a failed allocation
-    "sweep-huge-t_max":
-        (["sweep", "--config", "{cfg}", "--out", "{out}"], SWEEP_ONE + f"t_max = {HUGE}\n"),
+    "sweep-huge-window":
+        (["sweep", "--config", "{cfg}", "--out", "{out}"],
+         SWEEP_ONE + f"t_max = {HUGE}\nwindow = {HUGE}\n"),
     "run-huge-iterations":
         (["run", "--config", "{cfg}", "--out", "{out}"],
          RUN_CFG.replace("iterations = 300", f"iterations = {HUGE}")),
@@ -432,6 +486,36 @@ REJECTED = {
     "zeta-huge-chunk":
         (["zeta", "--S", str(2 * 10**12), "--method", "monte-carlo", "--samples", "2"], None),
 }
+
+
+# S = 1: purity is 1, so every realization stops at its first check, round 2 * window
+SETTLES_AT_FIRST_CHECK = """\
+players = 20
+nodes = 3
+strategies = 1
+lambda_grid = 1
+realizations = 2
+window = 100
+check_every = 50
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_t_max_only_caps_play(tmp_path, monkeypatch, workers):
+    # a sweep holds its last `window` rounds per realization, so a t_max far
+    # beyond where play stops sizes nothing, for any worker count
+    monkeypatch.setenv("SIMPLEXGAME_WORKERS", workers)
+
+    def outputs(t_max):
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / f"t{t_max}.csv"
+        cfg.write_text(SETTLES_AT_FIRST_CHECK + f"t_max = {t_max}\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        return out.read_text(), Path(harness.summary_path_for(str(out))).read_text()
+
+    want = outputs(1000)
+    assert [line.split(",")[-2:] for line in want[0].splitlines()[1:]] == [["true", "200"]] * 2
+    for t_max in (10**8, HUGE):
+        assert outputs(t_max) == want
 
 
 def _invoke(tmp, call):

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from simplexgame import (ConvergenceSettings, GameConfig,
+from simplexgame import (BudgetError, ConvergenceSettings, GameConfig,
                          LearningConfig, MixedProfile, PureInstance,
                          StrategyMatrix, StrengthDistribution, ValidationError,
                          build_simplex, draw_strategy_matrix, expected_frustration,
-                         integrate_replicator, learning, random_baseline,
-                         replicator_flow, resolve_bets, reward_vector, run,
+                         learning, random_baseline, resolve_bets, reward_vector, run,
                          strategy_payoffs)
 from simplexgame.learning import PURITY_THRESHOLD, Lockstep
 
 from conftest import play_round, random_profile, small_instance
-from references import softmax_probabilities
+from references import integrate_replicator, replicator_flow, softmax_probabilities
 
 FIG1_STYLE = dict(players=50, nodes=5, signals=2, strategies_per_player=2)
 
@@ -496,3 +495,46 @@ def test_compacted_batch_keeps_every_rows_record():
                 getattr(alone.trajectory, name).tobytes()
         assert got.state.scores.tobytes() == alone.state.scores.tobytes()
         assert got.state.probabilities.tobytes() == alone.state.probabilities.tobytes()
+
+
+def test_tail_holds_the_last_rounds_of_the_full_record():
+    # the staggered rows stop at five different checks and one plays to t_max;
+    # with and without checks (whose 1500 rounds are played in sub-blocks of
+    # 1092), a record of the last `tail` rounds is the end of the full record,
+    # bit for bit, and play is unchanged
+    learn = LearningConfig(iterations=1500)
+    instances = [_staggered_game(seed) for seed in range(8)]
+
+    def play(convergence, tail=None):
+        return learning.run_lockstep([(cfg, c, np.random.default_rng(seed))
+                                      for seed, (cfg, _, c) in enumerate(instances)],
+                                     learn, convergence, tail)
+
+    for convergence in (ConvergenceSettings(window=100, check_every=50), None):
+        full = play(convergence)
+        stops = [r.state.iteration for r in full]
+        assert convergence is None or len(set(stops)) == 6 and learn.iterations in stops
+        for tail in (0, 1, 37, 50, 100, 160, 2000):
+            for got, want in zip(play(convergence, tail), full):
+                assert (got.state.iteration, got.converged) == \
+                    (want.state.iteration, want.converged)
+                assert got.state.scores.tobytes() == want.state.scores.tobytes()
+                assert got.state.probabilities.tobytes() == \
+                    want.state.probabilities.tobytes()
+                held = min(tail, want.state.iteration)
+                assert len(got.trajectory) == held
+                for name in ("signals", "frustrations", "purities"):
+                    record = getattr(want.trajectory, name)
+                    assert getattr(got.trajectory, name).tobytes() == \
+                        record[len(record) - held:].tobytes()
+
+
+def test_lockstep_budget_checks_the_reward_table():
+    # four games of 10^7 players on 255 nodes would need an 80 GB reward
+    # table: refused before any array of the batch is allocated
+    n = 10**7
+    cfg = GameConfig(players=n, nodes=255, signals=1, strategies_per_player=1,
+                     strengths=StrengthDistribution.uniform(255))
+    c = StrategyMatrix(np.zeros((n, 1, 1), dtype=np.uint8))
+    with pytest.raises(BudgetError, match="reward table"):
+        Lockstep([(cfg, c, np.random.default_rng(k)) for k in range(4)])
