@@ -140,10 +140,9 @@ def _cmd_oracle(args) -> int:
         if spec == "random":
             raise ValidationError("must be uniform or a comma list; the oracle solves "
                                   "one fixed game, not random draws")
-        y = (StrengthDistribution.uniform(args.nodes) if spec == "uniform"
-             else StrengthDistribution(np.asarray(spec)))
     except ValueError as exc:   # ValidationError is a ValueError
         raise ValidationError(f"--strengths {args.strengths!r}: {exc}") from exc
+    y = StrengthDistribution(harness._strengths_field("--strengths", spec, args.nodes))
     config = GameConfig(players=args.players, nodes=args.nodes, signals=args.signals,
                         strategies_per_player=args.strategies, strengths=y)
     oracle.check_budget(config, args.budget)   # before the table is drawn

@@ -4,7 +4,9 @@ MAX_ALLOCATION_BYTES = 1 << 32  # 4 GiB; a serial c05 sweep peaks at 70 MB, so m
 
 
 class ValidationError(ValueError):
-    """An input violates a documented invariant (bad strengths, shapes, ranges)."""
+    """An input violates a documented invariant; `field` is the failed check's config field."""
+
+    field: str | None = None
 
 
 class DegenerateStrengthsError(ValidationError):

@@ -291,6 +291,20 @@ def _signal_blocks(c: StrategyMatrix, rows: np.ndarray, nodes: int, step: int):
                                 minlength=keys.shape[0] * nodes)
 
 
+def fold_rows(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(K, P) terms summed over K in order, as one running sum along P (into
+    `out` too, if given).  numpy reduces axis 0 of a C-ordered (K, P) array
+    that way whenever P >= 2, but sums a contiguous column pairwise: a gather
+    may come out column-major, and a (K, 1) stack is reduced as two copies."""
+    columns = terms.shape[1]
+    if columns == 1:
+        terms = np.repeat(terms, 2, axis=1)
+    total = np.add.reduce(np.ascontiguousarray(terms), axis=0)[:columns]
+    if out is not None:
+        out[...] = total
+    return total
+
+
 def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray,
                      config: GameConfig) -> np.ndarray:
     """(N, S) matrix of signal-averaged payoffs u_i(rest mixed; strategy s).
@@ -304,24 +318,20 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray,
     One pass over the table.  Each block of signals gathers (O + 1) / y and
     player i's own 1 / y per entry with one take, and [c_ijm = c_ikm] / y(c_ijm)
     for each pair j < k (the pair (k, j) is the same number and (j, j) is the
-    own term).  The terms go into stacks below the running sums, and one sum
-    over a stack's signal axis adds them row by row: every sum runs in m order,
-    as one sum over the whole table would, whatever the block size.
+    own term).  The terms go into stacks below their row 0, the running sums,
+    and `fold_rows` adds a stack row by row into row 0: every sum runs in m
+    order, as one sum over the whole table would, whatever the block size.
     """
     rows = p.rows if isinstance(p, MixedProfile) else np.asarray(p, dtype=float)
     _check_fit(c, rows, config)
     n, strategies, m = c.shape
     pairs = [(j, k) for j in range(strategies) for k in range(j + 1, strategies)]
-    # Row 0 of a stack holds the running sums.  numpy sums a lone contiguous
-    # axis pairwise, out of m order, so a one-player pair stack gets a spare column.
-    width = 2 if n * len(pairs) == 1 else len(pairs)
     # a block's stacked terms fill at most TABLE_BLOCK numbers
-    signals = min(m, max(1, TABLE_BLOCK // (n * (2 * strategies + width))))
+    signals = min(m, max(1, TABLE_BLOCK // (n * (2 * strategies + len(pairs)))))
     inv_y = np.tile(1.0 / config.strengths.weights, signals)
     lookup = np.empty((inv_y.size, 2))   # per (signal, node): (O + 1) / y and 1 / y
     stack = np.zeros((signals + 1, n, strategies, 2))
-    pair_stack = np.zeros((signals + 1, n, width))
-    sums, pair_sums = np.zeros(stack.shape[1:]), np.zeros(pair_stack.shape[1:])
+    pair_stack = np.zeros((signals + 1, n, len(pairs)))
     for keys, occupancy in _signal_blocks(c, rows, config.nodes, signals):
         size = keys.shape[0]
         per_key = lookup[:occupancy.size]
@@ -333,9 +343,10 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray,
         for col, (j, k) in enumerate(pairs):
             np.multiply(keys[..., j] == keys[..., k], terms[..., j, 1],
                         out=pair_stack[1:size + 1, :, col])
-        for stacked, running in ((stack, sums), (pair_stack, pair_sums)):
-            stacked[0] = running
-            np.sum(stacked[:size + 1], axis=0, out=running)
+        for stacked in (stack, pair_stack):
+            running = stacked[0].reshape(-1)
+            fold_rows(stacked[:size + 1].reshape(size + 1, running.size), running)
+    sums, pair_sums = stack[0], pair_stack[0]
     same = {(j, j): sums[:, j, 1] for j in range(strategies)}
     for col, (j, k) in enumerate(pairs):
         same[j, k] = same[k, j] = pair_sums[:, col]

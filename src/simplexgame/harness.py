@@ -12,6 +12,8 @@ games, plays them in lockstep (`learning.run_lockstep`) and measures each
 from its `RunResult`, which carries its game's config and last `window`
 rounds.  No simplex is built: every measurement is computed in count space.
 A realization's row depends only on its own seed, not its batch or worker count.
+`ExperimentConfig` checks every field as it is built, and `experiment_from_file`
+alone turns a failed check's `ValidationError.field` into a `file:line`.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from .learning import ConvergenceSettings, LearningConfig, LearnerState, Traject
 WORKERS_ENV = "SIMPLEXGAME_WORKERS"
 MEASUREMENT_MODES = ("final-profile", "windowed-trace")
 MAX_GRID_POINTS = 10**6  # a start:end:count grid larger than this is a typo, not a sweep
+_CSV_ROUNDS = 1 << 14  # rounds formatted at a time when a trajectory is written
 
 
 @dataclass
@@ -59,26 +62,48 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        check_node_count(self.nodes)   # before any per-node strengths are built
-        self.strengths = _strengths_field("strengths", self.strengths, self.nodes)
-        if self.strengths_b is not None:
-            self.strengths_b = _strengths_field("strengths_b", self.strengths_b, self.nodes)
-        for name in ("players", "strategies", "signals", "realizations"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
-        ConvergenceSettings(window=self.window, check_every=self.check_every)  # validates
-        LearningConfig(gamma=self.gamma, iterations=self.iterations)  # validates
-        if self.t_max < self.window:
-            raise ValidationError("t_max must be >= window")
-        if self.measurement not in MEASUREMENT_MODES:
-            raise ValidationError(f"measurement must be one of {MEASUREMENT_MODES}")
-        if self.master_seed < 0:
-            raise ValidationError("seed must be >= 0")
-        if self.lambda_grid is not None:
-            grid = tuple(float(v) for v in self.lambda_grid)
-            if not all(0.0 < v < np.inf for v in grid):
-                raise ValidationError("lambda grid values must be > 0 and finite")
-            self.lambda_grid = grid or None
+        """Check every field, tagging a failed check's ValidationError with it,
+        and last what a sweep's batches would find overflowing under fixed
+        strengths: each arm's at the largest grid M, gamma over t_max at the smallest."""
+        field = "nodes"
+        try:
+            check_node_count(self.nodes)   # before any per-node strengths are built
+            for field in ("strengths", "strengths_b"):
+                if field == "strengths" or self.strengths_b is not None:
+                    setattr(self, field, _strengths_field(field, getattr(self, field), self.nodes))
+            for field in ("players", "strategies", "signals", "realizations"):
+                if getattr(self, field) is not None and getattr(self, field) < 1:
+                    raise ValidationError(f"{field} must be >= 1")
+            for field in ("window", "check_every"):
+                ConvergenceSettings(**{field: getattr(self, field)})
+            for field in ("gamma", "iterations"):
+                LearningConfig(**{field: getattr(self, field)})
+            for field, bad, message in (
+                    ("t_max", self.t_max < self.window, "t_max must be >= window"),
+                    ("measurement", self.measurement not in MEASUREMENT_MODES,
+                     f"measurement must be one of {MEASUREMENT_MODES}"),
+                    ("master_seed", self.master_seed < 0, "seed must be >= 0")):
+                if bad:
+                    raise ValidationError(message)
+            field = "lambda_grid"
+            if self.lambda_grid is not None:
+                grid = tuple(float(v) for v in self.lambda_grid)
+                if not all(0.0 < v < np.inf for v in grid):
+                    raise ValidationError("lambda grid values must be > 0 and finite")
+                self.lambda_grid = grid or None
+            for arm in ("strengths", "strengths_b"):
+                weights = getattr(self, arm)
+                if self.lambda_grid is None or weights is None or weights == "random":
+                    continue
+                signals = [signals_for(lam, self.players) for lam in self.lambda_grid]
+                field = arm   # GameConfig checks the count-space terms
+                _draw_game(self, weights, max(signals))
+                field = "gamma"
+                learning.check_score_range(self.gamma, self.t_max,
+                                           _draw_game(self, weights, min(signals)))
+        except ValidationError as exc:
+            exc.field = field
+            raise
 
 
 def _strengths_field(name: str, value, nodes: int):
@@ -96,10 +121,11 @@ def _strengths_field(name: str, value, nodes: int):
     return tuple(y.weights.tolist())
 
 
-def _draw_game(exp: ExperimentConfig, signals: int, rng) -> GameConfig:
-    """One realization's game; "random" strengths are drawn from `rng` first."""
-    y = (StrengthDistribution.random_proper(exp.nodes, rng) if exp.strengths == "random"
-         else StrengthDistribution(exp.strengths))
+def _draw_game(exp: ExperimentConfig, strengths, signals: int, rng=None) -> GameConfig:
+    """exp's game at `signals` signals under `strengths`, a strengths field's
+    value; "random" strengths are drawn from `rng` first."""
+    y = (StrengthDistribution.random_proper(exp.nodes, rng) if strengths == "random"
+         else StrengthDistribution(strengths))
     return GameConfig(players=exp.players, nodes=exp.nodes, signals=signals,
                       strategies_per_player=exp.strategies, strengths=y)
 
@@ -179,7 +205,7 @@ def _run_batch(job: tuple) -> list:
     for lambda_index, realization, signals in coords:
         seed = child_seed(exp.master_seed, lambda_index, realization)
         rng = np.random.default_rng(seed)
-        config = _draw_game(exp, signals, rng)
+        config = _draw_game(exp, exp.strengths, signals, rng)
         seeds.append(seed)
         games.append((config, draw_strategy_matrix(config, rng), rng))
     results = learning.run_lockstep(
@@ -344,17 +370,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, text) -> None:
+    """Write `text`: one string, or an iterable of strings written in turn."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def _csv_lines(rows):
+    return (",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
 def csv_text(header: str, rows) -> str:
     """The header line, then one line of comma-joined cells per row."""
-    return "".join([header, "\n", *(",".join(map(_fmt, row)) + "\n" for row in rows)])
+    return "".join([header, "\n", *_csv_lines(rows)])
 
 
 # the columns of the data and summary files, which name the JSON fields too
@@ -415,14 +446,19 @@ def export_sweep(result: SweepResult, path: str, fmt: str = "csv") -> list:
     return list(texts)
 
 
-def trajectory_csv(trajectory: Trajectory) -> str:
-    return csv_text("t,m,R_t,purity", zip(
-        range(len(trajectory)), trajectory.signals.tolist(),
-        trajectory.frustrations.tolist(), trajectory.purities.tolist()))
+def _trajectory_csv(trajectory: Trajectory):
+    """The `t,m,R_t,purity` CSV of every round, in texts of _CSV_ROUNDS rounds."""
+    yield "t,m,R_t,purity\n"
+    for start in range(0, len(trajectory), _CSV_ROUNDS):
+        part = slice(start, start + _CSV_ROUNDS)
+        yield "".join(_csv_lines(zip(
+            range(start, len(trajectory)), trajectory.signals[part].tolist(),
+            trajectory.frustrations[part].tolist(), trajectory.purities[part].tolist())))
 
 
 def export_trajectory(trajectory: Trajectory, path: str) -> None:
-    _write_text(path, trajectory_csv(trajectory))
+    """Write a run's trajectory CSV, holding the text of one chunk of rounds at a time."""
+    _write_text(path, _trajectory_csv(trajectory))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +470,7 @@ def single_run(exp: ExperimentConfig) -> learning.RunResult:
         raise ValidationError("single runs need an explicit signal count")
     rng = np.random.default_rng(exp.master_seed)
     learn = LearningConfig(gamma=exp.gamma, iterations=exp.iterations)
-    return learning.run(_draw_game(exp, exp.signals, rng), learn, rng)
+    return learning.run(_draw_game(exp, exp.strengths, exp.signals, rng), learn, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -530,44 +566,17 @@ def _parse_config(path: str) -> tuple[dict, dict]:
 
 
 def experiment_from_file(path: str, seed: int | None = None) -> ExperimentConfig:
-    """The experiment a config file describes; `seed` overrides its `seed` key."""
+    """The experiment a config file describes, a bad value failing at `file:line`;
+    `seed` overrides its `seed` key."""
     values, set_at = _parse_config(path)
     for f in fields(ExperimentConfig):
         if f.default is MISSING and f.name not in values:
             raise ValidationError(f"{path}: missing required key {f.name!r}")
     if seed is not None:
         values["master_seed"] = seed
+        set_at.pop("master_seed", None)
     try:
-        exp = ExperimentConfig(**values)
+        return ExperimentConfig(**values)
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    _check_overflow(exp, path, set_at)
-    return exp
-
-
-def _check_overflow(exp: ExperimentConfig, path: str, set_at: dict) -> None:
-    """What a sweep's batches would find overflowing, found before any pool
-    starts when the strengths are fixed: strengths whose count-space terms
-    overflow at the grid's largest signal count, and a gamma whose scores
-    overflow over t_max at its smallest.  An error names the file and the
-    line that set the field.  Random strengths are checked in each batch."""
-    if exp.lambda_grid is None:
-        return
-    signals = [signals_for(lam, exp.players) for lam in exp.lambda_grid]
-    for field in ("strengths", "strengths_b"):
-        weights = getattr(exp, field)
-        if weights is None or weights == "random":
-            continue
-
-        def game(m):
-            return GameConfig(players=exp.players, nodes=exp.nodes, signals=m,
-                              strategies_per_player=exp.strategies,
-                              strengths=StrengthDistribution(weights))
-        for name, check in ((field, lambda: game(max(signals))),
-                            ("gamma", lambda: learning.check_score_range(
-                                exp.gamma, exp.t_max, game(min(signals))))):
-            try:
-                check()
-            except ValidationError as exc:
-                where = f"{path}:{set_at[name]}" if name in set_at else path
-                raise ValidationError(f"{where}: {exc}") from exc
+        where = f"{path}:{set_at[exc.field]}" if exc.field in set_at else path
+        raise ValidationError(f"{where}: {exc}") from exc

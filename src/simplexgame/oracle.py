@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError, check_allocation
 from .game import (GameConfig, MixedProfile, PureInstance, StrategyMatrix, check_matrix,
-                   strategy_payoffs)
+                   fold_rows, strategy_payoffs)
 from .geometry import build_simplex
 
 DEFAULT_BUDGET = 10**6
@@ -228,7 +228,7 @@ class _ProfileEvaluator:
         for start in range(0, positions.size, step):
             h, l = np.divmod(positions[start:start + step], self.low_size)
             gains, rows, u = self.gains(high, 0, self.n, h, l)
-            totals.append(_fold(u))
+            totals.append(fold_rows(u))
             violations = gains.max(axis=0)
             played = rows - self.row_offset[:, None]
             best = max(best, float(totals[-1].max()))
@@ -239,7 +239,7 @@ class _ProfileEvaluator:
             if stable.any():
                 played, h, l, a = played[:, stable], h[stable], l[stable], self.high_players
                 profiles += _tuples(played)
-                cross = _fold(high.contractions[played[a:], np.arange(a, self.n)[:, None], h])
+                cross = fold_rows(high.contractions[played[a:], np.arange(a, self.n)[:, None], h])
                 norms = high.norms[h] + 2 * cross + self.low.norms[l]
                 frustrations += (norms / (self.n * self.table.shape[1])).tolist()
         return np.concatenate(totals), profiles, frustrations, candidates, best
@@ -268,19 +268,6 @@ def _rounding_bound(vertices: np.ndarray, signals: int) -> float:
     k = width + 2 * n + 4
     unit = np.finfo(float).eps / 2
     return 2 * k * unit / (1 - k * unit) * float(reach @ reach) / (n * signals)
-
-
-def _fold(terms: np.ndarray) -> np.ndarray:
-    """(K, P) terms summed over K in order, as one running sum along P.
-
-    numpy reduces axis 0 of a C-ordered (K, P) array that way, one row at a
-    time, whenever P >= 2, but sums a contiguous column pairwise: a gather
-    may come out column-major, and a (K, 1) stack is reduced as two copies of
-    its column."""
-    columns = terms.shape[1]
-    if columns == 1:
-        terms = np.repeat(terms, 2, axis=1)
-    return np.add.reduce(np.ascontiguousarray(terms), axis=0)[:columns]
 
 
 def _plan(config: GameConfig) -> tuple[int, int, int]:

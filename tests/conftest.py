@@ -32,6 +32,14 @@ def random_profile(rng, players, strategies):
     return MixedProfile(rows)
 
 
+def reference_softmax_rows(scores, gammas):
+    """(N, S) softmax of each row of scores at its player's learning rate."""
+    z = gammas[:, None] * scores
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def reference_state(config, gamma=DEFAULT_LEARNING_RATE):
     """The uniform start a per-realization reference round updates in place:
     (N, S) scores and probabilities, one learning rate per player, the round count."""

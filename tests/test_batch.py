@@ -20,14 +20,7 @@ from simplexgame.harness import (RealizationRow, child_seed, measure_steady_stat
                                  sweep_data_csv, sweep_json, sweep_summary_csv)
 from simplexgame.learning import Lockstep, _frustration, play_block
 
-from conftest import reference_state
-
-
-def _reference_softmax_rows(scores, gammas):
-    z = gammas[:, None] * scores
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+from conftest import reference_softmax_rows, reference_state
 
 
 def reference_iterate(state, c, config, rng):
@@ -46,7 +39,7 @@ def reference_iterate(state, c, config, rng):
     inv_y = 1.0 / config.strengths.weights
     occupancy = counts[table] + (table != played[:, None])
     state.scores += (1.0 - occupancy * inv_y[table] / config.players) / config.signals
-    state.probabilities = _reference_softmax_rows(state.scores, state.learning_rates)
+    state.probabilities = reference_softmax_rows(state.scores, state.learning_rates)
     state.iteration += 1
     r_t = float(counts @ (counts * inv_y) - n * n) / (config.players * (config.nodes - 1))
     return (state.iteration, m, r_t, float(state.probabilities.max(axis=1).min()), counts)

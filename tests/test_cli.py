@@ -253,6 +253,13 @@ def test_overflowing_learning_rate_exits_one_before_play(tmp_path, capsys, monke
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == (f"error: {cfg}: learning rate gamma up to "
                                        "1e+308 overflows the scores of 400 rounds\n")
+    # a t_max beyond any float overflows the default gamma, without a traceback
+    for strengths in ("uniform", "random"):
+        cfg.write_text(SWEEP_CFG.replace("t_max = 400", "t_max = 1" + "0" * 400)
+                       + f"strengths = {strengths}\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: learning rate gamma up to 20.0 overflows the scores of 1000")
 
 
 @pytest.mark.parametrize("line,lineno", [("players = abc", 1),
@@ -269,12 +276,42 @@ def test_bad_config_value_exits_one_with_location(tmp_path, capsys, line, lineno
     assert f"{bad}:{lineno}:" in capsys.readouterr().err
 
 
+def _set(line: str) -> tuple:
+    """SWEEP_CFG with `line` in place of its key's line, or after the last
+    line, and ":<number of that line>"."""
+    lines = SWEEP_CFG.splitlines()
+    at = next((i for i, text in enumerate(lines) if text.split(" = ")[0] == line.split(" = ")[0]),
+              len(lines))
+    lines[at:at + 1] = [line]
+    return "\n".join(lines) + "\n", f":{at + 1}"
+
+
+# one case per check of an experiment: each names the line that set the value
 @pytest.mark.parametrize("text,where", [
-    (SWEEP_CFG + "measurement = median\n", ""),
-    (SWEEP_CFG + "strengths = 0.5,0.3,0.2\n", ""),    # three weights, two nodes
-    (SWEEP_CFG.replace("t_max = 400", "t_max = 50"), ""),
+    _set("measurement = median"),
+    _set("strengths = 0.5,0.3,0.2"),    # three weights, two nodes
+    _set("t_max = 50"),                 # below window
     (SWEEP_CFG + "strengths = uniform\nefficiencies = 1,2\n", ":10"),
-], ids=["measurement", "strengths-count", "t_max-below-window", "strengths-and-efficiencies"])
+    _set("players = 0"),
+    _set("nodes = 1"),
+    _set("nodes = 256"),
+    _set("strategies = 0"),
+    _set("signals = 0"),
+    _set("realizations = 0"),
+    _set("window = 0"),
+    _set("check_every = 0"),
+    _set("gamma = nan"),
+    _set("gamma = -1"),
+    _set("iterations = -5"),
+    _set("lambda_grid = 0,1"),
+    _set("seed = -1"),
+    _set("efficiencies = 1,2,3"),
+    _set("strengths_b = 0.2,0.2"),
+    _set("efficiencies_b = 1,2,3"),
+], ids=["measurement", "strengths-count", "t_max-below-window", "strengths-and-efficiencies",
+        "players", "nodes-below-2", "nodes-above-255", "strategies", "signals", "realizations",
+        "window", "check_every", "gamma-nan", "gamma-negative", "iterations", "lambda_grid",
+        "seed", "efficiencies-count", "strengths_b", "efficiencies_b-count"])
 def test_bad_experiment_exits_one_naming_the_file(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)
@@ -287,19 +324,21 @@ NO_GRID = SWEEP_CFG.replace("lambda_grid = 0.5,1\n", "")
 
 
 @pytest.mark.parametrize("command,text,message", [
-    ("sweep", NO_GRID, "sweep needs a lambda_grid"),
-    ("verify-reduction", NO_GRID, "verify_reduction needs a lambda_grid"),
-    ("run", RUN_CFG.replace("signals = 2\n", ""), "single runs need an explicit signal count"),
-    ("compare-strengths", SWEEP_CFG, "compare_strengths needs a second strength distribution"),
-    ("run", RUN_CFG.replace("iterations = 300", "iterations = -5"), "iterations must be >= 0"),
+    ("sweep", NO_GRID, ": sweep needs a lambda_grid"),
+    ("verify-reduction", NO_GRID, ": verify_reduction needs a lambda_grid"),
+    ("run", RUN_CFG.replace("signals = 2\n", ""), ": single runs need an explicit signal count"),
+    ("compare-strengths", SWEEP_CFG, ": compare_strengths needs a second strength distribution"),
+    ("run", RUN_CFG.replace("iterations = 300", "iterations = -5"),
+     ":6: iterations must be >= 0"),
 ], ids=["sweep-no-grid", "reduction-no-grid", "run-no-signals", "compare-no-second-arm",
         "negative-iterations"])
 def test_error_after_reading_the_config_names_it_once(tmp_path, capsys, command, text,
                                                       message):
+    # a command's own needs name the file; a bad value names its line too
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
-    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert capsys.readouterr().err == f"error: {cfg}{message}\n"
 
 
 def test_bad_second_arm_exits_one_before_any_play(tmp_path, capsys, monkeypatch):
@@ -312,7 +351,7 @@ def test_bad_second_arm_exits_one_before_any_play(tmp_path, capsys, monkeypatch)
     assert main(["compare-strengths", "--config", str(cfg),
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == \
-        f"error: {cfg}: strengths_b: strengths must sum to 1 (got 0.4)\n"
+        f"error: {cfg}:9: strengths_b: strengths must sum to 1 (got 0.4)\n"
 
 
 def test_non_utf8_config_exits_one_with_location(tmp_path, capsys):
@@ -331,13 +370,15 @@ def test_removed_payoff_mode_key_exits_one_with_location(tmp_path, capsys):
     assert f"{bad}:9:" in err and "unknown config key 'payoff_mode'" in err
 
 
-@pytest.mark.parametrize("strengths", ["0.5,abc", "random", "abc", "0.5,0.6"])
-def test_bad_oracle_strengths_exit_one(capsys, strengths):
-    code = main(["oracle", "--N", "3", "--S", "2", "--M", "2", "--B", "2",
+@pytest.mark.parametrize("strengths,nodes", [("0.5,abc", "2"), ("random", "2"), ("abc", "2"),
+                                             ("0.5,0.6", "2"), ("0.5,0.5", "3")],
+                         ids=["0.5,abc", "random", "abc", "0.5,0.6", "two-weights-three-nodes"])
+def test_bad_oracle_strengths_exit_one(capsys, strengths, nodes):
+    code = main(["oracle", "--N", "3", "--S", "2", "--M", "2", "--B", nodes,
                  "--strengths", strengths])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error: --strengths") and "Traceback" not in err
 
 
 def test_oracle_strengths_list_matches_library(tmp_path):

@@ -14,18 +14,11 @@ from simplexgame import (GameConfig, MixedProfile,
                          strategy_payoffs)
 from simplexgame.learning import Lockstep
 
-from conftest import (play_round, random_profile, random_proper_strengths, reference_state,
-                      small_instance)
+from conftest import (play_round, random_profile, random_proper_strengths,
+                      reference_softmax_rows, reference_state, small_instance)
 
 ROUNDS = 500
 TOL = 1e-12
-
-
-def _reference_softmax_rows(scores, gammas):
-    z = gammas[:, None] * scores
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def reference_iterate(state, c, simplex, config, rng):
@@ -50,7 +43,7 @@ def reference_iterate(state, c, simplex, config, rng):
     ) / (config.signals * config.players)
 
     state.scores += rewards
-    state.probabilities = _reference_softmax_rows(state.scores, state.learning_rates)
+    state.probabilities = reference_softmax_rows(state.scores, state.learning_rates)
     state.iteration += 1
     r_t = float(b @ b) / (config.players * (config.nodes - 1))
     return m, counts, r_t

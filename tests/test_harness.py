@@ -16,6 +16,7 @@ from simplexgame import harness
 from simplexgame.harness import (CONFIG_KEYS, config_hash, parse_lambda_grid,
                                  semantic_config, signals_for, sweep_data_csv,
                                  sweep_summary_csv)
+from simplexgame.learning import Trajectory
 
 from references import parse_config_file
 
@@ -222,6 +223,23 @@ def test_trajectory_export(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,m,R_t,purity"
     assert len(lines) == 21
+
+
+def test_trajectory_export_writes_in_chunks_with_the_same_text(tmp_path):
+    # longer than two chunks, with a ragged last one
+    rounds = 2 * harness._CSV_ROUNDS + 123
+    rng = np.random.default_rng(5)
+    purities = rng.random(rounds)
+    purities[::7] = np.nan
+    trajectory = Trajectory(rng.integers(0, 50, rounds), rng.standard_normal(rounds) * 1e3,
+                            purities)
+    path = tmp_path / "traj.csv"
+    export_trajectory(trajectory, str(path))
+    assert path.read_text() == harness.csv_text("t,m,R_t,purity", zip(
+        range(rounds), trajectory.signals.tolist(), trajectory.frustrations.tolist(),
+        purities.tolist()))
+    with pytest.raises(OSError, match="^cannot write .*no_such_dir"):
+        export_trajectory(trajectory, str(tmp_path / "no_such_dir" / "traj.csv"))
 
 
 # -- comparisons -------------------------------------------------------------
@@ -434,5 +452,12 @@ def test_config_text_gives_experiment_or_validation_error(tmp_path_factory, entr
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     try:
         experiment_from_file(str(path))
-    except ValidationError:
-        pass
+    except ValidationError as exc:
+        # a failed check of a field the file set names the line that set it
+        field = getattr(exc.__cause__, "field", None)
+        keys = [line.split("#", 1)[0].split("=", 1)[0].strip()
+                for line in path.read_text(encoding="utf-8").split("\n")]
+        setting = [n for n, key in enumerate(keys, start=1)
+                   if key in CONFIG_KEYS and CONFIG_KEYS[key][0] == field]
+        if setting:
+            assert str(exc).startswith(f"{path}:{setting[0]}: ")
