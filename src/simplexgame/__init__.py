@@ -13,8 +13,8 @@ from .analytics import (AnarchyPrediction, critical_lambda, predicted_anarchy,
 from .errors import BudgetError, DegenerateStrengthsError, ValidationError
 from .game import (Allocation, GameConfig, MixedProfile, PureInstance,
                    StrategyMatrix, StrengthDistribution, draw_strategy_matrix,
-                   expected_frustration, frustration, load_strategy_matrix,
-                   resolve_bets, save_strategy_matrix, strategy_payoffs)
+                   expected_frustration, load_strategy_matrix, resolve_bets,
+                   save_strategy_matrix, strategy_payoffs)
 from .geometry import Simplex, build_simplex, gram_defect, weighted_moments
 from .harness import (ComparisonResult, ExperimentConfig, SweepResult, child_seed,
                       compare_strengths, experiment_from_file, export_sweep,

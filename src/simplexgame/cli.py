@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analytics, harness, oracle
 from .errors import ValidationError
-from .game import GameConfig, StrengthDistribution, check_node_count, draw_strategy_matrix
+from .game import draw_strategy_matrix
 from .geometry import build_simplex, debug_dict
 
 
@@ -134,7 +134,6 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    check_node_count(args.nodes)   # before the strengths are built
     try:   # the config file's strengths syntax
         spec = harness.parse_strengths(args.strengths)
         if spec == "random":
@@ -142,9 +141,17 @@ def _cmd_oracle(args) -> int:
                                   "one fixed game, not random draws")
     except ValueError as exc:   # ValidationError is a ValueError
         raise ValidationError(f"--strengths {args.strengths!r}: {exc}") from exc
-    y = StrengthDistribution(harness._strengths_field("--strengths", spec, args.nodes))
-    config = GameConfig(players=args.players, nodes=args.nodes, signals=args.signals,
-                        strategies_per_player=args.strategies, strengths=y)
+    try:
+        exp = harness.ExperimentConfig(players=args.players, nodes=args.nodes,
+                                       strategies=args.strategies, signals=args.signals,
+                                       strengths=spec)
+    except ValidationError as exc:
+        field = exc.fields[0]
+        flag = {"players": "--N", "strategies": "--S", "signals": "--M", "nodes": "--B",
+                "strengths": "--strengths"}[field]
+        # a strengths check names its field, which the flag replaces
+        raise ValidationError(f"{flag}: {str(exc).removeprefix(f'{field}: ')}") from exc
+    config = harness._draw_game(exp, exp.strengths, exp.signals)
     oracle.check_budget(config, args.budget)   # before the table is drawn
     rng = np.random.default_rng(args.seed)
     matrix = draw_strategy_matrix(config, rng)

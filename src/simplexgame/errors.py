@@ -4,9 +4,10 @@ MAX_ALLOCATION_BYTES = 1 << 32  # 4 GiB; a serial c05 sweep peaks at 70 MB, so m
 
 
 class ValidationError(ValueError):
-    """An input violates a documented invariant; `field` is the failed check's config field."""
+    """An input violates a documented invariant; `fields` are the config fields
+    of the failed check, the one an error should name first."""
 
-    field: str | None = None
+    fields: tuple = ()
 
 
 class DegenerateStrengthsError(ValidationError):
@@ -20,5 +21,8 @@ class BudgetError(ValidationError):
 def check_allocation(nbytes: int, what: str) -> None:
     """Raise BudgetError before allocating more than MAX_ALLOCATION_BYTES for `what`."""
     if nbytes > MAX_ALLOCATION_BYTES:
-        raise BudgetError(f"{what} would need {nbytes / 2**30:.3g} GiB, above the "
+        # a size beyond any float is given by its bit length
+        size = (f"{nbytes / 2**30:.3g}" if nbytes.bit_length() <= 1000
+                else f"at least 2^{nbytes.bit_length() - 31}")
+        raise BudgetError(f"{what} would need {size} GiB, above the "
                           f"{MAX_ALLOCATION_BYTES / 2**30:.3g} GiB allocation budget")

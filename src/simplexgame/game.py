@@ -4,8 +4,9 @@ Players process a broadcast signal m in {1..M} with S preprogrammed
 strategies; each strategy maps every signal to one of B weighted nodes.
 Payoffs are congestion payoffs, which the simplex encoding turns into dot
 products with the aggregate bet b = sum of chosen vertices.  As q_r . q_l = -1 +
-delta_rl / y_r, the mixed-profile payoffs and frustrations are computed in count
-space, q_r . b = N_r / y_r - N, and nothing here reads the vertices.
+delta_rl / y_r, the mixed-profile payoffs, and through them the expected
+frustration, are computed in count space, q_r . b = N_r / y_r - N, and nothing
+here reads the vertices.
 The (N, S, M) table is drawn by counting cdf thresholds below each uniform
 and read once per payoff evaluation, one block of signals at a time; both give
 the same bytes as rng.choice and as one whole-table sum in signal order.
@@ -240,16 +241,16 @@ def draw_strategy_matrix(config: GameConfig, rng: np.random.Generator) -> Strate
 
 
 def resolve_bets(c: StrategyMatrix, inst: PureInstance,
-                 nodes: int | None = None) -> tuple[np.ndarray, Allocation]:
-    """Map each player's picked strategy to its node; count occupancies."""
+                 nodes: int) -> tuple[np.ndarray, Allocation]:
+    """Map each player's picked strategy to its node; count the occupancies
+    of all `nodes` nodes, the game's B."""
     n, s, m = c.shape
     if not (0 <= inst.signal < m):
         raise ValidationError(f"signal {inst.signal} out of range [0, {m})")
     if inst.choices.size != n or np.any(inst.choices < 0) or np.any(inst.choices >= s):
         raise ValidationError("strategy choices out of range")
     picked = c.entries[np.arange(n), inst.choices, inst.signal].astype(np.int64)
-    minlength = nodes if nodes is not None else int(c.entries.max()) + 1
-    counts = np.bincount(picked, minlength=minlength)
+    counts = np.bincount(picked, minlength=nodes)
     return picked, Allocation(counts)
 
 
@@ -261,13 +262,6 @@ def check_matrix(c: StrategyMatrix, config: GameConfig) -> None:
     top = int(c.entries.max())
     if top >= config.nodes:
         raise ValidationError(f"strategy table holds node {top} of a {config.nodes}-node game")
-
-
-def _check_fit(c: StrategyMatrix, rows: np.ndarray, config: GameConfig) -> None:
-    """The table and the (N, S) profile rows both belong to config's game."""
-    check_matrix(c, config)
-    if rows.shape != c.shape[:2]:
-        raise ValidationError(f"profile has shape {rows.shape}, the game needs {c.shape[:2]}")
 
 
 def _signal_blocks(c: StrategyMatrix, rows: np.ndarray, nodes: int, step: int):
@@ -323,7 +317,9 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray,
     order, as one sum over the whole table would, whatever the block size.
     """
     rows = p.rows if isinstance(p, MixedProfile) else np.asarray(p, dtype=float)
-    _check_fit(c, rows, config)
+    check_matrix(c, config)   # the table and the (N, S) rows belong to config's game
+    if rows.shape != c.shape[:2]:
+        raise ValidationError(f"profile has shape {rows.shape}, the game needs {c.shape[:2]}")
     n, strategies, m = c.shape
     pairs = [(j, k) for j in range(strategies) for k in range(j + 1, strategies)]
     # a block's stacked terms fill at most TABLE_BLOCK numbers
@@ -357,27 +353,12 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray,
     return (config.players - total) / config.players
 
 
-def frustration(c: StrategyMatrix, p: MixedProfile, config: GameConfig) -> float:
-    """Signal-averaged squared mean bet, normalized by N (B-1).
-
-    Averages the squared norm of the per-signal mean bet exactly over all M
-    signals, as sum_r O_mr^2 / y_r - (sum_r O_mr)^2 on mean occupancies O_mr.
-    """
-    _check_fit(c, p.rows, config)
-    step = max(1, TABLE_BLOCK // (config.players * config.strategies_per_player))
-    occupancy = np.concatenate([occupancy for _, occupancy in
-                                _signal_blocks(c, p.rows, config.nodes, step)])
-    occupancy = occupancy.reshape(-1, config.nodes)
-    squared = occupancy**2 @ (1.0 / config.strengths.weights) - occupancy.sum(axis=1) ** 2
-    return float(squared.sum()) / (occupancy.shape[0] * config.players * (config.nodes - 1))
-
-
 def expected_frustration(c: StrategyMatrix, p: MixedProfile, config: GameConfig) -> float:
     """Exact frustration level of a mixed profile: -(sum_i u_i*) / (B-1).
 
-    Unlike `frustration`, this is the expectation of |b|^2 under independent
-    strategy sampling, so it includes each player's own mixing variance.  The
-    two agree exactly at pure profiles.
+    This is the expectation of |b|^2 / (N (B-1)) under independent strategy
+    sampling, averaged over the M signals, so it includes each player's own
+    mixing variance; at a pure profile it is the signal average of R_t.
     """
     per_strategy = strategy_payoffs(c, p, config)
     u_star_total = float(np.einsum("is,is->", p.rows, per_strategy))

@@ -13,7 +13,7 @@ from its `RunResult`, which carries its game's config and last `window`
 rounds.  No simplex is built: every measurement is computed in count space.
 A realization's row depends only on its own seed, not its batch or worker count.
 `ExperimentConfig` checks every field as it is built, and `experiment_from_file`
-alone turns a failed check's `ValidationError.field` into a `file:line`.
+alone turns a failed check's `ValidationError.fields` into a `file:line`.
 """
 from __future__ import annotations
 
@@ -62,9 +62,10 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        """Check every field, tagging a failed check's ValidationError with it,
-        and last what a sweep's batches would find overflowing under fixed
-        strengths: each arm's at the largest grid M, gamma over t_max at the smallest."""
+        """Check every field, tagging a failed check's ValidationError with it
+        (t_max against window with both, t_max first), and last what a sweep's
+        batches would find overflowing under fixed strengths: each arm's at the
+        largest grid M, gamma over t_max at the smallest."""
         field = "nodes"
         try:
             check_node_count(self.nodes)   # before any per-node strengths are built
@@ -79,7 +80,7 @@ class ExperimentConfig:
             for field in ("gamma", "iterations"):
                 LearningConfig(**{field: getattr(self, field)})
             for field, bad, message in (
-                    ("t_max", self.t_max < self.window, "t_max must be >= window"),
+                    (("t_max", "window"), self.t_max < self.window, "t_max must be >= window"),
                     ("measurement", self.measurement not in MEASUREMENT_MODES,
                      f"measurement must be one of {MEASUREMENT_MODES}"),
                     ("master_seed", self.master_seed < 0, "seed must be >= 0")):
@@ -102,7 +103,7 @@ class ExperimentConfig:
                 learning.check_score_range(self.gamma, self.t_max,
                                            _draw_game(self, weights, min(signals)))
         except ValidationError as exc:
-            exc.field = field
+            exc.fields = (field,) if isinstance(field, str) else field
             raise
 
 
@@ -578,5 +579,5 @@ def experiment_from_file(path: str, seed: int | None = None) -> ExperimentConfig
     try:
         return ExperimentConfig(**values)
     except ValidationError as exc:
-        where = f"{path}:{set_at[exc.field]}" if exc.field in set_at else path
+        where = next((f"{path}:{set_at[f]}" for f in exc.fields if f in set_at), path)
         raise ValidationError(f"{where}: {exc}") from exc

@@ -13,7 +13,7 @@ K realizations, strategy-major so that each strategy's slice is a contiguous
 of all of them per call, and `play_block` draws a block of T rounds ahead,
 takes their table slices as one (T, S, K, N) slot array, plays them, and
 reads the block's purities from the (T, K, N) softmax totals the rounds
-wrote.  Realizations of a batch share N, S, B and the learning rates
+wrote.  Realizations of a batch share N, S, B and the learning rate
 but may differ in M and strengths, and each draws from its own generator in
 the order a lone run would, so its trajectory does not depend on what else
 shares the batch.  A block's draws are decoded from the PCG64 word stream
@@ -57,23 +57,24 @@ _BLOCK_WORDS = 2**15
 _BATCH_WORDS = 2**20
 
 
-def _check_rates(gamma) -> np.ndarray:
-    """gamma as a float array, after checking every rate is finite and >= 0."""
-    rates = np.asarray(gamma, dtype=float)
-    if not np.all((0.0 <= rates) & (rates < np.inf)):
+def _check_rate(gamma) -> float:
+    """gamma as a float, after checking it is one number, finite and >= 0."""
+    if not isinstance(gamma, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"gamma must be one learning rate, got {type(gamma).__name__}")
+    if not 0.0 <= gamma < np.inf:
         raise ValidationError("learning rates must be finite and >= 0")
-    return rates
+    return float(gamma)
 
 
 @dataclass
 class LearningConfig:
-    """Knobs of an iterated run; gamma may be a scalar or one rate per player."""
+    """Knobs of an iterated run; every player learns at the one rate gamma."""
 
-    gamma: float | np.ndarray = DEFAULT_LEARNING_RATE
+    gamma: float = DEFAULT_LEARNING_RATE
     iterations: int = 2000
 
     def __post_init__(self):
-        _check_rates(self.gamma)
+        _check_rate(self.gamma)
         if self.iterations < 0:
             raise ValidationError("iterations must be >= 0")
 
@@ -123,21 +124,21 @@ class RunResult:
     converged: bool  # stopped at a purity check
 
 
-def _softmax(scores: np.ndarray, rates, out: np.ndarray | None = None,
+def _softmax(scores: np.ndarray, rate: float, out: np.ndarray | None = None,
              total: np.ndarray | None = None) -> np.ndarray:
-    """Softmax of rates * scores over the leading strategy axis of (S, K, N) scores.
+    """Softmax of rate * scores over the leading strategy axis of (S, K, N) scores.
 
     Written to `out` (S, K, N) if given, and each player's sum of the shifted
-    exponentials to `total` (K, N) if given; rates is one number or one per
-    player.  The max and the sum fold over s = 0, 1, ... in turn: max is exact
-    in any order, and a plain axis reduction may sum pairwise (it does for
-    N = 1 and S >= 8), so its result would depend on N.  The folds loop over
-    the strategies, not a reduce as in `game.fold_rows`, which at S = 2 costs
-    more per call (sum: 2.4 against 1.6 us at K = 1, 13.1 against 8.0 us at
-    K = 175, N = 50, 2-core Xeon).  After the shift the top strategy's
-    exponential is exactly 1, so a player's largest probability is 1 / total.
+    exponentials to `total` (K, N) if given.  The max and the sum fold over
+    s = 0, 1, ... in turn: max is exact in any order, and a plain axis
+    reduction may sum pairwise (it does for N = 1 and S >= 8), so its result
+    would depend on N.  The folds loop over the strategies, not a reduce as
+    in `game.fold_rows`, which at S = 2 costs more per call (sum: 2.4 against
+    1.6 us at K = 1, 13.1 against 8.0 us at K = 175, N = 50, 2-core Xeon).
+    After the shift the top strategy's exponential is exactly 1, so a
+    player's largest probability is 1 / total.
     """
-    z = np.multiply(scores, rates, out=out)
+    z = np.multiply(scores, rate, out=out)
     strategies = z.shape[0]
     if total is None:
         total = np.empty(z.shape[1:])
@@ -261,14 +262,13 @@ def _reward(occupancy, inv_y, players: int, signals):
 class Lockstep:
     """Working arrays of K realizations that share N, S and B, played in lockstep.
 
-    `games` are (config, matrix, rng) tuples.  Scores start at zero
-    and probabilities uniform, both (S, K, N), so that each strategy's slice
-    is a contiguous (K, N) plane; every row learns at the rates gamma, one
-    float or one (N,) array of per-player rates.  Realization k's
-    signal-major table is rows offsets[k] .. offsets[k] + M_k of `tables`, one
-    (sum M, N, S) uint8 array, and it plays from its own generator rngs[k].
-    The allocation budget checks the reward table and the (S, K, N) arrays
-    before any of them is built.
+    `games` are (config, matrix, rng) tuples.  Scores start at zero and
+    probabilities uniform, both (S, K, N), so that each strategy's slice is a
+    contiguous (K, N) plane; every player of every row learns at the one rate
+    gamma.  Realization k's signal-major table is rows offsets[k] ..
+    offsets[k] + M_k of `tables`, one (sum M, N, S) uint8 array, and it plays
+    from its own generator rngs[k].  The allocation budget checks the reward
+    table and the (S, K, N) arrays before any of them is built.
     """
 
     def __init__(self, games: list, gamma=DEFAULT_LEARNING_RATE):
@@ -278,13 +278,9 @@ class Lockstep:
                          f"the reward table, scores and probabilities of {k} games of {n} players")
         bases = [matrix.entries.transpose(2, 0, 1) for _, matrix, _ in games]
         self.tables = bases[0] if len(bases) == 1 else np.concatenate(bases)
-        rates = _check_rates(gamma)
-        if rates.size != 1 and rates.shape != (n,):
-            raise ValidationError(f"gamma gives {rates.size} learning rates in shape "
-                                  f"{rates.shape} for {n} players; give one rate or {n}")
-        self.rates = rates.item() if rates.size == 1 else rates
+        self.rate = _check_rate(gamma)
         self.scores = np.zeros((strategies, k, n))
-        self.probabilities = _softmax(self.scores, self.rates)
+        self.probabilities = _softmax(self.scores, self.rate)
         self.signal_counts = [config.signals for config, _, _ in games]
         self.offsets = np.cumsum([0] + self.signal_counts[:-1])
         self.signals = np.array(self.signal_counts, dtype=float)[:, None, None]
@@ -366,7 +362,7 @@ def lockstep_round(batch: Lockstep, slots: np.ndarray, draws: np.ndarray,
     cells = (batch.slot_cells + counts).take(slots)
     cells += (slots != played).astype(np.int64)
     batch.scores += batch.rewards.take(cells)
-    _softmax(batch.scores, batch.rates, p, totals)
+    _softmax(batch.scores, batch.rate, p, totals)
     return counts.reshape(k, -1)
 
 
@@ -417,15 +413,15 @@ def run(config: GameConfig, learn: LearningConfig, seed,
     return run_lockstep([(config, matrix, rng)], learn, convergence)[0]
 
 
-def check_score_range(gamma, iterations: int, config: GameConfig) -> None:
-    """ValidationError when learning rates up to max(gamma) could overflow a
-    score of config's game over `iterations` rounds.
+def check_score_range(gamma: float, iterations: int, config: GameConfig) -> None:
+    """ValidationError when the learning rate gamma could overflow a score of
+    config's game over `iterations` rounds.
 
     A score sums at most `iterations` rewards (1 - occ / (y_r N)) / M, which
     fall as the occupancy occ = 0 .. N + 1 rises, also as rounded floats, so
     the largest |reward| of the table `Lockstep` plays is at one end.
     """
-    rate = float(np.max(gamma))
+    rate = _check_rate(gamma)
     ends = np.array([[0.0], [config.players + 1.0]])
     rewards = _reward(ends, 1.0 / config.strengths.weights, config.players, config.signals)
     try:
@@ -459,7 +455,7 @@ def run_lockstep(games: list, learn: LearningConfig,
     check_allocation(total * held * _ROW_BYTES, f"{total} records of the last {held} rounds")
     batch = Lockstep(games, learn.gamma)
     for config, _, _ in games:
-        check_score_range(batch.rates, iterations, config)
+        check_score_range(batch.rate, iterations, config)
     # row k holds game k's last `held` rounds, round t at flat index k * held + t % held
     records = [np.empty((total, held), dtype=dtype) for dtype in (np.int64, float, float)]
     results = [None] * total

@@ -14,23 +14,24 @@ rule's reward, builds its simplex the same way.
 A profile's aggregate bet is a sum over players, so it splits into the bets
 of a high half (the first players) and a low half (the rest), each
 contracted once with the vertex table (`_ProfileEvaluator`): the low half's
-once per game, the high half's a group of rows at a time.  A group pairs its
-rows with every low-half row, so groups follow `itertools.product` order
-without decoding any profile's digits.  In a group, a profile stops being a
-candidate equilibrium at the first player who gains by deviating, and a norm
-filter keeps the profiles that can be maximizers; those and the ones still
-standing are read out, their N payoffs summed, before the next group.  Every
-sum that reaches a result runs in a fixed order (sums over players fold in
-player order), so a profile's floats do not depend on the group it is in,
-nor on which profiles the filter kept: the lists and floats are those of
-evaluating every profile in full.  The halves' tables and every array of a
-group's scan and read-out hold at most ORACLE_BLOCK numbers, unless one
-profile alone needs more; the scan keeps only the equilibria and the
-maximizer candidates, so memory does not grow with S^N.
+once per game, the high half's a group of rows at a time.  A profile's
+number has its strategies as base-S digits, player 0 most significant; a
+half's rows are the digits of a range of numbers, and a group pairs its rows
+with every low-half row, so profiles come in number order.  In a group, a
+profile stops being a candidate equilibrium at the first player who gains by
+deviating, and a norm filter keeps the profiles that can be maximizers;
+those and the ones still standing are read out, their N payoffs summed,
+before the next group.  Every sum that reaches a result runs in a fixed
+order (sums over players fold in player order), so a profile's floats do not
+depend on the group it is in, nor on which profiles the filter kept: the
+lists and floats are those of evaluating every profile in full.  The halves'
+tables and every array of a group's scan and read-out hold at most
+ORACLE_BLOCK numbers, unless one profile alone needs more; the scan keeps
+only the equilibria and the maximizer candidates, so memory does not grow
+with S^N.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,11 +97,11 @@ class _ProfileEvaluator:
     players and the rest, so q_is . b is the sum of the halves' contractions
     and |b|^2 = |b_high|^2 + 2 b_high . b_low + |b_low|^2, where
     b_high . b_low = sum over low players i of q_ic_i . b_high.  The low
-    half's `_Half` (one profile per low-half row, in itertools.product order)
-    is built once per game, and a group's by `half`.  A set of profiles is a
-    pair of index arrays h, l into a group's `_Half` and the low half's, which
-    broadcast together: (H, 1) and (1, L) for a whole block of the group, or
-    two (K,) lists; its positions in the group are h L + l.
+    half's `_Half` (row l for low-half number l) is built once per game, and
+    a group's by `half`.  A set of profiles is a pair of index arrays h, l
+    into a group's `_Half` and the low half's, which broadcast together:
+    (H, 1) and (1, L) for a whole block of the group, or two (K,) lists; its
+    positions in the group are h L + l.
     """
 
     def __init__(self, c: StrategyMatrix, config: GameConfig):
@@ -125,17 +126,18 @@ class _ProfileEvaluator:
         # plus the rounding bound for its filter value and again for the largest one
         self.margin = TIE_TOL + 2 * _rounding_bound(qc.reshape(n, s, -1), m)
         self.high_players, self.block_rows, self.group_rows = _plan(config)
-        low = list(itertools.product(range(s), repeat=n - self.high_players))
-        self.low = self.half(low, self.high_players)
+        self.low_size = s ** (n - self.high_players)
+        self.low = self.half(range(self.low_size), self.high_players, n)
         self.low_bets = np.ascontiguousarray(self.low.bets.T)     # (M*D, L)
-        self.low_size = len(low)
 
-    def half(self, profiles: list, first: int) -> _Half:
-        """The `_Half` of P profiles of k players from player `first` on, as
-        P tuples of their strategies."""
-        rows = np.array(profiles, dtype=np.int64).reshape(len(profiles), -1).T
-        rows += self.row_offset[first:first + len(rows), None]
-        b = np.zeros((len(profiles), self.table.shape[1]))
+    def half(self, numbers: range, first: int, last: int) -> _Half:
+        """The `_Half` of players first .. last-1 at the profiles `numbers`
+        of those players, one row each: a number's base-S digits, player
+        `first` most significant, are the players' strategies."""
+        profiles = np.arange(numbers.start, numbers.stop)
+        place = self.strategies ** np.arange(last - first - 1, -1, -1)
+        rows = profiles // place[:, None] % self.strategies + self.row_offset[first:last, None]
+        b = np.zeros((profiles.size, self.table.shape[1]))
         for column in rows:
             b += self.table.take(column, axis=0)
         # row sums, not einsum: einsum's buffered sums over rows longer than
@@ -314,17 +316,15 @@ def _scan(c: StrategyMatrix, config: GameConfig,
     group of high-half rows prunes its profiles to those that can still be
     either, and `describe` reads those out before the next group; the
     candidates within TIE_TOL of the running best are kept until the final
-    best filters them.
+    best filters them.  Groups take the high-half numbers in order.
     """
     check_budget(config, budget)
     ev = _ProfileEvaluator(c, config)
-    # high-half rows in itertools.product order, each paired with the low-half
-    # rows in that order: groups follow itertools.product(range(S), repeat=N)
-    high = itertools.product(range(config.strategies_per_player), repeat=ev.high_players)
+    count = config.strategies_per_player ** ev.high_players
     profiles, frustrations, candidates = [], [], []
     filtered = best = -np.inf
-    while group := list(itertools.islice(high, ev.group_rows)):
-        tables = ev.half(group, 0)
+    for start in range(0, count, ev.group_rows):
+        tables = ev.half(range(start, min(start + ev.group_rows, count)), 0, ev.high_players)
         positions, approx, filtered = ev.evaluate(tables, filtered)
         totals, *read = ev.describe(tables, positions, best)
         # the rounding bound is checked where it can be: a group's filter is

@@ -2,8 +2,8 @@
 
 These evaluate payoffs and frustrations of one realized allocation, or of a
 pure profile, straight from their definitions: through the simplex vertices
-(`aggregate_bet`, `instantaneous_frustration`, `isometry_defect`,
-`DeviationBetEvaluator`) or by resolving every signal's occupancies
+(`aggregate_bet`, `instantaneous_frustration`, `mean_bet_frustration`,
+`isometry_defect`, `DeviationBetEvaluator`) or by resolving every signal's occupancies
 (`payoff_linear`, `correlated_payoff`, `signal_loop_payoffs`).
 The package computes the same quantities in count space, and its oracle by
 expanded vertex dot products from two half tables; `blocked_scan` is the
@@ -26,7 +26,7 @@ from simplexgame import (Allocation, GameConfig, MixedProfile, Simplex, Strategy
                          ValidationError, build_simplex, strategy_payoffs)
 from simplexgame.game import check_matrix
 from simplexgame.harness import _parse_config
-from simplexgame.learning import _check_rates, _softmax
+from simplexgame.learning import _check_rate, _softmax
 from simplexgame.oracle import EQUILIBRIUM_SLACK, TIE_TOL, EquilibriumSet, MaximizerReport
 
 log = logging.getLogger(__name__)
@@ -161,19 +161,26 @@ def softmax_probabilities(scores, gamma: float) -> np.ndarray:
     Computed max-shifted so large scores never overflow.
     """
     scores = np.asarray(scores, dtype=float)
-    rates = _check_rates(gamma)
-    if rates.size != 1:
-        raise ValidationError(f"one player's scores take one learning rate, "
-                              f"got shape {rates.shape}")
+    rate = _check_rate(gamma)
     if not np.all(np.isfinite(scores)):
         raise ValidationError("scores must be finite")
-    return _softmax(scores[:, None, None], rates.item())[:, 0, 0]
+    return _softmax(scores[:, None, None], rate)[:, 0, 0]
 
 
 def instantaneous_frustration(alloc: Allocation, s: Simplex, config: GameConfig) -> float:
     """|b|^2 / (N (B-1)) for one realized allocation; 0 iff b = 0."""
     b = aggregate_bet(alloc, s)
     return float(b @ b) / (config.players * (config.nodes - 1))
+
+
+def mean_bet_frustration(c: StrategyMatrix, rows: np.ndarray, s: Simplex,
+                         config: GameConfig) -> float:
+    """|mean bet|^2 / (N (B-1)) averaged over the M signals, the mean bet taken
+    over the (N, S) profile rows: the expected frustration less each player's
+    own mixing variance, and equal to it at pure profiles."""
+    bets = np.einsum("is,ismd->md", rows, s.vertices[c.entries])
+    return float(np.einsum("md,md->", bets, bets)) / (
+        bets.shape[0] * config.players * (config.nodes - 1))
 
 
 def isometry_defect(s: Simplex, x: np.ndarray) -> float:

@@ -86,9 +86,9 @@ def _game(players, nodes, signals, strategies, seed):
 ])
 def test_iterate_matches_reference_round(players, nodes, signals, strategies):
     config, c = _game(players, nodes, signals, strategies, 3)
-    ref = reference_state(config, gamma=np.linspace(5.0, 25.0, players))
+    ref = reference_state(config, gamma=11.0)
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    batch = Lockstep([(config, c, rng)], gamma=np.linspace(5.0, 25.0, players))
+    batch = Lockstep([(config, c, rng)], gamma=11.0)
     t = 0
     for rounds in (1, 2, 7, 100, 190):   # blocks of both parities, 300 rounds in all
         block_signals, counts, squares, purity = play_block(batch, rounds)
@@ -106,10 +106,10 @@ def test_iterate_matches_reference_round(players, nodes, signals, strategies):
 @pytest.mark.parametrize("strategies", [2, 4])
 def test_multi_row_batch_matches_reference_rows(strategies):
     # rows differ in M (M = 1 draws no signal word) and strengths and share
-    # per-player rates; blocks of odd length flip each row's buffered half,
-    # and a middle row leaves the batch mid-run
+    # one rate; blocks of odd length flip each row's buffered half, and a
+    # middle row leaves the batch mid-run
     players, nodes = 9, 4
-    gamma = np.linspace(5.0, 25.0, players)
+    gamma = 11.0
     games, refs = [], []
     for j, signals in enumerate((3, 40, 1, 7)):
         config, c = _game(players, nodes, signals, strategies, 20 + j)

@@ -262,6 +262,18 @@ def test_overflowing_learning_rate_exits_one_before_play(tmp_path, capsys, monke
             f"error: {cfg}: learning rate gamma up to 20.0 overflows the scores of 1000")
 
 
+def test_a_size_beyond_any_float_exits_one_with_the_budget_text(tmp_path, capsys):
+    # the records of 10^400 rounds: the budget's message once overflowed a float
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("players = 2\nnodes = 2\nstrategies = 1\nsignals = 1\n"
+                   f"iterations = {10**400}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: 1 records of the last {10**400} rounds would need "
+                          f"at least 2^{(24 * 10**400).bit_length() - 31} GiB, above the 4 GiB")
+    assert "Traceback" not in err and not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("line,lineno", [("players = abc", 1),
                                           ("lambda_grid = a:b:3", 4),
                                           ("lambda_grid = 0.5,x", 4),
@@ -291,6 +303,9 @@ def _set(line: str) -> tuple:
     _set("measurement = median"),
     _set("strengths = 0.5,0.3,0.2"),    # three weights, two nodes
     _set("t_max = 50"),                 # below window
+    # one of t_max and window left at its default: the line of the other
+    (SWEEP_CFG.replace("t_max = 400\n", "").replace("window = 100", "window = 6000"), ":6"),
+    (SWEEP_CFG.replace("window = 100\n", "").replace("t_max = 400", "t_max = 150"), ":6"),
     (SWEEP_CFG + "strengths = uniform\nefficiencies = 1,2\n", ":10"),
     _set("players = 0"),
     _set("nodes = 1"),
@@ -308,7 +323,8 @@ def _set(line: str) -> tuple:
     _set("efficiencies = 1,2,3"),
     _set("strengths_b = 0.2,0.2"),
     _set("efficiencies_b = 1,2,3"),
-], ids=["measurement", "strengths-count", "t_max-below-window", "strengths-and-efficiencies",
+], ids=["measurement", "strengths-count", "t_max-below-window", "window-only-above-t_max",
+        "t_max-only-below-window", "strengths-and-efficiencies",
         "players", "nodes-below-2", "nodes-above-255", "strategies", "signals", "realizations",
         "window", "check_every", "gamma-nan", "gamma-negative", "iterations", "lambda_grid",
         "seed", "efficiencies-count", "strengths_b", "efficiencies_b-count"])
@@ -379,6 +395,19 @@ def test_bad_oracle_strengths_exit_one(capsys, strengths, nodes):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --strengths") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--N", "0", "players must be >= 1"),
+    ("--S", "0", "strategies must be >= 1"),
+    ("--M", "0", "signals must be >= 1"),
+    ("--B", "1", "nodes must be >= 2"),
+    ("--B", "300", "node indices are stored as bytes; nodes must be <= 255"),
+], ids=["N", "S", "M", "B-below-2", "B-above-255"])
+def test_bad_oracle_size_names_its_flag(capsys, flag, value, message):
+    sizes = {"--N": "3", "--S": "2", "--M": "2", "--B": "2", flag: value}
+    assert main(["oracle", *(arg for pair in sizes.items() for arg in pair)]) == 1
+    assert capsys.readouterr().err == f"error: {flag}: {message}\n"
 
 
 def test_oracle_strengths_list_matches_library(tmp_path):

@@ -10,8 +10,7 @@ import pytest
 
 from simplexgame import (GameConfig, MixedProfile,
                          StrengthDistribution, build_simplex,
-                         draw_strategy_matrix, expected_frustration, frustration,
-                         strategy_payoffs)
+                         draw_strategy_matrix, expected_frustration, strategy_payoffs)
 from simplexgame.learning import Lockstep
 
 from conftest import (play_round, random_profile, random_proper_strengths,
@@ -62,12 +61,6 @@ def reference_strategy_payoffs(c, rows, s, config):
 def reference_expected_frustration(c, rows, s, config):
     per_strategy = reference_strategy_payoffs(c, rows, s, config)
     return -float(np.einsum("is,is->", rows, per_strategy)) / (config.nodes - 1)
-
-
-def reference_frustration(c, rows, s, config):
-    bets = np.einsum("is,ismd->md", rows, s.vertices[c.entries])
-    return float(np.einsum("md,md->", bets, bets)) / (
-        bets.shape[0] * config.players * (config.nodes - 1))
 
 
 def _game(players, nodes, signals, strategies, random_strengths, seed):
@@ -121,8 +114,6 @@ def test_mixed_payoffs_match_vertex_route(rng):
             assert np.array_equal(strategy_payoffs(c, p.rows, config), got)
             assert expected_frustration(c, p, config) == pytest.approx(
                 reference_expected_frustration(c, p.rows, s, config), abs=TOL)
-            assert frustration(c, p, config) == pytest.approx(
-                reference_frustration(c, p.rows, s, config), abs=TOL)
 
 
 def test_mixed_payoffs_match_at_pure_and_skewed_profiles(rng):
@@ -137,5 +128,5 @@ def test_mixed_payoffs_match_at_pure_and_skewed_profiles(rng):
         for p in (pure, skewed):
             ref = reference_strategy_payoffs(c, p.rows, s, config)
             assert np.max(np.abs(strategy_payoffs(c, p, config) - ref)) <= TOL
-            assert frustration(c, p, config) == pytest.approx(
-                reference_frustration(c, p.rows, s, config), abs=TOL)
+            assert expected_frustration(c, p, config) == pytest.approx(
+                reference_expected_frustration(c, p.rows, s, config), abs=TOL)

@@ -5,8 +5,10 @@ vertex construction, which the oracle (its cross-check and `reward_vector`)
 and `run --dump-simplex` build from a config's strengths, so no public
 signature outside `geometry` can take a `Simplex`.  Importing the command
 line loads no process-pool machinery, which only a multi-worker sweep uses.
+Every public name is used by the package itself or kept for a stated reason.
 """
 import ast
+import importlib
 import inspect
 import os
 import subprocess
@@ -22,8 +24,9 @@ PACKAGE = Path(simplexgame.__file__).parent
 
 
 def _public(module):
-    """(qualified name, callable) of every public function, class and method
-    defined in the module."""
+    """(qualified name, function) of every public function, class, method
+    (class and static ones too) and property (as its getter) defined in the
+    module."""
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
             continue
@@ -32,6 +35,10 @@ def _public(module):
         elif inspect.isclass(obj):
             yield f"{module.__name__}.{name}", obj
             for attr, method in vars(obj).items():
+                if isinstance(method, property):
+                    method = method.fget
+                elif isinstance(method, (classmethod, staticmethod)):
+                    method = method.__func__
                 if not attr.startswith("_") and inspect.isfunction(method):
                     yield f"{module.__name__}.{name}.{attr}", method
 
@@ -89,3 +96,56 @@ def test_importing_the_cli_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# public names that no code of the package reads, each with the reason it stays
+KEPT_UNREFERENCED = {
+    "game.resolve_bets": "acceptance c02 resolves realized rounds with it",
+    "oracle.reward_vector": "acceptance c02: the vertex form of the round reward",
+    "oracle.potential_defect": "acceptance c02: the exact potential identity",
+    "geometry.weighted_moments": "acceptance c01: the simplex's weighted moments",
+    "learning.random_baseline": "acceptance c04: the unsophisticated-play baseline",
+    "oracle.enumerate_equilibria": "acceptance c09: the pure equilibrium set",
+    "game.save_strategy_matrix": "README: strategy tables written for auditing",
+    "game.load_strategy_matrix": "README: strategy tables read back for auditing",
+    "oracle.maximizer_equilibrium_report": "the benchmark (bench/run.py) traces it",
+    "game.GameConfig.training_parameter": "README's quick start reads lambda from it",
+    "game.StrengthDistribution.uniform": "a value type's constructor",
+    "game.MixedProfile.uniform": "a value type's constructor",
+}
+
+
+def _reads(node, inside=()):
+    """(identifier, definitions enclosing the read) of every ast Name and
+    Attribute node under node, the definitions as a tuple of their nodes."""
+    if isinstance(node, ast.Name):
+        yield node.id, inside
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, inside
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside + (node,)
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, inside)
+
+
+def _definition(tree, path: list):
+    """The def or class node at the dotted path of names in a module's tree."""
+    node = tree
+    for name in path:
+        node = next(child for child in node.body if getattr(child, "name", None) == name)
+    return node
+
+
+def test_every_public_name_is_read_or_kept():
+    # a name read only in its own definition (a recursion) counts as unread
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+             if p.stem != "__init__"}
+    reads = [read for tree in trees.values() for read in _reads(tree)]
+    unread = set()
+    for stem in trees.keys() - {"__main__"}:
+        for qualified, _ in _public(importlib.import_module(f"simplexgame.{stem}")):
+            path = qualified.split(".")[2:]
+            own = _definition(trees[stem], path)
+            if not any(name == path[-1] and own not in inside for name, inside in reads):
+                unread.add(".".join([stem, *path]))
+    assert unread == set(KEPT_UNREFERENCED)

@@ -4,12 +4,13 @@ import pytest
 from simplexgame import (Allocation, BudgetError, GameConfig, MixedProfile, PureInstance,
                          StrategyMatrix, StrengthDistribution, ValidationError,
                          build_simplex, draw_strategy_matrix, expected_frustration,
-                         frustration, game, load_strategy_matrix, resolve_bets,
-                         save_strategy_matrix, strategy_payoffs)
+                         game, load_strategy_matrix, resolve_bets, save_strategy_matrix,
+                         strategy_payoffs)
 
 from conftest import random_profile, random_proper_strengths, small_instance
 from references import (aggregate_bet, correlated_payoff, instantaneous_frustration,
-                        mixed_correlated_payoff, payoff_linear, signal_loop_payoffs)
+                        mean_bet_frustration, mixed_correlated_payoff, payoff_linear,
+                        signal_loop_payoffs)
 
 
 def binary_config(players, signals=1, strategies=1):
@@ -295,7 +296,7 @@ def test_payoffs_reject_a_profile_or_game_of_another_shape():
         (StrategyMatrix(np.full((4, 2, 5), 3)), p, cfg),    # node 3 of a 3-node game
     ]
     for args in cases:
-        for evaluate in (strategy_payoffs, expected_frustration, frustration):
+        for evaluate in (strategy_payoffs, expected_frustration):
             with pytest.raises(ValidationError):
                 evaluate(*args)
     with pytest.raises(ValidationError, match="profile has shape"):
@@ -317,8 +318,7 @@ def test_payoffs_do_not_depend_on_the_block_size(monkeypatch, players, strategie
     for block in (7, game.TABLE_BLOCK, 2 * c.entries.size):
         monkeypatch.setattr(game, "TABLE_BLOCK", block)
         assert strategy_payoffs(c, p, cfg).tobytes() == reference   # a per-signal loop
-        frustrations.add((np.float64(expected_frustration(c, p, cfg)).tobytes(),
-                          np.float64(frustration(c, p, cfg)).tobytes()))
+        frustrations.add(np.float64(expected_frustration(c, p, cfg)).tobytes())
     assert len(frustrations) == 1
 
 
@@ -349,7 +349,7 @@ def test_frustration_zero_at_balanced_profile():
     entries[1, 0, :] = 1
     c = StrategyMatrix(entries)
     p = MixedProfile.pure(np.array([0, 0]), 1)
-    assert frustration(c, p, cfg) == pytest.approx(0.0, abs=1e-14)
+    assert expected_frustration(c, p, cfg) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_frustration_expansion_oracle(rng):
@@ -372,15 +372,19 @@ def test_frustration_expansion_oracle(rng):
         variance_term = (sq_i.mean(axis=1).sum()
                          - np.einsum("imd,imd->", mean_i, mean_i) / cfg.signals) / (
             cfg.players * (cfg.nodes - 1))
-        assert frustration(c, p, cfg) == pytest.approx(exact - variance_term, abs=1e-10)
+        assert mean_bet_frustration(c, p.rows, s, cfg) == pytest.approx(
+            exact - variance_term, abs=1e-10)
 
 
 def test_frustration_agrees_with_exact_at_pure(rng):
+    # at a pure profile the expected frustration is the signal average of R_t
     cfg, s, c = small_instance(rng)
     profile = rng.integers(0, cfg.strategies_per_player, cfg.players)
     p = MixedProfile.pure(profile, cfg.strategies_per_player)
-    assert frustration(c, p, cfg) == pytest.approx(
-        expected_frustration(c, p, cfg), abs=1e-12)
+    per_signal = [instantaneous_frustration(resolve_bets(c, PureInstance(m, profile),
+                                                         cfg.nodes)[1], s, cfg)
+                  for m in range(cfg.signals)]
+    assert expected_frustration(c, p, cfg) == pytest.approx(np.mean(per_signal), abs=1e-12)
 
 
 def test_decomposition_reassembles_within_5_over_n(rng):
@@ -390,7 +394,7 @@ def test_decomposition_reassembles_within_5_over_n(rng):
         cfg, s, c = small_instance(rng)
         p = random_profile(rng, cfg.players, cfg.strategies_per_player)
         g = float(np.einsum("is,is->", p.rows, p.rows)) / cfg.players
-        reassembled = 1.0 + frustration(c, p, cfg) - g
+        reassembled = 1.0 + mean_bet_frustration(c, p.rows, s, cfg) - g
         exact = expected_frustration(c, p, cfg)
         assert abs(reassembled - exact) <= 5.0 / cfg.players
 

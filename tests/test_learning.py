@@ -7,7 +7,7 @@ from simplexgame import (BudgetError, ConvergenceSettings, GameConfig,
                          build_simplex, draw_strategy_matrix, expected_frustration,
                          learning, random_baseline, resolve_bets, reward_vector, run,
                          strategy_payoffs)
-from simplexgame.learning import PURITY_THRESHOLD, Lockstep
+from simplexgame.learning import PURITY_THRESHOLD, Lockstep, check_score_range
 
 from conftest import play_round, random_profile, small_instance
 from references import integrate_replicator, replicator_flow, softmax_probabilities
@@ -158,32 +158,35 @@ def test_learning_settings_validation():
     for bad in (dict(check_every=0), dict(window=0), dict(check_every=-5)):
         with pytest.raises(ValidationError):
             ConvergenceSettings(**bad)
-    per_player = np.full(cfg.players, 20.0)
-    per_player[3] = np.nan
     rng = np.random.default_rng(0)
     game = (cfg, draw_strategy_matrix(cfg, rng), rng)
-    for gamma in (np.nan, np.inf, -1.0, per_player):
-        with pytest.raises(ValidationError):
-            LearningConfig(gamma=gamma)
-        with pytest.raises(ValidationError):
-            Lockstep([game], gamma)
+    for gamma in (np.nan, np.inf, -1.0):
+        for check in (LearningConfig, lambda gamma: Lockstep([game], gamma),
+                      lambda gamma: check_score_range(gamma, 10, cfg)):
+            with pytest.raises(ValidationError, match="learning rates must be finite and >= 0"):
+                check(gamma)
     with pytest.raises(ValidationError, match="iterations must be >= 0"):
         LearningConfig(iterations=-1)
     for gamma in (np.nan, [1.0, 5.0, 9.0], np.ones((2, 1))):
         with pytest.raises(ValidationError):
             softmax_probabilities(np.array([1.0, 0.0]), gamma)
-    assert softmax_probabilities(np.array([1.0, 0.0]), [1.0]).tobytes() == \
-        softmax_probabilities(np.array([1.0, 0.0]), 1.0).tobytes()
 
 
-def test_gamma_needs_one_rate_or_one_per_player():
+def test_gamma_is_one_rate():
+    # every player learns at one rate: an array, even of one element or of
+    # one rate per player, is refused wherever a rate is taken
     cfg = GameConfig(players=5, nodes=3, signals=2, strategies_per_player=2,
                      strengths=StrengthDistribution.uniform(3))
-    for gamma, message in ((np.ones(3), r"3 learning rates in shape \(3,\) for 5 players"),
-                           (np.ones((5, 2)), r"10 learning rates in shape \(5, 2\) for 5")):
-        with pytest.raises(ValidationError, match=message):
-            run(cfg, LearningConfig(gamma=gamma, iterations=5), seed=1)
-    for gamma in (np.full(5, 3.0), np.full((1, 1), 3.0)):
+    rng = np.random.default_rng(0)
+    game = (cfg, draw_strategy_matrix(cfg, rng), rng)
+    for gamma in (np.full(5, 3.0), np.full((1, 1), 3.0), np.array(3.0), [3.0], "3"):
+        for check in (LearningConfig, lambda gamma: Lockstep([game], gamma),
+                      lambda gamma: check_score_range(gamma, 10, cfg),
+                      lambda gamma: softmax_probabilities(np.array([1.0, 0.0]), gamma)):
+            with pytest.raises(ValidationError, match="gamma must be one learning rate"):
+                check(gamma)
+    for gamma in (3, 3.0, np.float32(3.0), np.int64(3)):
+        assert Lockstep([game], gamma).rate == 3.0
         result = run(cfg, LearningConfig(gamma=gamma, iterations=5), seed=1)
         assert len(result.trajectory) == 5
 

@@ -8,7 +8,7 @@ import pytest
 from simplexgame import (BudgetError, GameConfig, LearningConfig, MixedProfile,
                          ValidationError,
                          StrategyMatrix, StrengthDistribution, build_simplex,
-                         draw_strategy_matrix, enumerate_equilibria, frustration,
+                         draw_strategy_matrix, enumerate_equilibria, expected_frustration,
                          maximizer_equilibrium_report, oracle_report,
                          potential_defect, run)
 
@@ -149,9 +149,9 @@ def test_seeded_tiny_game_equilibria_verified_independently():
 def _whole_game(ev):
     """The high half's tables of every high-half profile, and every profile's
     position h L + l, for a game that fits one group."""
-    high = list(itertools.product(range(ev.strategies), repeat=ev.high_players))
-    assert len(high) <= ev.group_rows
-    return ev.half(high, 0), np.arange(len(high) * ev.low_size)
+    high = ev.strategies ** ev.high_players
+    assert high <= ev.group_rows
+    return ev.half(range(high), 0, ev.high_players), np.arange(high * ev.low_size)
 
 
 def test_two_evaluators_agree_everywhere(rng):
@@ -188,7 +188,7 @@ def test_two_evaluators_agree_everywhere(rng):
         assert equilibria == [p for p, v in zip(profiles, violations) if v <= 1e-12]
         for profile, r in zip(equilibria, frustrations):
             p = MixedProfile.pure(np.array(profile), cfg.strategies_per_player)
-            assert r == pytest.approx(frustration(c, p, cfg), abs=1e-12)
+            assert r == pytest.approx(expected_frustration(c, p, cfg), abs=1e-12)
 
 
 def test_anti_coordination_equilibria():
@@ -198,7 +198,7 @@ def test_anti_coordination_equilibria():
     assert eq.min_r == pytest.approx(0.0, abs=1e-14)
     # coordinated profiles land both players on one node: each pays -1
     ev = _ProfileEvaluator(c, cfg)
-    high = ev.half([(0,)], 0)
+    high = ev.half(range(1), 0, 1)
     gains, rows, _ = ev.gains(high, 0, 2, *np.divmod(np.arange(2), ev.low_size))
     assert (rows.T - ev.row_offset).tolist() == [[0, 0], [0, 1]]
     totals, equilibria, frustrations, *_ = ev.describe(high, np.arange(2), -np.inf)
@@ -249,7 +249,6 @@ def test_learned_plateau_bounded_below_by_oracle(rng):
         min_r = enumerate_equilibria(c, cfg).min_r
         result = run(cfg, LearningConfig(gamma=20.0, iterations=1500), seed=seed,
                      matrix=c)
-        from simplexgame import expected_frustration
         learned = expected_frustration(c, result.state.profile(), cfg)
         assert learned >= min_r - 1e-9
 
