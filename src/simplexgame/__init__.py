@@ -8,8 +8,7 @@ dynamics, enumerates tiny-game ground truth, and evaluates the analytic
 frustration curve for comparison.
 """
 
-from .analytics import (AnarchyPrediction, critical_lambda, predicted_anarchy,
-                        prediction_for, zeta, zeta_monte_carlo)
+from .analytics import critical_lambda, predicted_anarchy, zeta, zeta_monte_carlo
 from .errors import BudgetError, DegenerateStrengthsError, ValidationError
 from .game import (Allocation, GameConfig, MixedProfile, PureInstance,
                    StrategyMatrix, StrengthDistribution, draw_strategy_matrix,

@@ -15,7 +15,6 @@ estimate above QUAD_TOL raises ArithmeticError instead of returning a value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,23 +25,6 @@ QUAD_LIMIT = 8.0    # integrand carries exp(-z^2); tail beyond |z|=8 is < 1e-27
 QUAD_POINTS = 1025  # trapezoid nodes, step 2 * QUAD_LIMIT / 1024 = 1/64
 QUAD_TOL = 1e-8     # largest accepted fine-minus-coarse difference
 MC_CHUNK = 10**6    # Monte-Carlo minima drawn per chunk of zeta_monte_carlo
-
-
-@dataclass(frozen=True)
-class AnarchyPrediction:
-    """zeta(S), the critical lambda for (S, B), and the closed-form curve."""
-
-    strategies: int
-    nodes: int
-    zeta: float
-    lambda_c: float
-
-    def curve(self, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float)
-        out = np.zeros_like(lam)
-        above = lam > self.lambda_c
-        out[above] = (1.0 - np.sqrt(self.lambda_c / lam[above])) ** 2
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -102,12 +84,12 @@ def critical_lambda(strategies: int, nodes: int) -> float:
 
 
 def predicted_anarchy(lam: float, strategies: int, nodes: int) -> float:
-    """Closed-form steady-state frustration at training parameter lam."""
+    """Closed-form steady-state frustration at training parameter lam:
+    (1 - sqrt(lambda_c / lam))^2 above lambda_c, zero at or below it."""
     if not 0.0 < lam < math.inf:
         raise ValidationError(f"lambda must be > 0 and finite, got {lam}")
-    return float(prediction_for(strategies, nodes).curve(lam))
-
-
-def prediction_for(strategies: int, nodes: int) -> AnarchyPrediction:
-    return AnarchyPrediction(strategies=strategies, nodes=nodes, zeta=zeta(strategies),
-                             lambda_c=critical_lambda(strategies, nodes))
+    lambda_c = critical_lambda(strategies, nodes)
+    if lam <= lambda_c:
+        return 0.0
+    gap = 1.0 - math.sqrt(lambda_c / lam)
+    return gap * gap

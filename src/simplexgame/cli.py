@@ -120,14 +120,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_predict(args) -> int:
     grid = harness.parse_lambda_grid(args.lambda_grid)
-    pred = analytics.prediction_for(args.strategies, args.nodes)
+    zeta = analytics.zeta(args.strategies)   # before lambda_c: --S 0 fails here first
+    lambda_c = analytics.critical_lambda(args.strategies, args.nodes)
     text = harness.csv_text("lambda,predicted_R", (
         (lam, analytics.predicted_anarchy(lam, args.strategies, args.nodes))
         for lam in grid))
     if args.out:
         harness._write_text(args.out, text)
         print(f"wrote {len(grid)} points to {args.out} "
-              f"(lambda_c={pred.lambda_c!r}, zeta={pred.zeta!r})")
+              f"(lambda_c={lambda_c!r}, zeta={zeta!r})")
     else:
         sys.stdout.write(text)
     return 0
@@ -142,9 +143,10 @@ def _cmd_oracle(args) -> int:
     except ValueError as exc:   # ValidationError is a ValueError
         raise ValidationError(f"--strengths {args.strengths!r}: {exc}") from exc
     try:
+        # the oracle plays no rounds, so no learning rate can overflow its scores
         exp = harness.ExperimentConfig(players=args.players, nodes=args.nodes,
                                        strategies=args.strategies, signals=args.signals,
-                                       strengths=spec)
+                                       strengths=spec, iterations=0)
     except ValidationError as exc:
         field = exc.fields[0]
         flag = {"players": "--N", "strategies": "--S", "signals": "--M", "nodes": "--B",

@@ -207,10 +207,6 @@ class Allocation:
             raise ValidationError("allocation counts must be >= 0")
         object.__setattr__(self, "counts", _readonly(c))
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def draw_strategy_matrix(config: GameConfig, rng: np.random.Generator) -> StrategyMatrix:
     """Draw every entry independently: node r with probability y_r.
@@ -306,7 +302,8 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray,
     Entry (i, s) is the payoff player i expects when committing to its s-th
     strategy while everyone else keeps playing the mixed profile.  Dotting
     row i with p's row i recovers player i's fully mixed payoff (p may be raw
-    rows).  Count space: u_is = (N - mean_m[(O_ism + 1) / y(c_ism)]) / N with
+    rows, checked as a MixedProfile).  Count space:
+    u_is = (N - mean_m[(O_ism + 1) / y(c_ism)]) / N with
     O_ism the others' mean occupancy of node c_ism under signal m.
 
     One pass over the table.  Each block of signals gathers (O + 1) / y and
@@ -316,7 +313,7 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray,
     and `fold_rows` adds a stack row by row into row 0: every sum runs in m
     order, as one sum over the whole table would, whatever the block size.
     """
-    rows = p.rows if isinstance(p, MixedProfile) else np.asarray(p, dtype=float)
+    rows = (p if isinstance(p, MixedProfile) else MixedProfile(p)).rows
     check_matrix(c, config)   # the table and the (N, S) rows belong to config's game
     if rows.shape != c.shape[:2]:
         raise ValidationError(f"profile has shape {rows.shape}, the game needs {c.shape[:2]}")

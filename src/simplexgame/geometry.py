@@ -40,10 +40,6 @@ class Simplex:
         object.__setattr__(self, "vertices", game._readonly(v))
 
     @property
-    def node_count(self) -> int:
-        return self.strengths.node_count
-
-    @property
     def squared_norms(self) -> np.ndarray:
         return np.einsum("rd,rd->r", self.vertices, self.vertices)
 

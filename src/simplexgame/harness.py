@@ -63,9 +63,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Check every field, tagging a failed check's ValidationError with it
-        (t_max against window with both, t_max first), and last what a sweep's
-        batches would find overflowing under fixed strengths: each arm's at the
-        largest grid M, gamma over t_max at the smallest."""
+        (t_max against window with both, t_max first), and last what play would
+        find overflowing under fixed strengths: each arm's game at the largest
+        and smallest grid M with gamma over t_max, as a sweep's batches play
+        it, then at `signals` with gamma over `iterations`, as a run does."""
         field = "nodes"
         try:
             check_node_count(self.nodes)   # before any per-node strengths are built
@@ -94,14 +95,19 @@ class ExperimentConfig:
                 self.lambda_grid = grid or None
             for arm in ("strengths", "strengths_b"):
                 weights = getattr(self, arm)
-                if self.lambda_grid is None or weights is None or weights == "random":
+                if weights is None or weights == "random":
                     continue
-                signals = [signals_for(lam, self.players) for lam in self.lambda_grid]
-                field = arm   # GameConfig checks the count-space terms
-                _draw_game(self, weights, max(signals))
-                field = "gamma"
-                learning.check_score_range(self.gamma, self.t_max,
-                                           _draw_game(self, weights, min(signals)))
+                plays = []   # (signal count, rounds) of the games the experiment plays
+                if self.lambda_grid is not None:
+                    signals = [signals_for(lam, self.players) for lam in self.lambda_grid]
+                    plays += [(max(signals), self.t_max), (min(signals), self.t_max)]
+                if self.signals is not None:
+                    plays.append((self.signals, self.iterations))
+                for signals, rounds in plays:
+                    field = arm   # GameConfig checks the count-space terms
+                    game = _draw_game(self, weights, signals)
+                    field = "gamma"
+                    learning.check_score_range(self.gamma, rounds, game)
         except ValidationError as exc:
             exc.fields = (field,) if isinstance(field, str) else field
             raise
@@ -112,7 +118,7 @@ def _strengths_field(name: str, value, nodes: int):
     if isinstance(value, str) and value == "random":
         return value
     if value is None or isinstance(value, str) and value == "uniform":
-        value = np.full(nodes, 1.0 / nodes)
+        value = StrengthDistribution.uniform(nodes)
     try:
         y = StrengthDistribution(getattr(value, "weights", value))
         if y.node_count != nodes:

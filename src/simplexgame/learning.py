@@ -124,12 +124,11 @@ class RunResult:
     converged: bool  # stopped at a purity check
 
 
-def _softmax(scores: np.ndarray, rate: float, out: np.ndarray | None = None,
-             total: np.ndarray | None = None) -> np.ndarray:
+def _softmax(scores: np.ndarray, rate: float, out: np.ndarray, total: np.ndarray) -> None:
     """Softmax of rate * scores over the leading strategy axis of (S, K, N) scores.
 
-    Written to `out` (S, K, N) if given, and each player's sum of the shifted
-    exponentials to `total` (K, N) if given.  The max and the sum fold over
+    Written to `out` (S, K, N), and each player's sum of the shifted
+    exponentials to `total` (K, N).  The max and the sum fold over
     s = 0, 1, ... in turn: max is exact in any order, and a plain axis
     reduction may sum pairwise (it does for N = 1 and S >= 8), so its result
     would depend on N.  The folds loop over the strategies, not a reduce as
@@ -140,8 +139,6 @@ def _softmax(scores: np.ndarray, rate: float, out: np.ndarray | None = None,
     """
     z = np.multiply(scores, rate, out=out)
     strategies = z.shape[0]
-    if total is None:
-        total = np.empty(z.shape[1:])
     peak = z[0] if strategies == 1 else np.maximum(z[0], z[1], out=total)
     for s in range(2, strategies):
         np.maximum(peak, z[s], out=peak)
@@ -154,7 +151,6 @@ def _softmax(scores: np.ndarray, rate: float, out: np.ndarray | None = None,
     for s in range(2, strategies):
         np.add(total, z[s], out=total)
     z /= total
-    return z
 
 
 def _decode(bits: np.random.PCG64, signal_count: int, draws: np.ndarray):
@@ -280,10 +276,9 @@ class Lockstep:
         self.tables = bases[0] if len(bases) == 1 else np.concatenate(bases)
         self.rate = _check_rate(gamma)
         self.scores = np.zeros((strategies, k, n))
-        self.probabilities = _softmax(self.scores, self.rate)
+        self.probabilities = np.full((strategies, k, n), 1.0 / strategies)
         self.signal_counts = [config.signals for config, _, _ in games]
         self.offsets = np.cumsum([0] + self.signal_counts[:-1])
-        self.signals = np.array(self.signal_counts, dtype=float)[:, None, None]
         self.inv_y = np.stack([1.0 / config.strengths.weights
                                for config, _, _ in games])[:, :, None]
         self.rngs = [rng for _, _, rng in games]
@@ -302,7 +297,8 @@ class Lockstep:
         # the reward (1 - occ / y_r / N) / M_k of a strategy on slot k*B + r at
         # occupancy occ = 0 .. N + 1, entry (k*B + r) * (N + 2) + occ, and the
         # first entry (k*B + r) * (N + 2) of each slot
-        self.rewards = _reward(np.arange(n + 2), self.inv_y, n, self.signals).ravel()
+        signals = np.array(self.signal_counts, dtype=float)[:, None, None]
+        self.rewards = _reward(np.arange(n + 2), self.inv_y, n, signals).ravel()
         self.slot_cells = (n + 2) * np.arange(k * self.nodes)
 
     def _block_arrays(self, rounds: int):
@@ -325,7 +321,6 @@ class Lockstep:
         self.scores = self.scores.take(rows, axis=1)
         self.probabilities = self.probabilities.take(rows, axis=1)
         self.offsets = self.offsets[rows]
-        self.signals = self.signals[rows]
         self.inv_y = self.inv_y[rows]
         self.signal_counts = [self.signal_counts[j] for j in rows]
         self.rngs = [self.rngs[j] for j in rows]

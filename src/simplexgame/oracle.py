@@ -140,11 +140,11 @@ class _ProfileEvaluator:
         b = np.zeros((profiles.size, self.table.shape[1]))
         for column in rows:
             b += self.table.take(column, axis=0)
-        # row sums, not einsum: einsum's buffered sums over rows longer than
-        # 8192 floats would depend on how many rows it is given
         contractions = np.einsum("px,xk->pk", b, self.columns)
         return _Half(rows, b, np.ascontiguousarray(
             contractions.reshape(-1, self.n, self.strategies).transpose(2, 1, 0)),
+            # row sums, not einsum: einsum's buffered sums over rows longer than
+            # 8192 floats would depend on how many rows it is given
             (b * b).sum(axis=1))
 
     def gains(self, high: _Half, first: int, last: int, h, l) -> tuple[np.ndarray, ...]:

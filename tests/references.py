@@ -34,9 +34,9 @@ log = logging.getLogger(__name__)
 
 def aggregate_bet(alloc: Allocation, s: Simplex) -> np.ndarray:
     """b = sum_r N_r q_r; the zero vector exactly at the Nash allocation."""
-    counts = alloc.counts
-    if counts.size < s.node_count:
-        counts = np.concatenate([counts, np.zeros(s.node_count - counts.size, dtype=np.int64)])
+    counts, nodes = alloc.counts, s.strengths.node_count
+    if counts.size < nodes:
+        counts = np.concatenate([counts, np.zeros(nodes - counts.size, dtype=np.int64)])
     return counts.astype(float) @ s.vertices
 
 
@@ -164,7 +164,9 @@ def softmax_probabilities(scores, gamma: float) -> np.ndarray:
     rate = _check_rate(gamma)
     if not np.all(np.isfinite(scores)):
         raise ValidationError("scores must be finite")
-    return _softmax(scores[:, None, None], rate)[:, 0, 0]
+    out = np.empty((scores.size, 1, 1))
+    _softmax(scores[:, None, None], rate, out, np.empty((1, 1)))
+    return out[:, 0, 0]
 
 
 def instantaneous_frustration(alloc: Allocation, s: Simplex, config: GameConfig) -> float:
@@ -186,7 +188,7 @@ def mean_bet_frustration(c: StrategyMatrix, rows: np.ndarray, s: Simplex,
 def isometry_defect(s: Simplex, x: np.ndarray) -> float:
     """|sum_r y_r (q_r . x)^2 - |x|^2|, zero for an exact simplex."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    dim = s.node_count - 1
+    dim = s.strengths.node_count - 1
     if x.size != dim:
         raise ValidationError(f"x must have dimension {dim}, got {x.size}")
     proj = s.vertices @ x

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from simplexgame import (ValidationError, analytics, critical_lambda, predicted_anarchy,
-                         prediction_for, zeta, zeta_monte_carlo)
+from simplexgame import (ValidationError, analytics, critical_lambda, predicted_anarchy, zeta,
+                         zeta_monte_carlo)
 
 
 def test_zeta_single_draw_is_exactly_zero():
@@ -93,21 +93,18 @@ def test_predicted_anarchy_continuous_monotone_bounded():
     assert predicted_anarchy(lc * (1 + 1e-9), 2, 5) <= 1e-9
 
 
-def test_prediction_for_invariants():
-    pred = prediction_for(2, 5)
-    assert pred.lambda_c == pytest.approx(pred.zeta ** 2 / 4, abs=1e-15)
-    assert pred.zeta <= 0.0
-    curve = pred.curve(np.array([pred.lambda_c / 2, pred.lambda_c * 9]))
-    assert curve[0] == 0.0
-    assert curve[1] == pytest.approx((1 - 1 / 3) ** 2, abs=1e-12)
+def test_prediction_invariants():
+    lambda_c = critical_lambda(2, 5)
+    assert lambda_c == pytest.approx(zeta(2) ** 2 / 4, abs=1e-15)
+    assert zeta(2) <= 0.0
+    assert predicted_anarchy(lambda_c / 2, 2, 5) == 0.0
+    assert predicted_anarchy(lambda_c * 9, 2, 5) == pytest.approx((1 - 1 / 3) ** 2, abs=1e-12)
 
 
-def test_curve_and_predicted_anarchy_agree_across_the_onset():
-    pred = prediction_for(3, 4)
-    grid = pred.lambda_c * np.array([0.1, 0.5, 0.999, 1.0, 1.001, 2.0, 10.0, 1e6])
-    curve = pred.curve(grid)
-    assert curve[:4].tolist() == [0.0] * 4 and np.all(curve[4:] > 0.0)
-    assert curve.tolist() == [predicted_anarchy(lam, 3, 4) for lam in grid]
+def test_predicted_anarchy_across_the_onset():
+    grid = critical_lambda(3, 4) * np.array([0.1, 0.5, 0.999, 1.0, 1.001, 2.0, 10.0, 1e6])
+    values = np.array([predicted_anarchy(lam, 3, 4) for lam in grid])
+    assert values[:4].tolist() == [0.0] * 4 and np.all(values[4:] > 0.0)
 
 
 def test_reduction_leaves_predicted_curve_invariant():

@@ -154,6 +154,14 @@ def test_predict_subcommand(tmp_path):
     assert values[-1][1] > 0.5
 
 
+def test_predict_matches_recorded_output(tmp_path):
+    # 4,000 lambdas across the onset pin every predicted_R bit, text for text
+    out, name = tmp_path / "pred.csv", "predict_s2_b5_grid4000.csv"
+    assert main(["predict", "--S", "2", "--B", "5", "--lambda-grid", "0.001:20:4000",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == (Path(__file__).parent / "data" / name).read_text()
+
+
 def test_oracle_subcommand_matches_library(tmp_path):
     out = tmp_path / "oracle.json"
     code = main(["oracle", "--N", "3", "--S", "2", "--M", "2", "--B", "2",
@@ -264,8 +272,9 @@ def test_overflowing_learning_rate_exits_one_before_play(tmp_path, capsys, monke
 
 def test_a_size_beyond_any_float_exits_one_with_the_budget_text(tmp_path, capsys):
     # the records of 10^400 rounds: the budget's message once overflowed a float
+    # (gamma = 0: any other rate overflows the scores of that many rounds first)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("players = 2\nnodes = 2\nstrategies = 1\nsignals = 1\n"
+    cfg.write_text("players = 2\nnodes = 2\nstrategies = 1\nsignals = 1\ngamma = 0\n"
                    f"iterations = {10**400}\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
@@ -346,8 +355,13 @@ NO_GRID = SWEEP_CFG.replace("lambda_grid = 0.5,1\n", "")
     ("compare-strengths", SWEEP_CFG, ": compare_strengths needs a second strength distribution"),
     ("run", RUN_CFG.replace("iterations = 300", "iterations = -5"),
      ":6: iterations must be >= 0"),
+    # the game a run plays at `signals`, checked when the experiment is built
+    ("run", RUN_CFG + "strengths = 1e-308,0.5,0.5\n",
+     ":7: strengths down to 1e-308 overflow the count-space terms of 20 players and 2 signals"),
+    ("run", RUN_CFG.replace("gamma = 20", "gamma = 1e306").replace("= 300", "= 1000"),
+     ":5: learning rate gamma up to 1e+306 overflows the scores of 1000 rounds"),
 ], ids=["sweep-no-grid", "reduction-no-grid", "run-no-signals", "compare-no-second-arm",
-        "negative-iterations"])
+        "negative-iterations", "run-strengths-overflow", "run-gamma-overflow"])
 def test_error_after_reading_the_config_names_it_once(tmp_path, capsys, command, text,
                                                       message):
     # a command's own needs name the file; a bad value names its line too
@@ -403,11 +417,21 @@ def test_bad_oracle_strengths_exit_one(capsys, strengths, nodes):
     ("--M", "0", "signals must be >= 1"),
     ("--B", "1", "nodes must be >= 2"),
     ("--B", "300", "node indices are stored as bytes; nodes must be <= 255"),
-], ids=["N", "S", "M", "B-below-2", "B-above-255"])
+    ("--strengths", "1e-308,1",
+     "strengths down to 1e-308 overflow the count-space terms of 3 players and 2 signals"),
+], ids=["N", "S", "M", "B-below-2", "B-above-255", "strengths-overflow"])
 def test_bad_oracle_size_names_its_flag(capsys, flag, value, message):
     sizes = {"--N": "3", "--S": "2", "--M": "2", "--B": "2", flag: value}
     assert main(["oracle", *(arg for pair in sizes.items() for arg in pair)]) == 1
     assert capsys.readouterr().err == f"error: {flag}: {message}\n"
+
+
+def test_oracle_checks_no_learning_rate(capsys):
+    # strengths whose scores the default gamma would overflow over a run's
+    # default rounds: the oracle plays no rounds, so it solves the game
+    assert main(["oracle", "--N", "3", "--S", "2", "--M", "2", "--B", "2",
+                 "--strengths", "1e-305,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["players"] == 3
 
 
 def test_oracle_strengths_list_matches_library(tmp_path):

@@ -109,7 +109,7 @@ def test_resolve_bets_counting():
     nodes, alloc = resolve_bets(c, PureInstance(0, np.zeros(3, dtype=int)), cfg.nodes)
     assert list(nodes) == [0, 0, 1]
     assert list(alloc.counts) == [2, 1]
-    assert alloc.total == 3
+    assert alloc.counts.sum() == 3
 
 
 def test_resolve_bets_single_player():
@@ -301,6 +301,17 @@ def test_payoffs_reject_a_profile_or_game_of_another_shape():
                 evaluate(*args)
     with pytest.raises(ValidationError, match="profile has shape"):
         strategy_payoffs(c, np.array([[0.3, 0.7]]), cfg)
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.5], [2.0, -1.0], [0.9, 0.9]],
+                         ids=["nan", "negative", "sum-above-1"])
+def test_payoffs_check_raw_rows_as_a_profile(row):
+    # raw (N, S) rows once skipped every profile check and gave numbers (or NaN)
+    cfg = GameConfig(players=2, nodes=2, signals=3, strategies_per_player=2,
+                     strengths=StrengthDistribution.uniform(2))
+    c = draw_strategy_matrix(cfg, np.random.default_rng(3))
+    with pytest.raises(ValidationError, match="profile"):
+        strategy_payoffs(c, np.array([row, [0.5, 0.5]]), cfg)
 
 
 @pytest.mark.parametrize("players,strategies,signals", [
