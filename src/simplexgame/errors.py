@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the allocation budget."""
+"""Exception types shared across the package, the allocation budget and the count check."""
+import numbers
 
 MAX_ALLOCATION_BYTES = 1 << 32  # 4 GiB; a serial c05 sweep peaks at 70 MB, so more is a typo
 
@@ -26,3 +27,10 @@ def check_allocation(nbytes: int, what: str) -> None:
                 else f"at least 2^{nbytes.bit_length() - 31}")
         raise BudgetError(f"{what} would need {size} GiB, above the "
                           f"{MAX_ALLOCATION_BYTES / 2**30:.3g} GiB allocation budget")
+
+
+def check_count(value, name: str) -> None:
+    """Raise ValidationError naming `name` unless value is a Python or NumPy
+    integer; a bool, a float (NaN included) or anything else is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")

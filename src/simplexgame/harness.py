@@ -27,7 +27,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import analytics, learning
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .game import (GameConfig, StrategyMatrix, StrengthDistribution, check_node_count,
                    draw_strategy_matrix, expected_frustration)
 from .learning import ConvergenceSettings, LearningConfig, LearnerState, Trajectory
@@ -67,8 +67,12 @@ class ExperimentConfig:
         find overflowing under fixed strengths: each arm's game at the largest
         and smallest grid M with gamma over t_max, as a sweep's batches play
         it, then at `signals` with gamma over `iterations`, as a run does."""
-        field = "nodes"
         try:
+            for field in ("players", "nodes", "strategies", "signals", "realizations",
+                          "t_max", "master_seed"):
+                if getattr(self, field) is not None:
+                    check_count(getattr(self, field), field)
+            field = "nodes"
             check_node_count(self.nodes)   # before any per-node strengths are built
             for field in ("strengths", "strengths_b"):
                 if field == "strengths" or self.strengths_b is not None:
@@ -230,16 +234,20 @@ def _run_batch(job: tuple) -> list:
 
 
 def _worker_count(n_tasks: int) -> int:
+    """SIMPLEXGAME_WORKERS, or else all CPUs this process may run on, capped at
+    those CPUs and at the task count."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     raw = os.environ.get(WORKERS_ENV)
     if not raw:
-        return min(os.cpu_count() or 1, n_tasks)
+        return min(cpus, n_tasks)
     try:
         workers = int(raw)
     except ValueError:
         workers = 0
     if workers < 1:
         raise ValidationError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-    return min(workers, n_tasks)
+    return min(workers, cpus, n_tasks)
 
 
 def _execute(exp: ExperimentConfig, points: list) -> list:

@@ -9,23 +9,23 @@ form).  Scores feed back into the softmax.
 
 `Lockstep`, the only play state, holds (S, K, N) scores and probabilities of
 K realizations, strategy-major so that each strategy's slice is a contiguous
-(K, N) plane, all starting at zero scores; `lockstep_round` plays one round
-of all of them per call, and `play_block` draws a block of T rounds ahead,
-takes their table slices as one (T, S, K, N) slot array, plays them, and
-reads the block's purities from the (T, K, N) softmax totals the rounds
-wrote.  Realizations of a batch share N, S, B and the learning rate
-but may differ in M and strengths, and each draws from its own generator in
-the order a lone run would, so its trajectory does not depend on what else
-shares the batch.  A block's draws are decoded from the PCG64 word stream
-(one `random_raw` call per realization and block) to the values that
-per-call `integers(M)` and `random(N)` give; any other bit generator, a
-draw that numpy would reject and redraw, or a numpy whose draws fail the
-decode's one-time self-check replays the block per call.  `run_lockstep`
-plays a batch of (config, matrix, rng) games, whose `GameConfig` alone gives
-the strengths the rewards read, until every realization has stopped; blocks
-write straight into records of each game's last `tail` rounds (all of them
-for `run`, a batch of one).  A realization's `LearnerState` and `Trajectory`
-are frozen once, when it stops.
+(K, N) plane, all starting at zero scores; `play_block` draws a block of T
+rounds of all of them ahead, takes their table slices as one (T, S, K, N)
+slot array, plays the rounds one by one, and reads the block's purities from
+the (T, K, N) softmax totals the rounds wrote.  Realizations of a batch
+share N, S, B and the learning rate but may differ in M and strengths, and
+each draws from its own generator in the order a lone run would, so its
+trajectory does not depend on what else shares the batch.  A block's draws
+are decoded from the PCG64 word stream (one `random_raw` call per
+realization and block) to the values that per-call `integers(M)` and
+`random(N)` give; any other bit generator, a draw that numpy would reject
+and redraw, or a numpy whose draws fail the decode's one-time self-check
+replays the block per call.  `run_lockstep` plays a batch of (config,
+matrix, rng) games, whose `GameConfig` alone gives the strengths the rewards
+read, until every realization has stopped; blocks write straight into
+records of each game's last `tail` rounds (all of them for `run`, a batch of
+one).  A realization's `LearnerState` and `Trajectory` are frozen once, when
+it stops.
 
 A realization stops at a check, every check_every rounds once 2 * window
 rounds are played, when its purity after that round (min over players of
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_allocation
+from .errors import ValidationError, check_allocation, check_count
 from .game import (GameConfig, MixedProfile, StrategyMatrix, check_matrix,
                    draw_strategy_matrix)
 
@@ -75,6 +75,7 @@ class LearningConfig:
 
     def __post_init__(self):
         _check_rate(self.gamma)
+        check_count(self.iterations, "iterations")
         if self.iterations < 0:
             raise ValidationError("iterations must be >= 0")
 
@@ -111,6 +112,8 @@ class ConvergenceSettings:
     check_every: int = 100
 
     def __post_init__(self):
+        check_count(self.window, "window")
+        check_count(self.check_every, "check_every")
         if self.window < 1 or self.check_every < 1:
             raise ValidationError("window and check_every must be >= 1")
 
@@ -327,66 +330,55 @@ class Lockstep:
         self._index()
 
 
-def lockstep_round(batch: Lockstep, slots: np.ndarray, draws: np.ndarray,
-                   totals: np.ndarray) -> np.ndarray:
-    """Play one round of every realization in the batch and update it in place.
-
-    slots (S, K, N) are the round's table slices as slots of the (K, B) counts
-    and draws (K, N) its uniforms, both drawn ahead by `play_block`.  A
-    strategy's reward depends only on its node r and on whether r is the
-    played node (occupancy N_r) or not (N_r + 1), so it is gathered from the
-    batch's reward table straight into the (S, K, N) scores.  The softmax then
-    rewrites the batch's (S, K, N) probabilities, which sampling has read, and
-    writes each player's softmax total, the inverse of its largest
-    probability, to totals (K, N).  Returns the round's node counts per row
-    (K, B).
-    """
-    strategies, k, _ = batch.scores.shape
-    # inverse-cdf sampling; the last cumulative probability counts as 1.  The
-    # cdf never decreases, so the played slot is that of the last s whose
-    # cdf_s lies below the draw
-    p = batch.probabilities
-    cdf = p[0]
-    played = slots[0]
-    for s in range(1, strategies):
-        if s > 1:
-            cdf = cdf + p[s - 1]
-        played = np.where(draws > cdf, slots[s], played)
-
-    counts = np.bincount(played.ravel(), minlength=k * batch.nodes)
-    cells = (batch.slot_cells + counts).take(slots)
-    cells += (slots != played).astype(np.int64)
-    batch.scores += batch.rewards.take(cells)
-    _softmax(batch.scores, batch.rate, p, totals)
-    return counts.reshape(k, -1)
-
-
 def play_block(batch: Lockstep, rounds: int):
     """Draw and play the next `rounds` rounds of every realization in the batch.
 
     Realization k draws its T rounds (per round a signal, then N uniforms, the
     order a lone run keeps) from rngs[k] in one block, so seeded runs are
     reproducible whatever else shares the batch; the table slices of all T
-    rounds are then taken at once, as one (T, S, K, N) slot array, and every
-    round writes its softmax totals to one (T, K, N) array, from which the
-    block's purities are read at the end as the smallest 1 / total.  Returns
-    per round and row (T, K) the signal, node counts (T, K, B),
+    rounds are then taken at once, as one (T, S, K, N) slot array of slots of
+    the (K, B) counts.  A round samples every player's strategy from the
+    batch's probabilities, counts the nodes played, and adds every strategy's
+    reward to the (S, K, N) scores: the reward depends only on the strategy's
+    node r and on whether r is the played node (occupancy N_r) or not
+    (N_r + 1), so it is gathered straight from the batch's reward table.  The
+    softmax then rewrites the probabilities and writes each player's softmax
+    total, the inverse of its largest probability, to one (T, K, N) array.
+    Returns per round and row (T, K) the signal, node counts (T, K, B),
     sum_r N_r^2 / y_r, which `_frustration` turns into R_t, and purity (min
     over players of the largest strategy probability after the round).
     """
-    k = len(batch.rngs)
+    strategies, k, n = batch.scores.shape
     signals = np.empty((rounds, k), dtype=np.int64)
     draws, slots, totals = batch._block_arrays(rounds)
     for j, rng in enumerate(batch.rngs):
         signals[:, j] = _draw_block(rng, batch.signal_counts[j], draws[:, j])
     np.add(batch.tables.take(batch.offsets + signals, axis=0).transpose(0, 3, 1, 2),
            batch.slot_base, out=slots)
-    counts = np.empty((rounds, k, batch.nodes), dtype=np.int64)
+    scores, p, rate = batch.scores, batch.probabilities, batch.rate
+    rewards, slot_cells = batch.rewards, batch.slot_cells
+    counts = np.empty((rounds, k * batch.nodes), dtype=np.int64)
+    swapped = np.empty((strategies, k, n), dtype=np.int64)
     for t in range(rounds):
-        counts[t] = lockstep_round(batch, slots[t], draws[t], totals[t])
+        slot, draw = slots[t], draws[t]
+        # inverse-cdf sampling; the last cumulative probability counts as 1.
+        # The cdf never decreases, so the played slot is that of the last s
+        # whose cdf_s lies below the draw
+        cdf, played = p[0], slot[0]
+        for s in range(1, strategies):
+            if s > 1:
+                cdf = cdf + p[s - 1]
+            played = np.where(draw > cdf, slot[s], played)
+        counts[t] = np.bincount(played.ravel(), minlength=counts.shape[1])
+        cells = (slot_cells + counts[t]).take(slot)
+        cells += np.not_equal(slot, played, out=swapped, casting="unsafe")
+        scores += rewards.take(cells)
+        _softmax(scores, rate, p, totals[t])
+    counts = counts.reshape(rounds, k, batch.nodes)
     # one dot product per round and row, the same reduction a lone counts @ (counts / y) makes
     squares = np.matmul(counts[:, :, None, :], counts[..., None] * batch.inv_y)[..., 0, 0]
-    return signals, counts, squares, np.divide(1.0, totals, out=totals).min(axis=2)
+    # correctly rounded 1 / x never rises as x does, so this is the smallest 1 / total
+    return signals, counts, squares, 1.0 / totals.max(axis=2)
 
 
 def _frustration(squares, players: int, nodes: int):

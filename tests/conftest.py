@@ -52,7 +52,7 @@ def reference_state(config, gamma=DEFAULT_LEARNING_RATE):
 
 def play_round(batch, config):
     """One round of a one-row lockstep batch, played as a block of one round by
-    `play_block` and so by `lockstep_round`: (signal, R_t, purity, counts)."""
+    `play_block`, the only code that plays a round: (signal, R_t, purity, counts)."""
     signals, counts, squares, purity = play_block(batch, 1)
     r_t = float(_frustration(squares[0, 0], config.players, config.nodes))
     return int(signals[0, 0]), r_t, float(purity[0, 0]), counts[0, 0]

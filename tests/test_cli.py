@@ -116,6 +116,31 @@ window = 30
 check_every = 100
 measurement = final-profile
 """, 1),
+    # fixed strengths at S = 1 (no sampling, no max fold) and S = 4 (three cdf planes)
+    "sweep_trace_n12_s1_b3_seed3": ("""\
+players = 12
+nodes = 3
+strategies = 1
+strengths = 0.5,0.3,0.2
+lambda_grid = 0.1,0.5,1,3
+realizations = 3
+t_max = 600
+window = 50
+check_every = 50
+measurement = windowed-trace
+""", 3),
+    "sweep_final_n12_s4_b3_seed4": ("""\
+players = 12
+nodes = 3
+strategies = 4
+strengths = uniform
+lambda_grid = 0.2,0.8,1.5,4
+realizations = 3
+t_max = 800
+window = 40
+check_every = 100
+measurement = final-profile
+""", 4),
 }
 
 

@@ -111,21 +111,25 @@ KEPT_UNREFERENCED = {
     "oracle.maximizer_equilibrium_report": "the benchmark (bench/run.py) traces it",
     "game.GameConfig.training_parameter": "README's quick start reads lambda from it",
     "game.MixedProfile.pure": "a value type's constructor",
+    "game.MixedProfile.uniform": "a value type's constructor",
 }
 
 
-def _reads(node, inside=()):
-    """(identifier, whether an attribute, definitions enclosing the read) of
-    every ast Name and Attribute node under node, the definitions as a tuple
-    of their nodes."""
+def _reads(node, classes, inside=()):
+    """(identifier, whether an attribute, owner, definitions enclosing the
+    read) of every ast Name and Attribute node under node: owner is the class
+    of a read written `Class.member` where Class is one of `classes`, else
+    None, and the definitions are a tuple of their nodes."""
     if isinstance(node, ast.Name):
-        yield node.id, False, inside
+        yield node.id, False, None, inside
     elif isinstance(node, ast.Attribute):
-        yield node.attr, True, inside
+        value = node.value
+        owner = value.id if isinstance(value, ast.Name) and value.id in classes else None
+        yield node.attr, True, owner, inside
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         inside = inside + (node,)
     for child in ast.iter_child_nodes(node):
-        yield from _reads(child, inside)
+        yield from _reads(child, classes, inside)
 
 
 def _definition(tree, path: list):
@@ -139,21 +143,24 @@ def _definition(tree, path: list):
 def test_every_public_name_is_read_or_kept():
     """A name read only in its own definition (a recursion) counts as unread,
     and a class member counts as read only through an attribute (`x.pure`),
-    not a bare name (`pure = ...`).  The guard matches identifiers, not
-    types: a member that shares its name with one read elsewhere passes, as
-    `Simplex.node_count` did beside `StrengthDistribution.node_count`, and as
-    `MixedProfile.uniform`, a value type's constructor, does beside
-    `StrengthDistribution.uniform`."""
+    not a bare name (`pure = ...`).  A read written `Class.member`, where
+    Class names a class of the package, counts for that class's member only:
+    `StrengthDistribution.uniform(nodes)` reads no `MixedProfile.uniform`.
+    Any other attribute read (`x.node_count`) matches every member of that
+    name, since the guard does not infer what type x has."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
              if p.stem != "__init__"}
-    reads = [read for tree in trees.values() for read in _reads(tree)]
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    reads = [read for tree in trees.values() for read in _reads(tree, classes)]
     unread = set()
     for stem in trees.keys() - {"__main__"}:
         for qualified, _ in _public(importlib.import_module(f"simplexgame.{stem}")):
             path = qualified.split(".")[2:]
             own = _definition(trees[stem], path)
             member = len(path) > 1
-            if not any(name == path[-1] and own not in inside and (attribute or not member)
-                       for name, attribute, inside in reads):
+            if not any(name == path[-1] and own not in inside
+                       and (path[:-1] == [owner] if owner else attribute or not member)
+                       for name, attribute, owner, inside in reads):
                 unread.add(".".join([stem, *path]))
     assert unread == set(KEPT_UNREFERENCED)

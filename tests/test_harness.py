@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplexgame import (ExperimentConfig, GameConfig, LearningConfig,
-                         MixedProfile, StrengthDistribution, ValidationError,
+from simplexgame import (ConvergenceSettings, ExperimentConfig, GameConfig,
+                         LearningConfig, MixedProfile, StrengthDistribution, ValidationError,
                          child_seed, compare_strengths,
                          expected_frustration,
                          experiment_from_file, export_sweep, export_trajectory,
@@ -135,6 +135,23 @@ def test_sweep_deterministic_and_worker_independent(monkeypatch):
     b = sweep(tiny_sweep_config())
     assert [r.steady_r for r in a.rows] == [r.steady_r for r in b.rows]
     assert a.config_hash == b.config_hash
+
+
+@pytest.mark.parametrize("env, workers", [(None, 2), ("1", 1), ("2", 2), ("5000", 2)])
+def test_worker_count_is_capped_at_the_usable_cpus(monkeypatch, env, workers):
+    # no pool is started: only the count a sweep would ask for is read
+    if env is None:
+        monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(harness.WORKERS_ENV, env)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    assert harness._worker_count(300) == workers
+    assert harness._worker_count(1) == 1
+    # where affinity cannot be read, the CPU count caps it
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    assert harness._worker_count(300) == min(int(env or 3), 3)
 
 
 def test_converged_means_a_purity_stop():
@@ -402,6 +419,23 @@ def test_experiment_validation():
     with pytest.raises(ValidationError) as err:
         tiny_sweep_config(strengths_b=(0.2, 0.2))
     assert str(err.value) == "strengths_b: strengths must sum to 1 (got 0.4)"
+
+
+@pytest.mark.parametrize("bad", [12.5, float("nan"), True], ids=["float", "nan", "bool"])
+@pytest.mark.parametrize("owner, field", [(LearningConfig, "iterations"),
+                                          (ConvergenceSettings, "window"),
+                                          (ConvergenceSettings, "check_every")]
+                         + [(ExperimentConfig, field) for field in (
+                             "players", "nodes", "strategies", "signals", "realizations",
+                             "t_max", "master_seed")])
+def test_counts_must_be_integers(owner, field, bad):
+    make = tiny_sweep_config if owner is ExperimentConfig else owner
+    with pytest.raises(ValidationError, match=f"^{field} must be an integer") as err:
+        make(**{field: bad})
+    if owner is ExperimentConfig:
+        assert err.value.fields == (field,)
+    count = getattr(make(), field) or 5   # a tiny sweep sets no signals
+    assert getattr(make(**{field: np.int64(count)}), field) == count
 
 
 def test_strengths_normalized_at_construction():
