@@ -19,8 +19,7 @@ from .harness import (ComparisonResult, ExperimentConfig, SweepResult, child_see
                       compare_strengths, experiment_from_file, export_sweep,
                       export_trajectory, measure_steady_state, single_run, sweep,
                       verify_reduction)
-from .learning import (ConvergenceSettings, LearnerState, LearningConfig, RunResult,
-                       Trajectory, random_baseline, run)
+from .learning import RunResult, random_baseline, run
 from .oracle import (EquilibriumSet, MaximizerReport, enumerate_equilibria,
                      maximizer_equilibrium_report, oracle_report, potential_defect,
                      reward_vector)

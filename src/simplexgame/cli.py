@@ -103,11 +103,11 @@ def _cmd_run(args) -> int:
         return result, dump
 
     result, dump = _play(args, run_and_dump)
-    harness.export_trajectory(result.trajectory, args.out)
+    harness.export_trajectory(result, args.out)
     if dump is not None:
         with open(args.dump_simplex, "w") as fh:
             json.dump(dump, fh, indent=2, sort_keys=True)
-    print(f"wrote {len(result.trajectory)} iterations to {args.out}")
+    print(f"wrote {result.iterations} iterations to {args.out}")
     return 0
 
 

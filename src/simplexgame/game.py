@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStrengthsError, ValidationError, check_allocation
+from .errors import DegenerateStrengthsError, ValidationError, check_allocation, check_count
 
 SUM_TOL = 1e-12   # strengths and each profile row sum to 1 within this
 PROPERNESS_THRESHOLD = 10.0   # largest degeneracy index `random_proper` accepts
@@ -108,6 +108,8 @@ class GameConfig:
     strengths: StrengthDistribution
 
     def __post_init__(self):
+        for field in ("players", "nodes", "signals", "strategies_per_player"):
+            check_count(getattr(self, field), field)
         if self.players < 1:
             raise ValidationError("players must be >= 1")
         check_node_count(self.nodes)

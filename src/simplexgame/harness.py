@@ -28,9 +28,8 @@ import numpy as np
 
 from . import analytics, learning
 from .errors import ValidationError, check_count
-from .game import (GameConfig, StrategyMatrix, StrengthDistribution, check_node_count,
+from .game import (GameConfig, MixedProfile, StrengthDistribution, check_node_count,
                    draw_strategy_matrix, expected_frustration)
-from .learning import ConvergenceSettings, LearningConfig, LearnerState, Trajectory
 
 WORKERS_ENV = "SIMPLEXGAME_WORKERS"
 MEASUREMENT_MODES = ("final-profile", "windowed-trace")
@@ -40,10 +39,12 @@ _CSV_ROUNDS = 1 << 14  # rounds formatted at a time when a trajectory is written
 
 @dataclass
 class ExperimentConfig:
-    """Everything one experiment needs.  `strengths` (and `strengths_b`, the
-    second arm of a comparison, if not None) may be a distribution, "uniform",
-    None, a sequence of B weights, or "random" (fresh proper strengths per
-    realization); each is normalized to "random" or a tuple of B weights."""
+    """Everything one experiment needs, and the one copy of each default.
+    `strengths` (and `strengths_b`, the second arm of a comparison, if not
+    None) may be a distribution, "uniform", None, a sequence of B weights, or
+    "random" (fresh proper strengths per realization); each is normalized to
+    "random" or a tuple of B weights.  A sweep plays each realization for up to
+    t_max rounds, a single run for `iterations`."""
 
     players: int
     nodes: int
@@ -69,7 +70,7 @@ class ExperimentConfig:
         it, then at `signals` with gamma over `iterations`, as a run does."""
         try:
             for field in ("players", "nodes", "strategies", "signals", "realizations",
-                          "t_max", "master_seed"):
+                          "iterations", "t_max", "window", "check_every", "master_seed"):
                 if getattr(self, field) is not None:
                     check_count(getattr(self, field), field)
             field = "nodes"
@@ -77,14 +78,14 @@ class ExperimentConfig:
             for field in ("strengths", "strengths_b"):
                 if field == "strengths" or self.strengths_b is not None:
                     setattr(self, field, _strengths_field(field, getattr(self, field), self.nodes))
-            for field in ("players", "strategies", "signals", "realizations"):
+            for field in ("players", "strategies", "signals", "realizations", "window",
+                          "check_every"):
                 if getattr(self, field) is not None and getattr(self, field) < 1:
                     raise ValidationError(f"{field} must be >= 1")
-            for field in ("window", "check_every"):
-                ConvergenceSettings(**{field: getattr(self, field)})
-            for field in ("gamma", "iterations"):
-                LearningConfig(**{field: getattr(self, field)})
+            field = "gamma"
+            rate = learning._check_rate(self.gamma)
             for field, bad, message in (
+                    ("iterations", self.iterations < 0, "iterations must be >= 0"),
                     (("t_max", "window"), self.t_max < self.window, "t_max must be >= window"),
                     ("measurement", self.measurement not in MEASUREMENT_MODES,
                      f"measurement must be one of {MEASUREMENT_MODES}"),
@@ -111,7 +112,7 @@ class ExperimentConfig:
                     field = arm   # GameConfig checks the count-space terms
                     game = _draw_game(self, weights, signals)
                     field = "gamma"
-                    learning.check_score_range(self.gamma, rounds, game)
+                    learning.check_score_range(rate, rounds, game)
         except ValidationError as exc:
             exc.fields = (field,) if isinstance(field, str) else field
             raise
@@ -157,10 +158,7 @@ def child_seed(master_seed: int, lambda_index: int, realization: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def measure_steady_state(state: LearnerState, c: StrategyMatrix, config: GameConfig,
-                         mode: str = "final-profile",
-                         trajectory: Trajectory | None = None,
-                         window: int = 200) -> float:
+def measure_steady_state(result: learning.RunResult, mode: str, window: int) -> float:
     """Steady-state frustration of a finished run.
 
     final-profile evaluates the exact signal-averaged frustration of the final
@@ -168,11 +166,12 @@ def measure_steady_state(state: LearnerState, c: StrategyMatrix, config: GameCon
     trace over the last `window` iterations, matching what a trace plot shows.
     """
     if mode == "final-profile":
-        return expected_frustration(c, state.profile(), config)
+        return expected_frustration(result.matrix, MixedProfile(result.probabilities.copy()),
+                                    result.config)
     if mode == "windowed-trace":
-        if trajectory is None or len(trajectory) == 0:
+        if not result.frustrations.size:
             raise ValidationError("windowed-trace mode needs a non-empty trajectory")
-        return float(trajectory.frustrations[-window:].mean())
+        return float(result.frustrations[-window:].mean())
     raise ValidationError(f"measurement must be one of {MEASUREMENT_MODES}")
 
 
@@ -219,17 +218,15 @@ def _run_batch(job: tuple) -> list:
         config = _draw_game(exp, exp.strengths, signals, rng)
         seeds.append(seed)
         games.append((config, draw_strategy_matrix(config, rng), rng))
-    results = learning.run_lockstep(
-        games, LearningConfig(gamma=exp.gamma, iterations=exp.t_max),
-        ConvergenceSettings(window=exp.window, check_every=exp.check_every), tail=exp.window)
+    results = learning.run_lockstep(games, exp.gamma, exp.t_max, exp.check_every, exp.window,
+                                    tail=exp.window)
     rows = []
     for (lambda_index, realization, signals), seed, result in zip(coords, seeds, results):
-        steady = measure_steady_state(result.state, result.matrix, result.config,
-                                      exp.measurement, result.trajectory, exp.window)
         rows.append(RealizationRow(
             lambda_index=lambda_index, realized_lambda=signals / exp.players,
-            realization=realization, seed=seed, steady_r=steady,
-            converged=result.converged, iterations=result.state.iteration))
+            realization=realization, seed=seed,
+            steady_r=measure_steady_state(result, exp.measurement, exp.window),
+            converged=result.converged, iterations=result.iterations))
     return rows
 
 
@@ -265,8 +262,12 @@ def _execute(exp: ExperimentConfig, points: list) -> list:
         # imported here: it loads multiprocessing, socket and subprocess, which
         # a one-worker run and every other command never use
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for batch in pool.map(_run_batch, jobs) for row in batch]
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = [row for batch in pool.map(_run_batch, jobs) for row in batch]
+        except BrokenProcessPool as exc:
+            raise OSError(f"a sweep worker, one of {workers} processes, died: {exc}") from exc
     return sorted(rows, key=lambda r: (r.lambda_index, r.realization))
 
 
@@ -461,19 +462,20 @@ def export_sweep(result: SweepResult, path: str, fmt: str = "csv") -> list:
     return list(texts)
 
 
-def _trajectory_csv(trajectory: Trajectory):
-    """The `t,m,R_t,purity` CSV of every round, in texts of _CSV_ROUNDS rounds."""
+def _trajectory_csv(result: learning.RunResult):
+    """The `t,m,R_t,purity` CSV of every held round, in texts of _CSV_ROUNDS rounds."""
     yield "t,m,R_t,purity\n"
-    for start in range(0, len(trajectory), _CSV_ROUNDS):
+    rounds = len(result.signals)
+    for start in range(0, rounds, _CSV_ROUNDS):
         part = slice(start, start + _CSV_ROUNDS)
         yield "".join(_csv_lines(zip(
-            range(start, len(trajectory)), trajectory.signals[part].tolist(),
-            trajectory.frustrations[part].tolist(), trajectory.purities[part].tolist())))
+            range(start, rounds), result.signals[part].tolist(),
+            result.frustrations[part].tolist(), result.purities[part].tolist())))
 
 
-def export_trajectory(trajectory: Trajectory, path: str) -> None:
+def export_trajectory(result: learning.RunResult, path: str) -> None:
     """Write a run's trajectory CSV, holding the text of one chunk of rounds at a time."""
-    _write_text(path, _trajectory_csv(trajectory))
+    _write_text(path, _trajectory_csv(result))
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +486,8 @@ def single_run(exp: ExperimentConfig) -> learning.RunResult:
     if exp.signals is None:
         raise ValidationError("single runs need an explicit signal count")
     rng = np.random.default_rng(exp.master_seed)
-    learn = LearningConfig(gamma=exp.gamma, iterations=exp.iterations)
-    return learning.run(_draw_game(exp, exp.strengths, exp.signals, rng), learn, rng)
+    return learning.run(_draw_game(exp, exp.strengths, exp.signals, rng), rng,
+                        gamma=exp.gamma, iterations=exp.iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ realization and block) to the values that per-call `integers(M)` and
 and redraw, or a numpy whose draws fail the decode's one-time self-check
 replays the block per call.  `run_lockstep` plays a batch of (config,
 matrix, rng) games, whose `GameConfig` alone gives the strengths the rewards
-read, until every realization has stopped; blocks write straight into
-records of each game's last `tail` rounds (all of them for `run`, a batch of
-one).  A realization's `LearnerState` and `Trajectory` are frozen once, when
-it stops.
+read, at one learning rate gamma for up to `iterations` rounds, until every
+realization has stopped; blocks write straight into records of each game's
+last `tail` rounds (all of them for `run`, a batch of one).  It checks each
+of its plain arguments once, and a realization's one frozen `RunResult` is
+built when it stops.  The harness's `ExperimentConfig` holds the defaults.
 
 A realization stops at a check, every check_every rounds once 2 * window
 rounds are played, when its purity after that round (min over players of
@@ -41,12 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, check_allocation, check_count
-from .game import (GameConfig, MixedProfile, StrategyMatrix, check_matrix,
-                   draw_strategy_matrix)
+from .game import GameConfig, StrategyMatrix, check_matrix, draw_strategy_matrix
 
 log = logging.getLogger(__name__)
 
-DEFAULT_LEARNING_RATE = 20.0
 PURITY_THRESHOLD = 0.999
 _ROW_BYTES = 24  # a recorded round: one int64 signal and two float64 values
 # rounds are drawn in blocks of at most 2**15 uniforms per realization, and
@@ -58,73 +57,30 @@ _BATCH_WORDS = 2**20
 
 
 def _check_rate(gamma) -> float:
-    """gamma as a float, after checking it is one number, finite and >= 0."""
-    if not isinstance(gamma, (int, float, np.integer, np.floating)):
+    """gamma as a float, after checking it is one number (not a bool), finite and >= 0."""
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, float, np.integer, np.floating)):
         raise ValidationError(f"gamma must be one learning rate, got {type(gamma).__name__}")
     if not 0.0 <= gamma < np.inf:
         raise ValidationError("learning rates must be finite and >= 0")
     return float(gamma)
 
 
-@dataclass
-class LearningConfig:
-    """Knobs of an iterated run; every player learns at the one rate gamma."""
-
-    gamma: float = DEFAULT_LEARNING_RATE
-    iterations: int = 2000
-
-    def __post_init__(self):
-        _check_rate(self.gamma)
-        check_count(self.iterations, "iterations")
-        if self.iterations < 0:
-            raise ValidationError("iterations must be >= 0")
-
-
 @dataclass(frozen=True, eq=False)
-class LearnerState:
-    """A finished run's per-player (N, S) scores and softmax probabilities."""
+class RunResult:
+    """A finished run: its game, (N, S) final scores and softmax probabilities,
+    the rounds it played, whether it stopped at a purity check, and the
+    per-round signal, frustration and purity of its last held rounds, oldest
+    first."""
 
+    config: GameConfig
+    matrix: StrategyMatrix
     scores: np.ndarray
     probabilities: np.ndarray
-    iteration: int
-
-    def profile(self) -> MixedProfile:
-        return MixedProfile(self.probabilities.copy())
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Per-round (signal, frustration, purity) of a run's last held rounds, oldest first."""
-
+    iterations: int
+    converged: bool
     signals: np.ndarray
     frustrations: np.ndarray
     purities: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.signals)
-
-
-@dataclass
-class ConvergenceSettings:
-    """Purity checks every check_every rounds, from 2 * window rounds on."""
-
-    window: int = 200
-    check_every: int = 100
-
-    def __post_init__(self):
-        check_count(self.window, "window")
-        check_count(self.check_every, "check_every")
-        if self.window < 1 or self.check_every < 1:
-            raise ValidationError("window and check_every must be >= 1")
-
-
-@dataclass
-class RunResult:
-    state: LearnerState
-    trajectory: Trajectory
-    matrix: StrategyMatrix
-    config: GameConfig
-    converged: bool  # stopped at a purity check
 
 
 def _softmax(scores: np.ndarray, rate: float, out: np.ndarray, total: np.ndarray) -> None:
@@ -270,7 +226,7 @@ class Lockstep:
     table and the (S, K, N) arrays before any of them is built.
     """
 
-    def __init__(self, games: list, gamma=DEFAULT_LEARNING_RATE):
+    def __init__(self, games: list, gamma):
         config = games[0][0]
         k, n, strategies = len(games), config.players, config.strategies_per_player
         check_allocation(8 * k * (config.nodes * (n + 2) + 2 * strategies * n),
@@ -386,10 +342,11 @@ def _frustration(squares, players: int, nodes: int):
     return (squares - players * players) / (players * (nodes - 1))
 
 
-def run(config: GameConfig, learn: LearningConfig, seed,
-        matrix: StrategyMatrix | None = None,
-        convergence: ConvergenceSettings | None = None) -> RunResult:
-    """Iterate a game for learn.iterations rounds (stopping early if asked).
+def run(config: GameConfig, seed, *, gamma, iterations: int,
+        matrix: StrategyMatrix | None = None, check_every: int | None = None,
+        window: int | None = None) -> RunResult:
+    """Iterate a game at learning rate gamma for `iterations` rounds, stopping
+    early at a purity check if check_every (and window) are given.
 
     The seed feeds a single generator that first draws the strategy matrix
     (unless one is supplied) and then drives the play stream.
@@ -397,18 +354,17 @@ def run(config: GameConfig, learn: LearningConfig, seed,
     rng = np.random.default_rng(seed)
     if matrix is None:
         matrix = draw_strategy_matrix(config, rng)
-    return run_lockstep([(config, matrix, rng)], learn, convergence)[0]
+    return run_lockstep([(config, matrix, rng)], gamma, iterations, check_every, window)[0]
 
 
-def check_score_range(gamma: float, iterations: int, config: GameConfig) -> None:
-    """ValidationError when the learning rate gamma could overflow a score of
-    config's game over `iterations` rounds.
+def check_score_range(rate: float, iterations: int, config: GameConfig) -> None:
+    """ValidationError when the learning rate `rate`, one that `_check_rate`
+    passed, could overflow a score of config's game over `iterations` rounds.
 
     A score sums at most `iterations` rewards (1 - occ / (y_r N)) / M, which
     fall as the occupancy occ = 0 .. N + 1 rises, also as rounded floats, so
     the largest |reward| of the table `Lockstep` plays is at one end.
     """
-    rate = _check_rate(gamma)
     ends = np.array([[0.0], [config.players + 1.0]])
     rewards = _reward(ends, 1.0 / config.strengths.weights, config.players, config.signals)
     try:
@@ -420,27 +376,37 @@ def check_score_range(gamma: float, iterations: int, config: GameConfig) -> None
                               f"of {iterations} rounds")
 
 
-def run_lockstep(games: list, learn: LearningConfig,
-                 convergence: ConvergenceSettings | None = None, tail: int | None = None) -> list:
-    """Play (config, matrix, rng) games in lockstep; one RunResult each.
+def run_lockstep(games: list, gamma, iterations: int, check_every: int | None = None,
+                 window: int | None = None, tail: int | None = None) -> list:
+    """Play (config, matrix, rng) games in lockstep at learning rate gamma; one
+    RunResult each.
 
-    Every game starts from the uniform state and plays up to learn.iterations
-    rounds.  Each stops on its own when a check (every check_every rounds
-    once 2 * window rounds are played) finds its purity at or above
-    PURITY_THRESHOLD; its result, with its last `tail` rounds (all if tail is
-    None), is written then and it leaves the working arrays.  The games must
-    share N, S and B, and each matrix must fit its config.
+    Every game starts from the uniform state and plays up to `iterations`
+    rounds.  If check_every is given, each stops on its own when a check
+    (every check_every rounds once 2 * window rounds are played) finds its
+    purity at or above PURITY_THRESHOLD; its result, with its last `tail`
+    rounds (all if tail is None), is written then and it leaves the working
+    arrays.  The games must share N, S and B, and each matrix must fit its
+    config.
     """
+    if check_every is not None and window is None:
+        raise ValidationError("check_every needs a window")
+    for name, value, least in (("iterations", iterations, 0), ("check_every", check_every, 1),
+                               ("window", window, 1), ("tail", tail, 0)):
+        if value is not None or name == "iterations":
+            check_count(value, name)
+            if value < least:
+                raise ValidationError(f"{name} must be >= {least}")
     shapes = {(c.players, c.strategies_per_player, c.nodes) for c, _, _ in games}
     if len(shapes) != 1:
         raise ValidationError(f"lockstep games must share N, S and B, got {sorted(shapes)}")
     (n, strategies, nodes), = shapes
     for config, matrix, _ in games:
         check_matrix(matrix, config)
-    total, iterations = len(games), learn.iterations
+    total = len(games)
     held = iterations if tail is None else min(tail, iterations)
     check_allocation(total * held * _ROW_BYTES, f"{total} records of the last {held} rounds")
-    batch = Lockstep(games, learn.gamma)
+    batch = Lockstep(games, gamma)
     for config, _, _ in games:
         check_score_range(batch.rate, iterations, config)
     # row k holds game k's last `held` rounds, round t at flat index k * held + t % held
@@ -453,13 +419,12 @@ def run_lockstep(games: list, learn: LearningConfig,
         config, matrix, _ = games[k]
         # a wrapped record holds its oldest round in column rounds % held
         results[k] = RunResult(
-            LearnerState(batch.scores[:, j].T.copy(), batch.probabilities[:, j].T.copy(), rounds),
-            Trajectory(*(record[k, :rounds] if rounds <= held else np.roll(record[k], -rounds)
-                         for record in records)),
-            matrix, config, converged)
+            config, matrix, batch.scores[:, j].T.copy(), batch.probabilities[:, j].T.copy(),
+            rounds, converged, *(record[k, :rounds] if rounds <= held
+                                 else np.roll(record[k], -rounds) for record in records))
 
     # each sub-block of a check writes the rounds the records keep straight into them
-    every = convergence.check_every if convergence is not None else max(iterations, 1)
+    every = check_every if check_every is not None else max(iterations, 1)
     for start in range(0, iterations, every):
         end = min(start + every, iterations)
         span = max(1, min(_BLOCK_WORDS // n, 2 * _BATCH_WORDS
@@ -472,7 +437,7 @@ def run_lockstep(games: list, learn: LearningConfig,
             for record, block in zip(records, (m, _frustration(squares, n, nodes), purity)):
                 record.put(cells, block[since - first:])
         # the 2 * window gate stays: with the cadence it fixes each row's iterations
-        if convergence is None or end % every or end < 2 * convergence.window:
+        if check_every is None or end % every or end < 2 * window:
             continue
         pure = purity[-1] >= PURITY_THRESHOLD
         if pure.any():
@@ -488,8 +453,9 @@ def run_lockstep(games: list, learn: LearningConfig,
     return results
 
 
-def random_baseline(config: GameConfig, seed, iterations: int) -> Trajectory:
-    """Unsophisticated play: every round each player picks node r w.p. y_r."""
+def random_baseline(config: GameConfig, seed, iterations: int) -> np.ndarray:
+    """R_t of `iterations` rounds (iterations,) of unsophisticated play: every
+    round each player picks node r w.p. y_r."""
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
     rng = np.random.default_rng(seed)
@@ -497,5 +463,4 @@ def random_baseline(config: GameConfig, seed, iterations: int) -> Trajectory:
     picks = rng.choice(b_nodes, size=(iterations, n), p=config.strengths.weights)
     counts = np.zeros((iterations, b_nodes))
     np.add.at(counts, (np.arange(iterations)[:, None], picks), 1.0)
-    r_t = _frustration(counts**2 @ (1.0 / config.strengths.weights), n, b_nodes)
-    return Trajectory(np.full(iterations, -1), r_t, np.full(iterations, np.nan))
+    return _frustration(counts**2 @ (1.0 / config.strengths.weights), n, b_nodes)

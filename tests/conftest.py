@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simplexgame import GameConfig, StrengthDistribution, build_simplex, draw_strategy_matrix
-from simplexgame.learning import DEFAULT_LEARNING_RATE, _frustration, play_block
+from simplexgame.learning import _frustration, play_block
 
 
 def random_proper_strengths(rng, nodes, alpha=5.0):
@@ -40,7 +40,7 @@ def reference_softmax_rows(scores, gammas):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def reference_state(config, gamma=DEFAULT_LEARNING_RATE):
+def reference_state(config, gamma=20.0):
     """The uniform start a per-realization reference round updates in place:
     (N, S) scores and probabilities, one learning rate per player, the round count."""
     n, strategies = config.players, config.strategies_per_player

@@ -106,8 +106,8 @@ def test_c04_trace_reproduction():
         y = sg.StrengthDistribution.random_proper(5, rng)
         cfg = sg.GameConfig(players=50, nodes=5, signals=2,
                             strategies_per_player=2, strengths=y)
-        result = sg.run(cfg, sg.LearningConfig(gamma=20.0, iterations=2000), rng)
-        r = result.trajectory.frustrations
+        result = sg.run(cfg, rng, gamma=20.0, iterations=2000)
+        r = result.frustrations
         first10.append(r[:10].mean())
         plateaus.append(r[-200:].mean())
     low_plateaus = sum(p <= 0.25 for p in plateaus)
@@ -116,7 +116,7 @@ def test_c04_trace_reproduction():
                              strategies_per_player=2,
                              strengths=sg.StrengthDistribution.uniform(5))
     baseline = sg.random_baseline(base_cfg, seed=404, iterations=10**4)
-    base_mean = float(np.mean(baseline.frustrations))
+    base_mean = float(np.mean(baseline))
 
     ok = (np.mean(first10) >= 0.6 and low_plateaus >= 8
           and abs(base_mean - 1.0) <= 0.05)
@@ -205,9 +205,8 @@ def test_c09_oracle_consistency():
         eq = sg.enumerate_equilibria(c, cfg)
         if eq.count > 0:
             nonempty += 1
-        result = sg.run(cfg, sg.LearningConfig(gamma=20.0, iterations=2000),
-                        seed, matrix=c)
-        learned = sg.expected_frustration(c, result.state.profile(), cfg)
+        result = sg.run(cfg, seed, gamma=20.0, iterations=2000, matrix=c)
+        learned = sg.expected_frustration(c, sg.MixedProfile(result.probabilities), cfg)
         if learned >= eq.min_r - 1e-9:
             bound_ok += 1
         if abs(learned - eq.min_r) <= 0.05:

@@ -12,8 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simplexgame import (ConvergenceSettings, ExperimentConfig, GameConfig,
-                         LearningConfig, StrengthDistribution,
+from simplexgame import (ExperimentConfig, GameConfig, StrengthDistribution,
                          ValidationError, draw_strategy_matrix,
                          harness, learning, run, sweep, verify_reduction)
 from simplexgame.harness import (RealizationRow, child_seed, measure_steady_state,
@@ -59,17 +58,14 @@ def reference_execute(exp, points):
             config = GameConfig(players=exp.players, nodes=exp.nodes, signals=m,
                                 strategies_per_player=exp.strategies, strengths=y)
             matrix = draw_strategy_matrix(config, rng)
-            result = learning.run(
-                config, LearningConfig(gamma=exp.gamma, iterations=exp.t_max),
-                rng, matrix=matrix,
-                convergence=ConvergenceSettings(window=exp.window,
-                                                check_every=exp.check_every))
-            steady = measure_steady_state(result.state, matrix, config,
-                                          exp.measurement, result.trajectory, exp.window)
+            result = learning.run(config, rng, gamma=exp.gamma, iterations=exp.t_max,
+                                  matrix=matrix, check_every=exp.check_every,
+                                  window=exp.window)
+            steady = measure_steady_state(result, exp.measurement, exp.window)
             rows.append(RealizationRow(lambda_index=li, realized_lambda=m / exp.players,
                                        realization=k, seed=seed, steady_r=steady,
                                        converged=result.converged,
-                                       iterations=result.state.iteration))
+                                       iterations=result.iterations))
     return rows
 
 
@@ -148,7 +144,7 @@ def test_keep_leaves_every_strategy_plane_contiguous():
     for j in range(4):
         config, c = _game(9, 4, 5, 3, 30 + j)
         games.append((config, c, np.random.default_rng(j)))
-    batch = Lockstep(games)
+    batch = Lockstep(games, 20.0)
     play_block(batch, 3)
     batch.keep([0, 2, 3])
     for array in (batch.scores, batch.probabilities):
@@ -169,17 +165,16 @@ def test_run_trajectory_matches_reference():
     config, c = _game(20, 3, 10, 2, 5)
     for bit_generator in (np.random.PCG64, np.random.MT19937):
         stream = np.random.Generator(bit_generator(9))
-        result = run(config, LearningConfig(iterations=120), stream, matrix=c)
+        result = run(config, stream, gamma=20.0, iterations=120, matrix=c)
         ref = reference_state(config)
         rng = np.random.Generator(bit_generator(9))
         records = [reference_iterate(ref, c, config, rng) for _ in range(120)]
         assert _state(stream) == _state(rng)
-        traj = result.trajectory
-        assert traj.signals.tolist() == [r[1] for r in records]
-        assert traj.frustrations.tolist() == [r[2] for r in records]
-        assert traj.purities.tolist() == [r[3] for r in records]
-        assert result.state.iteration == 120
-        assert result.state.scores.tobytes(order="A") == ref.scores.tobytes(order="A")
+        assert result.signals.tolist() == [r[1] for r in records]
+        assert result.frustrations.tolist() == [r[2] for r in records]
+        assert result.purities.tolist() == [r[3] for r in records]
+        assert result.iterations == 120
+        assert result.scores.tobytes(order="A") == ref.scores.tobytes(order="A")
 
 
 def _block_peak(strategies):
@@ -190,7 +185,7 @@ def _block_peak(strategies):
         games.append((config, c, np.random.default_rng(j)))
     tracemalloc.start()
     try:
-        learning.run_lockstep(games, LearningConfig(iterations=100))
+        learning.run_lockstep(games, 20.0, 100)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -213,7 +208,7 @@ def test_lockstep_games_must_share_shape():
     b = _game(10, 4, 4, 2, 2)
     games = [(cfg, c, np.random.default_rng(0)) for cfg, c in (a, b)]
     with pytest.raises(ValidationError):
-        learning.run_lockstep(games, LearningConfig(iterations=5))
+        learning.run_lockstep(games, 20.0, 5)
 
 
 def _outputs(result):

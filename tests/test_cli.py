@@ -88,11 +88,11 @@ def test_sweep_subcommand_csv_and_json(tmp_path):
     assert len(payload["rows"]) == 4
 
 
-# (config, seed) of the sweeps recorded in tests/data: a windowed-trace sweep
-# with window > check_every and rows capped at t_max, and a final-profile one
-# with S = 3, window < check_every and random strengths
+# (command, config, seed) of the outputs recorded in tests/data: a
+# windowed-trace sweep with window > check_every and rows capped at t_max, and
+# a final-profile one with S = 3, window < check_every and random strengths
 RECORDED_SWEEPS = {
-    "sweep_trace_n30_s2_b4_seed2": ("""\
+    "sweep_trace_n30_s2_b4_seed2": ("sweep", """\
 players = 30
 nodes = 4
 strategies = 2
@@ -104,7 +104,7 @@ window = 150
 check_every = 50
 measurement = windowed-trace
 """, 2),
-    "sweep_final_n20_s3_b3_seed1": ("""\
+    "sweep_final_n20_s3_b3_seed1": ("sweep", """\
 players = 20
 nodes = 3
 strategies = 3
@@ -117,7 +117,7 @@ check_every = 100
 measurement = final-profile
 """, 1),
     # fixed strengths at S = 1 (no sampling, no max fold) and S = 4 (three cdf planes)
-    "sweep_trace_n12_s1_b3_seed3": ("""\
+    "sweep_trace_n12_s1_b3_seed3": ("sweep", """\
 players = 12
 nodes = 3
 strategies = 1
@@ -129,7 +129,7 @@ window = 50
 check_every = 50
 measurement = windowed-trace
 """, 3),
-    "sweep_final_n12_s4_b3_seed4": ("""\
+    "sweep_final_n12_s4_b3_seed4": ("sweep", """\
 players = 12
 nodes = 3
 strategies = 4
@@ -141,17 +141,74 @@ window = 40
 check_every = 100
 measurement = final-profile
 """, 4),
+    # a paired sweep under fixed and uniform strengths, a 2-node reduction, and
+    # a run of 300 rounds
+    "compare_n12_s2_b3_seed5": ("compare-strengths", """\
+players = 12
+nodes = 3
+strategies = 2
+strengths = 0.5,0.3,0.2
+strengths_b = uniform
+lambda_grid = 0.1,0.5,1,3
+realizations = 3
+t_max = 600
+window = 50
+check_every = 50
+measurement = windowed-trace
+""", 5),
+    "reduce_n12_s3_b3_seed6": ("verify-reduction", """\
+players = 12
+nodes = 3
+strategies = 3
+strengths = 0.5,0.3,0.2
+lambda_grid = 0.2,0.8,1.5,4
+realizations = 3
+t_max = 800
+window = 40
+check_every = 100
+measurement = final-profile
+""", 6),
+    "run_n12_s2_b3_seed7": ("run", """\
+players = 12
+nodes = 3
+signals = 4
+strategies = 2
+strengths = 0.5,0.3,0.2
+gamma = 20
+iterations = 300
+""", 7),
 }
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("recorded", list(RECORDED_SWEEPS))
 def test_sweep_matches_recorded_output(tmp_path, monkeypatch, recorded, workers):
-    # every row and summary line, text for text; the JSON without its wall clock
+    """Every row and summary line, text for text; the JSON without its wall clock.
+
+    Each file in tests/data was written by the command line from the entry's
+    config file and seed:
+
+        simplexgame sweep --config CFG --seed SEED --out NAME.csv
+        simplexgame sweep --config CFG --seed SEED --out NAME.json --format json
+        simplexgame compare-strengths --config CFG --seed SEED --out NAME.csv
+        simplexgame verify-reduction --config CFG --seed SEED --out NAME.csv
+        simplexgame run --config CFG --seed SEED --out NAME.csv
+
+    A run's CSV is written a second time in chunks of 128 rounds, so that its
+    text crosses chunk boundaries.
+    """
     monkeypatch.setenv("SIMPLEXGAME_WORKERS", workers)
-    text, seed = RECORDED_SWEEPS[recorded]
+    command, text, seed = RECORDED_SWEEPS[recorded]
     cfg, data = tmp_path / "sweep.cfg", Path(__file__).parent / "data"
     cfg.write_text(text)
+    if command != "sweep":
+        out = tmp_path / f"{recorded}.csv"
+        argv = [command, "--config", str(cfg), "--seed", str(seed), "--out", str(out)]
+        for chunk in [harness._CSV_ROUNDS] + [128] * (command == "run"):
+            monkeypatch.setattr(harness, "_CSV_ROUNDS", chunk)
+            assert main(argv) == 0
+            assert out.read_text() == (data / out.name).read_text()
+        return
     for name in (f"{recorded}.csv", f"{recorded}.json"):
         out = tmp_path / name
         assert main(["sweep", "--config", str(cfg), "--seed", str(seed), "--out", str(out),
@@ -179,12 +236,17 @@ def test_predict_subcommand(tmp_path):
     assert values[-1][1] > 0.5
 
 
-def test_predict_matches_recorded_output(tmp_path):
-    # 4,000 lambdas across the onset pin every predicted_R bit, text for text
+def test_predict_matches_recorded_output(tmp_path, capsys):
+    # 4,000 lambdas across the onset pin every predicted_R bit, text for text,
+    # in the file and, without --out, on stdout
     out, name = tmp_path / "pred.csv", "predict_s2_b5_grid4000.csv"
-    assert main(["predict", "--S", "2", "--B", "5", "--lambda-grid", "0.001:20:4000",
-                 "--out", str(out)]) == 0
-    assert out.read_text() == (Path(__file__).parent / "data" / name).read_text()
+    argv = ["predict", "--S", "2", "--B", "5", "--lambda-grid", "0.001:20:4000"]
+    assert main(argv + ["--out", str(out)]) == 0
+    want = (Path(__file__).parent / "data" / name).read_text()
+    assert out.read_text() == want
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_oracle_subcommand_matches_library(tmp_path):
@@ -309,6 +371,7 @@ def test_a_size_beyond_any_float_exits_one_with_the_budget_text(tmp_path, capsys
 
 
 @pytest.mark.parametrize("line,lineno", [("players = abc", 1),
+                                          ("players 10", 1),   # no '='
                                           ("lambda_grid = a:b:3", 4),
                                           ("lambda_grid = 0.5,x", 4),
                                           ("strengths = 0.5,abc", 4)])
@@ -490,6 +553,23 @@ def test_io_error_exits_two(tmp_path):
     cfg.write_text(RUN_CFG)
     out = tmp_path / "no_such_dir" / "traj.csv"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+def _die(job):
+    """A sweep batch whose worker process dies at once, as a killed one does."""
+    os._exit(3)
+
+
+def test_a_dead_sweep_worker_exits_two_in_one_line(tmp_path, capsys, monkeypatch):
+    # the pool's fork start carries the patched batch into both workers
+    monkeypatch.setenv("SIMPLEXGAME_WORKERS", "2")
+    monkeypatch.setattr(harness, "_run_batch", _die)
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "x.csv"
+    cfg.write_text(SWEEP_CFG)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: a sweep worker, one of 2 processes, died: ")
+    assert err.count("\n") == 1 and "Traceback" not in err and not out.exists()
 
 
 def test_determinism_across_invocations(tmp_path):

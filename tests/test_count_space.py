@@ -88,7 +88,7 @@ def test_iterate_matches_vertex_route(players, nodes, signals, strategies,
     config, simplex, c = _game(players, nodes, signals, strategies, random_strengths, 5)
     ref = reference_state(config)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    batch = Lockstep([(config, c, rng)])
+    batch = Lockstep([(config, c, rng)], 20.0)
     for _ in range(ROUNDS):
         signal, frustration_t, _, counts_t = play_round(batch, config)
         m, counts, r_t = reference_iterate(ref, c, simplex, config, ref_rng)

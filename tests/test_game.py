@@ -23,6 +23,10 @@ def test_config_validation():
     y = StrengthDistribution.uniform(3)
     with pytest.raises(ValidationError):
         GameConfig(players=0, nodes=3, signals=1, strategies_per_player=1, strengths=y)
+    with pytest.raises(ValidationError, match="^signals must be >= 1"):
+        GameConfig(players=2, nodes=3, signals=0, strategies_per_player=1, strengths=y)
+    with pytest.raises(ValidationError, match="^strategies_per_player must be >= 1"):
+        GameConfig(players=2, nodes=3, signals=1, strategies_per_player=0, strengths=y)
     with pytest.raises(ValidationError):
         GameConfig(players=2, nodes=2, signals=1, strategies_per_player=1, strengths=y)
     with pytest.raises(ValidationError):
@@ -110,6 +114,12 @@ def test_resolve_bets_counting():
     assert list(nodes) == [0, 0, 1]
     assert list(alloc.counts) == [2, 1]
     assert alloc.counts.sum() == 3
+    for inst, message in ((PureInstance(1, np.zeros(3, dtype=int)), "signal 1 out of range"),
+                          (PureInstance(0, np.array([0, 1, 0])), "choices out of range"),
+                          (PureInstance(0, np.array([0, -1, 0])), "choices out of range"),
+                          (PureInstance(0, np.zeros(2, dtype=int)), "choices out of range")):
+        with pytest.raises(ValidationError, match=message):
+            resolve_bets(c, inst, cfg.nodes)
 
 
 def test_resolve_bets_single_player():
@@ -415,6 +425,8 @@ def test_profile_validation():
                  [[0.5, 0.5], [np.nan, 1.0]]):
         with pytest.raises(ValidationError):
             MixedProfile(np.array(rows))
+    with pytest.raises(ValidationError, match="profile must be 2-d"):
+        MixedProfile(np.array([0.5, 0.5]))
 
 
 def test_matrix_io_roundtrip(tmp_path, rng):
@@ -431,6 +443,8 @@ def test_matrix_rejects_out_of_range_and_fractional_entries():
     for bad in ([[[256]]], [[[-1]]], [[[1.5]]], [[[np.nan]]], [[["a"]]]):
         with pytest.raises(ValidationError):
             StrategyMatrix(np.array(bad))
+    with pytest.raises(ValidationError, match="strategy matrix must be 3-d"):
+        StrategyMatrix(np.zeros((2, 3), dtype=np.uint8))
     assert StrategyMatrix(np.array([[[255.0, 0.0]]])).entries.tolist() == [[[255, 0]]]
 
 

@@ -1,22 +1,21 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplexgame import (ConvergenceSettings, ExperimentConfig, GameConfig,
-                         LearningConfig, MixedProfile, StrengthDistribution, ValidationError,
-                         child_seed, compare_strengths,
-                         expected_frustration,
+from simplexgame import (ExperimentConfig, GameConfig, MixedProfile, StrengthDistribution,
+                         ValidationError, child_seed, compare_strengths,
+                         draw_strategy_matrix, expected_frustration,
                          experiment_from_file, export_sweep, export_trajectory,
                          measure_steady_state, run, single_run, sweep,
                          verify_reduction)
-from simplexgame import harness
+from simplexgame import harness, learning
 from simplexgame.harness import (CONFIG_KEYS, config_hash, parse_lambda_grid,
                                  semantic_config, signals_for, sweep_data_csv,
                                  sweep_summary_csv)
-from simplexgame.learning import Trajectory
 
 from references import parse_config_file
 
@@ -56,11 +55,10 @@ def test_measure_steady_state_zero_at_balanced_pure():
     entries = np.zeros((2, 1, 3), dtype=np.uint8)
     entries[1, :, :] = 1
     c = StrategyMatrix(entries)
-    result = run(cfg, LearningConfig(iterations=300), seed=0, matrix=c)
-    final = measure_steady_state(result.state, c, cfg, "final-profile")
+    result = run(cfg, 0, gamma=20.0, iterations=300, matrix=c)
+    final = measure_steady_state(result, "final-profile", 100)
     assert final == pytest.approx(0.0, abs=1e-12)
-    windowed = measure_steady_state(result.state, c, cfg, "windowed-trace",
-                                    result.trajectory, window=100)
+    windowed = measure_steady_state(result, "windowed-trace", window=100)
     assert windowed == pytest.approx(0.0, abs=1e-12)
 
 
@@ -68,14 +66,13 @@ def test_measure_steady_state_gamma_zero_modes():
     y = StrengthDistribution.uniform(5)
     cfg = GameConfig(players=50, nodes=5, signals=2, strategies_per_player=2,
                      strengths=y)
-    result = run(cfg, LearningConfig(gamma=0.0, iterations=3000), seed=8)
-    final = measure_steady_state(result.state, result.matrix, cfg, "final-profile")
+    result = run(cfg, 8, gamma=0.0, iterations=3000)
+    final = measure_steady_state(result, "final-profile", 1000)
     # exact evaluation of the uniform profile on the drawn matrix
     expect = expected_frustration(result.matrix,
                                   MixedProfile.uniform(50, 2), cfg)
     assert final == pytest.approx(expect, abs=1e-12)
-    windowed = measure_steady_state(result.state, result.matrix, cfg, "windowed-trace",
-                                    result.trajectory, 1000)
+    windowed = measure_steady_state(result, "windowed-trace", 1000)
     # the trace realizes the same expectation through sampled play
     assert windowed == pytest.approx(final, abs=0.25)
 
@@ -85,21 +82,20 @@ def test_measure_modes_agree_after_convergence():
     y = StrengthDistribution.random_proper(5, rng)
     cfg = GameConfig(players=50, nodes=5, signals=2, strategies_per_player=2,
                      strengths=y)
-    result = run(cfg, LearningConfig(gamma=20.0, iterations=2000), seed=14)
-    final = measure_steady_state(result.state, result.matrix, cfg, "final-profile")
-    windowed = measure_steady_state(result.state, result.matrix, cfg, "windowed-trace",
-                                    result.trajectory, 200)
+    result = run(cfg, 14, gamma=20.0, iterations=2000)
+    final = measure_steady_state(result, "final-profile", 200)
+    windowed = measure_steady_state(result, "windowed-trace", 200)
     assert abs(final - windowed) <= 0.05
 
 
 def test_measure_mode_validation():
     cfg = GameConfig(players=2, nodes=2, signals=1, strategies_per_player=1,
                      strengths=StrengthDistribution.uniform(2))
-    result = run(cfg, LearningConfig(iterations=10), seed=0)
+    result = run(cfg, 0, gamma=20.0, iterations=10)
     with pytest.raises(ValidationError):
-        measure_steady_state(result.state, result.matrix, cfg, "bogus")
+        measure_steady_state(result, "bogus", 10)
     with pytest.raises(ValidationError):
-        measure_steady_state(result.state, result.matrix, cfg, "windowed-trace", None)
+        measure_steady_state(run(cfg, 0, gamma=20.0, iterations=0), "windowed-trace", 10)
 
 
 # -- sweep -------------------------------------------------------------------
@@ -234,9 +230,9 @@ def test_config_hash_changes_iff_semantic_field_changes():
 def test_trajectory_export(tmp_path):
     cfg = GameConfig(players=5, nodes=2, signals=2, strategies_per_player=2,
                      strengths=StrengthDistribution.uniform(2))
-    result = run(cfg, LearningConfig(iterations=20), seed=0)
+    result = run(cfg, 0, gamma=20.0, iterations=20)
     path = tmp_path / "traj.csv"
-    export_trajectory(result.trajectory, str(path))
+    export_trajectory(result, str(path))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,m,R_t,purity"
     assert len(lines) == 21
@@ -248,15 +244,17 @@ def test_trajectory_export_writes_in_chunks_with_the_same_text(tmp_path):
     rng = np.random.default_rng(5)
     purities = rng.random(rounds)
     purities[::7] = np.nan
-    trajectory = Trajectory(rng.integers(0, 50, rounds), rng.standard_normal(rounds) * 1e3,
-                            purities)
+    cfg = GameConfig(players=5, nodes=2, signals=2, strategies_per_player=2,
+                     strengths=StrengthDistribution.uniform(2))
+    result = replace(run(cfg, 0, gamma=20.0, iterations=1), signals=rng.integers(0, 50, rounds),
+                     frustrations=rng.standard_normal(rounds) * 1e3, purities=purities)
     path = tmp_path / "traj.csv"
-    export_trajectory(trajectory, str(path))
+    export_trajectory(result, str(path))
     assert path.read_text() == harness.csv_text("t,m,R_t,purity", zip(
-        range(rounds), trajectory.signals.tolist(), trajectory.frustrations.tolist(),
+        range(rounds), result.signals.tolist(), result.frustrations.tolist(),
         purities.tolist()))
     with pytest.raises(OSError, match="^cannot write .*no_such_dir"):
-        export_trajectory(trajectory, str(tmp_path / "no_such_dir" / "traj.csv"))
+        export_trajectory(result, str(tmp_path / "no_such_dir" / "traj.csv"))
 
 
 # -- comparisons -------------------------------------------------------------
@@ -389,14 +387,16 @@ def test_single_run_uses_seeded_strengths(tmp_path):
     path.write_text(CONFIG_TEXT)
     a = single_run(experiment_from_file(str(path)))
     b = single_run(experiment_from_file(str(path)))
-    assert a.trajectory.frustrations.tobytes() == b.trajectory.frustrations.tobytes()
+    assert a.frustrations.tobytes() == b.frustrations.tobytes()
     assert np.allclose(a.config.strengths.weights, b.config.strengths.weights)
 
 
 def test_experiment_validation():
-    for name in ("players", "strategies", "signals", "realizations"):
+    for name in ("players", "strategies", "signals", "realizations", "window", "check_every"):
         with pytest.raises(ValidationError, match=f"^{name} must be >= 1"):
             tiny_sweep_config(**{name: 0})
+    with pytest.raises(ValidationError, match="^iterations must be >= 0"):
+        tiny_sweep_config(iterations=-1)
     with pytest.raises(ValidationError):
         tiny_sweep_config(t_max=50, window=100)
     with pytest.raises(ValidationError):
@@ -421,21 +421,41 @@ def test_experiment_validation():
     assert str(err.value) == "strengths_b: strengths must sum to 1 (got 0.4)"
 
 
+def _game_config(**counts):
+    """A 3-player game on 2 uniform nodes at `counts`."""
+    counts = dict(players=3, nodes=2, signals=2, strategies_per_player=2) | counts
+    return GameConfig(strengths=StrengthDistribution.uniform(2), **counts)
+
+
+def _lockstep_run(**counts):
+    """A one-game `run_lockstep` of 6 rounds, checked every 2, at `counts`."""
+    cfg = GameConfig(players=3, nodes=2, signals=2, strategies_per_player=2,
+                     strengths=StrengthDistribution.uniform(2))
+    rng = np.random.default_rng(0)
+    counts = dict(iterations=6, check_every=2, window=1, tail=3) | counts
+    return learning.run_lockstep([(cfg, draw_strategy_matrix(cfg, rng), rng)], 20.0, **counts)[0]
+
+
 @pytest.mark.parametrize("bad", [12.5, float("nan"), True], ids=["float", "nan", "bool"])
-@pytest.mark.parametrize("owner, field", [(LearningConfig, "iterations"),
-                                          (ConvergenceSettings, "window"),
-                                          (ConvergenceSettings, "check_every")]
+@pytest.mark.parametrize("owner, field", [(learning.run_lockstep, field) for field in (
+                             "iterations", "window", "check_every", "tail")]
+                         + [(GameConfig, field) for field in (
+                             "players", "nodes", "signals", "strategies_per_player")]
                          + [(ExperimentConfig, field) for field in (
                              "players", "nodes", "strategies", "signals", "realizations",
-                             "t_max", "master_seed")])
+                             "iterations", "t_max", "window", "check_every", "master_seed")])
 def test_counts_must_be_integers(owner, field, bad):
-    make = tiny_sweep_config if owner is ExperimentConfig else owner
+    make = {ExperimentConfig: tiny_sweep_config, GameConfig: _game_config,
+            learning.run_lockstep: _lockstep_run}[owner]
     with pytest.raises(ValidationError, match=f"^{field} must be an integer") as err:
         make(**{field: bad})
     if owner is ExperimentConfig:
         assert err.value.fields == (field,)
-    count = getattr(make(), field) or 5   # a tiny sweep sets no signals
-    assert getattr(make(**{field: np.int64(count)}), field) == count
+    if owner is learning.run_lockstep:
+        assert make(**{field: np.int64(2)}).iterations >= 2   # a NumPy integer is a count
+    else:
+        count = getattr(make(), field) or 5   # a tiny sweep sets no signals
+        assert getattr(make(**{field: np.int64(count)}), field) == count
 
 
 def test_strengths_normalized_at_construction():

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from simplexgame import (BudgetError, ConvergenceSettings, GameConfig,
-                         LearningConfig, MixedProfile, PureInstance,
+from simplexgame import (BudgetError, ExperimentConfig, GameConfig, MixedProfile, PureInstance,
                          StrategyMatrix, StrengthDistribution, ValidationError,
                          build_simplex, draw_strategy_matrix, expected_frustration,
                          learning, random_baseline, resolve_bets, reward_vector, run,
                          strategy_payoffs)
-from simplexgame.learning import PURITY_THRESHOLD, Lockstep, check_score_range
+from simplexgame.learning import PURITY_THRESHOLD, Lockstep
 
 from conftest import play_round, random_profile, small_instance
 from references import integrate_replicator, replicator_flow, softmax_probabilities
@@ -124,7 +123,7 @@ def test_iterate_updates_are_consistent(rng):
 
 def test_iterate_single_strategy_is_repeated_play(rng):
     cfg, s, c = small_instance(rng, strategies=1)
-    batch = Lockstep([(cfg, c, rng)])
+    batch = Lockstep([(cfg, c, rng)], 20.0)
     for _ in range(5):
         _, _, purity, _ = play_round(batch, cfg)
     assert np.allclose(batch.probabilities, 1.0)
@@ -138,35 +137,43 @@ def test_zero_learning_rate_stays_uniform():
                      strengths=y)
     means = []
     for seed in range(3):
-        result = run(cfg, LearningConfig(gamma=0.0, iterations=2000), seed=seed)
-        assert np.allclose(result.state.probabilities, 0.5)
-        means.append(np.mean(result.trajectory.frustrations))
+        result = run(cfg, seed, gamma=0.0, iterations=2000)
+        assert np.allclose(result.probabilities, 0.5)
+        means.append(np.mean(result.frustrations))
     assert np.mean(means) == pytest.approx(1.0, abs=0.1)
 
 
 def test_run_deterministic_trajectories():
     cfg = fig1_config(uniform=True)
-    a = run(cfg, LearningConfig(iterations=400), seed=123)
-    b = run(cfg, LearningConfig(iterations=400), seed=123)
-    assert a.trajectory.frustrations.tobytes() == b.trajectory.frustrations.tobytes()
-    assert a.trajectory.signals.tobytes() == b.trajectory.signals.tobytes()
+    a = run(cfg, 123, gamma=20.0, iterations=400)
+    b = run(cfg, 123, gamma=20.0, iterations=400)
+    assert a.frustrations.tobytes() == b.frustrations.tobytes()
+    assert a.signals.tobytes() == b.signals.tobytes()
     assert a.matrix.entries.tobytes() == b.matrix.entries.tobytes()
+
+
+def _rate_checks(game):
+    """Every place a learning rate is taken: play, its state, an experiment."""
+    return (lambda gamma: learning.run_lockstep([game], gamma, 10),
+            lambda gamma: Lockstep([game], gamma),
+            lambda gamma: ExperimentConfig(players=5, nodes=3, strategies=2, gamma=gamma))
 
 
 def test_learning_settings_validation():
     cfg = fig1_config(uniform=True)
-    for bad in (dict(check_every=0), dict(window=0), dict(check_every=-5)):
-        with pytest.raises(ValidationError):
-            ConvergenceSettings(**bad)
     rng = np.random.default_rng(0)
     game = (cfg, draw_strategy_matrix(cfg, rng), rng)
+    for bad in (dict(check_every=0), dict(window=0), dict(check_every=-5), dict(tail=-1)):
+        with pytest.raises(ValidationError, match="must be >= "):
+            learning.run_lockstep([game], 20.0, 10, **(dict(check_every=10, window=1) | bad))
+    with pytest.raises(ValidationError, match="check_every needs a window"):
+        learning.run_lockstep([game], 20.0, 10, check_every=10)
     for gamma in (np.nan, np.inf, -1.0):
-        for check in (LearningConfig, lambda gamma: Lockstep([game], gamma),
-                      lambda gamma: check_score_range(gamma, 10, cfg)):
+        for check in _rate_checks(game):
             with pytest.raises(ValidationError, match="learning rates must be finite and >= 0"):
                 check(gamma)
     with pytest.raises(ValidationError, match="iterations must be >= 0"):
-        LearningConfig(iterations=-1)
+        learning.run_lockstep([game], 20.0, -1)
     for gamma in (np.nan, [1.0, 5.0, 9.0], np.ones((2, 1))):
         with pytest.raises(ValidationError):
             softmax_probabilities(np.array([1.0, 0.0]), gamma)
@@ -179,36 +186,34 @@ def test_gamma_is_one_rate():
                      strengths=StrengthDistribution.uniform(3))
     rng = np.random.default_rng(0)
     game = (cfg, draw_strategy_matrix(cfg, rng), rng)
-    for gamma in (np.full(5, 3.0), np.full((1, 1), 3.0), np.array(3.0), [3.0], "3"):
-        for check in (LearningConfig, lambda gamma: Lockstep([game], gamma),
-                      lambda gamma: check_score_range(gamma, 10, cfg),
+    for gamma in (np.full(5, 3.0), np.full((1, 1), 3.0), np.array(3.0), [3.0], "3", True):
+        for check in (*_rate_checks(game),
                       lambda gamma: softmax_probabilities(np.array([1.0, 0.0]), gamma)):
             with pytest.raises(ValidationError, match="gamma must be one learning rate"):
                 check(gamma)
     for gamma in (3, 3.0, np.float32(3.0), np.int64(3)):
         assert Lockstep([game], gamma).rate == 3.0
-        result = run(cfg, LearningConfig(gamma=gamma, iterations=5), seed=1)
-        assert len(result.trajectory) == 5
+        result = run(cfg, 1, gamma=gamma, iterations=5)
+        assert len(result.frustrations) == 5
 
 
 def test_run_rejects_mismatched_matrix():
     cfg = fig1_config(uniform=True)
-    learn = LearningConfig(iterations=5)
+    learn = dict(gamma=20.0, iterations=5)
     wrong_shape = StrategyMatrix(np.zeros((cfg.players, 2, cfg.signals + 1), dtype=np.uint8))
     with pytest.raises(ValidationError):
-        run(cfg, learn, seed=1, matrix=wrong_shape)
+        run(cfg, 1, matrix=wrong_shape, **learn)
     entries = np.zeros((cfg.players, 2, cfg.signals), dtype=np.uint8)
     entries[3, 1, 0] = cfg.nodes  # one past the last node
     with pytest.raises(ValidationError):
-        run(cfg, learn, seed=1, matrix=StrategyMatrix(entries))
+        run(cfg, 1, matrix=StrategyMatrix(entries), **learn)
     entries[3, 1, 0] = cfg.nodes - 1
-    assert len(run(cfg, learn, seed=1, matrix=StrategyMatrix(entries)).trajectory) == 5
+    assert len(run(cfg, 1, matrix=StrategyMatrix(entries), **learn).frustrations) == 5
 
 
 def test_run_lockstep_rejects_a_matrix_that_does_not_fit_its_game():
     cfg = GameConfig(players=4, nodes=3, signals=2, strategies_per_player=2,
                      strengths=StrengthDistribution(np.array([0.5, 0.3, 0.2])))
-    learn = LearningConfig(iterations=5)
     good = draw_strategy_matrix(cfg, np.random.default_rng(0))
     entries = np.array(good.entries)
     entries[0] = 4   # player 0 always plays a node of no 3-node game
@@ -217,29 +222,29 @@ def test_run_lockstep_rejects_a_matrix_that_does_not_fit_its_game():
     games = [(cfg, StrategyMatrix(entries), np.random.default_rng(1)),
              (cfg, good, np.random.default_rng(2))]
     with pytest.raises(ValidationError, match="holds node 4 of a 3-node game"):
-        learning.run_lockstep(games, learn)
+        learning.run_lockstep(games, 20.0, 5)
     one_signal = StrategyMatrix(np.zeros((4, 2, 1), dtype=np.uint8))   # M = 1, config says 2
     with pytest.raises(ValidationError, match="does not fit"):
-        learning.run_lockstep([(cfg, one_signal, np.random.default_rng(1))], learn)
-    alone = run(cfg, learn, 2, matrix=good)
+        learning.run_lockstep([(cfg, one_signal, np.random.default_rng(1))], 20.0, 5)
+    alone = run(cfg, 2, gamma=20.0, iterations=5, matrix=good)
     both = learning.run_lockstep([(cfg, good, np.random.default_rng(1)),
-                                  (cfg, good, np.random.default_rng(2))], learn)
-    assert both[1].trajectory.frustrations.tobytes() == alone.trajectory.frustrations.tobytes()
+                                  (cfg, good, np.random.default_rng(2))], 20.0, 5)
+    assert both[1].frustrations.tobytes() == alone.frustrations.tobytes()
 
 
 def test_run_zero_iterations():
     cfg = fig1_config(uniform=True)
-    result = run(cfg, LearningConfig(iterations=0), seed=1)
-    assert len(result.trajectory) == 0
-    assert np.all(result.state.scores == 0.0)
+    result = run(cfg, 1, gamma=20.0, iterations=0)
+    assert len(result.frustrations) == 0
+    assert np.all(result.scores == 0.0)
 
 
 def test_run_converges_to_low_frustration():
     # trace starts near 1 and finds a low plateau within 2000 iterations
     rng = np.random.default_rng(77)
     cfg = fig1_config(rng)
-    result = run(cfg, LearningConfig(gamma=20.0, iterations=2000), seed=77)
-    r = result.trajectory.frustrations
+    result = run(cfg, 77, gamma=20.0, iterations=2000)
+    r = result.frustrations
     assert r[:10].mean() >= 0.5
     assert r[-200:].mean() <= 0.3
 
@@ -329,18 +334,19 @@ def test_replicator_step_validation(rng):
 
 def test_random_baseline_mean_near_one():
     cfg = fig1_config(uniform=True)
-    traj = random_baseline(cfg, seed=11, iterations=10**4)
-    assert np.mean(traj.frustrations) == pytest.approx(1.0, abs=0.05)
+    r_t = random_baseline(cfg, seed=11, iterations=10**4)
+    assert r_t.shape == (10**4,)
+    assert np.mean(r_t) == pytest.approx(1.0, abs=0.05)
 
 
 def test_random_baseline_two_player_binary():
     # outcomes: split (R=0, prob 1/2) or pile-up (R=2, prob 1/2)
     cfg = GameConfig(players=2, nodes=2, signals=1, strategies_per_player=1,
                      strengths=StrengthDistribution(np.array([0.5, 0.5])))
-    traj = random_baseline(cfg, seed=2, iterations=4000)
-    values = set(np.round(traj.frustrations, 12))
+    r_t = random_baseline(cfg, seed=2, iterations=4000)
+    values = set(np.round(r_t, 12))
     assert values <= {0.0, 2.0}
-    frac_zero = np.mean(traj.frustrations == 0.0)
+    frac_zero = np.mean(r_t == 0.0)
     assert frac_zero == pytest.approx(0.5, abs=4 * 0.5 / np.sqrt(4000))
 
 
@@ -348,8 +354,8 @@ def test_random_baseline_mean_one_even_for_skewed_strengths():
     # strength-weighted picks balance the weighted simplex for any strengths
     cfg = GameConfig(players=50, nodes=2, signals=1, strategies_per_player=1,
                      strengths=StrengthDistribution(np.array([0.9, 0.1])))
-    traj = random_baseline(cfg, seed=3, iterations=10**4)
-    assert np.mean(traj.frustrations) == pytest.approx(1.0, abs=0.06)
+    r_t = random_baseline(cfg, seed=3, iterations=10**4)
+    assert np.mean(r_t) == pytest.approx(1.0, abs=0.06)
 
 
 # -- block draws -------------------------------------------------------------
@@ -405,22 +411,20 @@ def test_detect_convergence_one_hot_rows(rng):
     # one strategy each: every row is one-hot from the first round, so the run
     # stops at the first check, after 2 * window rounds
     cfg, s, c = small_instance(rng, players=4, strategies=1)
-    result = run(cfg, LearningConfig(iterations=500), seed=1, matrix=c,
-                 convergence=ConvergenceSettings(window=50, check_every=50))
-    assert result.converged and result.state.iteration == 100
-    assert len(result.trajectory) == 100
-    assert np.all(result.trajectory.purities == 1.0)
+    result = run(cfg, 1, gamma=20.0, iterations=500, matrix=c, check_every=50, window=50)
+    assert result.converged and result.iterations == 100
+    assert len(result.purities) == 100
+    assert np.all(result.purities == 1.0)
 
 
 def test_detect_convergence_gamma_zero_plateaus():
     # a flat trace is not convergence: at gamma = 0 purity stays 1/S, so the
     # run plays every round although its trace plateaus near 1
     cfg = fig1_config(uniform=True)
-    result = run(cfg, LearningConfig(gamma=0.0, iterations=3000), seed=4,
-                 convergence=ConvergenceSettings(window=500, check_every=100))
-    assert not result.converged and result.state.iteration == 3000
-    assert result.trajectory.purities[-1] == pytest.approx(0.5)     # 1/S, never pure
-    assert result.trajectory.frustrations[-500:].mean() == pytest.approx(1.0, abs=0.15)
+    result = run(cfg, 4, gamma=0.0, iterations=3000, check_every=100, window=500)
+    assert not result.converged and result.iterations == 3000
+    assert result.purities[-1] == pytest.approx(0.5)     # 1/S, never pure
+    assert result.frustrations[-500:].mean() == pytest.approx(1.0, abs=0.15)
 
 
 def test_detect_convergence_fig1_style():
@@ -428,29 +432,26 @@ def test_detect_convergence_fig1_style():
     # plays all 2000 rounds unconverged, with a low final plateau
     rng = np.random.default_rng(20)
     cfg = fig1_config(rng)
-    result = run(cfg, LearningConfig(gamma=20.0, iterations=2000), seed=20,
-                 convergence=ConvergenceSettings(window=200, check_every=100))
-    assert not result.converged and result.state.iteration == 2000
-    assert result.trajectory.frustrations[-200:].mean() < 0.3
+    result = run(cfg, 20, gamma=20.0, iterations=2000, check_every=100, window=200)
+    assert not result.converged and result.iterations == 2000
+    assert result.frustrations[-200:].mean() < 0.3
 
 
 def test_detect_convergence_requires_window(rng):
     # no check before 2 * window rounds: pure rows play on until then
     cfg, s, c = small_instance(rng, players=4, strategies=1)
-    result = run(cfg, LearningConfig(iterations=99), seed=1, matrix=c,
-                 convergence=ConvergenceSettings(window=50, check_every=10))
-    assert not result.converged and result.state.iteration == 99
+    result = run(cfg, 1, gamma=20.0, iterations=99, matrix=c, check_every=10, window=50)
+    assert not result.converged and result.iterations == 99
 
 
 def test_early_stop_on_purity():
     # at this seed no player holds two identical strategies, so play can purify
     rng = np.random.default_rng(45)
     cfg = fig1_config(rng)
-    result = run(cfg, LearningConfig(gamma=20.0, iterations=8000), seed=45,
-                 convergence=ConvergenceSettings(window=200, check_every=100))
+    result = run(cfg, 45, gamma=20.0, iterations=8000, check_every=100, window=200)
     assert result.converged
-    assert result.state.iteration < 8000
-    assert result.trajectory.purities[-1] >= PURITY_THRESHOLD
+    assert result.iterations < 8000
+    assert result.purities[-1] >= PURITY_THRESHOLD
 
 
 def _staggered_game(seed):
@@ -467,14 +468,13 @@ def test_stops_at_the_first_pure_check():
     games, expected = [], []
     for seed in range(8):
         cfg, s, c = _staggered_game(seed)
-        purities = run(cfg, LearningConfig(iterations=t_max), seed, matrix=c).trajectory.purities
+        purities = run(cfg, seed, gamma=20.0, iterations=t_max, matrix=c).purities
         checks = [t for t in range(2 * window, t_max + 1, every)
                   if purities[t - 1] >= PURITY_THRESHOLD]
         expected.append(checks[0] if checks else t_max)
         games.append((cfg, c, np.random.default_rng(seed)))
-    results = learning.run_lockstep(games, LearningConfig(iterations=t_max),
-                                    ConvergenceSettings(window=window, check_every=every))
-    assert [r.state.iteration for r in results] == expected
+    results = learning.run_lockstep(games, 20.0, t_max, every, window)
+    assert [r.iterations for r in results] == expected
     assert [r.converged for r in results] == [t < t_max for t in expected]
     assert len(set(expected)) >= 3    # rows leave the batch at different checks
 
@@ -482,22 +482,18 @@ def test_stops_at_the_first_pure_check():
 def test_compacted_batch_keeps_every_rows_record():
     # rows leave the batch at different checks, one plays to t_max; each row's
     # record is the one its lone run writes, bit for bit
-    learn = LearningConfig(iterations=1500)
-    convergence = ConvergenceSettings(window=100, check_every=50)
+    t_max, checks = 1500, dict(check_every=50, window=100)
     instances = [_staggered_game(seed) for seed in range(8)]
     batch = learning.run_lockstep([(cfg, c, np.random.default_rng(seed))
                                    for seed, (cfg, _, c) in enumerate(instances)],
-                                  learn, convergence)
-    stops = [r.state.iteration for r in batch]
-    assert len(set(stops) - {learn.iterations}) >= 3 and learn.iterations in stops
+                                  20.0, t_max, **checks)
+    stops = [r.iterations for r in batch]
+    assert len(set(stops) - {t_max}) >= 3 and t_max in stops
     for seed, ((cfg, s, c), got) in enumerate(zip(instances, batch)):
-        alone = run(cfg, learn, seed, matrix=c, convergence=convergence)
-        assert (got.state.iteration, got.converged) == (alone.state.iteration, alone.converged)
-        for name in ("signals", "frustrations", "purities"):
-            assert getattr(got.trajectory, name).tobytes() == \
-                getattr(alone.trajectory, name).tobytes()
-        assert got.state.scores.tobytes() == alone.state.scores.tobytes()
-        assert got.state.probabilities.tobytes() == alone.state.probabilities.tobytes()
+        alone = run(cfg, seed, gamma=20.0, iterations=t_max, matrix=c, **checks)
+        assert (got.iterations, got.converged) == (alone.iterations, alone.converged)
+        for name in ("signals", "frustrations", "purities", "scores", "probabilities"):
+            assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
 
 
 def test_tail_holds_the_last_rounds_of_the_full_record():
@@ -505,30 +501,28 @@ def test_tail_holds_the_last_rounds_of_the_full_record():
     # with and without checks (whose 1500 rounds are played in sub-blocks of
     # 1092), a record of the last `tail` rounds is the end of the full record,
     # bit for bit, and play is unchanged
-    learn = LearningConfig(iterations=1500)
+    t_max = 1500
     instances = [_staggered_game(seed) for seed in range(8)]
 
-    def play(convergence, tail=None):
+    def play(checks, tail=None):
         return learning.run_lockstep([(cfg, c, np.random.default_rng(seed))
                                       for seed, (cfg, _, c) in enumerate(instances)],
-                                     learn, convergence, tail)
+                                     20.0, t_max, **checks, tail=tail)
 
-    for convergence in (ConvergenceSettings(window=100, check_every=50), None):
-        full = play(convergence)
-        stops = [r.state.iteration for r in full]
-        assert convergence is None or len(set(stops)) == 6 and learn.iterations in stops
+    for checks in (dict(check_every=50, window=100), {}):
+        full = play(checks)
+        stops = [r.iterations for r in full]
+        assert not checks or len(set(stops)) == 6 and t_max in stops
         for tail in (0, 1, 37, 50, 100, 160, 2000):
-            for got, want in zip(play(convergence, tail), full):
-                assert (got.state.iteration, got.converged) == \
-                    (want.state.iteration, want.converged)
-                assert got.state.scores.tobytes() == want.state.scores.tobytes()
-                assert got.state.probabilities.tobytes() == \
-                    want.state.probabilities.tobytes()
-                held = min(tail, want.state.iteration)
-                assert len(got.trajectory) == held
+            for got, want in zip(play(checks, tail), full):
+                assert (got.iterations, got.converged) == (want.iterations, want.converged)
+                assert got.scores.tobytes() == want.scores.tobytes()
+                assert got.probabilities.tobytes() == want.probabilities.tobytes()
+                held = min(tail, want.iterations)
+                assert len(got.signals) == held
                 for name in ("signals", "frustrations", "purities"):
-                    record = getattr(want.trajectory, name)
-                    assert getattr(got.trajectory, name).tobytes() == \
+                    record = getattr(want, name)
+                    assert getattr(got, name).tobytes() == \
                         record[len(record) - held:].tobytes()
 
 
@@ -540,4 +534,4 @@ def test_lockstep_budget_checks_the_reward_table():
                      strengths=StrengthDistribution.uniform(255))
     c = StrategyMatrix(np.zeros((n, 1, 1), dtype=np.uint8))
     with pytest.raises(BudgetError, match="reward table"):
-        Lockstep([(cfg, c, np.random.default_rng(k)) for k in range(4)])
+        Lockstep([(cfg, c, np.random.default_rng(k)) for k in range(4)], 20.0)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simplexgame import (BudgetError, GameConfig, LearningConfig, MixedProfile,
+from simplexgame import (BudgetError, GameConfig, MixedProfile,
                          ValidationError,
                          StrategyMatrix, StrengthDistribution, build_simplex,
                          draw_strategy_matrix, enumerate_equilibria, expected_frustration,
@@ -247,9 +247,8 @@ def test_learned_plateau_bounded_below_by_oracle(rng):
     for seed in range(5):
         c = draw_strategy_matrix(cfg, np.random.default_rng(seed))
         min_r = enumerate_equilibria(c, cfg).min_r
-        result = run(cfg, LearningConfig(gamma=20.0, iterations=1500), seed=seed,
-                     matrix=c)
-        learned = expected_frustration(c, result.state.profile(), cfg)
+        result = run(cfg, seed, gamma=20.0, iterations=1500, matrix=c)
+        learned = expected_frustration(c, MixedProfile(result.probabilities), cfg)
         assert learned >= min_r - 1e-9
 
 
@@ -687,13 +686,15 @@ RECORDED = {
     "oracle_n15_s2_m3_b3_seed7.json": "--N 15 --S 2 --M 3 --B 3 --seed 7 --strengths uniform",
     "oracle_n8_s3_m4_b4_seed7_skewed.json":
         "--N 8 --S 3 --M 4 --B 4 --seed 7 --strengths 0.4,0.3,0.2,0.1",
+    "oracle_n3_s3_m2_b3_seed5.json": "--N 3 --S 3 --M 2 --B 3 --seed 5 --strengths 0.5,0.3,0.2",
 }
 
 
 @pytest.mark.parametrize("recorded", list(RECORDED))
 def test_oracle_report_matches_recorded_output(tmp_path, recorded):
-    # the benchmark's oracle game and a skewed S=3 one, as recorded in
-    # tests/data: every count, flag and float of the report, text for text
+    """The benchmark's oracle game, a skewed S=3 one and a 3-player one, as
+    recorded in tests/data by `simplexgame oracle FLAGS --out NAME`: every
+    count, flag and float of the report, text for text."""
     out = tmp_path / "report.json"
     assert main(["oracle", *RECORDED[recorded].split(), "--out", str(out)]) == 0
     assert out.read_text() == (Path(__file__).parent / "data" / recorded).read_text()
