@@ -10,18 +10,16 @@ frustration curve for comparison.
 
 from .analytics import critical_lambda, predicted_anarchy, zeta, zeta_monte_carlo
 from .errors import BudgetError, DegenerateStrengthsError, ValidationError
-from .game import (Allocation, GameConfig, MixedProfile, PureInstance,
-                   StrategyMatrix, StrengthDistribution, draw_strategy_matrix,
-                   expected_frustration, load_strategy_matrix, resolve_bets,
-                   save_strategy_matrix, strategy_payoffs)
+from .game import (GameConfig, MixedProfile, StrategyMatrix, StrengthDistribution,
+                   draw_strategy_matrix, expected_frustration, load_strategy_matrix,
+                   resolve_bets, save_strategy_matrix, strategy_payoffs)
 from .geometry import Simplex, build_simplex, gram_defect, weighted_moments
 from .harness import (ComparisonResult, ExperimentConfig, SweepResult, child_seed,
                       compare_strengths, experiment_from_file, export_sweep,
                       export_trajectory, measure_steady_state, single_run, sweep,
                       verify_reduction)
 from .learning import RunResult, random_baseline, run
-from .oracle import (EquilibriumSet, MaximizerReport, enumerate_equilibria,
-                     maximizer_equilibrium_report, oracle_report, potential_defect,
-                     reward_vector)
+from .oracle import (ProfileScan, oracle_report, potential_defect, reward_vector,
+                     scan_profiles)
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, the allocation budget and the count check."""
+"""Exception types shared across the package, the allocation budget and the count
+and index checks."""
 import numbers
 
 MAX_ALLOCATION_BYTES = 1 << 32  # 4 GiB; a serial c05 sweep peaks at 70 MB, so more is a typo
@@ -34,3 +35,10 @@ def check_count(value, name: str) -> None:
     integer; a bool, a float (NaN included) or anything else is not a count."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_index(value, name: str, size: int) -> None:
+    """Raise ValidationError naming `name` unless value is a count in [0, size)."""
+    check_count(value, name)
+    if not 0 <= value < size:
+        raise ValidationError(f"{name} {value} out of range [0, {size})")

@@ -1,4 +1,4 @@
-"""Game instances: strategy matrices, bets, allocations, payoffs, frustration.
+"""Game instances: strategy matrices, bets, occupancies, payoffs, frustration.
 
 Players process a broadcast signal m in {1..M} with S preprogrammed
 strategies; each strategy maps every signal to one of B weighted nodes.
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStrengthsError, ValidationError, check_allocation, check_count
+from .errors import (DegenerateStrengthsError, ValidationError, check_allocation, check_count,
+                     check_index)
 
 SUM_TOL = 1e-12   # strengths and each profile row sum to 1 within this
 PROPERNESS_THRESHOLD = 10.0   # largest degeneracy index `random_proper` accepts
@@ -156,18 +157,6 @@ class StrategyMatrix:
 
 
 @dataclass(frozen=True)
-class PureInstance:
-    """One realized round: the broadcast signal plus each player's strategy pick."""
-
-    signal: int
-    choices: np.ndarray  # (N,) strategy indices
-
-    def __post_init__(self):
-        object.__setattr__(self, "choices",
-                           _readonly(np.asarray(self.choices, dtype=np.int64)))
-
-
-@dataclass(frozen=True)
 class MixedProfile:
     """N x S row-stochastic matrix of strategy probabilities."""
 
@@ -197,19 +186,6 @@ class MixedProfile:
         return cls(rows)
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """Per-node occupancy counts for one realized round."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if np.any(c < 0):
-            raise ValidationError("allocation counts must be >= 0")
-        object.__setattr__(self, "counts", _readonly(c))
-
-
 def draw_strategy_matrix(config: GameConfig, rng: np.random.Generator) -> StrategyMatrix:
     """Draw every entry independently: node r with probability y_r.
 
@@ -222,11 +198,13 @@ def draw_strategy_matrix(config: GameConfig, rng: np.random.Generator) -> Strate
     keeps the transient to one block of uniforms.
     """
     n, s, m = config.players, config.strategies_per_player, config.signals
-    check_allocation(n * s * m, f"a {n} x {s} x {m} strategy table")
+    rows = max(1, TABLE_BLOCK // (s * m))
+    # the table, and one block's uniforms, picks and flags: 8 + 1 + 1 bytes an entry
+    check_allocation(n * s * m + 10 * min(rows, n) * s * m,
+                     f"a {n} x {s} x {m} strategy table and its draw")
     cdf = np.cumsum(config.strengths.weights)
     cdf /= cdf[-1]
     by_signal = np.empty((m, n, s), dtype=np.uint8)
-    rows = max(1, TABLE_BLOCK // (s * m))
     for start in range(0, n, rows):
         uniforms = rng.random((min(rows, n - start), s, m))
         picks = np.zeros(uniforms.shape, dtype=np.uint8)
@@ -235,21 +213,25 @@ def draw_strategy_matrix(config: GameConfig, rng: np.random.Generator) -> Strate
             np.greater_equal(uniforms, threshold, out=above)
             picks += above.view(np.uint8)
         by_signal[:, start:start + rows] = picks.transpose(2, 0, 1)
+        del uniforms, picks, above   # freed before the next block is drawn
     return StrategyMatrix(by_signal.transpose(1, 2, 0))
 
 
-def resolve_bets(c: StrategyMatrix, inst: PureInstance,
-                 nodes: int) -> tuple[np.ndarray, Allocation]:
-    """Map each player's picked strategy to its node; count the occupancies
-    of all `nodes` nodes, the game's B."""
+def resolve_bets(c: StrategyMatrix, signal: int, choices: np.ndarray,
+                 nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """One realized round: the node each player i bets on under `signal` when
+    it plays its strategy choices[i], and the read-only int64 occupancies of
+    all `nodes` nodes, the game's B.  The signal and the choices must be
+    integers in range; a float or a bool is refused, not truncated."""
     n, s, m = c.shape
-    if not (0 <= inst.signal < m):
-        raise ValidationError(f"signal {inst.signal} out of range [0, {m})")
-    if inst.choices.size != n or np.any(inst.choices < 0) or np.any(inst.choices >= s):
+    check_index(signal, "signal", m)
+    choices = np.asarray(choices)
+    if choices.dtype.kind not in "iu":
+        raise ValidationError(f"strategy choices must be integers, got {choices.dtype}")
+    if choices.shape != (n,) or np.any(choices < 0) or np.any(choices >= s):
         raise ValidationError("strategy choices out of range")
-    picked = c.entries[np.arange(n), inst.choices, inst.signal].astype(np.int64)
-    counts = np.bincount(picked, minlength=nodes)
-    return picked, Allocation(counts)
+    picked = c.entries[np.arange(n), choices, signal].astype(np.int64)
+    return picked, _readonly(np.bincount(picked, minlength=nodes))
 
 
 def check_matrix(c: StrategyMatrix, config: GameConfig) -> None:
@@ -297,14 +279,12 @@ def fold_rows(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return total
 
 
-def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray,
-                     config: GameConfig) -> np.ndarray:
+def strategy_payoffs(c: StrategyMatrix, p: MixedProfile, config: GameConfig) -> np.ndarray:
     """(N, S) matrix of signal-averaged payoffs u_i(rest mixed; strategy s).
 
     Entry (i, s) is the payoff player i expects when committing to its s-th
     strategy while everyone else keeps playing the mixed profile.  Dotting
-    row i with p's row i recovers player i's fully mixed payoff (p may be raw
-    rows, checked as a MixedProfile).  Count space:
+    row i with p's row i recovers player i's fully mixed payoff.  Count space:
     u_is = (N - mean_m[(O_ism + 1) / y(c_ism)]) / N with
     O_ism the others' mean occupancy of node c_ism under signal m.
 
@@ -315,7 +295,7 @@ def strategy_payoffs(c: StrategyMatrix, p: MixedProfile | np.ndarray,
     and `fold_rows` adds a stack row by row into row 0: every sum runs in m
     order, as one sum over the whole table would, whatever the block size.
     """
-    rows = (p if isinstance(p, MixedProfile) else MixedProfile(p)).rows
+    rows = p.rows
     check_matrix(c, config)   # the table and the (N, S) rows belong to config's game
     if rows.shape != c.shape[:2]:
         raise ValidationError(f"profile has shape {rows.shape}, the game needs {c.shape[:2]}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import time
@@ -95,8 +96,14 @@ class ExperimentConfig:
             field = "lambda_grid"
             if self.lambda_grid is not None:
                 grid = tuple(float(v) for v in self.lambda_grid)
-                if not all(0.0 < v < np.inf for v in grid):
-                    raise ValidationError("lambda grid values must be > 0 and finite")
+                # players >= 1, so a finite lambda * players is a finite lambda
+                try:
+                    finite = all(0.0 < v and v * self.players < np.inf for v in grid)
+                except OverflowError:   # more players than a float holds
+                    finite = False
+                if not finite:
+                    raise ValidationError("lambda grid values must be > 0, "
+                                          "with lambda * players finite")
                 self.lambda_grid = grid or None
             for arm in ("strengths", "strengths_b"):
                 weights = getattr(self, arm)
@@ -112,7 +119,7 @@ class ExperimentConfig:
                     field = arm   # GameConfig checks the count-space terms
                     game = _draw_game(self, weights, signals)
                     field = "gamma"
-                    learning.check_score_range(rate, rounds, game)
+                    learning._check_score_range(rate, rounds, game)
         except ValidationError as exc:
             exc.fields = (field,) if isinstance(field, str) else field
             raise
@@ -272,9 +279,10 @@ def _execute(exp: ExperimentConfig, points: list) -> list:
 
 
 def _summarize(rows: list, strategies: int, nodes: int) -> list:
+    """One summary row per grid point of `rows`, which `_execute` sorts by grid index."""
     summary = []
-    for li in sorted({r.lambda_index for r in rows}):
-        group = [r for r in rows if r.lambda_index == li]
+    for _, group in itertools.groupby(rows, key=lambda r: r.lambda_index):
+        group = list(group)
         values = np.array([r.steady_r for r in group])
         lam = group[0].realized_lambda
         summary.append(SummaryRow(

@@ -357,7 +357,7 @@ def run(config: GameConfig, seed, *, gamma, iterations: int,
     return run_lockstep([(config, matrix, rng)], gamma, iterations, check_every, window)[0]
 
 
-def check_score_range(rate: float, iterations: int, config: GameConfig) -> None:
+def _check_score_range(rate: float, iterations: int, config: GameConfig) -> None:
     """ValidationError when the learning rate `rate`, one that `_check_rate`
     passed, could overflow a score of config's game over `iterations` rounds.
 
@@ -408,7 +408,7 @@ def run_lockstep(games: list, gamma, iterations: int, check_every: int | None = 
     check_allocation(total * held * _ROW_BYTES, f"{total} records of the last {held} rounds")
     batch = Lockstep(games, gamma)
     for config, _, _ in games:
-        check_score_range(batch.rate, iterations, config)
+        _check_score_range(batch.rate, iterations, config)
     # row k holds game k's last `held` rounds, round t at flat index k * held + t % held
     records = [np.empty((total, held), dtype=dtype) for dtype in (np.int64, float, float)]
     results = [None] * total
@@ -456,6 +456,7 @@ def run_lockstep(games: list, gamma, iterations: int, check_every: int | None = 
 def random_baseline(config: GameConfig, seed, iterations: int) -> np.ndarray:
     """R_t of `iterations` rounds (iterations,) of unsophisticated play: every
     round each player picks node r w.p. y_r."""
+    check_count(iterations, "iterations")
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
     rng = np.random.default_rng(seed)

@@ -1,15 +1,15 @@
 """Brute-force ground truth for tiny games.
 
-Enumerates every pure strategy profile once, checks the no-profitable-deviation
-condition on signal-averaged payoffs, and reports the minimum frustration
-over the equilibrium set (the game's optimistic price of anarchy) together
-with the maximizers of the aggregate payoff; `enumerate_equilibria`,
-`maximizer_equilibrium_report` and `oracle_report` are views of that one pass.
-Payoffs here are dot products with the (N, S, M, B-1) strategy vertices of
-the simplex that `geometry.build_simplex` makes from the config's strengths,
-independent of the count-space evaluators in `game` (which only
-`potential_defect` calls); `reward_vector`, the vertex form of the learning
-rule's reward, builds its simplex the same way.
+`scan_profiles` enumerates every pure strategy profile once and returns one
+`ProfileScan`: the equilibria (no unilateral deviation gains on the
+signal-averaged payoffs), their frustrations and the least of them (the
+game's optimistic price of anarchy), and the maximizers of the aggregate
+payoff, each checked against the equilibrium condition; `oracle_report` is
+its JSON summary.  Payoffs here are dot products with the (N, S, M, B-1)
+strategy vertices of the simplex that `geometry.build_simplex` makes from the
+config's strengths, independent of the count-space evaluators in `game`
+(which only `potential_defect` calls); `reward_vector`, the vertex form of
+the learning rule's reward, builds its simplex the same way.
 
 A profile's aggregate bet is a sum over players, so it splits into the bets
 of a high half (the first players) and a low half (the rest), each
@@ -37,9 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, check_allocation
-from .game import (GameConfig, MixedProfile, PureInstance, StrategyMatrix, check_matrix,
-                   fold_rows, strategy_payoffs)
+from .errors import BudgetError, ValidationError, check_allocation, check_index
+from .game import (GameConfig, MixedProfile, StrategyMatrix, check_matrix, fold_rows,
+                   resolve_bets, strategy_payoffs)
 from .geometry import build_simplex
 
 DEFAULT_BUDGET = 10**6
@@ -49,22 +49,16 @@ ORACLE_BLOCK = 1 << 14     # floats in a half's table or one scan array (128 KiB
 
 
 @dataclass(frozen=True)
-class EquilibriumSet:
-    """All pure equilibria of one drawn game, with their frustration levels."""
+class ProfileScan:
+    """One pass over all S^N pure profiles of a game, in profile-number order:
+    its pure equilibria, as tuples of strategies, with their frustrations and
+    the least of them (None without an equilibrium); and the maximizers of
+    the aggregate payoff, whether each is an equilibrium, their largest
+    deviation gain and the largest aggregate payoff."""
 
-    profiles: list
+    equilibria: list
     frustrations: list
     min_r: float | None
-
-    @property
-    def count(self) -> int:
-        return len(self.profiles)
-
-
-@dataclass(frozen=True)
-class MaximizerReport:
-    """Pure maximizers of the aggregate signal-averaged payoff vs equilibria."""
-
     maximizers: list
     in_equilibrium_set: list
     worst_violation: float
@@ -306,8 +300,8 @@ def check_budget(config: GameConfig, budget: int = DEFAULT_BUDGET) -> int:
     return s ** n
 
 
-def _scan(c: StrategyMatrix, config: GameConfig,
-          budget: int) -> tuple[EquilibriumSet, MaximizerReport]:
+def scan_profiles(c: StrategyMatrix, config: GameConfig,
+                  budget: int = DEFAULT_BUDGET) -> ProfileScan:
     """One pass over all S^N pure profiles: the equilibria and the maximizers.
 
     A profile is an equilibrium when no unilateral deviation gains more than
@@ -343,16 +337,8 @@ def _scan(c: StrategyMatrix, config: GameConfig,
             maximizers.append(profile)
             flags.append(violation <= EQUILIBRIUM_SLACK)
             worst = max(worst, violation)
-    min_r = min(frustrations) if frustrations else None
-    return (EquilibriumSet(profiles=profiles, frustrations=frustrations, min_r=min_r),
-            MaximizerReport(maximizers=maximizers, in_equilibrium_set=flags,
-                            worst_violation=worst, max_aggregate=best))
-
-
-def enumerate_equilibria(c: StrategyMatrix, config: GameConfig,
-                         budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
-    """Exhaustively test all S^N pure profiles against every unilateral deviation."""
-    return _scan(c, config, budget)[0]
+    return ProfileScan(profiles, frustrations, min(frustrations) if frustrations else None,
+                       maximizers, flags, worst, best)
 
 
 def potential_defect(c: StrategyMatrix, p: MixedProfile, i: int, s1: int, s2: int,
@@ -363,9 +349,9 @@ def potential_defect(c: StrategyMatrix, p: MixedProfile, i: int, s1: int, s2: in
     difference plus the signal-averaged difference of squared vertex norms over N;
     the returned residual is zero up to floating point at any finite size.
     """
-    s_count = config.strategies_per_player
-    if not (0 <= s1 < s_count and 0 <= s2 < s_count):
-        raise ValidationError("strategy indices out of range")
+    check_index(i, "player", config.players)
+    for strategy in (s1, s2):
+        check_index(strategy, "strategy", config.strategies_per_player)
     per_strategy = strategy_payoffs(c, p, config)
 
     def aggregate_with(i_pure: int) -> float:
@@ -383,47 +369,40 @@ def potential_defect(c: StrategyMatrix, p: MixedProfile, i: int, s1: int, s2: in
     return float(lhs - own - correction)
 
 
-def reward_vector(c: StrategyMatrix, inst: PureInstance, realized_b: np.ndarray,
+def reward_vector(c: StrategyMatrix, signal: int, choices: np.ndarray, realized_b: np.ndarray,
                   i: int, config: GameConfig) -> np.ndarray:
-    """Player i's counterfactual per-strategy rewards in one realized round b.
+    """Player i's counterfactual per-strategy rewards in one realized round b,
+    the round where player j plays its strategy choices[j] under `signal`.
 
     W_is = -(1/(M N)) q(c_is^m) . [b + q(c_is^m) - q(c_i,played^m)] with the
     vertices of config's strengths: the payoff s would have earned had player
-    i swapped only its own bet, over M.  The table must fit config's game."""
+    i swapped only its own bet, over M.  The table must fit config's game,
+    and the round's arguments are checked as `resolve_bets` checks them."""
     check_matrix(c, config)
+    check_index(i, "player", config.players)
+    picked, _ = resolve_bets(c, signal, choices, config.nodes)
     vertices = build_simplex(config.strengths).vertices
-    m = inst.signal
-    qm = vertices[c.entries[i, :, m].astype(np.int64)]          # (S, D)
-    played = vertices[int(c.entries[i, inst.choices[i], m])]    # (D,)
+    qm = vertices[c.entries[i, :, signal].astype(np.int64)]     # (S, D)
+    played = vertices[picked[i]]                                  # (D,)
     shifted = realized_b[None, :] + qm - played[None, :]
     return -np.einsum("sd,sd->s", qm, shifted) / (config.signals * config.players)
 
 
-def maximizer_equilibrium_report(c: StrategyMatrix, config: GameConfig,
-                                 budget: int = DEFAULT_BUDGET) -> MaximizerReport:
-    """Locate pure maximizers of the aggregate averaged payoff and check each
-    against the equilibrium condition, reporting the worst deviation gain."""
-    return _scan(c, config, budget)[1]
-
-
 def oracle_report(c: StrategyMatrix, config: GameConfig,
                   budget: int = DEFAULT_BUDGET) -> dict:
-    """JSON-ready summary: equilibrium count, min frustration, maximizer check."""
-    return _summary(config, *_scan(c, config, budget))
-
-
-def _summary(config: GameConfig, eq: EquilibriumSet, mx: MaximizerReport) -> dict:
-    """`oracle_report`'s fields from one scan's equilibria and maximizers."""
+    """JSON-ready summary of `scan_profiles`: equilibrium count, min
+    frustration, maximizer check."""
+    scan = scan_profiles(c, config, budget)
     return {
         "players": config.players,
         "nodes": config.nodes,
         "signals": config.signals,
         "strategies_per_player": config.strategies_per_player,
-        "equilibrium_count": eq.count,
-        "min_r": eq.min_r,
-        "no_pure_equilibrium": eq.count == 0,
-        "maximizer_count": len(mx.maximizers),
-        "maximizers_all_equilibria": all(mx.in_equilibrium_set) if mx.maximizers else None,
-        "maximizer_worst_violation": mx.worst_violation,
-        "max_aggregate_payoff": mx.max_aggregate,
+        "equilibrium_count": len(scan.equilibria),
+        "min_r": scan.min_r,
+        "no_pure_equilibrium": not scan.equilibria,
+        "maximizer_count": len(scan.maximizers),
+        "maximizers_all_equilibria": all(scan.in_equilibrium_set) if scan.maximizers else None,
+        "maximizer_worst_violation": scan.worst_violation,
+        "max_aggregate_payoff": scan.max_aggregate,
     }

@@ -1,7 +1,7 @@
 """Direct formulas the tests check the package against.
 
-These evaluate payoffs and frustrations of one realized allocation, or of a
-pure profile, straight from their definitions: through the simplex vertices
+These evaluate payoffs and frustrations of one realized round's node
+occupancies, or of a pure profile, straight from their definitions: through the simplex vertices
 (`aggregate_bet`, `instantaneous_frustration`, `mean_bet_frustration`,
 `isometry_defect`, `DeviationBetEvaluator`) or by resolving every signal's occupancies
 (`payoff_linear`, `correlated_payoff`, `signal_loop_payoffs`).
@@ -22,29 +22,31 @@ import operator
 
 import numpy as np
 
-from simplexgame import (Allocation, GameConfig, MixedProfile, Simplex, StrategyMatrix,
-                         ValidationError, build_simplex, strategy_payoffs)
+from simplexgame import (GameConfig, MixedProfile, Simplex, StrategyMatrix, ValidationError,
+                         build_simplex, strategy_payoffs)
 from simplexgame.game import check_matrix
 from simplexgame.harness import _parse_config
 from simplexgame.learning import _check_rate, _softmax
-from simplexgame.oracle import EQUILIBRIUM_SLACK, TIE_TOL, EquilibriumSet, MaximizerReport
+from simplexgame.oracle import EQUILIBRIUM_SLACK, TIE_TOL, ProfileScan
 
 log = logging.getLogger(__name__)
 
 
-def aggregate_bet(alloc: Allocation, s: Simplex) -> np.ndarray:
-    """b = sum_r N_r q_r; the zero vector exactly at the Nash allocation."""
-    counts, nodes = alloc.counts, s.strengths.node_count
+def aggregate_bet(counts: np.ndarray, s: Simplex) -> np.ndarray:
+    """b = sum_r N_r q_r of the node counts; the zero vector exactly at the
+    Nash allocation."""
+    nodes = s.strengths.node_count
     if counts.size < nodes:
         counts = np.concatenate([counts, np.zeros(nodes - counts.size, dtype=np.int64)])
     return counts.astype(float) @ s.vertices
 
 
-def payoff_linear(alloc: Allocation, config: GameConfig) -> np.ndarray:
-    """Per-node linear utility 1 - N_r/(y_r N); empty nodes evaluate to 1."""
-    counts = np.zeros(config.nodes, dtype=np.int64)
-    counts[: alloc.counts.size] = alloc.counts
-    return 1.0 - counts / (config.strengths.weights * config.players)
+def payoff_linear(counts: np.ndarray, config: GameConfig) -> np.ndarray:
+    """Per-node linear utility 1 - N_r/(y_r N) of the node counts; empty nodes
+    evaluate to 1."""
+    padded = np.zeros(config.nodes, dtype=np.int64)
+    padded[: counts.size] = counts
+    return 1.0 - padded / (config.strengths.weights * config.players)
 
 
 def _profile_nodes(c: StrategyMatrix, choices: np.ndarray) -> np.ndarray:
@@ -111,11 +113,11 @@ def replicator_flow(c: StrategyMatrix, p: MixedProfile, config: GameConfig,
     Better-performing strategies grow; every row of the output sums to zero,
     so the flow stays tangent to the product of probability simplices.
     """
-    rows = p.rows if hasattr(p, "rows") else np.asarray(p, dtype=float)
+    p = MixedProfile(getattr(p, "rows", p))   # integrate_replicator passes raw rows
     gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (config.players,))
-    per_strategy = strategy_payoffs(c, rows, config)
-    mixed = np.einsum("is,is->i", rows, per_strategy)
-    return gammas[:, None] * rows * (per_strategy - mixed[:, None])
+    per_strategy = strategy_payoffs(c, p, config)
+    mixed = np.einsum("is,is->i", p.rows, per_strategy)
+    return gammas[:, None] * p.rows * (per_strategy - mixed[:, None])
 
 
 def integrate_replicator(c: StrategyMatrix, p0: MixedProfile, config: GameConfig,
@@ -169,9 +171,9 @@ def softmax_probabilities(scores, gamma: float) -> np.ndarray:
     return out[:, 0, 0]
 
 
-def instantaneous_frustration(alloc: Allocation, s: Simplex, config: GameConfig) -> float:
-    """|b|^2 / (N (B-1)) for one realized allocation; 0 iff b = 0."""
-    b = aggregate_bet(alloc, s)
+def instantaneous_frustration(counts: np.ndarray, s: Simplex, config: GameConfig) -> float:
+    """|b|^2 / (N (B-1)) for one realized round's node counts; 0 iff b = 0."""
+    b = aggregate_bet(counts, s)
     return float(b @ b) / (config.players * (config.nodes - 1))
 
 
@@ -251,7 +253,7 @@ def blocked_scan(evaluator, config: GameConfig, rows: int) -> tuple:
     most significant (the order of itertools.product(range(S), repeat=N)),
     evaluated by `evaluator.evaluate(block)`; the equilibrium and maximizer
     bookkeeping is the oracle's, and a profile's aggregate payoff is summed
-    over players in player order.  Returns (EquilibriumSet, MaximizerReport).
+    over players in player order.  Returns the oracle's `ProfileScan`.
     """
     strategies = config.strategies_per_player
     count = strategies ** config.players
@@ -276,10 +278,10 @@ def blocked_scan(evaluator, config: GameConfig, rows: int) -> tuple:
             maximizers.append(profile)
             flags.append(stable)
             worst = max(worst, violation)
-    min_r = min(frustrations) if frustrations else None
-    return (EquilibriumSet(profiles=profiles, frustrations=frustrations, min_r=min_r),
-            MaximizerReport(maximizers=maximizers, in_equilibrium_set=flags,
-                            worst_violation=worst, max_aggregate=best))
+    return ProfileScan(equilibria=profiles, frustrations=frustrations,
+                       min_r=min(frustrations) if frustrations else None,
+                       maximizers=maximizers, in_equilibrium_set=flags,
+                       worst_violation=worst, max_aggregate=best)
 
 
 def parse_config_file(path: str) -> dict:

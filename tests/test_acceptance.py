@@ -58,16 +58,15 @@ def test_c02_algebraic_identities():
 
         choices = rng.integers(0, s_count, n)
         sig = int(rng.integers(m))
-        inst = sg.PureInstance(sig, choices)
-        _, alloc = sg.resolve_bets(c, inst, cfg.nodes)
-        bet = alloc.counts @ simplex.vertices
+        _, counts = sg.resolve_bets(c, sig, choices, cfg.nodes)
+        bet = counts @ simplex.vertices
         i = int(rng.integers(n))
-        w = sg.reward_vector(c, inst, bet, i, cfg)
+        w = sg.reward_vector(c, sig, choices, bet, i, cfg)
         for strat in range(s_count):
             swapped = choices.copy()
             swapped[i] = strat
-            nodes2, alloc2 = sg.resolve_bets(c, sg.PureInstance(sig, swapped), cfg.nodes)
-            u = 1.0 - alloc2.counts[nodes2[i]] / (y.weights[nodes2[i]] * n)
+            nodes2, counts2 = sg.resolve_bets(c, sig, swapped, cfg.nodes)
+            u = 1.0 - counts2[nodes2[i]] / (y.weights[nodes2[i]] * n)
             worst_reward = max(worst_reward, abs(w[strat] - u / m))
 
         if s_count >= 2:
@@ -202,8 +201,8 @@ def test_c09_oracle_consistency():
     nonempty = bound_ok = close = 0
     for seed in range(20):
         c = sg.draw_strategy_matrix(cfg, np.random.default_rng(seed))
-        eq = sg.enumerate_equilibria(c, cfg)
-        if eq.count > 0:
+        eq = sg.scan_profiles(c, cfg)
+        if eq.equilibria:
             nonempty += 1
         result = sg.run(cfg, seed, gamma=20.0, iterations=2000, matrix=c)
         learned = sg.expected_frustration(c, sg.MixedProfile(result.probabilities), cfg)

@@ -186,7 +186,7 @@ def test_sweep_matches_recorded_output(tmp_path, monkeypatch, recorded, workers)
     """Every row and summary line, text for text; the JSON without its wall clock.
 
     Each file in tests/data was written by the command line from the entry's
-    config file and seed:
+    config file and seed, as `python tests/record_golden.py NAME` replays it:
 
         simplexgame sweep --config CFG --seed SEED --out NAME.csv
         simplexgame sweep --config CFG --seed SEED --out NAME.json --format json
@@ -236,17 +236,41 @@ def test_predict_subcommand(tmp_path):
     assert values[-1][1] > 0.5
 
 
+# the flags of the predict output recorded in tests/data
+RECORDED_PREDICT = {"predict_s2_b5_grid4000.csv": "--S 2 --B 5 --lambda-grid 0.001:20:4000"}
+
+
 def test_predict_matches_recorded_output(tmp_path, capsys):
     # 4,000 lambdas across the onset pin every predicted_R bit, text for text,
-    # in the file and, without --out, on stdout
+    # in the file and, without --out, on stdout; tests/record_golden.py wrote it
     out, name = tmp_path / "pred.csv", "predict_s2_b5_grid4000.csv"
-    argv = ["predict", "--S", "2", "--B", "5", "--lambda-grid", "0.001:20:4000"]
+    argv = ["predict", *RECORDED_PREDICT[name].split()]
     assert main(argv + ["--out", str(out)]) == 0
     want = (Path(__file__).parent / "data" / name).read_text()
     assert out.read_text() == want
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out == want
+
+
+def test_record_golden_writes_every_recorded_file(tmp_path, capsys):
+    # into an empty directory: every file of tests/data, byte for byte; then a
+    # changed file is named and kept without --force, and rewritten with it
+    import record_golden
+    data = Path(__file__).parent / "data"
+    assert record_golden.record([], data=tmp_path) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in data.iterdir())
+    for path in tmp_path.iterdir():
+        assert path.read_bytes() == (data / path.name).read_bytes()
+    stale = tmp_path / "run_n12_s2_b3_seed7.csv"
+    stale.write_text("stale\n")
+    capsys.readouterr()
+    assert record_golden.record(["run_n12_s2_b3_seed7"], data=tmp_path) == 1
+    assert f"{stale} would change" in capsys.readouterr().err
+    assert stale.read_text() == "stale\n"
+    assert record_golden.record([stale.name], force=True, data=tmp_path) == 0
+    assert stale.read_bytes() == (data / stale.name).read_bytes()
+    assert record_golden.record(["nonesuch.csv"], data=tmp_path) == 1
 
 
 def test_oracle_subcommand_matches_library(tmp_path):
@@ -416,6 +440,9 @@ def _set(line: str) -> tuple:
     _set("gamma = -1"),
     _set("iterations = -5"),
     _set("lambda_grid = 0,1"),
+    _set("lambda_grid = 1e308"),        # lambda * players overflows
+    (SWEEP_CFG.replace("lambda_grid = 0.5,1", "lambda_grid = 1e308") + "strengths = random\n",
+     ":4"),
     _set("seed = -1"),
     _set("efficiencies = 1,2,3"),
     _set("strengths_b = 0.2,0.2"),
@@ -424,7 +451,8 @@ def _set(line: str) -> tuple:
         "t_max-only-below-window", "strengths-and-efficiencies",
         "players", "nodes-below-2", "nodes-above-255", "strategies", "signals", "realizations",
         "window", "check_every", "gamma-nan", "gamma-negative", "iterations", "lambda_grid",
-        "seed", "efficiencies-count", "strengths_b", "efficiencies_b-count"])
+        "lambda_grid-overflow", "lambda_grid-overflow-random-strengths", "seed",
+        "efficiencies-count", "strengths_b", "efficiencies_b-count"])
 def test_bad_experiment_exits_one_naming_the_file(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)

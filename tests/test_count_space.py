@@ -111,7 +111,6 @@ def test_mixed_payoffs_match_vertex_route(rng):
             ref = reference_strategy_payoffs(c, p.rows, s, config)
             got = strategy_payoffs(c, p, config)
             assert np.max(np.abs(got - ref)) <= TOL
-            assert np.array_equal(strategy_payoffs(c, p.rows, config), got)
             assert expected_frustration(c, p, config) == pytest.approx(
                 reference_expected_frustration(c, p.rows, s, config), abs=TOL)
 

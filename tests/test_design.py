@@ -100,15 +100,12 @@ def test_importing_the_cli_loads_no_process_pool():
 
 # public names that no code of the package reads, each with the reason it stays
 KEPT_UNREFERENCED = {
-    "game.resolve_bets": "acceptance c02 resolves realized rounds with it",
     "oracle.reward_vector": "acceptance c02: the vertex form of the round reward",
     "oracle.potential_defect": "acceptance c02: the exact potential identity",
     "geometry.weighted_moments": "acceptance c01: the simplex's weighted moments",
     "learning.random_baseline": "acceptance c04: the unsophisticated-play baseline",
-    "oracle.enumerate_equilibria": "acceptance c09: the pure equilibrium set",
     "game.save_strategy_matrix": "README: strategy tables written for auditing",
     "game.load_strategy_matrix": "README: strategy tables read back for auditing",
-    "oracle.maximizer_equilibrium_report": "the benchmark (bench/run.py) traces it",
     "game.GameConfig.training_parameter": "README's quick start reads lambda from it",
     "game.MixedProfile.pure": "a value type's constructor",
     "game.MixedProfile.uniform": "a value type's constructor",

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from simplexgame import (Allocation, BudgetError, GameConfig, MixedProfile, PureInstance,
-                         StrategyMatrix, StrengthDistribution, ValidationError,
-                         build_simplex, draw_strategy_matrix, expected_frustration,
-                         game, load_strategy_matrix, resolve_bets, save_strategy_matrix,
+from simplexgame import (BudgetError, GameConfig, MixedProfile, StrategyMatrix,
+                         StrengthDistribution, ValidationError, build_simplex,
+                         draw_strategy_matrix, errors, expected_frustration, game,
+                         load_strategy_matrix, resolve_bets, save_strategy_matrix,
                          strategy_payoffs)
 
 from conftest import random_profile, random_proper_strengths, small_instance
@@ -110,41 +110,53 @@ def test_resolve_bets_counting():
     cfg = binary_config(players=3, signals=1, strategies=1)
     entries = np.array([[[0]], [[0]], [[1]]], dtype=np.uint8)
     c = StrategyMatrix(entries)
-    nodes, alloc = resolve_bets(c, PureInstance(0, np.zeros(3, dtype=int)), cfg.nodes)
+    nodes, counts = resolve_bets(c, 0, np.zeros(3, dtype=int), cfg.nodes)
     assert list(nodes) == [0, 0, 1]
-    assert list(alloc.counts) == [2, 1]
-    assert alloc.counts.sum() == 3
-    for inst, message in ((PureInstance(1, np.zeros(3, dtype=int)), "signal 1 out of range"),
-                          (PureInstance(0, np.array([0, 1, 0])), "choices out of range"),
-                          (PureInstance(0, np.array([0, -1, 0])), "choices out of range"),
-                          (PureInstance(0, np.zeros(2, dtype=int)), "choices out of range")):
+    assert list(counts) == [2, 1]
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+    assert list(resolve_bets(c, np.int64(0), [0, 0, 0], cfg.nodes)[1]) == [2, 1]
+    # a float, NaN or bool signal or choice is refused, never truncated
+    for signal, choices, message in (
+            (1, np.zeros(3, dtype=int), "signal 1 out of range"),
+            (-1, np.zeros(3, dtype=int), "signal -1 out of range"),
+            (0.5, np.zeros(3, dtype=int), "signal must be an integer"),
+            (0.0, np.zeros(3, dtype=int), "signal must be an integer"),
+            (True, np.zeros(3, dtype=int), "signal must be an integer"),
+            (np.nan, np.zeros(3, dtype=int), "signal must be an integer"),
+            (0, np.array([0, 1, 0]), "choices out of range"),
+            (0, np.array([0, -1, 0]), "choices out of range"),
+            (0, np.zeros(2, dtype=int), "choices out of range"),
+            (0, np.zeros((1, 3), dtype=int), "choices out of range"),
+            (0, np.array([0.9, 0.2, 0.0]), "choices must be integers"),
+            (0, np.array([0.0, np.nan, 0.0]), "choices must be integers"),
+            (0, np.zeros(3, dtype=bool), "choices must be integers")):
         with pytest.raises(ValidationError, match=message):
-            resolve_bets(c, inst, cfg.nodes)
+            resolve_bets(c, signal, choices, cfg.nodes)
 
 
 def test_resolve_bets_single_player():
     c = StrategyMatrix(np.array([[[1]]], dtype=np.uint8))
-    _, alloc = resolve_bets(c, PureInstance(0, np.array([0])), nodes=2)
-    assert list(alloc.counts) == [0, 1]
+    _, counts = resolve_bets(c, 0, np.array([0]), nodes=2)
+    assert list(counts) == [0, 1]
 
 
 def test_resolve_bets_all_on_one_node():
     n = 5
     c = StrategyMatrix(np.zeros((n, 2, 3), dtype=np.uint8))
-    _, alloc = resolve_bets(c, PureInstance(2, np.ones(n, dtype=int)), nodes=4)
-    assert list(alloc.counts) == [n, 0, 0, 0]
+    _, counts = resolve_bets(c, 2, np.ones(n, dtype=int), nodes=4)
+    assert list(counts) == [n, 0, 0, 0]
 
 
 def test_aggregate_bet_nash_allocation_is_zero():
     y = StrengthDistribution(np.array([0.5, 0.25, 0.25]))
     s = build_simplex(y)
-    b = aggregate_bet(Allocation(np.array([2, 1, 1])), s)
+    b = aggregate_bet(np.array([2, 1, 1]), s)
     assert np.linalg.norm(b) <= 1e-10
 
 
 def test_aggregate_bet_binary_scalar():
     s = build_simplex(StrengthDistribution(np.array([0.5, 0.5])))
-    b = aggregate_bet(Allocation(np.array([3, 1])), s)
+    b = aggregate_bet(np.array([3, 1]), s)
     assert abs(abs(b[0]) - 2.0) <= 1e-12  # |N_1 - N_2| up to the global sign
 
 
@@ -158,24 +170,23 @@ def test_payoff_matches_dot_product_identity(rng):
         cfg = GameConfig(players=n, nodes=b_nodes, signals=1,
                          strategies_per_player=1, strengths=y)
         counts = rng.multinomial(n, y.weights)
-        alloc = Allocation(counts)
-        bet = aggregate_bet(alloc, s)
-        direct = payoff_linear(alloc, cfg)
+        bet = aggregate_bet(counts, s)
+        direct = payoff_linear(counts, cfg)
         via_dot = -(s.vertices @ bet) / n
         assert np.max(np.abs(direct - via_dot)) <= 1e-10
 
 
 def test_payoff_linear_examples():
     cfg = binary_config(players=4)
-    assert np.allclose(payoff_linear(Allocation(np.array([2, 2])), cfg), 0.0)
-    u = payoff_linear(Allocation(np.array([3, 1])), cfg)
+    assert np.allclose(payoff_linear(np.array([2, 2]), cfg), 0.0)
+    u = payoff_linear(np.array([3, 1]), cfg)
     assert u[0] == pytest.approx(-0.5)
     assert u[1] == pytest.approx(0.5)
 
 
 def test_payoff_linear_empty_node_is_one():
     cfg = binary_config(players=4)
-    u = payoff_linear(Allocation(np.array([4, 0])), cfg)
+    u = payoff_linear(np.array([4, 0]), cfg)
     assert u[1] == pytest.approx(1.0)
 
 
@@ -188,9 +199,9 @@ def test_aggregate_payoff_identity(rng):
         cfg = GameConfig(players=n, nodes=b_nodes, signals=1,
                          strategies_per_player=1, strengths=y)
         s = build_simplex(y)
-        alloc = Allocation(rng.multinomial(n, y.weights))
-        bet = aggregate_bet(alloc, s)
-        total = float(alloc.counts @ payoff_linear(alloc, cfg))
+        counts = rng.multinomial(n, y.weights)
+        bet = aggregate_bet(counts, s)
+        total = float(counts @ payoff_linear(counts, cfg))
         assert total == pytest.approx(-float(bet @ bet) / n, abs=1e-10)
         assert total <= 1e-10
 
@@ -202,9 +213,9 @@ def test_squared_bet_closed_form(rng):
         n = int(rng.integers(1, 40))
         y = random_proper_strengths(rng, b_nodes)
         s = build_simplex(y)
-        alloc = Allocation(rng.multinomial(n, y.weights))
-        bet = aggregate_bet(alloc, s)
-        closed = float(np.sum(alloc.counts.astype(float) ** 2 / y.weights) - n * n)
+        counts = rng.multinomial(n, y.weights)
+        bet = aggregate_bet(counts, s)
+        closed = float(np.sum(counts.astype(float) ** 2 / y.weights) - n * n)
         assert float(bet @ bet) == pytest.approx(closed, abs=1e-8)
 
 
@@ -212,8 +223,8 @@ def test_correlated_payoff_single_signal_matches_linear():
     cfg = binary_config(players=3, signals=1, strategies=1)
     c = StrategyMatrix(np.array([[[0]], [[0]], [[1]]], dtype=np.uint8))
     profile = (0, 0, 0)
-    _, alloc = resolve_bets(c, PureInstance(0, np.array(profile)), cfg.nodes)
-    u = payoff_linear(alloc, cfg)
+    _, counts = resolve_bets(c, 0, np.array(profile), cfg.nodes)
+    u = payoff_linear(counts, cfg)
     assert correlated_payoff(c, profile, 0, cfg) == pytest.approx(u[0], abs=1e-14)
     assert correlated_payoff(c, profile, 2, cfg) == pytest.approx(u[1], abs=1e-14)
 
@@ -232,9 +243,9 @@ def test_correlated_payoff_averages_signals(rng):
         for i in range(2):
             per_signal = []
             for m in range(2):
-                _, alloc = resolve_bets(c, PureInstance(m, np.array(profile)), cfg.nodes)
+                _, counts = resolve_bets(c, m, np.array(profile), cfg.nodes)
                 node = c.entries[i, profile[i], m]
-                per_signal.append(payoff_linear(alloc, cfg)[node])
+                per_signal.append(payoff_linear(counts, cfg)[node])
             expect = float(np.mean(per_signal))
             assert correlated_payoff(c, profile, i, cfg) == pytest.approx(expect, abs=1e-14)
 
@@ -310,18 +321,19 @@ def test_payoffs_reject_a_profile_or_game_of_another_shape():
             with pytest.raises(ValidationError):
                 evaluate(*args)
     with pytest.raises(ValidationError, match="profile has shape"):
-        strategy_payoffs(c, np.array([[0.3, 0.7]]), cfg)
+        strategy_payoffs(c, MixedProfile(np.array([[0.3, 0.7]])), cfg)
 
 
 @pytest.mark.parametrize("row", [[np.nan, 0.5], [2.0, -1.0], [0.9, 0.9]],
                          ids=["nan", "negative", "sum-above-1"])
 def test_payoffs_check_raw_rows_as_a_profile(row):
-    # raw (N, S) rows once skipped every profile check and gave numbers (or NaN)
+    # raw (N, S) rows once skipped every profile check and gave numbers (or NaN);
+    # the payoffs take a MixedProfile only, which checks the rows
     cfg = GameConfig(players=2, nodes=2, signals=3, strategies_per_player=2,
                      strengths=StrengthDistribution.uniform(2))
     c = draw_strategy_matrix(cfg, np.random.default_rng(3))
     with pytest.raises(ValidationError, match="profile"):
-        strategy_payoffs(c, np.array([row, [0.5, 0.5]]), cfg)
+        strategy_payoffs(c, MixedProfile(np.array([row, [0.5, 0.5]])), cfg)
 
 
 @pytest.mark.parametrize("players,strategies,signals", [
@@ -346,8 +358,8 @@ def test_payoffs_do_not_depend_on_the_block_size(monkeypatch, players, strategie
 def test_instantaneous_frustration_examples():
     cfg = binary_config(players=4)
     s = build_simplex(cfg.strengths)
-    assert instantaneous_frustration(Allocation(np.array([2, 2])), s, cfg) == 0.0
-    assert instantaneous_frustration(Allocation(np.array([3, 1])), s, cfg) == pytest.approx(1.0)
+    assert instantaneous_frustration(np.array([2, 2]), s, cfg) == 0.0
+    assert instantaneous_frustration(np.array([3, 1]), s, cfg) == pytest.approx(1.0)
 
 
 def test_instantaneous_frustration_mean_is_one(rng):
@@ -359,7 +371,7 @@ def test_instantaneous_frustration_mean_is_one(rng):
     vals = []
     for _ in range(4000):
         counts = rng.multinomial(cfg.players, y.weights)
-        vals.append(instantaneous_frustration(Allocation(counts), s, cfg))
+        vals.append(instantaneous_frustration(counts, s, cfg))
     assert np.mean(vals) == pytest.approx(1.0, abs=0.06)
 
 
@@ -402,8 +414,7 @@ def test_frustration_agrees_with_exact_at_pure(rng):
     cfg, s, c = small_instance(rng)
     profile = rng.integers(0, cfg.strategies_per_player, cfg.players)
     p = MixedProfile.pure(profile, cfg.strategies_per_player)
-    per_signal = [instantaneous_frustration(resolve_bets(c, PureInstance(m, profile),
-                                                         cfg.nodes)[1], s, cfg)
+    per_signal = [instantaneous_frustration(resolve_bets(c, m, profile, cfg.nodes)[1], s, cfg)
                   for m in range(cfg.signals)]
     assert expected_frustration(c, p, cfg) == pytest.approx(np.mean(per_signal), abs=1e-12)
 
@@ -484,10 +495,20 @@ def test_json_matrix_must_be_a_flat_list_of_node_indices(tmp_path, text):
     assert load_strategy_matrix(path, 1, 2, 1).entries.ravel().tolist() == [255, 0]
 
 
-def test_table_allocation_is_budgeted(tmp_path):
+def test_table_allocation_is_budgeted(tmp_path, monkeypatch):
     # 10^12 table bytes: refused before drawing, and before reading a file
     cfg = binary_config(players=10**6, signals=10**6, strategies=1)
     with pytest.raises(BudgetError, match="GiB"):
         draw_strategy_matrix(cfg, np.random.default_rng(0))
     with pytest.raises(BudgetError, match="GiB"):
         load_strategy_matrix(tmp_path / "never_read.json", 10**6, 1, 10**6)
+    # N=1, S=1, M=2^19: a 0.5 MiB table under a 1 MiB budget, but one block of
+    # its draw holds 10 bytes an entry: refused before any draw
+    monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 1 << 20)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(BudgetError, match="strategy table and its draw"):
+        draw_strategy_matrix(binary_config(players=1, signals=1 << 19), rng)
+    assert rng.bit_generator.state == before
+    assert draw_strategy_matrix(binary_config(players=1, signals=1 << 16), rng).shape == (
+        1, 1, 1 << 16)

@@ -401,9 +401,12 @@ def test_experiment_validation():
         tiny_sweep_config(t_max=50, window=100)
     with pytest.raises(ValidationError):
         tiny_sweep_config(lambda_grid=(0.0, 1.0))
-    for grid in ((float("nan"),), (0.5, float("inf"))):
-        with pytest.raises(ValidationError):
-            tiny_sweep_config(lambda_grid=grid)
+    # a grid value whose lambda * players overflows, whatever the strengths
+    for grid, strengths in (((float("nan"),), "uniform"), ((0.5, float("inf")), "uniform"),
+                            ((1e308,), "uniform"), ((1e308,), "random")):
+        with pytest.raises(ValidationError, match="^lambda grid values") as err:
+            tiny_sweep_config(lambda_grid=grid, strengths=strengths)
+        assert err.value.fields == ("lambda_grid",)
     with pytest.raises(ValidationError):
         tiny_sweep_config(measurement="median")
     for bad in (dict(check_every=0), dict(window=0), dict(gamma=float("nan")),
@@ -436,9 +439,15 @@ def _lockstep_run(**counts):
     return learning.run_lockstep([(cfg, draw_strategy_matrix(cfg, rng), rng)], 20.0, **counts)[0]
 
 
+def _baseline(iterations=6):
+    """`random_baseline` of a 3-player game for `iterations` rounds."""
+    return learning.random_baseline(_game_config(), 0, iterations)
+
+
 @pytest.mark.parametrize("bad", [12.5, float("nan"), True], ids=["float", "nan", "bool"])
 @pytest.mark.parametrize("owner, field", [(learning.run_lockstep, field) for field in (
                              "iterations", "window", "check_every", "tail")]
+                         + [(learning.random_baseline, "iterations")]
                          + [(GameConfig, field) for field in (
                              "players", "nodes", "signals", "strategies_per_player")]
                          + [(ExperimentConfig, field) for field in (
@@ -446,12 +455,14 @@ def _lockstep_run(**counts):
                              "iterations", "t_max", "window", "check_every", "master_seed")])
 def test_counts_must_be_integers(owner, field, bad):
     make = {ExperimentConfig: tiny_sweep_config, GameConfig: _game_config,
-            learning.run_lockstep: _lockstep_run}[owner]
+            learning.run_lockstep: _lockstep_run, learning.random_baseline: _baseline}[owner]
     with pytest.raises(ValidationError, match=f"^{field} must be an integer") as err:
         make(**{field: bad})
     if owner is ExperimentConfig:
         assert err.value.fields == (field,)
-    if owner is learning.run_lockstep:
+    if owner is learning.random_baseline:
+        assert make(**{field: np.int64(2)}).shape == (2,)
+    elif owner is learning.run_lockstep:
         assert make(**{field: np.int64(2)}).iterations >= 2   # a NumPy integer is a count
     else:
         count = getattr(make(), field) or 5   # a tiny sweep sets no signals
@@ -496,6 +507,10 @@ _VALUE = st.one_of(
 @example([("lambda_grid", "0.5,inf")], True)
 @example([("lambda_grid", "0.1:inf:3")], True)
 @example([("lambda_grid", "0:1:1000000000000")], True)
+@example([("lambda_grid", "1e308")], True)
+@example([("lambda_grid", "1e308"), ("strengths", "random")], True)
+@example([("players", "1" + "0" * 400), ("nodes", "3"), ("strategies", "2"),
+          ("lambda_grid", "1")], False)
 @settings(max_examples=300, deadline=None)
 def test_config_text_gives_experiment_or_validation_error(tmp_path_factory, entries,
                                                          with_required):
@@ -507,11 +522,11 @@ def test_config_text_gives_experiment_or_validation_error(tmp_path_factory, entr
     try:
         experiment_from_file(str(path))
     except ValidationError as exc:
-        # a failed check of a field the file set names the line that set it
-        field = getattr(exc.__cause__, "field", None)
+        # a failed check names the line that set the first of its fields the file set
         keys = [line.split("#", 1)[0].split("=", 1)[0].strip()
                 for line in path.read_text(encoding="utf-8").split("\n")]
-        setting = [n for n, key in enumerate(keys, start=1)
+        setting = [n for field in getattr(exc.__cause__, "fields", ())
+                   for n, key in enumerate(keys, start=1)
                    if key in CONFIG_KEYS and CONFIG_KEYS[key][0] == field]
         if setting:
             assert str(exc).startswith(f"{path}:{setting[0]}: ")

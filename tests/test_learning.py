@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simplexgame import (BudgetError, ExperimentConfig, GameConfig, MixedProfile, PureInstance,
+from simplexgame import (BudgetError, ExperimentConfig, GameConfig, MixedProfile,
                          StrategyMatrix, StrengthDistribution, ValidationError,
                          build_simplex, draw_strategy_matrix, expected_frustration,
                          learning, random_baseline, resolve_bets, reward_vector, run,
@@ -29,33 +29,31 @@ def test_reward_at_played_strategy_is_scaled_payoff(rng):
         cfg, s, c = small_instance(rng)
         choices = rng.integers(0, cfg.strategies_per_player, cfg.players)
         m = int(rng.integers(cfg.signals))
-        inst = PureInstance(m, choices)
-        nodes, alloc = resolve_bets(c, inst, cfg.nodes)
-        b = alloc.counts @ s.vertices
-        payoffs = 1.0 - alloc.counts[nodes] / (
+        nodes, counts = resolve_bets(c, m, choices, cfg.nodes)
+        b = counts @ s.vertices
+        payoffs = 1.0 - counts[nodes] / (
             cfg.strengths.weights[nodes] * cfg.players)
         for i in range(cfg.players):
-            w = reward_vector(c, inst, b, i, cfg)
+            w = reward_vector(c, m, choices, b, i, cfg)
             assert w[choices[i]] == pytest.approx(payoffs[i] / cfg.signals, abs=1e-12)
 
 
 def test_reward_dual_form_agreement(rng):
-    # bracket formula vs full re-resolution of the swapped instance
+    # bracket formula vs full re-resolution of the swapped round
     for _ in range(50):
         cfg, s, c = small_instance(rng)
         choices = rng.integers(0, cfg.strategies_per_player, cfg.players)
         m = int(rng.integers(cfg.signals))
-        inst = PureInstance(m, choices)
-        _, alloc = resolve_bets(c, inst, cfg.nodes)
-        b = alloc.counts @ s.vertices
+        _, counts = resolve_bets(c, m, choices, cfg.nodes)
+        b = counts @ s.vertices
         i = int(rng.integers(cfg.players))
-        w = reward_vector(c, inst, b, i, cfg)
+        w = reward_vector(c, m, choices, b, i, cfg)
         for strat in range(cfg.strategies_per_player):
             swapped = choices.copy()
             swapped[i] = strat
-            nodes2, alloc2 = resolve_bets(c, PureInstance(m, swapped), cfg.nodes)
+            nodes2, counts2 = resolve_bets(c, m, swapped, cfg.nodes)
             node = nodes2[i]
-            u = 1.0 - alloc2.counts[node] / (cfg.strengths.weights[node] * cfg.players)
+            u = 1.0 - counts2[node] / (cfg.strengths.weights[node] * cfg.players)
             assert w[strat] == pytest.approx(u / cfg.signals, abs=1e-12)
 
 
@@ -64,10 +62,9 @@ def test_reward_single_player_example():
                      strengths=StrengthDistribution(np.array([0.5, 0.5])))
     s = build_simplex(cfg.strengths)
     c = StrategyMatrix(np.array([[[0]]], dtype=np.uint8))
-    inst = PureInstance(0, np.array([0]))
-    _, alloc = resolve_bets(c, inst, cfg.nodes)
-    b = alloc.counts @ s.vertices
-    w = reward_vector(c, inst, b, 0, cfg)
+    choices = np.array([0])
+    _, counts = resolve_bets(c, 0, choices, cfg.nodes)
+    w = reward_vector(c, 0, choices, counts @ s.vertices, 0, cfg)
     assert w[0] == pytest.approx(-1.0)
 
 
@@ -75,16 +72,27 @@ def test_reward_vector_rejects_a_table_of_another_game():
     y = StrengthDistribution(np.array([0.5, 0.3, 0.2]))
     cfg = GameConfig(players=4, nodes=3, signals=2, strategies_per_player=2, strengths=y)
     c = draw_strategy_matrix(cfg, np.random.default_rng(0))
-    inst = PureInstance(0, np.zeros(cfg.players, dtype=np.int64))
-    _, alloc = resolve_bets(c, inst, cfg.nodes)
-    s = build_simplex(y)
-    w = reward_vector(c, inst, alloc.counts @ s.vertices, 0, cfg)
+    choices = np.zeros(cfg.players, dtype=np.int64)
+    _, counts = resolve_bets(c, 0, choices, cfg.nodes)
+    b = counts @ build_simplex(y).vertices
+    w = reward_vector(c, 0, choices, b, 0, cfg)
     assert w == pytest.approx([-1 / 3, 0.25], abs=1e-12)
     entries = c.entries.copy()
     entries[0, 1, 0] = 3   # one past the last node
     for table in (StrategyMatrix(entries), StrategyMatrix(c.entries[:, :, :1])):
         with pytest.raises(ValidationError):
-            reward_vector(table, inst, alloc.counts @ s.vertices, 0, cfg)
+            reward_vector(table, 0, choices, b, 0, cfg)
+    # the player and the round are checked, not wrapped or truncated
+    for signal, round_choices, i, message in (
+            (0, choices, -1, "player -1 out of range"),
+            (0, choices, 4, "player 4 out of range"),
+            (0, choices, 1.0, "player must be an integer"),
+            (0, choices, True, "player must be an integer"),
+            (0.5, choices, 0, "signal must be an integer"),
+            (2, choices, 0, "signal 2 out of range"),
+            (0, choices.astype(float), 0, "choices must be integers")):
+        with pytest.raises(ValidationError, match=message):
+            reward_vector(c, signal, round_choices, b, i, cfg)
 
 
 # -- softmax -----------------------------------------------------------------

@@ -5,16 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simplexgame import (BudgetError, GameConfig, MixedProfile,
-                         ValidationError,
-                         StrategyMatrix, StrengthDistribution, build_simplex,
-                         draw_strategy_matrix, enumerate_equilibria, expected_frustration,
-                         maximizer_equilibrium_report, oracle_report,
-                         potential_defect, run)
+from simplexgame import (BudgetError, GameConfig, MixedProfile, ProfileScan, StrategyMatrix,
+                         StrengthDistribution, ValidationError, build_simplex,
+                         draw_strategy_matrix, expected_frustration, oracle_report,
+                         potential_defect, run, scan_profiles)
 
 from simplexgame import errors, oracle
 from simplexgame.cli import main
-from simplexgame.oracle import EquilibriumSet, MaximizerReport, _ProfileEvaluator
+from simplexgame.oracle import _ProfileEvaluator
 
 from conftest import random_profile, random_proper_strengths, small_instance
 from references import DeviationBetEvaluator, blocked_scan, correlated_payoff
@@ -115,17 +113,17 @@ def anti_coordination_game():
 
 def test_single_player_equilibria_are_argmax(rng):
     cfg, s, c = small_instance(rng, players=1, strategies=3, signals=3)
-    eq = enumerate_equilibria(c, cfg)
+    eq = scan_profiles(c, cfg)
     values = [correlated_payoff(c, (k,), 0, cfg) for k in range(3)]
     best = max(values)
     expect = {(k,) for k in range(3) if values[k] >= best - 1e-12}
-    assert set(eq.profiles) == expect
+    assert set(eq.equilibria) == expect
 
 
 def test_single_strategy_profile_is_trivial_equilibrium(rng):
     cfg, s, c = small_instance(rng, players=3, strategies=1)
-    eq = enumerate_equilibria(c, cfg)
-    assert eq.profiles == [(0, 0, 0)]
+    eq = scan_profiles(c, cfg)
+    assert eq.equilibria == [(0, 0, 0)]
     assert eq.min_r == pytest.approx(eq.frustrations[0])
 
 
@@ -135,9 +133,9 @@ def test_seeded_tiny_game_equilibria_verified_independently():
     cfg = GameConfig(players=3, nodes=2, signals=2, strategies_per_player=2,
                      strengths=y)
     c = draw_strategy_matrix(cfg, np.random.default_rng(12))
-    eq = enumerate_equilibria(c, cfg)
-    assert eq.count > 0
-    for profile in eq.profiles:
+    eq = scan_profiles(c, cfg)
+    assert eq.equilibria
+    for profile in eq.equilibria:
         for i in range(cfg.players):
             base = correlated_payoff(c, profile, i, cfg)
             for dev in range(cfg.strategies_per_player):
@@ -193,8 +191,8 @@ def test_two_evaluators_agree_everywhere(rng):
 
 def test_anti_coordination_equilibria():
     cfg, s, c = anti_coordination_game()
-    eq = enumerate_equilibria(c, cfg)
-    assert set(eq.profiles) == {(0, 1), (1, 0)}
+    eq = scan_profiles(c, cfg)
+    assert set(eq.equilibria) == {(0, 1), (1, 0)}
     assert eq.min_r == pytest.approx(0.0, abs=1e-14)
     # coordinated profiles land both players on one node: each pays -1
     ev = _ProfileEvaluator(c, cfg)
@@ -220,15 +218,20 @@ def test_oracle_rejects_a_matrix_that_does_not_fit_its_game():
 
 def test_exact_price_of_anarchy_zero_when_balanced_profile_exists():
     cfg, s, c = anti_coordination_game()
-    assert enumerate_equilibria(c, cfg).min_r == pytest.approx(0.0, abs=1e-14)
+    assert scan_profiles(c, cfg).min_r == pytest.approx(0.0, abs=1e-14)
 
 
-def test_no_pure_equilibrium_is_reported_not_raised():
+def test_no_pure_equilibrium_is_reported_not_raised(monkeypatch):
     # a game can have an empty pure equilibrium set only through slack breaking
-    # ties; with one strategy the set is never empty, so check the empty branch
-    # directly on a doctored set
-    empty = EquilibriumSet(profiles=[], frustrations=[], min_r=None)
-    assert empty.count == 0 and empty.min_r is None
+    # ties; with one strategy the set is never empty, so check the report's
+    # empty branch on a doctored scan
+    cfg, s, c = anti_coordination_game()
+    empty = ProfileScan(equilibria=[], frustrations=[], min_r=None, maximizers=[(0, 0)],
+                        in_equilibrium_set=[False], worst_violation=0.5, max_aggregate=-2.0)
+    monkeypatch.setattr(oracle, "scan_profiles", lambda *args: empty)
+    report = oracle_report(c, cfg)
+    assert report["equilibrium_count"] == 0 and report["min_r"] is None
+    assert report["no_pure_equilibrium"] and report["maximizers_all_equilibria"] is False
 
 
 def test_budget_enforced():
@@ -237,7 +240,7 @@ def test_budget_enforced():
                      strengths=y)
     c = draw_strategy_matrix(cfg, np.random.default_rng(0))
     with pytest.raises(BudgetError):
-        enumerate_equilibria(c, cfg, budget=1000)
+        scan_profiles(c, cfg, budget=1000)
 
 
 def test_learned_plateau_bounded_below_by_oracle(rng):
@@ -246,7 +249,7 @@ def test_learned_plateau_bounded_below_by_oracle(rng):
                      strengths=y)
     for seed in range(5):
         c = draw_strategy_matrix(cfg, np.random.default_rng(seed))
-        min_r = enumerate_equilibria(c, cfg).min_r
+        min_r = scan_profiles(c, cfg).min_r
         result = run(cfg, seed, gamma=20.0, iterations=1500, matrix=c)
         learned = expected_frustration(c, MixedProfile(result.probabilities), cfg)
         assert learned >= min_r - 1e-9
@@ -279,6 +282,20 @@ def test_potential_defect_random_games(rng):
         assert abs(potential_defect(c, p, i, 0, 1, cfg)) <= 1e-12
 
 
+@pytest.mark.parametrize("i, s1, message", [
+    (-1, 0, "player -1 out of range"), (3, 0, "player 3 out of range"),
+    (1.0, 0, "player must be an integer"), (True, 0, "player must be an integer"),
+    (0, 2, "strategy 2 out of range"), (0, 0.5, "strategy must be an integer")])
+def test_potential_defect_checks_its_indices(i, s1, message):
+    # a negative player once meant the last one, and a float one an IndexError
+    cfg = GameConfig(players=3, nodes=3, signals=2, strategies_per_player=2,
+                     strengths=StrengthDistribution.uniform(3))
+    c = draw_strategy_matrix(cfg, np.random.default_rng(0))
+    p = MixedProfile.uniform(3, 2)
+    with pytest.raises(ValidationError, match=message):
+        potential_defect(c, p, i, s1, 1, cfg)
+
+
 def test_maximizer_report_binary_equal_strengths(rng):
     # with the correction identically zero, maximizers are exact equilibria
     y = StrengthDistribution(np.array([0.5, 0.5]))
@@ -286,9 +303,9 @@ def test_maximizer_report_binary_equal_strengths(rng):
                      strengths=y)
     for seed in range(5):
         c = draw_strategy_matrix(cfg, np.random.default_rng(100 + seed))
-        report = maximizer_equilibrium_report(c, cfg)
-        assert all(report.in_equilibrium_set)
-        assert report.worst_violation <= 1e-12
+        scan = scan_profiles(c, cfg)
+        assert all(scan.in_equilibrium_set)
+        assert scan.worst_violation <= 1e-12
 
 
 def test_maximizer_violations_bounded(rng):
@@ -300,10 +317,10 @@ def test_maximizer_violations_bounded(rng):
                          strengths=y)
         s = build_simplex(y)
         c = draw_strategy_matrix(cfg, gen)
-        report = maximizer_equilibrium_report(c, cfg)
+        scan = scan_profiles(c, cfg)
         sq = np.einsum("rd,rd->r", s.vertices, s.vertices)
         bound = (sq.max() - sq.min()) / (2 * cfg.players) + 1e-12
-        assert report.worst_violation <= bound
+        assert scan.worst_violation <= bound
 
 
 def test_oracle_report_fields(rng):
@@ -337,10 +354,9 @@ def test_one_pass_oracle_equals_three_pass_reference(game):
     cfg, s, c = game
     want, profiles, frustrations, maximizers, flags = reference_report(c, cfg)
     assert oracle_report(c, cfg) == want
-    eq = enumerate_equilibria(c, cfg)
-    assert (eq.profiles, eq.frustrations) == (profiles, frustrations)
-    mx = maximizer_equilibrium_report(c, cfg)
-    assert (mx.maximizers, mx.in_equilibrium_set) == (maximizers, flags)
+    scan = scan_profiles(c, cfg)
+    assert (scan.equilibria, scan.frustrations) == (profiles, frustrations)
+    assert (scan.maximizers, scan.in_equilibrium_set) == (maximizers, flags)
 
 
 def _per_profile(cfg):
@@ -348,9 +364,9 @@ def _per_profile(cfg):
 
 
 def _set_block_rows(monkeypatch, cfg, rows, group_rows=None):
-    """Make `_scan` pair `rows` high-half rows with the low half per block, in
-    groups of `group_rows` high-half rows (by default as many as it would
-    use), on the split it would use anyway."""
+    """Make `scan_profiles` pair `rows` high-half rows with the low half per
+    block, in groups of `group_rows` high-half rows (by default as many as it
+    would use), on the split it would use anyway."""
     high_players, _, group = oracle._plan(cfg)
     group = group if group_rows is None else group_rows
     monkeypatch.setattr(oracle, "_plan", lambda config: (high_players, rows, group))
@@ -402,10 +418,10 @@ def test_blocked_scan_equals_per_profile_scan(monkeypatch):
     for cfg, s, c in games:
         monkeypatch.undo()
         want = reference_scan(c, cfg)
-        assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
+        assert scan_profiles(c, cfg) == want
         for rows, group_rows in [(1, None), (2, None), (3, None), (7, None), (2, 5)]:
             _set_block_rows(monkeypatch, cfg, rows, group_rows)
-            assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
+            assert scan_profiles(c, cfg) == want
 
 
 def _benchmark_games(seeds):
@@ -425,11 +441,11 @@ def test_blocked_scan_equals_per_profile_scan_on_benchmark_game(monkeypatch):
     want = reference_scan(c, cfg)
     assert oracle._plan(cfg) == (7, 32, 64)
     profiles = list(itertools.product(range(2), repeat=15))
-    assert len(want[1].maximizers) == 8
-    assert {profiles.index(p) // (32 * 2**8) for p in want[1].maximizers} == {0, 1, 2, 3}
-    assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
+    assert len(want.maximizers) == 8
+    assert {profiles.index(p) // (32 * 2**8) for p in want.maximizers} == {0, 1, 2, 3}
+    assert scan_profiles(c, cfg) == want
     _set_block_rows(monkeypatch, cfg, 7)
-    assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
+    assert scan_profiles(c, cfg) == want
 
 
 def test_blocked_scan_equals_per_profile_scan_with_a_short_low_half(monkeypatch):
@@ -446,14 +462,15 @@ def test_blocked_scan_equals_per_profile_scan_with_a_short_low_half(monkeypatch)
         assert 0 < players - high_players < players - players // 2
         assert strategies ** high_players % group % rows != 0 < strategies ** high_players // group
         want = reference_scan(c, cfg)
-        assert want[0].count and want[1].maximizers
-        assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
+        assert want.equilibria and want.maximizers
+        assert scan_profiles(c, cfg) == want
 
 
 def test_vertex_tables_are_budgeted(monkeypatch, capsys):
-    # the 4,000-byte table fits a 10,000-byte budget, but its 64,000 bytes of
-    # vertices do not: the oracle stops before building them
-    monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 10_000)
+    # the 4,000-byte table and the 40,000 bytes of its draw fit a 50,000-byte
+    # budget, but its 64,000 bytes of vertices do not: the oracle stops before
+    # building them
+    monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 50_000)
     assert main(["oracle", "--N", "2", "--S", "2", "--M", "1000", "--B", "3"]) == 1
     err = capsys.readouterr().err
     assert "vertex tables" in err and "allocation budget" in err
@@ -520,7 +537,7 @@ def test_half_tables_and_blocks_bounded(monkeypatch):
         sizes.clear()
         ev = _ProfileEvaluator(c, cfg)
         record((ev.low, ev.low_bets))
-        oracle._scan(c, cfg, oracle.DEFAULT_BUDGET)
+        scan_profiles(c, cfg)
         assert sizes and max(sizes) <= max(oracle.ORACLE_BLOCK, _unit(cfg))
 
 
@@ -599,23 +616,23 @@ def test_pruned_scan_equals_per_profile_scan_on_extreme_games(monkeypatch):
     # one at a time
     cfg, s, c = _dominated_first_player_game()
     want = reference_scan(c, cfg)
-    assert want[0].count and all(p[0] == 1 for p in want[0].profiles)
+    assert want.equilibria and all(p[0] == 1 for p in want.equilibria)
     dominated = [p for p in itertools.product(range(2), repeat=4) if p[0] == 0]
-    assert set(dominated).isdisjoint(want[0].profiles)
+    assert set(dominated).isdisjoint(want.equilibria)
     _set_block_rows(monkeypatch, cfg, 1)
     assert oracle._ProfileEvaluator(c, cfg).high_players >= 1
-    assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
+    assert scan_profiles(c, cfg) == want
     monkeypatch.undo()
     for cfg, s, c in _identical_strategies_games():
         want = reference_scan(c, cfg)
         count = cfg.strategies_per_player ** cfg.players
-        assert want[0].count == len(want[1].maximizers) == count
-        assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == want
+        assert len(want.equilibria) == len(want.maximizers) == count
+        assert scan_profiles(c, cfg) == want
     # the split moves with ORACLE_BLOCK, and the reference follows it
     monkeypatch.setattr(oracle, "ORACLE_BLOCK", 200)
     high_players, rows, _ = oracle._plan(cfg)
     assert rows * 2 ** (cfg.players - high_players) * 2 * cfg.players > 200
-    assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == reference_scan(c, cfg)
+    assert scan_profiles(c, cfg) == reference_scan(c, cfg)
 
 
 def test_filter_fallback_reads_every_profile_of_a_block(monkeypatch):
@@ -645,7 +662,7 @@ def test_filter_fallback_reads_every_profile_of_a_block(monkeypatch):
         c = draw_strategy_matrix(cfg, gen)
         high_players, rows, group = oracle._plan(cfg)
         read.clear()
-        assert oracle._scan(c, cfg, oracle.DEFAULT_BUDGET) == reference_scan(c, cfg)
+        assert scan_profiles(c, cfg) == reference_scan(c, cfg)
         # a group that read out a profile is read out again, in full
         groups = -(-strategies ** high_players // group)
         assert 1 < groups < len(read) <= 2 * groups
@@ -693,8 +710,9 @@ RECORDED = {
 @pytest.mark.parametrize("recorded", list(RECORDED))
 def test_oracle_report_matches_recorded_output(tmp_path, recorded):
     """The benchmark's oracle game, a skewed S=3 one and a 3-player one, as
-    recorded in tests/data by `simplexgame oracle FLAGS --out NAME`: every
-    count, flag and float of the report, text for text."""
+    recorded in tests/data by `simplexgame oracle FLAGS --out NAME` (which
+    `python tests/record_golden.py NAME` replays): every count, flag and float
+    of the report, text for text."""
     out = tmp_path / "report.json"
     assert main(["oracle", *RECORDED[recorded].split(), "--out", str(out)]) == 0
     assert out.read_text() == (Path(__file__).parent / "data" / recorded).read_text()
@@ -713,20 +731,24 @@ def _floats_close(got, want, tol):
 ROUTE_TOL = 1e-12   # the two routes sum the same dot products in another order
 
 
-def test_expanded_route_matches_deviation_bet_route():
+def test_expanded_route_matches_deviation_bet_route(monkeypatch):
     # every list, count and flag identical to the blocked scan on the
     # (P, N, S, M, B-1) deviation-bet route the oracle used to build, and every
     # float within ROUTE_TOL; each side scans each game once
     games = [*_oracle_games(), *_random_games(60, 900), *_benchmark_games(range(1, 11))]
     for cfg, s, c in games:
-        got = oracle._scan(c, cfg, oracle.DEFAULT_BUDGET)
+        got = scan_profiles(c, cfg)
         want = blocked_scan(DeviationBetEvaluator(c, cfg), cfg,
                             max(1, oracle.ORACLE_BLOCK // _per_profile(cfg)))
-        for ours, theirs in zip(got, want):
-            for field in dataclasses.fields(theirs):
-                mine, old = getattr(ours, field.name), getattr(theirs, field.name)
-                assert _floats_close(mine, old, ROUTE_TOL), (field.name, mine, old)
-        report, want_report = oracle._summary(cfg, *got), oracle._summary(cfg, *want)
+        for field in dataclasses.fields(want):
+            mine, old = getattr(got, field.name), getattr(want, field.name)
+            assert _floats_close(mine, old, ROUTE_TOL), (field.name, mine, old)
+        reports = []
+        for scan in (got, want):   # each scan's report, without scanning again
+            monkeypatch.setattr(oracle, "scan_profiles", lambda *args, scan=scan: scan)
+            reports.append(oracle_report(c, cfg))
+        monkeypatch.undo()
+        report, want_report = reports
         assert report.keys() == want_report.keys()
         for key, old in want_report.items():
             assert _floats_close(report[key], old, ROUTE_TOL), (key, report[key], old)
