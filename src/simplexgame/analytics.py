@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError, check_allocation
+from .errors import ValidationError, check_allocation, check_count
 
 QUAD_LIMIT = 8.0    # integrand carries exp(-z^2); tail beyond |z|=8 is < 1e-27
 QUAD_POINTS = 1025  # trapezoid nodes, step 2 * QUAD_LIMIT / 1024 = 1/64
@@ -27,7 +27,7 @@ QUAD_TOL = 1e-8     # largest accepted fine-minus-coarse difference
 MC_CHUNK = 10**6    # Monte-Carlo minima drawn per chunk of zeta_monte_carlo
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)   # typed: no cached count answers an equal float
 def zeta(strategies: int) -> float:
     """Expected minimum of `strategies` independent standard normals.
 
@@ -36,8 +36,7 @@ def zeta(strategies: int) -> float:
     well scaled for any S.  Zero for a single draw by symmetry; negative and
     strictly decreasing for S >= 2.  `zeta_monte_carlo` samples it instead.
     """
-    if strategies < 1:
-        raise ValidationError("strategies must be >= 1")
+    check_count(strategies, "strategies", 1)
     if strategies == 1:
         return 0.0
     z = np.linspace(-QUAD_LIMIT, QUAD_LIMIT, QUAD_POINTS)
@@ -54,10 +53,8 @@ def zeta(strategies: int) -> float:
 
 def zeta_monte_carlo(strategies: int, samples: int = 10**6, seed=None) -> tuple[float, float]:
     """Sampling estimate of zeta(S): (mean of per-draw minima, standard error)."""
-    if strategies < 1:
-        raise ValidationError("strategies must be >= 1")
-    if samples < 2:
-        raise ValidationError("need at least 2 samples")
+    check_count(strategies, "strategies", 1)
+    check_count(samples, "samples", 2)
     check_allocation(min(samples, MC_CHUNK) * strategies * 8,
                      f"a chunk of {min(samples, MC_CHUNK)} x {strategies} normal draws")
     rng = np.random.default_rng(seed)
@@ -77,8 +74,7 @@ def zeta_monte_carlo(strategies: int, samples: int = 10**6, seed=None) -> tuple[
 
 def critical_lambda(strategies: int, nodes: int) -> float:
     """lambda_c = zeta(S)^2 / (B - 1): the training ratio where anarchy emerges."""
-    if nodes < 2:
-        raise ValidationError("nodes must be >= 2")
+    check_count(nodes, "nodes", 2)
     z = zeta(strategies)
     return z * z / (nodes - 1)
 

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import analytics, harness, oracle
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .game import draw_strategy_matrix
 from .geometry import build_simplex, debug_dict
 
@@ -25,13 +25,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(raw: str) -> int:
-    """The type of every --seed flag: a non-negative integer, as numpy seeds are."""
+    """The type of every --seed flag: a count, as numpy seeds are."""
     try:
         value = int(raw)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {raw!r}")
+        value = raw
+    try:
+        check_count(value, "seed")
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -105,8 +107,7 @@ def _cmd_run(args) -> int:
     result, dump = _play(args, run_and_dump)
     harness.export_trajectory(result, args.out)
     if dump is not None:
-        with open(args.dump_simplex, "w") as fh:
-            json.dump(dump, fh, indent=2, sort_keys=True)
+        harness._write_text(args.dump_simplex, json.dumps(dump, indent=2, sort_keys=True))
     print(f"wrote {result.iterations} iterations to {args.out}")
     return 0
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the allocation budget and the count
-and index checks."""
+"""Exception types shared across the package, the allocation budget and the one
+count and index check."""
 import numbers
 
 MAX_ALLOCATION_BYTES = 1 << 32  # 4 GiB; a serial c05 sweep peaks at 70 MB, so more is a typo
@@ -30,15 +30,13 @@ def check_allocation(nbytes: int, what: str) -> None:
                           f"{MAX_ALLOCATION_BYTES / 2**30:.3g} GiB allocation budget")
 
 
-def check_count(value, name: str) -> None:
+def check_count(value, name: str, least: int = 0, below: int | None = None) -> None:
     """Raise ValidationError naming `name` unless value is a Python or NumPy
-    integer; a bool, a float (NaN included) or anything else is not a count."""
+    integer (a bool, a float or NaN is not) that is at least `least`, and
+    below `below` when one is given: the one check of a count or an index."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
-def check_index(value, name: str, size: int) -> None:
-    """Raise ValidationError naming `name` unless value is a count in [0, size)."""
-    check_count(value, name)
-    if not 0 <= value < size:
-        raise ValidationError(f"{name} {value} out of range [0, {size})")
+    if below is not None and not least <= value < below:
+        raise ValidationError(f"{name} {value} out of range [{least}, {below})")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}")

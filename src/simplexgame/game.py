@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateStrengthsError, ValidationError, check_allocation, check_count,
-                     check_index)
+from .errors import DegenerateStrengthsError, ValidationError, check_allocation, check_count
 
 SUM_TOL = 1e-12   # strengths and each profile row sum to 1 within this
 PROPERNESS_THRESHOLD = 10.0   # largest degeneracy index `random_proper` accepts
@@ -34,8 +33,7 @@ MAX_NODES = int(np.iinfo(np.uint8).max)  # node indices are stored as bytes
 
 def check_node_count(nodes: int) -> None:
     """2 <= B <= MAX_NODES; checked before any per-node array is built."""
-    if nodes < 2:
-        raise ValidationError("nodes must be >= 2")
+    check_count(nodes, "nodes", 2)
     if nodes > MAX_NODES:
         raise ValidationError(f"node indices are stored as bytes; nodes must be <= {MAX_NODES}")
 
@@ -70,8 +68,7 @@ class StrengthDistribution:
 
     @classmethod
     def uniform(cls, node_count: int) -> "StrengthDistribution":
-        if node_count < 2:
-            raise ValidationError(f"need at least 2 nodes, got {node_count}")
+        check_count(node_count, "node_count", 2)
         return cls(np.full(node_count, 1.0 / node_count))
 
     @classmethod
@@ -79,13 +76,14 @@ class StrengthDistribution:
         """Normalize raw per-node spectral efficiencies (e.g. Mbps) to strengths."""
         raw = np.asarray(raw, dtype=float).reshape(-1)
         if raw.size < 2 or np.any(raw <= 0.0) or not np.all(np.isfinite(raw)):
-            raise ValidationError("efficiencies must be >= 2 positive finite values")
+            raise ValidationError("efficiencies must be at least 2 positive finite values")
         return cls(raw / raw.sum())
 
     @classmethod
     def random_proper(cls, node_count, rng, alpha=1.0) -> "StrengthDistribution":
         """Draw Dirichlet(alpha) strengths until one's degeneracy index is at most
         PROPERNESS_THRESHOLD; DegenerateStrengthsError after MAX_PROPER_DRAWS."""
+        check_count(node_count, "node_count", 2)
         for _ in range(MAX_PROPER_DRAWS):
             y = cls(rng.dirichlet(np.full(node_count, float(alpha))))
             if _properness_index(y) <= PROPERNESS_THRESHOLD:
@@ -109,15 +107,9 @@ class GameConfig:
     strengths: StrengthDistribution
 
     def __post_init__(self):
-        for field in ("players", "nodes", "signals", "strategies_per_player"):
-            check_count(getattr(self, field), field)
-        if self.players < 1:
-            raise ValidationError("players must be >= 1")
         check_node_count(self.nodes)
-        if self.signals < 1:
-            raise ValidationError("signals must be >= 1")
-        if self.strategies_per_player < 1:
-            raise ValidationError("strategies_per_player must be >= 1")
+        for field in ("players", "signals", "strategies_per_player"):
+            check_count(getattr(self, field), field, 1)
         if self.strengths.node_count != self.nodes:
             raise ValidationError(f"strengths have {self.strengths.node_count} nodes, "
                                   f"config says {self.nodes}")
@@ -176,11 +168,14 @@ class MixedProfile:
 
     @classmethod
     def uniform(cls, players: int, strategies: int) -> "MixedProfile":
+        check_count(players, "players", 1)
+        check_count(strategies, "strategies", 1)
         return cls(np.full((players, strategies), 1.0 / strategies))
 
     @classmethod
     def pure(cls, choices, strategies: int) -> "MixedProfile":
-        choices = np.asarray(choices, dtype=np.int64)
+        check_count(strategies, "strategies", 1)
+        choices = _check_choices(choices, strategies, np.size(choices))
         rows = np.zeros((choices.size, strategies))
         rows[np.arange(choices.size), choices] = 1.0
         return cls(rows)
@@ -217,21 +212,29 @@ def draw_strategy_matrix(config: GameConfig, rng: np.random.Generator) -> Strate
     return StrategyMatrix(by_signal.transpose(1, 2, 0))
 
 
-def resolve_bets(c: StrategyMatrix, signal: int, choices: np.ndarray,
-                 nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """One realized round: the node each player i bets on under `signal` when
-    it plays its strategy choices[i], and the read-only int64 occupancies of
-    all `nodes` nodes, the game's B.  The signal and the choices must be
-    integers in range; a float or a bool is refused, not truncated."""
-    n, s, m = c.shape
-    check_index(signal, "signal", m)
+def _check_choices(choices, strategies: int, players: int) -> np.ndarray:
+    """choices as a 1-d integer array of `players` strategy indices in
+    [0, strategies); a float or a bool is refused, not truncated."""
     choices = np.asarray(choices)
     if choices.dtype.kind not in "iu":
         raise ValidationError(f"strategy choices must be integers, got {choices.dtype}")
-    if choices.shape != (n,) or np.any(choices < 0) or np.any(choices >= s):
+    if choices.shape != (players,) or np.any(choices < 0) or np.any(choices >= strategies):
         raise ValidationError("strategy choices out of range")
+    return choices
+
+
+def resolve_bets(c: StrategyMatrix, signal: int, choices: np.ndarray,
+                 config: GameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One realized round: the node each player i bets on under `signal` when
+    it plays its strategy choices[i], and the read-only int64 occupancies of
+    the B nodes.  The table must fit config's game, and the signal and the
+    choices must be indices in range."""
+    check_matrix(c, config)
+    n, s, m = c.shape
+    check_count(signal, "signal", 0, m)
+    choices = _check_choices(choices, s, n)
     picked = c.entries[np.arange(n), choices, signal].astype(np.int64)
-    return picked, _readonly(np.bincount(picked, minlength=nodes))
+    return picked, _readonly(np.bincount(picked, minlength=config.nodes))
 
 
 def check_matrix(c: StrategyMatrix, config: GameConfig) -> None:
@@ -365,6 +368,8 @@ def load_strategy_matrix(path, players: int, strategies: int, signals: int,
     [0, MAX_NODES]; anything else (floats, booleans, nesting, out-of-range
     values) is a ValidationError rather than a silently cast byte.
     """
+    for name, count in (("players", players), ("strategies", strategies), ("signals", signals)):
+        check_count(count, name, 1)
     shape = (players, strategies, signals)
     check_allocation(players * strategies * signals,
                      f"a {players} x {strategies} x {signals} strategy table")

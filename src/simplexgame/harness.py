@@ -36,6 +36,10 @@ WORKERS_ENV = "SIMPLEXGAME_WORKERS"
 MEASUREMENT_MODES = ("final-profile", "windowed-trace")
 MAX_GRID_POINTS = 10**6  # a start:end:count grid larger than this is a typo, not a sweep
 _CSV_ROUNDS = 1 << 14  # rounds formatted at a time when a trajectory is written
+# (field, least value) of each count of an ExperimentConfig but nodes, in check order
+_COUNT_FIELDS = (("players", 1), ("strategies", 1), ("signals", 1), ("realizations", 1),
+                 ("iterations", 0), ("t_max", 0), ("window", 1), ("check_every", 1),
+                 ("master_seed", 0))
 
 
 @dataclass
@@ -70,27 +74,20 @@ class ExperimentConfig:
         and smallest grid M with gamma over t_max, as a sweep's batches play
         it, then at `signals` with gamma over `iterations`, as a run does."""
         try:
-            for field in ("players", "nodes", "strategies", "signals", "realizations",
-                          "iterations", "t_max", "window", "check_every", "master_seed"):
-                if getattr(self, field) is not None:
-                    check_count(getattr(self, field), field)
             field = "nodes"
             check_node_count(self.nodes)   # before any per-node strengths are built
+            for field, least in _COUNT_FIELDS:
+                if getattr(self, field) is not None:
+                    check_count(getattr(self, field), field, least)
             for field in ("strengths", "strengths_b"):
                 if field == "strengths" or self.strengths_b is not None:
                     setattr(self, field, _strengths_field(field, getattr(self, field), self.nodes))
-            for field in ("players", "strategies", "signals", "realizations", "window",
-                          "check_every"):
-                if getattr(self, field) is not None and getattr(self, field) < 1:
-                    raise ValidationError(f"{field} must be >= 1")
             field = "gamma"
             rate = learning._check_rate(self.gamma)
             for field, bad, message in (
-                    ("iterations", self.iterations < 0, "iterations must be >= 0"),
                     (("t_max", "window"), self.t_max < self.window, "t_max must be >= window"),
                     ("measurement", self.measurement not in MEASUREMENT_MODES,
-                     f"measurement must be one of {MEASUREMENT_MODES}"),
-                    ("master_seed", self.master_seed < 0, "seed must be >= 0")):
+                     f"measurement must be one of {MEASUREMENT_MODES}")):
                 if bad:
                     raise ValidationError(message)
             field = "lambda_grid"
@@ -151,6 +148,7 @@ def _draw_game(exp: ExperimentConfig, strengths, signals: int, rng=None) -> Game
 
 def signals_for(lam: float, players: int) -> int:
     """M = round(lambda * N), half away from zero, clamped to >= 1."""
+    check_count(players, "players", 1)
     return max(1, int(np.floor(lam * players + 0.5)))
 
 
@@ -161,6 +159,9 @@ def child_seed(master_seed: int, lambda_index: int, realization: int) -> int:
     entropy of a SeedSequence, so distinct coordinates give independent
     streams by construction; the returned word reproduces the realization.
     """
+    for name, value in (("master_seed", master_seed), ("lambda_index", lambda_index),
+                        ("realization", realization)):
+        check_count(value, name)
     ss = np.random.SeedSequence((int(master_seed), int(lambda_index), int(realization)))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -176,6 +177,7 @@ def measure_steady_state(result: learning.RunResult, mode: str, window: int) -> 
         return expected_frustration(result.matrix, MixedProfile(result.probabilities.copy()),
                                     result.config)
     if mode == "windowed-trace":
+        check_count(window, "window", 1)
         if not result.frustrations.size:
             raise ValidationError("windowed-trace mode needs a non-empty trajectory")
         return float(result.frustrations[-window:].mean())
@@ -248,9 +250,8 @@ def _worker_count(n_tasks: int) -> int:
     try:
         workers = int(raw)
     except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValidationError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+        workers = raw
+    check_count(workers, WORKERS_ENV, 1)
     return min(workers, cpus, n_tasks)
 
 
@@ -512,8 +513,7 @@ def parse_lambda_grid(raw: str) -> tuple:
         start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"bad lambda grid {raw!r}: {exc}") from exc
-    if not 1 <= count <= MAX_GRID_POINTS:
-        raise ValidationError(f"grid count must be in [1, {MAX_GRID_POINTS}]")
+    check_count(count, "grid count", 1, MAX_GRID_POINTS + 1)
     if not (np.isfinite(start) and np.isfinite(end)):
         raise ValidationError("grid start and end must be finite")
     return tuple(float(v) for v in np.linspace(start, end, count))

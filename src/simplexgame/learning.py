@@ -304,6 +304,7 @@ def play_block(batch: Lockstep, rounds: int):
     sum_r N_r^2 / y_r, which `_frustration` turns into R_t, and purity (min
     over players of the largest strategy probability after the round).
     """
+    check_count(rounds, "rounds", 1)
     strategies, k, n = batch.scores.shape
     signals = np.empty((rounds, k), dtype=np.int64)
     draws, slots, totals = batch._block_arrays(rounds)
@@ -394,9 +395,7 @@ def run_lockstep(games: list, gamma, iterations: int, check_every: int | None = 
     for name, value, least in (("iterations", iterations, 0), ("check_every", check_every, 1),
                                ("window", window, 1), ("tail", tail, 0)):
         if value is not None or name == "iterations":
-            check_count(value, name)
-            if value < least:
-                raise ValidationError(f"{name} must be >= {least}")
+            check_count(value, name, least)
     shapes = {(c.players, c.strategies_per_player, c.nodes) for c, _, _ in games}
     if len(shapes) != 1:
         raise ValidationError(f"lockstep games must share N, S and B, got {sorted(shapes)}")
@@ -456,9 +455,7 @@ def run_lockstep(games: list, gamma, iterations: int, check_every: int | None = 
 def random_baseline(config: GameConfig, seed, iterations: int) -> np.ndarray:
     """R_t of `iterations` rounds (iterations,) of unsophisticated play: every
     round each player picks node r w.p. y_r."""
-    check_count(iterations, "iterations")
-    if iterations < 1:
-        raise ValidationError("iterations must be >= 1")
+    check_count(iterations, "iterations", 1)
     rng = np.random.default_rng(seed)
     n, b_nodes = config.players, config.nodes
     picks = rng.choice(b_nodes, size=(iterations, n), p=config.strengths.weights)

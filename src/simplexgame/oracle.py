@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, check_allocation, check_index
+from .errors import BudgetError, check_allocation, check_count
 from .game import (GameConfig, MixedProfile, StrategyMatrix, check_matrix, fold_rows,
                    resolve_bets, strategy_payoffs)
 from .geometry import build_simplex
@@ -290,12 +290,11 @@ def _plan(config: GameConfig) -> tuple[int, int, int]:
 
 def check_budget(config: GameConfig, budget: int = DEFAULT_BUDGET) -> int:
     """S^N, the number of pure profiles; BudgetError when it exceeds the budget,
-    ValidationError when the budget is negative."""
-    if budget < 0:
-        raise ValidationError(f"budget must be >= 0, got {budget}")
+    ValidationError when the budget is not a count."""
+    check_count(budget, "budget")
     s, n = config.strategies_per_player, config.players
     # S^N >= 2^N > budget once N >= the budget's bit length: S^N (N may be huge) is never built
-    if (s > 1 and n >= budget.bit_length()) or s ** n > budget:
+    if (s > 1 and n >= int(budget).bit_length()) or s ** n > budget:
         raise BudgetError(f"{s}^{n} pure profiles exceed the enumeration budget of {budget}")
     return s ** n
 
@@ -349,9 +348,9 @@ def potential_defect(c: StrategyMatrix, p: MixedProfile, i: int, s1: int, s2: in
     difference plus the signal-averaged difference of squared vertex norms over N;
     the returned residual is zero up to floating point at any finite size.
     """
-    check_index(i, "player", config.players)
+    check_count(i, "player", 0, config.players)
     for strategy in (s1, s2):
-        check_index(strategy, "strategy", config.strategies_per_player)
+        check_count(strategy, "strategy", 0, config.strategies_per_player)
     per_strategy = strategy_payoffs(c, p, config)
 
     def aggregate_with(i_pure: int) -> float:
@@ -376,11 +375,10 @@ def reward_vector(c: StrategyMatrix, signal: int, choices: np.ndarray, realized_
 
     W_is = -(1/(M N)) q(c_is^m) . [b + q(c_is^m) - q(c_i,played^m)] with the
     vertices of config's strengths: the payoff s would have earned had player
-    i swapped only its own bet, over M.  The table must fit config's game,
-    and the round's arguments are checked as `resolve_bets` checks them."""
-    check_matrix(c, config)
-    check_index(i, "player", config.players)
-    picked, _ = resolve_bets(c, signal, choices, config.nodes)
+    i swapped only its own bet, over M.  `resolve_bets` checks the table
+    against config's game, and the round's arguments."""
+    check_count(i, "player", 0, config.players)
+    picked, _ = resolve_bets(c, signal, choices, config)
     vertices = build_simplex(config.strengths).vertices
     qm = vertices[c.entries[i, :, signal].astype(np.int64)]     # (S, D)
     played = vertices[picked[i]]                                  # (D,)

@@ -58,14 +58,14 @@ def test_c02_algebraic_identities():
 
         choices = rng.integers(0, s_count, n)
         sig = int(rng.integers(m))
-        _, counts = sg.resolve_bets(c, sig, choices, cfg.nodes)
+        _, counts = sg.resolve_bets(c, sig, choices, cfg)
         bet = counts @ simplex.vertices
         i = int(rng.integers(n))
         w = sg.reward_vector(c, sig, choices, bet, i, cfg)
         for strat in range(s_count):
             swapped = choices.copy()
             swapped[i] = strat
-            nodes2, counts2 = sg.resolve_bets(c, sig, swapped, cfg.nodes)
+            nodes2, counts2 = sg.resolve_bets(c, sig, swapped, cfg)
             u = 1.0 - counts2[nodes2[i]] / (y.weights[nodes2[i]] * n)
             worst_reward = max(worst_reward, abs(w[strat] - u / m))
 

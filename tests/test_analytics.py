@@ -45,6 +45,23 @@ def test_zeta_rejects_no_strategies():
         zeta(0)
 
 
+def test_counts_are_checked_before_the_cache():
+    # the cache is typed, so no cached count answers a float: untyped, the keys
+    # of np.int64(2) and 2.0 are equal, as are those of strategies=2 and =2.0
+    zeta(2), zeta(np.int64(2)), zeta(strategies=2), zeta(strategies=1)
+    for strategies in (2.0, 2.5, True, np.float64(2.0)):
+        with pytest.raises(ValidationError, match="^strategies must be an integer"):
+            zeta(strategies)
+        with pytest.raises(ValidationError, match="^strategies must be an integer"):
+            zeta(strategies=strategies)
+    with pytest.raises(ValidationError, match="^nodes must be an integer"):
+        critical_lambda(2, 2.5)
+    with pytest.raises(ValidationError, match="^samples must be an integer"):
+        zeta_monte_carlo(2, samples=2.5)
+    with pytest.raises(ValidationError, match="^samples must be >= 2"):
+        zeta_monte_carlo(2, samples=1)
+
+
 def test_zeta_strictly_decreasing():
     values = [zeta(s) for s in range(1, 7)]
     assert all(b < a for a, b in zip(values, values[1:]))

@@ -97,6 +97,9 @@ def test_iterate_matches_reference_round(players, nodes, signals, strategies):
     assert _bytes(batch.scores[:, 0].T) == _bytes(ref.scores)
     assert _bytes(batch.probabilities[:, 0].T) == _bytes(ref.probabilities)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for rounds, message in ((2.5, "must be an integer"), (0, "must be >= 1")):
+        with pytest.raises(ValidationError, match=f"^rounds {message}"):
+            play_block(batch, rounds)
 
 
 @pytest.mark.parametrize("strategies", [2, 4])

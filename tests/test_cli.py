@@ -74,6 +74,15 @@ def test_run_plays_strengths_that_have_no_vertices(tmp_path, capsys):
     assert main(argv) == 0 and len(out.read_text().splitlines()) == 301
 
 
+def test_a_bad_dump_path_is_reported_as_every_output_is(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG)
+    dump = tmp_path / "missing" / "simplex.json"
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "traj.csv"),
+                 "--dump-simplex", str(dump)]) == 2
+    assert capsys.readouterr().err.startswith(f"I/O error: cannot write {dump}: ")
+
+
 def test_sweep_subcommand_csv_and_json(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG)

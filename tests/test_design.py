@@ -11,6 +11,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import simplexgame
-from simplexgame import analytics, game, geometry, harness, learning, oracle
+from simplexgame import analytics, errors, game, geometry, harness, learning, oracle
 
 PACKAGE = Path(simplexgame.__file__).parent
 
@@ -96,6 +97,18 @@ def test_importing_the_cli_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_errors_holds_the_one_count_rule():
+    """`errors.check_count` is the one check of a count or an index: no other
+    module spells its messages, as a hand-written copy of the rule would."""
+    rule = re.compile(r"must be an integer|must be >= \d")
+    copies = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+              if path.stem != "errors" for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and rule.search(node.value)]
+    assert copies == []
+    assert not hasattr(errors, "check_index")
 
 
 # public names that no code of the package reads, each with the reason it stays

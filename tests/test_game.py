@@ -110,11 +110,11 @@ def test_resolve_bets_counting():
     cfg = binary_config(players=3, signals=1, strategies=1)
     entries = np.array([[[0]], [[0]], [[1]]], dtype=np.uint8)
     c = StrategyMatrix(entries)
-    nodes, counts = resolve_bets(c, 0, np.zeros(3, dtype=int), cfg.nodes)
+    nodes, counts = resolve_bets(c, 0, np.zeros(3, dtype=int), cfg)
     assert list(nodes) == [0, 0, 1]
     assert list(counts) == [2, 1]
     assert counts.dtype == np.int64 and not counts.flags.writeable
-    assert list(resolve_bets(c, np.int64(0), [0, 0, 0], cfg.nodes)[1]) == [2, 1]
+    assert list(resolve_bets(c, np.int64(0), [0, 0, 0], cfg)[1]) == [2, 1]
     # a float, NaN or bool signal or choice is refused, never truncated
     for signal, choices, message in (
             (1, np.zeros(3, dtype=int), "signal 1 out of range"),
@@ -131,19 +131,21 @@ def test_resolve_bets_counting():
             (0, np.array([0.0, np.nan, 0.0]), "choices must be integers"),
             (0, np.zeros(3, dtype=bool), "choices must be integers")):
         with pytest.raises(ValidationError, match=message):
-            resolve_bets(c, signal, choices, cfg.nodes)
+            resolve_bets(c, signal, choices, cfg)
 
 
 def test_resolve_bets_single_player():
     c = StrategyMatrix(np.array([[[1]]], dtype=np.uint8))
-    _, counts = resolve_bets(c, 0, np.array([0]), nodes=2)
+    _, counts = resolve_bets(c, 0, np.array([0]), binary_config(players=1))
     assert list(counts) == [0, 1]
 
 
 def test_resolve_bets_all_on_one_node():
     n = 5
     c = StrategyMatrix(np.zeros((n, 2, 3), dtype=np.uint8))
-    _, counts = resolve_bets(c, 2, np.ones(n, dtype=int), nodes=4)
+    cfg = GameConfig(players=n, nodes=4, signals=3, strategies_per_player=2,
+                     strengths=StrengthDistribution.uniform(4))
+    _, counts = resolve_bets(c, 2, np.ones(n, dtype=int), cfg)
     assert list(counts) == [n, 0, 0, 0]
 
 
@@ -223,7 +225,7 @@ def test_correlated_payoff_single_signal_matches_linear():
     cfg = binary_config(players=3, signals=1, strategies=1)
     c = StrategyMatrix(np.array([[[0]], [[0]], [[1]]], dtype=np.uint8))
     profile = (0, 0, 0)
-    _, counts = resolve_bets(c, 0, np.array(profile), cfg.nodes)
+    _, counts = resolve_bets(c, 0, np.array(profile), cfg)
     u = payoff_linear(counts, cfg)
     assert correlated_payoff(c, profile, 0, cfg) == pytest.approx(u[0], abs=1e-14)
     assert correlated_payoff(c, profile, 2, cfg) == pytest.approx(u[1], abs=1e-14)
@@ -243,7 +245,7 @@ def test_correlated_payoff_averages_signals(rng):
         for i in range(2):
             per_signal = []
             for m in range(2):
-                _, counts = resolve_bets(c, m, np.array(profile), cfg.nodes)
+                _, counts = resolve_bets(c, m, np.array(profile), cfg)
                 node = c.entries[i, profile[i], m]
                 per_signal.append(payoff_linear(counts, cfg)[node])
             expect = float(np.mean(per_signal))
@@ -375,6 +377,41 @@ def test_instantaneous_frustration_mean_is_one(rng):
     assert np.mean(vals) == pytest.approx(1.0, abs=0.06)
 
 
+def test_profile_and_strength_counts_are_checked():
+    for call, message in (
+            (lambda: StrengthDistribution.uniform(2.5), "node_count must be an integer"),
+            (lambda: StrengthDistribution.uniform(1), "node_count must be >= 2"),
+            (lambda: StrengthDistribution.random_proper(3.0, np.random.default_rng(0)),
+             "node_count must be an integer"),
+            (lambda: MixedProfile.uniform(2.5, 2), "players must be an integer"),
+            (lambda: MixedProfile.uniform(2, 0), "strategies must be >= 1"),
+            (lambda: MixedProfile.pure([0, 1], 1.0), "strategies must be an integer")):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            call()
+
+
+def test_pure_profile_refuses_choices_it_would_truncate_or_wrap():
+    assert MixedProfile.pure(np.array([1, 0]), 2).rows.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    for choices, message in (([1.9, 0.2], "choices must be integers"),
+                             ([-1, 0], "choices out of range"),
+                             ([2, 0], "choices out of range"),
+                             ([[0, 1]], "choices out of range"),
+                             ([True, False], "choices must be integers")):
+        with pytest.raises(ValidationError, match=message):
+            MixedProfile.pure(choices, 2)
+
+
+def test_resolve_bets_checks_the_table_against_the_game():
+    # a 2-node game's round on a table holding node 3 counted four nodes
+    cfg = binary_config(players=2)
+    c = StrategyMatrix(np.array([[[0]], [[3]]], dtype=np.uint8))
+    with pytest.raises(ValidationError, match="holds node 3 of a 2-node game"):
+        resolve_bets(c, 0, np.zeros(2, dtype=int), cfg)
+    with pytest.raises(ValidationError, match="does not fit"):
+        resolve_bets(StrategyMatrix(np.zeros((3, 1, 1), dtype=np.uint8)), 0,
+                     np.zeros(3, dtype=int), cfg)
+
+
 def test_frustration_zero_at_balanced_profile():
     # both players constant on opposite nodes: every signal is a Nash allocation
     cfg = binary_config(players=2, signals=3, strategies=1)
@@ -414,7 +451,7 @@ def test_frustration_agrees_with_exact_at_pure(rng):
     cfg, s, c = small_instance(rng)
     profile = rng.integers(0, cfg.strategies_per_player, cfg.players)
     p = MixedProfile.pure(profile, cfg.strategies_per_player)
-    per_signal = [instantaneous_frustration(resolve_bets(c, m, profile, cfg.nodes)[1], s, cfg)
+    per_signal = [instantaneous_frustration(resolve_bets(c, m, profile, cfg)[1], s, cfg)
                   for m in range(cfg.signals)]
     assert expected_frustration(c, p, cfg) == pytest.approx(np.mean(per_signal), abs=1e-12)
 
@@ -502,6 +539,11 @@ def test_table_allocation_is_budgeted(tmp_path, monkeypatch):
         draw_strategy_matrix(cfg, np.random.default_rng(0))
     with pytest.raises(BudgetError, match="GiB"):
         load_strategy_matrix(tmp_path / "never_read.json", 10**6, 1, 10**6)
+    # and a size that is no count is refused before the file is opened
+    for sizes, name in (((2.5, 1, 1), "players"), ((1, 0, 1), "strategies"),
+                        ((1, 1, True), "signals")):
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            load_strategy_matrix(tmp_path / "never_read.json", *sizes)
     # N=1, S=1, M=2^19: a 0.5 MiB table under a 1 MiB budget, but one block of
     # its draw holds 10 bytes an entry: refused before any draw
     monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 1 << 20)

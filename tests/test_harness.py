@@ -12,7 +12,7 @@ from simplexgame import (ExperimentConfig, GameConfig, MixedProfile, StrengthDis
                          experiment_from_file, export_sweep, export_trajectory,
                          measure_steady_state, run, single_run, sweep,
                          verify_reduction)
-from simplexgame import harness, learning
+from simplexgame import analytics, harness, learning, oracle
 from simplexgame.harness import (CONFIG_KEYS, config_hash, parse_lambda_grid,
                                  semantic_config, signals_for, sweep_data_csv,
                                  sweep_summary_csv)
@@ -96,6 +96,9 @@ def test_measure_mode_validation():
         measure_steady_state(result, "bogus", 10)
     with pytest.raises(ValidationError):
         measure_steady_state(run(cfg, 0, gamma=20.0, iterations=0), "windowed-trace", 10)
+    for window, message in ((2.5, "must be an integer"), (0, "must be >= 1")):
+        with pytest.raises(ValidationError, match=f"^window {message}"):
+            measure_steady_state(result, "windowed-trace", window)
 
 
 # -- sweep -------------------------------------------------------------------
@@ -148,6 +151,25 @@ def test_worker_count_is_capped_at_the_usable_cpus(monkeypatch, env, workers):
     monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     assert harness._worker_count(300) == min(int(env or 3), 3)
+
+
+@pytest.mark.parametrize("env, message", [("0", "must be >= 1"), ("-2", "must be >= 1"),
+                                          ("two", "must be an integer")])
+def test_a_worker_count_that_is_no_positive_count_is_refused(monkeypatch, env, message):
+    monkeypatch.setenv(harness.WORKERS_ENV, env)
+    with pytest.raises(ValidationError, match=f"^{harness.WORKERS_ENV} {message}"):
+        harness._worker_count(4)
+
+
+def test_seed_coordinates_and_signal_counts_are_counts():
+    # int() truncated a float coordinate into another realization's seed
+    assert child_seed(np.int64(3), 0, 1) == child_seed(3, 0, 1)
+    for coordinates, name in (((2.5, 0, 0), "master_seed"), ((0, True, 0), "lambda_index"),
+                              ((0, 0, -1), "realization")):
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            child_seed(*coordinates)
+    with pytest.raises(ValidationError, match="^players must be an integer"):
+        signals_for(0.5, 10.0)
 
 
 def test_converged_means_a_purity_stop():
@@ -372,6 +394,9 @@ def test_parse_lambda_grid_forms():
     assert grid[-1] == pytest.approx(2.0)
     with pytest.raises(ValidationError):
         parse_lambda_grid("0.1:2")
+    for raw in ("0.1:2:0", f"0.1:2:{harness.MAX_GRID_POINTS + 1}"):
+        with pytest.raises(ValidationError, match="^grid count .* out of range"):
+            parse_lambda_grid(raw)
 
 
 @pytest.mark.parametrize("raw", ["0.1:inf:3", "-inf:1:3", "nan:1:3", "0.1:nan:1"])
@@ -444,6 +469,26 @@ def _baseline(iterations=6):
     return learning.random_baseline(_game_config(), 0, iterations)
 
 
+def _check_budget(budget=4):
+    """`check_budget` of a 2-player, 2-strategy game: 4 pure profiles."""
+    return oracle.check_budget(_game_config(players=2), budget)
+
+
+def _random_proper(node_count=3):
+    return StrengthDistribution.random_proper(node_count, np.random.default_rng(0))
+
+
+# owners whose value has no field to read back: each takes its count by keyword
+PLAIN = {analytics.zeta: analytics.zeta, analytics.critical_lambda: analytics.critical_lambda,
+         analytics.zeta_monte_carlo: analytics.zeta_monte_carlo, oracle.check_budget: _check_budget,
+         StrengthDistribution.uniform: StrengthDistribution.uniform,
+         StrengthDistribution.random_proper: _random_proper,
+         MixedProfile.uniform: MixedProfile.uniform}
+PLAIN_DEFAULTS = {analytics.critical_lambda: dict(strategies=2, nodes=3),
+                  analytics.zeta_monte_carlo: dict(strategies=2, samples=4),
+                  MixedProfile.uniform: dict(players=2, strategies=2)}
+
+
 @pytest.mark.parametrize("bad", [12.5, float("nan"), True], ids=["float", "nan", "bool"])
 @pytest.mark.parametrize("owner, field", [(learning.run_lockstep, field) for field in (
                              "iterations", "window", "check_every", "tail")]
@@ -452,15 +497,28 @@ def _baseline(iterations=6):
                              "players", "nodes", "signals", "strategies_per_player")]
                          + [(ExperimentConfig, field) for field in (
                              "players", "nodes", "strategies", "signals", "realizations",
-                             "iterations", "t_max", "window", "check_every", "master_seed")])
+                             "iterations", "t_max", "window", "check_every", "master_seed")]
+                         + [(analytics.zeta, "strategies"), (analytics.critical_lambda, "strategies"),
+                            (analytics.critical_lambda, "nodes"),
+                            (analytics.zeta_monte_carlo, "strategies"),
+                            (analytics.zeta_monte_carlo, "samples"), (oracle.check_budget, "budget"),
+                            (StrengthDistribution.uniform, "node_count"),
+                            (StrengthDistribution.random_proper, "node_count"),
+                            (MixedProfile.uniform, "players"), (MixedProfile.uniform, "strategies")])
 def test_counts_must_be_integers(owner, field, bad):
-    make = {ExperimentConfig: tiny_sweep_config, GameConfig: _game_config,
-            learning.run_lockstep: _lockstep_run, learning.random_baseline: _baseline}[owner]
+    if owner in PLAIN:
+        def make(**count):
+            return PLAIN[owner](**(PLAIN_DEFAULTS.get(owner, {}) | count))
+    else:
+        make = {ExperimentConfig: tiny_sweep_config, GameConfig: _game_config,
+                learning.run_lockstep: _lockstep_run, learning.random_baseline: _baseline}[owner]
     with pytest.raises(ValidationError, match=f"^{field} must be an integer") as err:
         make(**{field: bad})
     if owner is ExperimentConfig:
         assert err.value.fields == (field,)
-    if owner is learning.random_baseline:
+    if owner in PLAIN:
+        make(**{field: np.int64(4)})   # a NumPy integer is a count
+    elif owner is learning.random_baseline:
         assert make(**{field: np.int64(2)}).shape == (2,)
     elif owner is learning.run_lockstep:
         assert make(**{field: np.int64(2)}).iterations >= 2   # a NumPy integer is a count

@@ -29,7 +29,7 @@ def test_reward_at_played_strategy_is_scaled_payoff(rng):
         cfg, s, c = small_instance(rng)
         choices = rng.integers(0, cfg.strategies_per_player, cfg.players)
         m = int(rng.integers(cfg.signals))
-        nodes, counts = resolve_bets(c, m, choices, cfg.nodes)
+        nodes, counts = resolve_bets(c, m, choices, cfg)
         b = counts @ s.vertices
         payoffs = 1.0 - counts[nodes] / (
             cfg.strengths.weights[nodes] * cfg.players)
@@ -44,14 +44,14 @@ def test_reward_dual_form_agreement(rng):
         cfg, s, c = small_instance(rng)
         choices = rng.integers(0, cfg.strategies_per_player, cfg.players)
         m = int(rng.integers(cfg.signals))
-        _, counts = resolve_bets(c, m, choices, cfg.nodes)
+        _, counts = resolve_bets(c, m, choices, cfg)
         b = counts @ s.vertices
         i = int(rng.integers(cfg.players))
         w = reward_vector(c, m, choices, b, i, cfg)
         for strat in range(cfg.strategies_per_player):
             swapped = choices.copy()
             swapped[i] = strat
-            nodes2, counts2 = resolve_bets(c, m, swapped, cfg.nodes)
+            nodes2, counts2 = resolve_bets(c, m, swapped, cfg)
             node = nodes2[i]
             u = 1.0 - counts2[node] / (cfg.strengths.weights[node] * cfg.players)
             assert w[strat] == pytest.approx(u / cfg.signals, abs=1e-12)
@@ -63,7 +63,7 @@ def test_reward_single_player_example():
     s = build_simplex(cfg.strengths)
     c = StrategyMatrix(np.array([[[0]]], dtype=np.uint8))
     choices = np.array([0])
-    _, counts = resolve_bets(c, 0, choices, cfg.nodes)
+    _, counts = resolve_bets(c, 0, choices, cfg)
     w = reward_vector(c, 0, choices, counts @ s.vertices, 0, cfg)
     assert w[0] == pytest.approx(-1.0)
 
@@ -73,7 +73,7 @@ def test_reward_vector_rejects_a_table_of_another_game():
     cfg = GameConfig(players=4, nodes=3, signals=2, strategies_per_player=2, strengths=y)
     c = draw_strategy_matrix(cfg, np.random.default_rng(0))
     choices = np.zeros(cfg.players, dtype=np.int64)
-    _, counts = resolve_bets(c, 0, choices, cfg.nodes)
+    _, counts = resolve_bets(c, 0, choices, cfg)
     b = counts @ build_simplex(y).vertices
     w = reward_vector(c, 0, choices, b, 0, cfg)
     assert w == pytest.approx([-1 / 3, 0.25], abs=1e-12)

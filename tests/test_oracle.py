@@ -699,6 +699,18 @@ def test_check_budget_rejects_a_negative_budget():
         assert not isinstance(err.value, BudgetError)
 
 
+def test_check_budget_rejects_a_budget_that_is_not_a_count():
+    # 1e6 failed in int.bit_length, and True was reported as a budget of True
+    cfg = GameConfig(players=3, nodes=3, signals=2, strategies_per_player=2,
+                     strengths=StrengthDistribution.uniform(3))
+    c = draw_strategy_matrix(cfg, np.random.default_rng(0))
+    for call in (lambda: oracle.check_budget(cfg, 1e6), lambda: oracle.check_budget(cfg, True),
+                 lambda: scan_profiles(c, cfg, budget=1e6)):
+        with pytest.raises(ValidationError, match="^budget must be an integer"):
+            call()
+    assert oracle.check_budget(cfg, np.int64(8)) == 8
+
+
 RECORDED = {
     "oracle_n15_s2_m3_b3_seed7.json": "--N 15 --S 2 --M 3 --B 3 --seed 7 --strengths uniform",
     "oracle_n8_s3_m4_b4_seed7_skewed.json":
