@@ -18,6 +18,7 @@ terms overflow.  Every payoff is the linear congestion payoff.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,16 @@ def check_node_count(nodes: int) -> None:
         raise ValidationError(f"node indices are stored as bytes; nodes must be <= {MAX_NODES}")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a: np.ndarray, given=None) -> np.ndarray:
+    """a, made from the caller's `given`, read-only and C-contiguous: copied if it
+    views `given` and an array under it is writeable, so a caller's array is
+    neither aliased nor frozen, and a drawn or loaded table is not copied."""
     a = np.ascontiguousarray(a)
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if isinstance(base, np.ndarray) and np.may_share_memory(a, given):
+        a = a.copy()
     a.setflags(write=False)
     return a
 
@@ -60,7 +69,7 @@ class StrengthDistribution:
             raise ValidationError("every strength must be > 0")
         if abs(w.sum() - 1.0) > SUM_TOL:
             raise ValidationError(f"strengths must sum to 1 (got {float(w.sum())!r})")
-        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "weights", _readonly(w, self.weights))
 
     @property
     def node_count(self) -> int:
@@ -84,6 +93,9 @@ class StrengthDistribution:
         """Draw Dirichlet(alpha) strengths until one's degeneracy index is at most
         PROPERNESS_THRESHOLD; DegenerateStrengthsError after MAX_PROPER_DRAWS."""
         check_count(node_count, "node_count", 2)
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) \
+                or not 0.0 < alpha < np.inf:
+            raise ValidationError(f"alpha must be a finite number > 0, got {alpha!r}")
         for _ in range(MAX_PROPER_DRAWS):
             y = cls(rng.dirichlet(np.full(node_count, float(alpha))))
             if _properness_index(y) <= PROPERNESS_THRESHOLD:
@@ -137,10 +149,10 @@ class StrategyMatrix:
         e = np.asarray(self.entries)
         if e.ndim != 3:
             raise ValidationError(f"strategy matrix must be 3-d, got shape {e.shape}")
-        if e.dtype != np.uint8 and (e.dtype.kind not in "biuf" or np.any(
+        if e.dtype != np.uint8 and (e.dtype.kind not in "iuf" or np.any(
                 (e < 0) | (e > MAX_NODES) | (e % 1 != 0))):  # NaN fails the last test
             raise ValidationError(f"strategy matrix entries must be integers in [0, {MAX_NODES}]")
-        by_signal = _readonly(np.ascontiguousarray(e.transpose(2, 0, 1), dtype=np.uint8))
+        by_signal = _readonly(e.transpose(2, 0, 1).astype(np.uint8, copy=False), self.entries)
         object.__setattr__(self, "entries", by_signal.transpose(1, 2, 0))
 
     @property
@@ -164,7 +176,7 @@ class MixedProfile:
             raise ValidationError("profile probabilities must be nonnegative")
         if np.max(np.abs(p.sum(axis=1) - 1.0)) > SUM_TOL:
             raise ValidationError("each profile row must sum to 1")
-        object.__setattr__(self, "rows", _readonly(p))
+        object.__setattr__(self, "rows", _readonly(p, self.rows))
 
     @classmethod
     def uniform(cls, players: int, strategies: int) -> "MixedProfile":
@@ -209,6 +221,7 @@ def draw_strategy_matrix(config: GameConfig, rng: np.random.Generator) -> Strate
             picks += above.view(np.uint8)
         by_signal[:, start:start + rows] = picks.transpose(2, 0, 1)
         del uniforms, picks, above   # freed before the next block is drawn
+    by_signal.setflags(write=False)   # handed over, so the table is not copied
     return StrategyMatrix(by_signal.transpose(1, 2, 0))
 
 
@@ -392,4 +405,4 @@ def load_strategy_matrix(path, players: int, strategies: int, signals: int,
         raise ValidationError(
             f"file holds {flat.size} entries, expected {players * strategies * signals}"
         )
-    return StrategyMatrix(flat.reshape(shape).copy())
+    return StrategyMatrix(flat.reshape(shape))

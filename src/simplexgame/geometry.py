@@ -37,7 +37,7 @@ class Simplex:
         b = self.strengths.node_count
         if v.shape != (b, b - 1):
             raise ValidationError(f"vertices must have shape {(b, b - 1)}, got {v.shape}")
-        object.__setattr__(self, "vertices", game._readonly(v))
+        object.__setattr__(self, "vertices", game._readonly(v, self.vertices))
 
     @property
     def squared_norms(self) -> np.ndarray:

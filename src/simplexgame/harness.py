@@ -174,7 +174,7 @@ def measure_steady_state(result: learning.RunResult, mode: str, window: int) -> 
     trace over the last `window` iterations, matching what a trace plot shows.
     """
     if mode == "final-profile":
-        return expected_frustration(result.matrix, MixedProfile(result.probabilities.copy()),
+        return expected_frustration(result.matrix, MixedProfile(result.probabilities),
                                     result.config)
     if mode == "windowed-trace":
         check_count(window, "window", 1)
@@ -227,8 +227,7 @@ def _run_batch(job: tuple) -> list:
         config = _draw_game(exp, exp.strengths, signals, rng)
         seeds.append(seed)
         games.append((config, draw_strategy_matrix(config, rng), rng))
-    results = learning.run_lockstep(games, exp.gamma, exp.t_max, exp.check_every, exp.window,
-                                    tail=exp.window)
+    results = learning.run_lockstep(games, exp.gamma, exp.t_max, exp.check_every, exp.window)
     rows = []
     for (lambda_index, realization, signals), seed, result in zip(coords, seeds, results):
         rows.append(RealizationRow(

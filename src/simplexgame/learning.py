@@ -24,9 +24,9 @@ replays the block per call.  `run_lockstep` plays a batch of (config,
 matrix, rng) games, whose `GameConfig` alone gives the strengths the rewards
 read, at one learning rate gamma for up to `iterations` rounds, until every
 realization has stopped; blocks write straight into records of each game's
-last `tail` rounds (all of them for `run`, a batch of one).  It checks each
-of its plain arguments once, and a realization's one frozen `RunResult` is
-built when it stops.  The harness's `ExperimentConfig` holds the defaults.
+last `window` rounds (all of them without one).  `Lockstep` checks its games
+and `run_lockstep` its plain arguments, once; a realization's one frozen
+`RunResult` is built when it stops.  `ExperimentConfig` holds the defaults.
 
 A realization stops at a check, every check_every rounds once 2 * window
 rounds are played, when its purity after that round (min over players of
@@ -47,7 +47,7 @@ from .game import GameConfig, StrategyMatrix, check_matrix, draw_strategy_matrix
 log = logging.getLogger(__name__)
 
 PURITY_THRESHOLD = 0.999
-_ROW_BYTES = 24  # a recorded round: one int64 signal and two float64 values
+_RECORD = np.dtype([("signals", np.int64), ("frustrations", float), ("purities", float)])
 # rounds are drawn in blocks of at most 2**15 uniforms per realization, and
 # of fewer rounds once a batch would draw more than 2**20 uniforms per block,
 # or hold more than 2**21 slots (T S K N) in its slot array; for S <= 2 the
@@ -217,19 +217,25 @@ def _reward(occupancy, inv_y, players: int, signals):
 class Lockstep:
     """Working arrays of K realizations that share N, S and B, played in lockstep.
 
-    `games` are (config, matrix, rng) tuples.  Scores start at zero and
-    probabilities uniform, both (S, K, N), so that each strategy's slice is a
-    contiguous (K, N) plane; every player of every row learns at the one rate
-    gamma.  Realization k's signal-major table is rows offsets[k] ..
-    offsets[k] + M_k of `tables`, one (sum M, N, S) uint8 array, and it plays
-    from its own generator rngs[k].  The allocation budget checks the reward
-    table and the (S, K, N) arrays before any of them is built.
+    `games` are (config, matrix, rng) tuples, at least one, of one N, S and B,
+    each table fitting its config.  Scores start at zero and probabilities
+    uniform, both (S, K, N), so that each strategy's slice is a contiguous
+    (K, N) plane; every player of every row learns at the one rate gamma.
+    Realization k's signal-major table is rows offsets[k] .. offsets[k] + M_k
+    of `tables`, one (sum M, N, S) uint8 array, and it plays from its own
+    generator rngs[k].  The games, then the allocation budget of the reward
+    table and the (S, K, N) arrays, are checked before any array is built.
     """
 
     def __init__(self, games: list, gamma):
-        config = games[0][0]
-        k, n, strategies = len(games), config.players, config.strategies_per_player
-        check_allocation(8 * k * (config.nodes * (n + 2) + 2 * strategies * n),
+        shapes = {(c.players, c.strategies_per_player, c.nodes) for c, _, _ in games}
+        if len(shapes) != 1:
+            raise ValidationError(f"lockstep games must share N, S and B, got {sorted(shapes)}")
+        for config, matrix, _ in games:
+            check_matrix(matrix, config)
+        (n, strategies, self.nodes), = shapes
+        k = len(games)
+        check_allocation(8 * k * (self.nodes * (n + 2) + 2 * strategies * n),
                          f"the reward table, scores and probabilities of {k} games of {n} players")
         bases = [matrix.entries.transpose(2, 0, 1) for _, matrix, _ in games]
         self.tables = bases[0] if len(bases) == 1 else np.concatenate(bases)
@@ -241,7 +247,6 @@ class Lockstep:
         self.inv_y = np.stack([1.0 / config.strengths.weights
                                for config, _, _ in games])[:, :, None]
         self.rngs = [rng for _, _, rng in games]
-        self.nodes = self.inv_y.shape[1]
         self._index()
         # a block's arrays are views of these, reused from block to block:
         # faulting in fresh pages for them every block cost about a tenth of
@@ -344,10 +349,9 @@ def _frustration(squares, players: int, nodes: int):
 
 
 def run(config: GameConfig, seed, *, gamma, iterations: int,
-        matrix: StrategyMatrix | None = None, check_every: int | None = None,
-        window: int | None = None) -> RunResult:
-    """Iterate a game at learning rate gamma for `iterations` rounds, stopping
-    early at a purity check if check_every (and window) are given.
+        matrix: StrategyMatrix | None = None) -> RunResult:
+    """Iterate a game at learning rate gamma for all `iterations` rounds and
+    record every round; only `run_lockstep` stops a game at purity.
 
     The seed feeds a single generator that first draws the strategy matrix
     (unless one is supplied) and then drives the play stream.
@@ -355,7 +359,7 @@ def run(config: GameConfig, seed, *, gamma, iterations: int,
     rng = np.random.default_rng(seed)
     if matrix is None:
         matrix = draw_strategy_matrix(config, rng)
-    return run_lockstep([(config, matrix, rng)], gamma, iterations, check_every, window)[0]
+    return run_lockstep([(config, matrix, rng)], gamma, iterations)[0]
 
 
 def _check_score_range(rate: float, iterations: int, config: GameConfig) -> None:
@@ -378,38 +382,32 @@ def _check_score_range(rate: float, iterations: int, config: GameConfig) -> None
 
 
 def run_lockstep(games: list, gamma, iterations: int, check_every: int | None = None,
-                 window: int | None = None, tail: int | None = None) -> list:
-    """Play (config, matrix, rng) games in lockstep at learning rate gamma; one
-    RunResult each.
+                 window: int | None = None) -> list:
+    """Play (config, matrix, rng) games, which `Lockstep` checks, in lockstep
+    at learning rate gamma; one RunResult each.
 
     Every game starts from the uniform state and plays up to `iterations`
-    rounds.  If check_every is given, each stops on its own when a check
-    (every check_every rounds once 2 * window rounds are played) finds its
-    purity at or above PURITY_THRESHOLD; its result, with its last `tail`
-    rounds (all if tail is None), is written then and it leaves the working
-    arrays.  The games must share N, S and B, and each matrix must fit its
-    config.
+    rounds, and its result holds its last `window` rounds (every round
+    without a window).  If check_every is given, each stops on its own when
+    a check (every check_every rounds once 2 * window rounds are played)
+    finds its purity at or above PURITY_THRESHOLD; its result is written
+    then and it leaves the working arrays.
     """
     if check_every is not None and window is None:
         raise ValidationError("check_every needs a window")
     for name, value, least in (("iterations", iterations, 0), ("check_every", check_every, 1),
-                               ("window", window, 1), ("tail", tail, 0)):
+                               ("window", window, 1)):
         if value is not None or name == "iterations":
             check_count(value, name, least)
-    shapes = {(c.players, c.strategies_per_player, c.nodes) for c, _, _ in games}
-    if len(shapes) != 1:
-        raise ValidationError(f"lockstep games must share N, S and B, got {sorted(shapes)}")
-    (n, strategies, nodes), = shapes
-    for config, matrix, _ in games:
-        check_matrix(matrix, config)
     total = len(games)
-    held = iterations if tail is None else min(tail, iterations)
-    check_allocation(total * held * _ROW_BYTES, f"{total} records of the last {held} rounds")
+    held = iterations if window is None else min(window, iterations)
+    check_allocation(total * held * _RECORD.itemsize, f"{total} records of the last {held} rounds")
     batch = Lockstep(games, gamma)
+    (strategies, _, n), nodes = batch.scores.shape, batch.nodes
     for config, _, _ in games:
         _check_score_range(batch.rate, iterations, config)
     # row k holds game k's last `held` rounds, round t at flat index k * held + t % held
-    records = [np.empty((total, held), dtype=dtype) for dtype in (np.int64, float, float)]
+    records = [np.empty((total, held), dtype=_RECORD[name]) for name in _RECORD.names]
     results = [None] * total
     active = np.arange(total)   # game index of each working row
 

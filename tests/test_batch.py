@@ -2,8 +2,8 @@
 
 The references below are the per-realization code that batching replaced:
 one count-space round of one realization (`reference_iterate`), a run built
-from it, and the sweep task body that played each realization with its own
-`learning.run`.  Batched play must reproduce them bit for bit, whatever the
+from it, and the sweep task body that played each realization alone, as a
+`learning.run_lockstep` batch of one.  Batched play must reproduce them bit for bit, whatever the
 batch composition or worker count.
 """
 import json
@@ -45,7 +45,8 @@ def reference_iterate(state, c, config, rng):
 
 
 def reference_execute(exp, points):
-    """The per-realization sweep task: set up, one `learning.run`, measure."""
+    """The per-realization sweep task: set up, one lone `learning.run_lockstep`
+    game, measure."""
     rows = []
     for li, m in points:
         for k in range(exp.realizations):
@@ -58,9 +59,8 @@ def reference_execute(exp, points):
             config = GameConfig(players=exp.players, nodes=exp.nodes, signals=m,
                                 strategies_per_player=exp.strategies, strengths=y)
             matrix = draw_strategy_matrix(config, rng)
-            result = learning.run(config, rng, gamma=exp.gamma, iterations=exp.t_max,
-                                  matrix=matrix, check_every=exp.check_every,
-                                  window=exp.window)
+            result = learning.run_lockstep([(config, matrix, rng)], exp.gamma, exp.t_max,
+                                           exp.check_every, exp.window)[0]
             steady = measure_steady_state(result, exp.measurement, exp.window)
             rows.append(RealizationRow(lambda_index=li, realized_lambda=m / exp.players,
                                        realization=k, seed=seed, steady_r=steady,

@@ -654,15 +654,32 @@ def test_readme_library_example_runs(capsys):
     assert len(printed) == 2 and all(np.isfinite(float(value)) for value in printed)
 
 
-def test_fresh_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency
+def _fresh_interpreter(*args):
+    """Run the interpreter on `args` with this package first on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_fresh_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency
     code = ("import sys, simplexgame.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = _fresh_interpreter("-c", code)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
+def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
+    # `python -m simplexgame` exits 0 when done, 1 on a validation error and
+    # 2 on an I/O error; none of these commands starts a process pool
+    out = tmp_path / "no_such_dir" / "x.csv"
+    for args, code in ((["zeta", "--S", "2"], 0), (["zeta", "--S", "0"], 1),
+                       (["predict", "--S", "2", "--B", "5", "--lambda-grid", "0.5:1:2",
+                         "--out", str(out)], 2)):
+        proc = _fresh_interpreter("-m", "simplexgame", *args)
+        assert proc.returncode == code, proc.stderr
+        assert bool(proc.stdout) == (code == 0) and bool(proc.stderr) == (code != 0)
 
 
 # -- arguments rejected before any work ----------------------------------------

@@ -5,7 +5,8 @@ vertex construction, which the oracle (its cross-check and `reward_vector`)
 and `run --dump-simplex` build from a config's strengths, so no public
 signature outside `geometry` can take a `Simplex`.  Importing the command
 line loads no process-pool machinery, which only a multi-worker sweep uses.
-Every public name is used by the package itself or kept for a stated reason.
+Play has one driver: `run` plays every round, and only `run_lockstep` stops a
+game, whose record its `window` alone sizes.  Every public name is used by the package itself or kept for a stated reason.
 """
 import ast
 import importlib
@@ -109,6 +110,20 @@ def test_errors_holds_the_one_count_rule():
               and rule.search(node.value)]
     assert copies == []
     assert not hasattr(errors, "check_index")
+
+
+def _plain_signature(function) -> str:
+    """The function's signature without annotations: names, kinds and defaults."""
+    signature = inspect.signature(function)
+    return str(signature.replace(
+        parameters=[p.replace(annotation=p.empty) for p in signature.parameters.values()],
+        return_annotation=signature.empty))
+
+
+def test_window_alone_sizes_a_record_and_only_run_lockstep_stops_a_game():
+    assert _plain_signature(learning.run) == "(config, seed, *, gamma, iterations, matrix=None)"
+    assert _plain_signature(learning.run_lockstep) == \
+        "(games, gamma, iterations, check_every=None, window=None)"
 
 
 # public names that no code of the package reads, each with the reason it stays

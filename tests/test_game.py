@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simplexgame import (BudgetError, GameConfig, MixedProfile, StrategyMatrix,
+from simplexgame import (BudgetError, GameConfig, MixedProfile, Simplex, StrategyMatrix,
                          StrengthDistribution, ValidationError, build_simplex,
                          draw_strategy_matrix, errors, expected_frustration, game,
                          load_strategy_matrix, resolve_bets, save_strategy_matrix,
@@ -488,12 +488,36 @@ def test_matrix_io_roundtrip(tmp_path, rng):
 
 
 def test_matrix_rejects_out_of_range_and_fractional_entries():
-    for bad in ([[[256]]], [[[-1]]], [[[1.5]]], [[[np.nan]]], [[["a"]]]):
+    for bad in ([[[256]]], [[[-1]]], [[[1.5]]], [[[np.nan]]], [[["a"]]], [[[True, False]]]):
         with pytest.raises(ValidationError):
             StrategyMatrix(np.array(bad))
     with pytest.raises(ValidationError, match="strategy matrix must be 3-d"):
         StrategyMatrix(np.zeros((2, 3), dtype=np.uint8))
     assert StrategyMatrix(np.array([[[255.0, 0.0]]])).entries.tolist() == [[[255, 0]]]
+
+
+def test_value_types_own_their_arrays():
+    # a validated value neither aliases an array its caller may still write
+    # nor freezes that array, whatever its layout
+    y = StrengthDistribution.uniform(3)
+    signal_major = np.zeros((3, 2, 2), dtype=np.uint8)   # (M, N, S)
+    for make, given, field in (
+            (StrengthDistribution, np.array([0.25, 0.75]), "weights"),
+            (StrategyMatrix, signal_major.transpose(1, 2, 0), "entries"),
+            (MixedProfile, np.full((2, 2), 0.5), "rows"),
+            (lambda v: Simplex(v, y), np.array(build_simplex(y).vertices), "vertices")):
+        value = getattr(make(given), field)
+        assert not np.shares_memory(value, given)
+        assert given.flags.writeable and not value.flags.writeable
+    # a read-only view of a writeable array is copied as well
+    view = signal_major.view()
+    view.flags.writeable = False
+    assert not np.shares_memory(StrategyMatrix(view.transpose(1, 2, 0)).entries, signal_major)
+    # a drawn table is read-only down to its memory, so a value built on it
+    # shares it rather than copying it
+    drawn = draw_strategy_matrix(binary_config(players=4, signals=3, strategies=2),
+                                 np.random.default_rng(0))
+    assert np.shares_memory(StrategyMatrix(drawn.entries).entries, drawn.entries)
 
 
 def test_matrix_is_stored_signal_major(tmp_path, rng):
@@ -506,6 +530,17 @@ def test_matrix_is_stored_signal_major(tmp_path, rng):
     path = tmp_path / "m.bin"
     save_strategy_matrix(c, path, "binary")
     assert path.read_bytes() == entries.astype(np.uint8).tobytes()
+
+
+def test_matrix_io_refuses_an_unknown_format(tmp_path, rng):
+    _, _, c = small_instance(rng, players=4, nodes=3, signals=3, strategies=2)
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValidationError, match="^unknown strategy matrix format 'text'$"):
+        save_strategy_matrix(c, path, "text")
+    assert not path.exists()
+    path.write_text("[0]")
+    with pytest.raises(ValidationError, match="^unknown strategy matrix format 'text'$"):
+        load_strategy_matrix(path, 1, 1, 1, "text")
 
 
 def test_matrix_io_size_mismatch(tmp_path, rng):

@@ -113,6 +113,15 @@ def test_strength_validation():
         StrengthDistribution(np.array([0.5, 0.5 + 1e-9]))
 
 
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan"), float("inf"), True, "2"])
+def test_random_proper_checks_alpha(alpha):
+    # refused by name before the first draw, not by numpy or the drawn weights
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValidationError, match="^alpha must be a finite number > 0"):
+        StrengthDistribution.random_proper(3, rng, alpha)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 def test_random_proper_gives_up_after_max_draws(monkeypatch):
     # only the exactly uniform distribution has index 0, so no draw passes
     monkeypatch.setattr(game, "PROPERNESS_THRESHOLD", 1e-300)
@@ -171,6 +180,12 @@ def test_determinism():
     a = build_simplex(y1).vertices
     b = build_simplex(y2).vertices
     assert a.tobytes() == b.tobytes()
+
+
+def test_simplex_checks_the_vertex_shape():
+    shapes = r"^vertices must have shape \(3, 2\), got \(3, 3\)$"
+    with pytest.raises(ValidationError, match=shapes):
+        Simplex(np.zeros((3, 3)), StrengthDistribution.uniform(3))
 
 
 def test_vertices_are_immutable():

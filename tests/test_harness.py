@@ -213,6 +213,9 @@ def test_export_csv_and_json_roundtrip(tmp_path):
     back_mean = float(np.mean([r["steady_R"] for r in payload["rows"]]))
     assert back_mean == result.summary[0].mean_r  # lossless round-trip
     assert payload["config_hash"] == result.config_hash
+    with pytest.raises(ValidationError, match="^unknown export format 'xml'$"):
+        export_sweep(result, str(tmp_path / "out.xml"), "xml")
+    assert not (tmp_path / "out.xml").exists()
 
 
 def test_export_unwritable_path_raises_oserror(tmp_path):
@@ -456,11 +459,12 @@ def _game_config(**counts):
 
 
 def _lockstep_run(**counts):
-    """A one-game `run_lockstep` of 6 rounds, checked every 2, at `counts`."""
+    """A one-game `run_lockstep` of 6 rounds, checked every 2 with a window of 1,
+    at `counts`."""
     cfg = GameConfig(players=3, nodes=2, signals=2, strategies_per_player=2,
                      strengths=StrengthDistribution.uniform(2))
     rng = np.random.default_rng(0)
-    counts = dict(iterations=6, check_every=2, window=1, tail=3) | counts
+    counts = dict(iterations=6, check_every=2, window=1) | counts
     return learning.run_lockstep([(cfg, draw_strategy_matrix(cfg, rng), rng)], 20.0, **counts)[0]
 
 
@@ -491,7 +495,7 @@ PLAIN_DEFAULTS = {analytics.critical_lambda: dict(strategies=2, nodes=3),
 
 @pytest.mark.parametrize("bad", [12.5, float("nan"), True], ids=["float", "nan", "bool"])
 @pytest.mark.parametrize("owner, field", [(learning.run_lockstep, field) for field in (
-                             "iterations", "window", "check_every", "tail")]
+                             "iterations", "window", "check_every")]
                          + [(learning.random_baseline, "iterations")]
                          + [(GameConfig, field) for field in (
                              "players", "nodes", "signals", "strategies_per_player")]

@@ -171,7 +171,7 @@ def test_learning_settings_validation():
     cfg = fig1_config(uniform=True)
     rng = np.random.default_rng(0)
     game = (cfg, draw_strategy_matrix(cfg, rng), rng)
-    for bad in (dict(check_every=0), dict(window=0), dict(check_every=-5), dict(tail=-1)):
+    for bad in (dict(check_every=0), dict(window=0), dict(check_every=-5)):
         with pytest.raises(ValidationError, match="must be >= "):
             learning.run_lockstep([game], 20.0, 10, **(dict(check_every=10, window=1) | bad))
     with pytest.raises(ValidationError, match="check_every needs a window"):
@@ -238,6 +238,32 @@ def test_run_lockstep_rejects_a_matrix_that_does_not_fit_its_game():
     both = learning.run_lockstep([(cfg, good, np.random.default_rng(1)),
                                   (cfg, good, np.random.default_rng(2))], 20.0, 5)
     assert both[1].frustrations.tobytes() == alone.frustrations.tobytes()
+
+
+@pytest.mark.parametrize("case", ["empty", "players", "strategies", "nodes", "node", "shape"])
+def test_lockstep_checks_the_games_it_is_given(case):
+    # `Lockstep` raises run_lockstep's message for a batch it cannot play, not
+    # an IndexError, a numpy shape error or a broadcast failure in play_block
+    def game(players=2, strategies=2, nodes=2, signals=2):
+        cfg = GameConfig(players=players, nodes=nodes, signals=signals,
+                         strategies_per_player=strategies,
+                         strengths=StrengthDistribution.uniform(nodes))
+        rng = np.random.default_rng(0)
+        return cfg, draw_strategy_matrix(cfg, rng), rng
+
+    lone = game()
+    games, message = {
+        "empty": ([], r"must share N, S and B, got \[\]"),
+        "players": ([lone, game(players=3)], "must share N, S and B"),
+        "strategies": ([lone, game(strategies=3)], "must share N, S and B"),
+        "nodes": ([lone, game(nodes=3)], "must share N, S and B"),
+        "node": ([(lone[0], StrategyMatrix(np.full((2, 2, 2), 2, dtype=np.uint8)), lone[2])],
+                 "holds node 2 of a 2-node game"),
+        "shape": ([(lone[0], game(signals=3)[1], lone[2])], "does not fit"),
+    }[case]
+    for start in (lambda: Lockstep(games, 20.0), lambda: learning.run_lockstep(games, 20.0, 5)):
+        with pytest.raises(ValidationError, match=message):
+            start()
 
 
 def test_run_zero_iterations():
@@ -415,13 +441,23 @@ def test_lemire_rejection_replays_the_block():
 
 # -- convergence -------------------------------------------------------------
 
+def _checked_run(cfg, seed, gamma, iterations, check_every, window, matrix=None):
+    """A lone game played with purity checks: the seed's generator draws the
+    table (unless one is given) and then plays, as in `run`."""
+    rng = np.random.default_rng(seed)
+    if matrix is None:
+        matrix = draw_strategy_matrix(cfg, rng)
+    return learning.run_lockstep([(cfg, matrix, rng)], gamma, iterations,
+                                 check_every, window)[0]
+
+
 def test_detect_convergence_one_hot_rows(rng):
     # one strategy each: every row is one-hot from the first round, so the run
-    # stops at the first check, after 2 * window rounds
+    # stops at the first check, after 2 * window rounds, holding the last window
     cfg, s, c = small_instance(rng, players=4, strategies=1)
-    result = run(cfg, 1, gamma=20.0, iterations=500, matrix=c, check_every=50, window=50)
+    result = _checked_run(cfg, 1, 20.0, 500, 50, 50, matrix=c)
     assert result.converged and result.iterations == 100
-    assert len(result.purities) == 100
+    assert len(result.purities) == 50
     assert np.all(result.purities == 1.0)
 
 
@@ -429,7 +465,7 @@ def test_detect_convergence_gamma_zero_plateaus():
     # a flat trace is not convergence: at gamma = 0 purity stays 1/S, so the
     # run plays every round although its trace plateaus near 1
     cfg = fig1_config(uniform=True)
-    result = run(cfg, 4, gamma=0.0, iterations=3000, check_every=100, window=500)
+    result = _checked_run(cfg, 4, 0.0, 3000, 100, 500)
     assert not result.converged and result.iterations == 3000
     assert result.purities[-1] == pytest.approx(0.5)     # 1/S, never pure
     assert result.frustrations[-500:].mean() == pytest.approx(1.0, abs=0.15)
@@ -440,7 +476,7 @@ def test_detect_convergence_fig1_style():
     # plays all 2000 rounds unconverged, with a low final plateau
     rng = np.random.default_rng(20)
     cfg = fig1_config(rng)
-    result = run(cfg, 20, gamma=20.0, iterations=2000, check_every=100, window=200)
+    result = _checked_run(cfg, 20, 20.0, 2000, 100, 200)
     assert not result.converged and result.iterations == 2000
     assert result.frustrations[-200:].mean() < 0.3
 
@@ -448,7 +484,7 @@ def test_detect_convergence_fig1_style():
 def test_detect_convergence_requires_window(rng):
     # no check before 2 * window rounds: pure rows play on until then
     cfg, s, c = small_instance(rng, players=4, strategies=1)
-    result = run(cfg, 1, gamma=20.0, iterations=99, matrix=c, check_every=10, window=50)
+    result = _checked_run(cfg, 1, 20.0, 99, 10, 50, matrix=c)
     assert not result.converged and result.iterations == 99
 
 
@@ -456,7 +492,7 @@ def test_early_stop_on_purity():
     # at this seed no player holds two identical strategies, so play can purify
     rng = np.random.default_rng(45)
     cfg = fig1_config(rng)
-    result = run(cfg, 45, gamma=20.0, iterations=8000, check_every=100, window=200)
+    result = _checked_run(cfg, 45, 20.0, 8000, 100, 200)
     assert result.converged
     assert result.iterations < 8000
     assert result.purities[-1] >= PURITY_THRESHOLD
@@ -498,40 +534,46 @@ def test_compacted_batch_keeps_every_rows_record():
     stops = [r.iterations for r in batch]
     assert len(set(stops) - {t_max}) >= 3 and t_max in stops
     for seed, ((cfg, s, c), got) in enumerate(zip(instances, batch)):
-        alone = run(cfg, seed, gamma=20.0, iterations=t_max, matrix=c, **checks)
+        alone = _checked_run(cfg, seed, 20.0, t_max, matrix=c, **checks)
         assert (got.iterations, got.converged) == (alone.iterations, alone.converged)
         for name in ("signals", "frustrations", "purities", "scores", "probabilities"):
             assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
 
 
 def test_tail_holds_the_last_rounds_of_the_full_record():
-    # the staggered rows stop at five different checks and one plays to t_max;
-    # with and without checks (whose 1500 rounds are played in sub-blocks of
-    # 1092), a record of the last `tail` rounds is the end of the full record,
-    # bit for bit, and play is unchanged
+    # unchecked, 1500 rounds are played in sub-blocks of 1092, so a record of
+    # the last `window` rounds wraps; it is the end of the full record, bit
+    # for bit, and play is unchanged.  Checked, the staggered rows stop at
+    # five different checks and one plays to t_max, and each holds the end of
+    # an unchecked run of its own length
     t_max = 1500
     instances = [_staggered_game(seed) for seed in range(8)]
 
-    def play(checks, tail=None):
-        return learning.run_lockstep([(cfg, c, np.random.default_rng(seed))
-                                      for seed, (cfg, _, c) in enumerate(instances)],
-                                     20.0, t_max, **checks, tail=tail)
+    def play(rounds, rows=range(8), **checks):
+        return learning.run_lockstep([(cfg, c, np.random.default_rng(seed)) for seed, (cfg, _, c)
+                                      in enumerate(instances) if seed in rows],
+                                     20.0, rounds, **checks)
 
-    for checks in (dict(check_every=50, window=100), {}):
-        full = play(checks)
-        stops = [r.iterations for r in full]
-        assert not checks or len(set(stops)) == 6 and t_max in stops
-        for tail in (0, 1, 37, 50, 100, 160, 2000):
-            for got, want in zip(play(checks, tail), full):
-                assert (got.iterations, got.converged) == (want.iterations, want.converged)
-                assert got.scores.tobytes() == want.scores.tobytes()
-                assert got.probabilities.tobytes() == want.probabilities.tobytes()
-                held = min(tail, want.iterations)
-                assert len(got.signals) == held
-                for name in ("signals", "frustrations", "purities"):
-                    record = getattr(want, name)
-                    assert getattr(got, name).tobytes() == \
-                        record[len(record) - held:].tobytes()
+    def assert_tail(got, want, held):
+        assert got.iterations == want.iterations
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        assert len(got.signals) == held
+        for name in ("signals", "frustrations", "purities"):
+            assert getattr(got, name).tobytes() == getattr(want, name)[-held:].tobytes()
+
+    full = play(t_max)
+    assert len(full[0].signals) == t_max
+    for window in (1, 37, 50, 100, 160, 2000):
+        for got, want in zip(play(t_max, window=window), full):
+            assert not got.converged
+            assert_tail(got, want, min(window, t_max))
+    stopped = play(t_max, check_every=50, window=100)
+    stops = [r.iterations for r in stopped]
+    assert len(set(stops)) == 6 and t_max in stops
+    for seed, got in enumerate(stopped):
+        assert got.converged == (got.iterations < t_max)
+        assert_tail(got, play(got.iterations, rows=[seed])[0], 100)
 
 
 def test_lockstep_budget_checks_the_reward_table():
